@@ -8,10 +8,7 @@ from .engine import (
     finite_diff_grad,
     grad_params,
     log,
-    loss_value,
-    sigmoid,
     softplus,
-    tanh,
 )
 from .eigen import EigenResult, hvp, top_k_eigenvalues
 from .network import (
@@ -20,11 +17,10 @@ from .network import (
     forward,
     forward_graph,
     init_network,
-    input_grad,
     input_grad_batch,
     input_grad_columns,
 )
-from .optim import AdamState, adam_init, adam_step, clip_params
+from .optim import AdamState, adam_init, adam_step
 from .rng import Rng
 
 __all__ = [
@@ -38,7 +34,6 @@ __all__ = [
     "adam_init",
     "adam_step",
     "as_tensor",
-    "clip_params",
     "exp",
     "finite_diff_grad",
     "forward",
@@ -46,13 +41,9 @@ __all__ = [
     "grad_params",
     "hvp",
     "init_network",
-    "input_grad",
     "input_grad_batch",
     "input_grad_columns",
     "log",
-    "loss_value",
-    "sigmoid",
     "softplus",
-    "tanh",
     "top_k_eigenvalues",
 ]

@@ -235,14 +235,6 @@ def log(x):
     return x.log() if isinstance(x, Tensor) else np.log(x)
 
 
-def tanh(x):
-    return x.tanh() if isinstance(x, Tensor) else np.tanh(x)
-
-
-def sigmoid(x):
-    return x.sigmoid() if isinstance(x, Tensor) else _sigmoid(np.asarray(x, dtype=np.float64))
-
-
 def softplus(x):
     return x.softplus() if isinstance(x, Tensor) else np.logaddexp(0.0, x)
 
@@ -266,11 +258,6 @@ def grad_params(loss, params) -> np.ndarray:
     if theta.grad is None:
         return np.zeros_like(theta.data)
     return theta.grad.copy()
-
-
-def loss_value(loss, params) -> float:
-    """Evaluate a graph-building loss at ``params`` without differentiating."""
-    return loss(Tensor(_param_values(params), op="params")).item()
 
 
 def finite_diff_grad(loss, params, h: float) -> np.ndarray:

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import Tensor, as_tensor
+from .engine import Tensor, _param_values, as_tensor
 from .rng import Rng
 
 _ACTIVATIONS = ("tanh", "relu", "leaky_relu")
@@ -97,7 +97,7 @@ def init_network(spec: NetworkSpec, rng: Rng) -> ParamVector:
 
 def forward_graph(spec: NetworkSpec, theta, batch) -> Tensor:
     """Differentiable forward pass; `theta` and `batch` may be Tensors or arrays."""
-    t = theta if isinstance(theta, Tensor) else Tensor(_values_of(theta), op="theta")
+    t = theta if isinstance(theta, Tensor) else Tensor(_param_values(theta), op="theta")
     if t.data.size != spec.param_count:
         raise ValueError(f"expected {spec.param_count} parameters, got {t.data.size}")
     x = as_tensor(batch)
@@ -129,55 +129,33 @@ def forward(spec: NetworkSpec, params: ParamVector, batch) -> np.ndarray:
     return forward_graph(spec, params, np.asarray(batch, dtype=np.float64)).data
 
 
-def input_grad(spec: NetworkSpec, params: ParamVector, x, h: float) -> np.ndarray:
-    """Gradient of the scalar network output w.r.t. its input, by central differences.
+def input_grad_batch(spec: NetworkSpec, params: ParamVector, batch, h: float) -> np.ndarray:
+    """Gradient of the scalar network output w.r.t. its input, by central
+    differences, for every row of a batch (n x input_dim array)."""
+    return np.hstack([(up.data - down.data) / (2.0 * h)
+                      for up, down in _stencil(spec, params, batch, h)])
 
-    Built purely from forward evaluations, so the same stencil applied with a
-    parameter Tensor stays differentiable w.r.t. the parameters (see
-    ``input_grad_columns``).
+
+def input_grad_columns(spec: NetworkSpec, theta, batch, h: float):
+    """Graph version of ``input_grad_batch``: one n x 1 Tensor per input coordinate.
+
+    It scales by the reciprocal where ``input_grad_batch`` divides, so the two
+    can differ in the last bit; each keeps the arithmetic that the gap
+    estimates were pinned with.
+    """
+    return [(up - down) * (1.0 / (2.0 * h)) for up, down in _stencil(spec, theta, batch, h)]
+
+
+def _stencil(spec: NetworkSpec, theta, batch, h: float):
+    """Forward outputs at x + h e_j and x - h e_j for each input coordinate j.
+
+    Built purely from forward evaluations, so with a parameter Tensor the
+    outputs stay differentiable w.r.t. the parameters.
     """
     if h <= 0:
         raise ValueError("h must be positive")
     if spec.output_dim != 1:
-        raise ValueError("input_grad expects a scalar-output network")
-    x = np.asarray(x, dtype=np.float64).ravel()
-    grad = np.empty(spec.input_dim)
-    for j in range(spec.input_dim):
-        xp = x.copy()
-        xp[j] += h
-        xm = x.copy()
-        xm[j] -= h
-        up = forward(spec, params, xp[None, :])[0, 0]
-        down = forward(spec, params, xm[None, :])[0, 0]
-        grad[j] = (up - down) / (2.0 * h)
-    return grad
-
-
-def input_grad_batch(spec: NetworkSpec, params: ParamVector, batch, h: float) -> np.ndarray:
-    """Input gradients for every row of a batch (n x input_dim array)."""
+        raise ValueError("input gradients need a scalar-output network")
     batch = np.asarray(batch, dtype=np.float64)
-    cols = []
-    for j in range(spec.input_dim):
-        shift = np.zeros_like(batch)
-        shift[:, j] = h
-        up = forward(spec, params, batch + shift)
-        down = forward(spec, params, batch - shift)
-        cols.append((up - down) / (2.0 * h))
-    return np.hstack(cols)
-
-
-def input_grad_columns(spec: NetworkSpec, theta, batch, h: float):
-    """Graph version of ``input_grad_batch``: one n x 1 Tensor per input coordinate."""
-    batch = np.asarray(batch, dtype=np.float64)
-    cols = []
-    for j in range(spec.input_dim):
-        shift = np.zeros_like(batch)
-        shift[:, j] = h
-        up = forward_graph(spec, theta, batch + shift)
-        down = forward_graph(spec, theta, batch - shift)
-        cols.append((up - down) * (1.0 / (2.0 * h)))
-    return cols
-
-
-def _values_of(params) -> np.ndarray:
-    return np.asarray(getattr(params, "values", params), dtype=np.float64)
+    return [(forward_graph(spec, theta, batch + shift), forward_graph(spec, theta, batch - shift))
+            for shift in h * np.eye(spec.input_dim)]

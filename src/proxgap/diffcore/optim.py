@@ -1,4 +1,4 @@
-"""Adam updates and box projection for parameter vectors."""
+"""Adam updates for parameter vectors."""
 
 from __future__ import annotations
 
@@ -54,11 +54,3 @@ def adam_step(params, grad, state: AdamState):
         return params.with_values(new_vals), new_state
     return new_vals, new_state
 
-
-def clip_params(params, c: float):
-    """Project every parameter into [-c, c]."""
-    if c <= 0:
-        raise ValueError("clip bound must be positive")
-    if isinstance(params, ParamVector):
-        return params.with_values(np.clip(params.values, -c, c))
-    return np.clip(np.asarray(params, dtype=np.float64), -c, c)

@@ -44,10 +44,6 @@ class GaussianMixture:
         return self.means.shape[0]
 
 
-# Distributions addressable by the harness; today all of them are mixtures.
-SyntheticDist = GaussianMixture
-
-
 def ring_mixture(mode_count: int, radius: float, sigma: float) -> GaussianMixture:
     """Equal-weight isotropic modes equally spaced on a circle in the plane."""
     if mode_count < 1:

@@ -28,8 +28,8 @@ from .diffcore import (
 from .distributions import DataSplits
 from .objectives import (
     GanState,
-    WassersteinClip,
     check_clip_box,
+    enforce_constraint,
     objective_from_outputs,
     value_and_grad_d,
     value_and_grad_g,
@@ -162,8 +162,6 @@ class _GanOps:
         self.eval_latent = np.asarray(eval_latent, dtype=np.float64)
         self.d0 = state.theta_d
         self.g0 = state.theta_g
-        self.d_dim = len(state.theta_d)
-        self.g_dim = len(state.theta_g)
 
     def draw_batch(self):
         idx = self.rng.integers(0, self.splits.s_b.shape[0], self.cfg.batch_size)
@@ -187,25 +185,22 @@ class _GanOps:
 
     def make_prox_step(self, anchor, theta_g, batch, lam):
         real, latent = batch
-        return _gan_prox_step_fns(self.state, anchor, theta_g, real, latent,
-                                  lam, self.cfg.sobolev_h)
+        return _gan_prox_step_fn(self.state, anchor, theta_g, real, latent,
+                                 lam, self.cfg.sobolev_h)
 
     def project_d(self, theta_d):
-        return _objective_projector(self.state.objective)(theta_d)
+        return enforce_constraint(self.state.objective, theta_d)
 
     def project_g(self, theta_g):
         return theta_g
 
 
 class _ToyOps:
-    def __init__(self, state: ToyGameState, cfg: ProximalConfig, rng: Rng):
+    def __init__(self, state: ToyGameState):
         self.game = state.game
-        self.cfg = cfg
-        self.rng = rng
+        self.eval_latent = None
         self.d0 = state.d.copy()
         self.g0 = state.g.copy()
-        self.d_dim = state.d.size
-        self.g_dim = state.g.size
 
     def draw_batch(self):
         return None
@@ -225,14 +220,11 @@ class _ToyOps:
     def make_prox_step(self, anchor, g, batch, lam):
         anchor = np.asarray(anchor, dtype=np.float64)
 
-        def value_only(d):
-            return toy_value(self.game, d, g) - lam * float(np.sum((d - anchor) ** 2))
-
         def value_and_grad(d):
-            grad = toy_grad_d(self.game, d, g) - 2.0 * lam * (d - anchor)
-            return value_only(d), grad
+            value = toy_value(self.game, d, g) - lam * float(np.sum((d - anchor) ** 2))
+            return value, toy_grad_d(self.game, d, g) - 2.0 * lam * (d - anchor)
 
-        return value_and_grad, value_only
+        return value_and_grad
 
     def project_d(self, d):
         return self.game.clip_d(d)
@@ -245,11 +237,13 @@ def _ops_for(state, splits, cfg, rng, eval_latent=None):
     if isinstance(state, GanState):
         return _GanOps(state, splits, cfg, rng, eval_latent)
     if isinstance(state, ToyGameState):
-        return _ToyOps(state, cfg, rng)
+        return _ToyOps(state)
     raise TypeError(f"cannot estimate gaps for {type(state).__name__}")
 
 
-def _gan_prox_step_fns(state, anchor, theta_g, real, latent, lam, h):
+def _gan_prox_step_fn(state, anchor, theta_g, real, latent, lam, h):
+    """(value, gradient) of V(theta, theta_g) - lam * sobolev_dist_sq(theta, anchor)
+    on one batch, as a function of the discriminator copy theta."""
     real = np.asarray(real, dtype=np.float64)
     latent = np.asarray(latent, dtype=np.float64)
     fake = forward(state.g_spec, theta_g, latent)
@@ -267,17 +261,7 @@ def _gan_prox_step_fns(state, anchor, theta_g, real, latent, lam, h):
         grad = t.grad if t.grad is not None else np.zeros_like(t.data)
         return total.item(), grad.copy()
 
-    def value_only(theta):
-        check_clip_box(state.objective, theta)
-        d_real = forward_graph(state.d_spec, theta, real)
-        d_fake = forward_graph(state.d_spec, theta, fake)
-        total = objective_from_outputs(state.objective, d_real, d_fake)
-        if lam > 0:
-            t = Tensor(theta.values, op="theta_d_tilde")
-            total = total - lam * _sobolev_graph(state.d_spec, t, anchor_grads, real, h)
-        return total.item()
-
-    return value_and_grad, value_only
+    return value_and_grad
 
 
 def _prox_step_size(prox_lr: float, lam: float) -> float:
@@ -292,7 +276,9 @@ def _axpy(params, coef: float, vec: np.ndarray):
     return params + coef * vec
 
 
-def _prox_loop(step_fn, value_fn, anchor, project, cfg: ProximalConfig):
+def _prox_loop(step_fn, anchor, project, cfg: ProximalConfig):
+    """Penalized inner maximization: `prox_steps` projected ascent steps from
+    the anchor along the gradient of `step_fn`; returns the final parameters."""
     theta = project(anchor)
     lr = _prox_step_size(cfg.prox_lr, cfg.lam)
     for j in range(cfg.prox_steps):
@@ -302,35 +288,18 @@ def _prox_loop(step_fn, value_fn, anchor, project, cfg: ProximalConfig):
             raise ProxDivergenceError(
                 f"penalized ascent diverged at inner step {j}") from err
         theta = project(_axpy(theta, lr, grad))
-    return theta, value_fn(theta)
+    return theta
 
 
-def _prox_ascend(ops, anchor, theta_g, batch, cfg: ProximalConfig):
-    step_fn, value_fn = ops.make_prox_step(anchor, theta_g, batch, cfg.lam)
-    return _prox_loop(step_fn, value_fn, anchor, ops.project_d, cfg)
-
-
-def prox_opt(state: GanState, anchor_theta_d: ParamVector, current_theta_g: ParamVector,
-             data_batch, latent_batch, cfg: ProximalConfig):
-    """Penalized inner maximization: T ascent steps from the anchor.
-
-    Maximizes V(theta, current_theta_g) - lam * sobolev_dist_sq(theta, anchor)
-    over the discriminator copy; returns the final parameters and the
-    penalized objective value there.  Weight-box objectives re-project after
-    every step.
-    """
-    step_fn, value_fn = _gan_prox_step_fns(
-        state, anchor_theta_d, current_theta_g,
-        data_batch, latent_batch, cfg.lam, cfg.sobolev_h)
-    return _prox_loop(step_fn, value_fn, anchor_theta_d,
-                      _objective_projector(state.objective), cfg)
-
-
-def _objective_projector(objective):
-    if isinstance(objective, WassersteinClip):
-        c = objective.clip
-        return lambda pv: pv.with_values(np.clip(pv.values, -c, c))
-    return lambda pv: pv
+def _adam_search(ops, start, descent_dir, project, cfg: ProximalConfig):
+    """The worst-case search: `worst_iters` projected Adam steps from `start`,
+    each along `descent_dir(params, batch)` on a fresh search minibatch."""
+    params = start
+    adam = adam_init(len(start), cfg.worst_lr)
+    for _ in range(cfg.worst_iters):
+        params, adam = adam_step(params, descent_dir(params, ops.draw_batch()), adam)
+        params = project(params)
+    return params
 
 
 # -- the estimators ----------------------------------------------------------
@@ -344,13 +313,9 @@ def estimate_v_dw(state, splits, cfg: ProximalConfig, rng: Rng, eval_latent=None
     evaluation latent batch.
     """
     ops = _ops_for(state, splits, cfg, rng, eval_latent)
-    d = ops.project_d(ops.d0)
-    adam = adam_init(ops.d_dim, cfg.worst_lr)
-    for _ in range(cfg.worst_iters):
-        batch = ops.draw_batch()
-        _, grad = ops.v_grad_d(d, ops.g0, batch)
-        d, adam = adam_step(d, -grad, adam)  # ascent on V
-        d = ops.project_d(d)
+    d = _adam_search(ops, ops.project_d(ops.d0),
+                     lambda d, batch: -ops.v_grad_d(d, ops.g0, batch)[1],  # ascent on V
+                     ops.project_d, cfg)
     return ops.eval_value(d, ops.g0)
 
 
@@ -365,16 +330,15 @@ def estimate_v_gw_lambda(state, splits, cfg: ProximalConfig, rng: Rng,
     objective on the evaluation split.
     """
     ops = _ops_for(state, splits, cfg, rng, eval_latent)
-    g = ops.g0
-    adam = adam_init(ops.g_dim, cfg.worst_lr)
-    for _ in range(cfg.worst_iters):
-        batch = ops.draw_batch()
-        d_star, _ = _prox_ascend(ops, ops.d0, g, batch, cfg)
-        _, grad_g = ops.v_grad_g(d_star, g, batch)
-        g, adam = adam_step(g, grad_g, adam)  # descent on V
-        g = ops.project_g(g)
-    _, v_lambda = _prox_ascend(ops, ops.d0, g, ops.eval_batch(), cfg)
-    return v_lambda
+
+    def descent_dir(g, batch):
+        step_fn = ops.make_prox_step(ops.d0, g, batch, cfg.lam)
+        d_star = _prox_loop(step_fn, ops.d0, ops.project_d, cfg)
+        return ops.v_grad_g(d_star, g, batch)[1]
+
+    g = _adam_search(ops, ops.g0, descent_dir, ops.project_g, cfg)
+    step_fn = ops.make_prox_step(ops.d0, g, ops.eval_batch(), cfg.lam)
+    return step_fn(_prox_loop(step_fn, ops.d0, ops.project_d, cfg))[0]
 
 
 def estimate_v_gw_plain(state, splits, cfg: ProximalConfig, rng: Rng,
@@ -382,30 +346,26 @@ def estimate_v_gw_plain(state, splits, cfg: ProximalConfig, rng: Rng,
     """Plain worst-case generator value: descend a copy of theta_g against the
     frozen discriminator, evaluate held out."""
     ops = _ops_for(state, splits, cfg, rng, eval_latent)
-    g = ops.g0
-    adam = adam_init(ops.g_dim, cfg.worst_lr)
-    for _ in range(cfg.worst_iters):
-        batch = ops.draw_batch()
-        _, grad_g = ops.v_grad_g(ops.d0, g, batch)
-        g, adam = adam_step(g, grad_g, adam)
-        g = ops.project_g(g)
+    g = _adam_search(ops, ops.g0, lambda g, batch: ops.v_grad_g(ops.d0, g, batch)[1],
+                     ops.project_g, cfg)
     return ops.eval_value(ops.d0, g)
 
 
-def duality_gap(state, splits, cfg: ProximalConfig, rng: Rng) -> GapReport:
-    """Both duality gaps at one configuration, sharing one evaluation latent batch."""
-    eval_latent = None
-    if isinstance(state, GanState):
-        if splits is None:
-            raise ValueError("GAN estimation requires data splits")
-        eval_latent = rng.child(_EVAL_TAG).normal(
-            (splits.s_c.shape[0], state.latent_dim))
-    v_dw = estimate_v_dw(state, splits, cfg, rng.child(_DW_TAG), eval_latent)
-    v_gw_lambda = estimate_v_gw_lambda(state, splits, cfg, rng.child(_GW_LAMBDA_TAG),
-                                       eval_latent)
-    v_gw_plain = estimate_v_gw_plain(state, splits, cfg, rng.child(_GW_PLAIN_TAG),
+def _gap_reports(state, splits, cfgs, rng: Rng):
+    """One GapReport per config in `cfgs`, which may differ only in lam.
+
+    v_dw and v_gw_plain do not depend on lam, so they are estimated once and
+    shared; v_gw_lambda is estimated per config.  Every estimate draws from
+    its own child stream of `rng` and all share one evaluation latent batch,
+    so each report equals the one a single-config call would give.
+    """
+    eval_latent = _ops_for(state, splits, cfgs[0], rng).eval_latent
+    v_dw = estimate_v_dw(state, splits, cfgs[0], rng.child(_DW_TAG), eval_latent)
+    v_gw_lambdas = [estimate_v_gw_lambda(state, splits, cfg, rng.child(_GW_LAMBDA_TAG),
+                                         eval_latent) for cfg in cfgs]
+    v_gw_plain = estimate_v_gw_plain(state, splits, cfgs[0], rng.child(_GW_PLAIN_TAG),
                                      eval_latent)
-    return GapReport(
+    return [GapReport(
         v_dw=v_dw,
         v_gw_lambda=v_gw_lambda,
         dg_lambda=v_dw - v_gw_lambda,
@@ -415,16 +375,22 @@ def duality_gap(state, splits, cfg: ProximalConfig, rng: Rng) -> GapReport:
         worst_iters=cfg.worst_iters,
         prox_steps=cfg.prox_steps,
         seed=rng.seed,
-    )
+    ) for cfg, v_gw_lambda in zip(cfgs, v_gw_lambdas)]
+
+
+def duality_gap(state, splits, cfg: ProximalConfig, rng: Rng) -> GapReport:
+    """Both duality gaps at one configuration, sharing one evaluation latent batch."""
+    return _gap_reports(state, splits, [cfg], rng)[0]
 
 
 def lambda_sweep(state, splits, lambdas, cfg: ProximalConfig, rng: Rng):
-    """Independent gap estimates per lambda with shared seeds, ordered by lambda."""
+    """Gap estimates per lambda with shared seeds, ordered by lambda.
+
+    Each row equals ``duality_gap`` at that lambda; the lambda-independent
+    v_dw and v_gw_plain are estimated once for the whole sweep.
+    """
     lams = sorted(float(x) for x in lambdas)
     if not lams:
         raise ValueError("lambda list must be non-empty")
-    out = []
-    for lam in lams:
-        report = duality_gap(state, splits, replace(cfg, lam=lam), Rng(rng.seed))
-        out.append((lam, report))
-    return out
+    reports = _gap_reports(state, splits, [replace(cfg, lam=lam) for lam in lams], rng)
+    return list(zip(lams, reports))

@@ -174,7 +174,7 @@ def config_from_pairs(pairs: dict) -> ExperimentConfig:
     elif total_steps >= 50 and total_steps % 50 == 0:
         interval = total_steps // 50  # default cadence: every 2% of the run
     else:
-        interval = max(1, total_steps) if total_steps <= 0 else 1
+        interval = 1
     merged["train.checkpoint_every"] = str(interval)
 
     prox = ProximalConfig(

@@ -56,10 +56,10 @@ _TAG_PROBE = 7
 
 def build_state(cfg: ExperimentConfig, root: Rng):
     """Deterministically build the initial game state and the data splits."""
-    theta_d = init_network(cfg.d_spec, root.child(_TAG_INIT_D))
+    theta_d = enforce_constraint(cfg.objective,
+                                 init_network(cfg.d_spec, root.child(_TAG_INIT_D)))
     theta_g = init_network(cfg.g_spec, root.child(_TAG_INIT_G))
-    state = enforce_constraint(
-        GanState(cfg.d_spec, cfg.g_spec, theta_d, theta_g, cfg.objective))
+    state = GanState(cfg.d_spec, cfg.g_spec, theta_d, theta_g, cfg.objective)
     splits = make_splits(cfg.dist, cfg.n_a, cfg.n_b, cfg.n_c, root.child(_TAG_DATA))
     return state, splits
 
@@ -100,7 +100,7 @@ def train(cfg: ExperimentConfig) -> Path:
         v, grad = value_and_grad_d(state, state.theta_d, state.theta_g,
                                    splits.s_a[idx], latent)
         new_d, adam_d = adam_step(state.theta_d, -grad, adam_d)  # ascend V
-        state = enforce_constraint(state.with_params(theta_d=new_d))
+        state = state.with_params(theta_d=enforce_constraint(state.objective, new_d))
         last_d_loss = -v
         d_updates += 1
 

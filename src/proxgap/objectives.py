@@ -210,22 +210,11 @@ def value_and_grad_d(state, theta_d: ParamVector, theta_g: ParamVector,
 def value_and_grad_g(state, theta_d: ParamVector, theta_g: ParamVector,
                      real_batch, latent_batch):
     """(V, dV/dtheta_g); the discriminator side is treated as a constant."""
-    check_clip_box(state.objective, theta_d)
     t = Tensor(theta_g.values, op="theta_g")
     v = value_graph(state, theta_d, t, real_batch, latent_batch)
     v.backward()
     grad = t.grad if t.grad is not None else np.zeros_like(t.data)
     return v.item(), grad.copy()
-
-
-def discriminator_ascent_loss(state: GanState, real_batch, latent_batch) -> float:
-    """-V: minimizing this performs ascent on V. Never differentiated w.r.t. theta_g."""
-    return -eval_objective(state, real_batch, latent_batch)
-
-
-def generator_descent_loss(state: GanState, real_batch, latent_batch) -> float:
-    """+V: the generator's minimization target."""
-    return eval_objective(state, real_batch, latent_batch)
 
 
 def optimal_classic_discriminator(p_r: float, p_g: float) -> float:
@@ -250,10 +239,9 @@ def conjugate_from_grid(family: FGanFamily, x: float, t_grid) -> float:
     return float(np.max(x * t_grid - family.f(t_grid)))
 
 
-def enforce_constraint(state: GanState) -> GanState:
+def enforce_constraint(objective, theta_d: ParamVector) -> ParamVector:
     """Project the discriminator into the weight box when the objective demands one."""
-    if not isinstance(state.objective, WassersteinClip):
-        return state
-    c = state.objective.clip
-    return state.with_params(theta_d=state.theta_d.with_values(
-        np.clip(state.theta_d.values, -c, c)))
+    if not isinstance(objective, WassersteinClip):
+        return theta_d
+    c = objective.clip
+    return theta_d.with_values(np.clip(theta_d.values, -c, c))

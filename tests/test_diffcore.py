@@ -8,15 +8,15 @@ from proxgap.diffcore import (
     Rng,
     adam_init,
     adam_step,
-    clip_params,
     forward,
     forward_graph,
     hvp,
     init_network,
-    input_grad,
+    input_grad_batch,
     top_k_eigenvalues,
 )
 from proxgap.diffcore.network import ParamVector
+from proxgap.objectives import WassersteinClip, enforce_constraint
 
 
 # -- NetworkSpec / init ------------------------------------------------
@@ -102,21 +102,21 @@ def test_forward_rows_independent(seed):
     assert np.allclose(out[perm], out_perm)
 
 
-# -- input_grad --------------------------------------------------------
+# -- input gradients (one-row batches) ------------------------------------
 
 
 def test_input_grad_linear_returns_weights():
     spec = NetworkSpec(3, (), 1)
     w = np.array([0.5, -1.5, 2.0])
     pv = ParamVector(np.append(w, 0.3), spec.layout())
-    g = input_grad(spec, pv, np.array([0.1, 0.2, 0.3]), h=1e-4)
+    g = input_grad_batch(spec, pv, np.array([[0.1, 0.2, 0.3]]), h=1e-4)[0]
     assert np.allclose(g, w, atol=1e-9)
 
 
 def test_input_grad_constant_network_is_zero():
     spec = NetworkSpec(2, (), 1)
     pv = ParamVector(np.array([0.0, 0.0, 4.2]), spec.layout())
-    g = input_grad(spec, pv, np.array([1.0, -1.0]), h=1e-4)
+    g = input_grad_batch(spec, pv, np.array([[1.0, -1.0]]), h=1e-4)[0]
     assert np.allclose(g, 0.0)
 
 
@@ -124,9 +124,19 @@ def test_input_grad_sigmoid_head_quarter_slope():
     # D(x) = sigmoid(x1): weight (1, 0), zero bias, sigmoid head
     spec = NetworkSpec(2, (), 1, output_head="sigmoid")
     pv = ParamVector(np.array([1.0, 0.0, 0.0]), spec.layout())
-    g = input_grad(spec, pv, np.array([0.0, 0.7]), h=1e-4)
+    g = input_grad_batch(spec, pv, np.array([[0.0, 0.7]]), h=1e-4)[0]
     assert g[0] == pytest.approx(0.25, abs=1e-6)
     assert g[1] == pytest.approx(0.0, abs=1e-9)
+
+
+def test_input_grad_rejects_bad_step_and_vector_output():
+    spec = NetworkSpec(2, (), 1)
+    pv = ParamVector(np.array([1.0, 0.0, 0.0]), spec.layout())
+    with pytest.raises(ValueError):
+        input_grad_batch(spec, pv, np.zeros((1, 2)), h=0.0)
+    wide = NetworkSpec(2, (), 2)
+    with pytest.raises(ValueError):
+        input_grad_batch(wide, init_network(wide, Rng(0)), np.zeros((1, 2)), h=1e-4)
 
 
 # -- adam / clip -------------------------------------------------------
@@ -164,7 +174,7 @@ def test_adam_deterministic_trajectories():
 
 def test_clip_values_from_protocol():
     pv = ParamVector(np.array([0.05, -0.005]), {"w": (0, 2)})
-    clipped = clip_params(pv, 0.01)
+    clipped = enforce_constraint(WassersteinClip(0.01), pv)
     assert clipped.values[0] == pytest.approx(0.01)
     assert clipped.values[1] == pytest.approx(-0.005)
 
@@ -174,8 +184,8 @@ def test_clip_values_from_protocol():
        st.floats(0.001, 5.0))
 def test_clip_idempotent_and_projection(vals, c):
     pv = ParamVector(np.array(vals), {"w": (0, len(vals))})
-    once = clip_params(pv, c)
-    twice = clip_params(once, c)
+    once = enforce_constraint(WassersteinClip(c), pv)
+    twice = enforce_constraint(WassersteinClip(c), once)
     assert np.array_equal(once.values, twice.values)
     # projection: no box point is closer, coordinate by coordinate
     inside = np.clip(np.array(vals), -c, c)
@@ -183,9 +193,9 @@ def test_clip_idempotent_and_projection(vals, c):
 
 
 def test_clip_requires_positive_bound():
-    pv = ParamVector(np.array([1.0]), {"w": (0, 1)})
+    # the box is carried by the objective, which rejects a non-positive bound
     with pytest.raises(ValueError):
-        clip_params(pv, 0.0)
+        WassersteinClip(0.0)
 
 
 # -- hvp / eigenvalues -------------------------------------------------

@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from proxgap.diffcore import NetworkSpec, ParamVector, Rng, init_network
+from proxgap import gapmetrics
+from proxgap.diffcore import (
+    NetworkSpec,
+    ParamVector,
+    Rng,
+    Tensor,
+    init_network,
+    input_grad_batch,
+    input_grad_columns,
+)
 from proxgap.distributions import GaussianMixture, make_splits
 from proxgap.gapmetrics import (
     GapReport,
@@ -14,8 +23,10 @@ from proxgap.gapmetrics import (
     estimate_v_gw_plain,
     iters_for_epochs,
     lambda_sweep,
-    prox_opt,
     sobolev_dist_sq,
+    _gan_prox_step_fn,
+    _prox_loop,
+    _sobolev_graph,
 )
 from proxgap.objectives import Classic, GanState, WassersteinClip, enforce_constraint, eval_objective
 from proxgap.oracles import (
@@ -82,7 +93,27 @@ def test_sobolev_rejects_empty_batch():
         sobolev_dist_sq(spec, p, p, np.zeros((0, 2)), 1e-3)
 
 
-# -- prox_opt -------------------------------------------------------------
+def test_batch_input_grads_match_the_graph_stencil_columns():
+    # one stencil, two scalings: the batch version divides by 2h and the graph
+    # version multiplies by 1/(2h), so entries may differ in the last bit
+    spec = NetworkSpec(2, (6, 6), 1)
+    params = init_network(spec, Rng(0))
+    batch = Rng(10).normal((64, 2))
+    stacked = np.hstack([col.data for col in input_grad_columns(spec, params, batch, 1e-4)])
+    np.testing.assert_array_max_ulp(input_grad_batch(spec, params, batch, 1e-4), stacked, maxulp=1)
+
+
+def test_sobolev_graph_matches_sobolev_dist_sq():
+    spec = NetworkSpec(2, (5,), 1, activation="tanh")
+    p1 = init_network(spec, Rng(3))
+    p2 = init_network(spec, Rng(4))
+    batch = Rng(5).normal((12, 2))
+    anchor_grads = input_grad_batch(spec, p2, batch, 1e-3)
+    graph = _sobolev_graph(spec, Tensor(p1.values), anchor_grads, batch, 1e-3).item()
+    assert graph == pytest.approx(sobolev_dist_sq(spec, p1, p2, batch, 1e-3), abs=1e-14)
+
+
+# -- the penalized inner ascent -------------------------------------------
 
 
 def _small_classic_state(seed=7):
@@ -93,13 +124,22 @@ def _small_classic_state(seed=7):
                     init_network(g_spec, rng.child(1)), Classic())
 
 
+def _prox_opt(state, real, latent, cfg):
+    """Inner ascent anchored at the state's discriminator: (final params, penalized value)."""
+    step_fn = _gan_prox_step_fn(state, state.theta_d, state.theta_g, real, latent,
+                                cfg.lam, cfg.sobolev_h)
+    theta = _prox_loop(step_fn, state.theta_d,
+                       lambda pv: enforce_constraint(state.objective, pv), cfg)
+    return theta, step_fn(theta)[0]
+
+
 def test_prox_opt_huge_lambda_pins_anchor():
     state = _small_classic_state()
     rng = Rng(8)
     real, latent = rng.normal((64, 2)), rng.normal((64, 2))
     v_anchor = eval_objective(state, real, latent)
     cfg = ProximalConfig(lam=1e9, prox_steps=20, prox_lr=0.05)
-    theta, v_lam = prox_opt(state, state.theta_d, state.theta_g, real, latent, cfg)
+    theta, v_lam = _prox_opt(state, real, latent, cfg)
     assert np.max(np.abs(theta.values - state.theta_d.values)) < 1e-4
     assert v_lam == pytest.approx(v_anchor, abs=1e-4)
 
@@ -110,7 +150,7 @@ def test_prox_opt_zero_lambda_is_plain_ascent():
     real, latent = rng.normal((64, 2)), rng.normal((64, 2))
     v_anchor = eval_objective(state, real, latent)
     cfg = ProximalConfig(lam=0.0, prox_steps=50, prox_lr=0.5)
-    _, v = prox_opt(state, state.theta_d, state.theta_g, real, latent, cfg)
+    _, v = _prox_opt(state, real, latent, cfg)
     assert v > v_anchor  # unpenalized ascent improves on the anchor value
 
 
@@ -118,12 +158,12 @@ def test_prox_opt_reclips_wasserstein():
     d_spec = NetworkSpec(2, (8,), 1)
     g_spec = NetworkSpec(2, (8,), 2)
     rng = Rng(10)
-    state = enforce_constraint(GanState(d_spec, g_spec, init_network(d_spec, rng.child(0)),
-                                        init_network(g_spec, rng.child(1)),
-                                        WassersteinClip(0.01)))
+    wgan = WassersteinClip(0.01)
+    state = GanState(d_spec, g_spec, enforce_constraint(wgan, init_network(d_spec, rng.child(0))),
+                     init_network(g_spec, rng.child(1)), wgan)
     real, latent = rng.normal((32, 2)), rng.normal((32, 2))
     cfg = ProximalConfig(lam=0.0, prox_steps=30, prox_lr=0.5)
-    theta, _ = prox_opt(state, state.theta_d, state.theta_g, real, latent, cfg)
+    theta, _ = _prox_opt(state, real, latent, cfg)
     assert np.max(np.abs(theta.values)) <= 0.01 + 1e-15
 
 
@@ -157,8 +197,9 @@ def test_v_dw_classic_perfect_generator_near_minus_log4():
 def test_v_dw_wasserstein_floor():
     g_spec, theta_g, splits, rng = _perfect_fit_setup()
     d_spec = NetworkSpec(2, (16,), 1)
-    state = enforce_constraint(GanState(d_spec, g_spec, init_network(d_spec, rng.child(3)),
-                                        theta_g, WassersteinClip(0.01)))
+    wgan = WassersteinClip(0.01)
+    state = GanState(d_spec, g_spec, enforce_constraint(wgan, init_network(d_spec, rng.child(3))),
+                     theta_g, wgan)
     cfg = ProximalConfig(worst_iters=150, worst_lr=5e-3, batch_size=128)
     v = estimate_v_dw(state, splits, cfg, rng.child(4))
     assert v >= -0.05
@@ -242,6 +283,44 @@ def test_lambda_sweep_singleton_and_order():
     assert [lam for lam, _ in multi] == [0.01, 0.1, 1.0]
     # shared seeds: the lambda-independent side is identical across runs
     assert len({rep.v_dw for _, rep in multi}) == 1
+
+
+def _small_gan_setup():
+    state = _small_classic_state()
+    dist = GaussianMixture([1.0], [[0.0, 0.0]], [[1.0, 1.0]])
+    splits = make_splits(dist, 200, 100, 100, Rng(20))
+    cfg = ProximalConfig(prox_steps=4, worst_iters=3, batch_size=32)
+    return state, splits, cfg
+
+
+def test_lambda_sweep_rows_equal_per_lambda_gaps():
+    lams = [0.0, 0.1, 10.0]
+    toy = ToyGameState(concave_quadratic(), np.array([0.4]), np.array([-0.2]))
+    gan, splits, gan_cfg = _small_gan_setup()
+    for state, data, cfg in ((toy, None, TOY_CFG), (gan, splits, gan_cfg)):
+        rows = lambda_sweep(state, data, lams, cfg, Rng(21))
+        assert [lam for lam, _ in rows] == lams
+        for lam, report in rows:
+            assert report == duality_gap(state, data, replace(cfg, lam=lam), Rng(21))
+
+
+def test_lambda_sweep_estimates_lambda_independent_terms_once(monkeypatch):
+    calls = {}
+
+    def counted(name):
+        original = getattr(gapmetrics, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(gapmetrics, name, wrapper)
+
+    for name in ("estimate_v_dw", "estimate_v_gw_plain", "estimate_v_gw_lambda"):
+        counted(name)
+    state, splits, cfg = _small_gan_setup()
+    lambda_sweep(state, splits, [0.01, 0.1, 1.0, 1e6], cfg, Rng(22))
+    assert calls == {"estimate_v_dw": 1, "estimate_v_gw_plain": 1, "estimate_v_gw_lambda": 4}
 
 
 def test_lambda_sweep_rejects_empty():
