@@ -16,9 +16,12 @@ from .network import (
     ParamVector,
     forward,
     forward_graph,
+    fused_or_graph,
     init_network,
     input_grad_batch,
     input_grad_columns,
+    mlp_backward,
+    mlp_forward,
 )
 from .optim import AdamState, adam_init, adam_step
 from .rng import Rng
@@ -38,12 +41,15 @@ __all__ = [
     "finite_diff_grad",
     "forward",
     "forward_graph",
+    "fused_or_graph",
     "grad_params",
     "hvp",
     "init_network",
     "input_grad_batch",
     "input_grad_columns",
     "log",
+    "mlp_backward",
+    "mlp_forward",
     "softplus",
     "top_k_eigenvalues",
 ]

@@ -30,9 +30,6 @@ class EigenResult:
     values: tuple
     converged: tuple
 
-    def all_converged(self) -> bool:
-        return all(self.converged)
-
 
 def top_k_eigenvalues(hvp_fn, dim: int, k: int, max_iters: int = 1000,
                       tol: float = 1e-9, rng: Rng = None) -> EigenResult:

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import Tensor, _param_values, as_tensor
+from .engine import NonFiniteError, Tensor, _param_values, _sigmoid, as_tensor
 from .rng import Rng
 
 _ACTIVATIONS = ("tanh", "relu", "leaky_relu")
@@ -126,36 +126,165 @@ def forward_graph(spec: NetworkSpec, theta, batch) -> Tensor:
 
 def forward(spec: NetworkSpec, params: ParamVector, batch) -> np.ndarray:
     """Plain forward evaluation, returning an n x output_dim array."""
-    return forward_graph(spec, params, np.asarray(batch, dtype=np.float64)).data
+    batch = np.asarray(batch, dtype=np.float64)
+    return fused_or_graph(lambda: mlp_forward(spec, params, batch)[0],
+                          lambda: forward_graph(spec, params, batch).data)
+
+
+# -- the fused kernel ----------------------------------------------------------
+#
+# ``mlp_forward``/``mlp_backward`` evaluate the same layers as ``forward_graph``
+# with plain numpy and no per-op graph, so a value and gradient cost a few
+# matrix products.  The graph path stays as their reference oracle: the fused
+# kernel checks every pre-activation, and its callers check the value and the
+# gradient, once per call; when a check fails ``fused_or_graph`` replays the
+# call through the graph, whose per-op check names the op that failed.
+
+
+def mlp_forward(spec: NetworkSpec, theta, batch):
+    """Forward pass on plain arrays: (n x output_dim outputs, cache for ``mlp_backward``).
+
+    Raises NonFiniteError when a pre-activation is non-finite, which also
+    catches a matmul overflow that a saturating activation would hide.
+    """
+    vals = _param_values(theta)
+    if vals.size != spec.param_count:
+        raise ValueError(f"expected {spec.param_count} parameters, got {vals.size}")
+    x = np.asarray(batch, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != spec.input_dim:
+        raise ValueError(f"batch must be n x {spec.input_dim}, got {x.shape}")
+    shapes = spec.layer_shapes()
+    last = len(shapes) - 1
+    inputs, gates = [], []
+    off = 0
+    # in-place updates keep the number of large temporaries, and so the
+    # allocator's page faults, down; the arithmetic is the graph's
+    for i, (fi, fo) in enumerate(shapes):
+        w = vals[off:off + fi * fo].reshape(fi, fo)
+        b = vals[off + fi * fo:off + fi * fo + fo]
+        off += fi * fo + fo
+        z = x @ w
+        z += b
+        if not np.isfinite(z).all():
+            raise NonFiniteError(f"pre-activation of layer {i}")
+        inputs.append(x)
+        if i < last:
+            if spec.activation == "tanh":
+                gates.append(None)  # the backward pass uses 1 - tanh^2 of the output
+                x = np.tanh(z, out=z)
+            elif spec.activation == "relu":
+                gates.append(z > 0)
+                x = np.maximum(z, 0.0, out=z)
+            else:
+                gates.append(np.where(z > 0, 1.0, spec.leaky_slope))
+                x = np.multiply(z, gates[-1], out=z)
+        elif spec.output_head == "sigmoid":
+            x = _sigmoid(z)
+        else:
+            x = z
+    return x, (inputs, gates, x)
+
+
+def mlp_backward(spec: NetworkSpec, theta, cache, grad_out):
+    """Backward pass of ``mlp_forward``: (dL/dtheta, dL/dbatch) given dL/doutputs."""
+    vals = _param_values(theta)
+    inputs, gates, out = cache
+    g = np.asarray(grad_out, dtype=np.float64)
+    if spec.output_head == "sigmoid":
+        g = g * out * (1.0 - out)
+    grad = np.empty(spec.param_count)
+    n = g.shape[0]
+    ones = np.ones(n)
+    shapes = spec.layer_shapes()
+    # two work buffers, used in turn for the next gradient and as scratch
+    width = max(fi for fi, _ in shapes)
+    bufs = (np.empty(n * width), np.empty(n * width))
+    off = spec.param_count
+    for i in range(len(shapes) - 1, -1, -1):
+        fi, fo = shapes[i]
+        off -= fi * fo + fo
+        w = vals[off:off + fi * fo].reshape(fi, fo)
+        grad[off:off + fi * fo] = (inputs[i].T @ g).ravel()
+        grad[off + fi * fo:off + fi * fo + fo] = ones @ g
+        nxt = bufs[i % 2][:n * fi].reshape(n, fi)
+        if fo > 1:
+            np.matmul(g, w.T, out=nxt)
+        else:
+            # one output unit: an outer product, faster by broadcasting
+            np.multiply(g, w.T, out=nxt)
+        g = nxt
+        if i > 0:
+            if gates[i - 1] is None:
+                scratch = bufs[(i + 1) % 2][:n * fi].reshape(n, fi)
+                np.multiply(inputs[i], inputs[i], out=scratch)
+                g *= np.subtract(1.0, scratch, out=scratch)
+            else:
+                g *= gates[i - 1]
+    return grad, g
+
+
+def fused_or_graph(fused, graph):
+    """``fused()`` when it succeeds with finite results, else ``graph()``.
+
+    The graph replay raises NonFiniteError naming the op that failed; a
+    non-finite gradient that no forward op caught is reported as 'backward'.
+    """
+    try:
+        result = fused()
+        if _all_finite(result):
+            return result
+    except NonFiniteError:
+        pass
+    result = graph()
+    if not _all_finite(result):
+        raise NonFiniteError("backward")
+    return result
+
+
+def _all_finite(result) -> bool:
+    parts = result if isinstance(result, tuple) else (result,)
+    return all(np.isfinite(part).all() for part in parts)
+
+
+# -- input gradients -----------------------------------------------------------
 
 
 def input_grad_batch(spec: NetworkSpec, params: ParamVector, batch, h: float) -> np.ndarray:
     """Gradient of the scalar network output w.r.t. its input, by central
     differences, for every row of a batch (n x input_dim array)."""
-    return np.hstack([(up.data - down.data) / (2.0 * h)
-                      for up, down in _stencil(spec, params, batch, h)])
+    rows = stencil_rows(spec, batch, h)
+    out = forward(spec, params, rows).reshape(spec.input_dim, 2, -1)
+    return central_difference(out[:, 0], out[:, 1], h).T
 
 
 def input_grad_columns(spec: NetworkSpec, theta, batch, h: float):
     """Graph version of ``input_grad_batch``: one n x 1 Tensor per input coordinate.
 
-    It scales by the reciprocal where ``input_grad_batch`` divides, so the two
-    can differ in the last bit; each keeps the arithmetic that the gap
-    estimates were pinned with.
+    Both evaluate the same stencil rows in one forward pass and apply the same
+    ``central_difference``, so their entries agree bit for bit.
     """
-    return [(up - down) * (1.0 / (2.0 * h)) for up, down in _stencil(spec, theta, batch, h)]
+    rows = stencil_rows(spec, batch, h)
+    n = rows.shape[0] // (2 * spec.input_dim)
+    out = forward_graph(spec, theta, rows).reshape(rows.shape[0])
+    return [central_difference(out.segment(2 * j * n, n).reshape(n, 1),
+                               out.segment((2 * j + 1) * n, n).reshape(n, 1), h)
+            for j in range(spec.input_dim)]
 
 
-def _stencil(spec: NetworkSpec, theta, batch, h: float):
-    """Forward outputs at x + h e_j and x - h e_j for each input coordinate j.
+def stencil_rows(spec: NetworkSpec, batch, h: float) -> np.ndarray:
+    """The central-difference stencil of a batch, stacked for one forward pass.
 
-    Built purely from forward evaluations, so with a parameter Tensor the
-    outputs stay differentiable w.r.t. the parameters.
+    Rows come in 2 * input_dim blocks of n: x + h e_0, x - h e_0, x + h e_1, ...
     """
     if h <= 0:
         raise ValueError("h must be positive")
     if spec.output_dim != 1:
         raise ValueError("input gradients need a scalar-output network")
     batch = np.asarray(batch, dtype=np.float64)
-    return [(forward_graph(spec, theta, batch + shift), forward_graph(spec, theta, batch - shift))
-            for shift in h * np.eye(spec.input_dim)]
+    return np.vstack([block for shift in h * np.eye(spec.input_dim)
+                      for block in (batch + shift, batch - shift)])
+
+
+def central_difference(up, down, h: float):
+    """(up - down) / 2h, on arrays or Tensors alike; the one stencil scaling."""
+    return (up - down) * (1.0 / (2.0 * h))

@@ -8,7 +8,6 @@ so every estimator can be checked against :mod:`proxgap.oracles`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,18 +21,23 @@ from .diffcore import (
     adam_step,
     forward,
     forward_graph,
+    fused_or_graph,
     input_grad_batch,
     input_grad_columns,
+    mlp_backward,
+    mlp_forward,
 )
+from .diffcore.network import central_difference, stencil_rows
 from .distributions import DataSplits
 from .objectives import (
     GanState,
     check_clip_box,
     enforce_constraint,
+    eval_objective,
     objective_from_outputs,
+    output_grads,
     value_and_grad_d,
     value_and_grad_g,
-    value_graph,
 )
 from .oracles import ToyGame, toy_grad_d, toy_grad_g, toy_value
 
@@ -72,11 +76,6 @@ class ProximalConfig:
             raise ValueError("iteration budgets must be positive")
         if self.prox_lr <= 0 or self.worst_lr <= 0 or self.sobolev_h <= 0:
             raise ValueError("rates and steps must be positive")
-
-
-def iters_for_epochs(n_search: int, batch_size: int, epochs: int = 10) -> int:
-    """Worst-case iteration budget equal to `epochs` passes over the search split."""
-    return max(1, math.ceil(epochs * n_search / batch_size))
 
 
 @dataclass(frozen=True)
@@ -130,18 +129,23 @@ def sobolev_dist_sq(d_spec, theta_1: ParamVector, theta_2: ParamVector,
         raise ValueError("batch must be non-empty")
     g1 = input_grad_batch(d_spec, theta_1, x_batch, h)
     g2 = input_grad_batch(d_spec, theta_2, x_batch, h)
-    diff = g1 - g2
-    return float(np.mean(np.sum(diff * diff, axis=1)))
+    return float(_sobolev_sum(g1.T[:, :, None], g2))
 
 
-def _sobolev_graph(d_spec, theta: Tensor, anchor_grads: np.ndarray, x_batch, h: float):
-    """Graph version of sobolev_dist_sq with the anchor side precomputed."""
+def _sobolev_sum(columns, anchor_grads):
+    """sum_j mean_i (column_j - anchor_grads[:, j])^2 over n x 1 input-gradient
+    columns; the one formula of the distance, on arrays or Tensors."""
     total = None
-    for j, col in enumerate(input_grad_columns(d_spec, theta, x_batch, h)):
+    for j, col in enumerate(columns):
         diff = col - anchor_grads[:, j:j + 1]
         term = (diff * diff).mean()
         total = term if total is None else total + term
     return total
+
+
+def _sobolev_graph(d_spec, theta: Tensor, anchor_grads: np.ndarray, x_batch, h: float):
+    """Graph version of sobolev_dist_sq with the anchor side precomputed."""
+    return _sobolev_sum(input_grad_columns(d_spec, theta, x_batch, h), anchor_grads)
 
 
 # -- internal game operations ----------------------------------------------
@@ -172,8 +176,8 @@ class _GanOps:
         return self.splits.s_c, self.eval_latent
 
     def eval_value(self, theta_d, theta_g) -> float:
-        return value_graph(self.state, theta_d, theta_g,
-                           self.splits.s_c, self.eval_latent).item()
+        return eval_objective(self.state.with_params(theta_d, theta_g),
+                              self.splits.s_c, self.eval_latent)
 
     def v_grad_d(self, theta_d, theta_g, batch):
         real, latent = batch
@@ -243,23 +247,54 @@ def _ops_for(state, splits, cfg, rng, eval_latent=None):
 
 def _gan_prox_step_fn(state, anchor, theta_g, real, latent, lam, h):
     """(value, gradient) of V(theta, theta_g) - lam * sobolev_dist_sq(theta, anchor)
-    on one batch, as a function of the discriminator copy theta."""
+    on one batch, as a function of the discriminator copy theta.
+
+    Each call runs one fused forward and one backward over the real rows, the
+    generated rows and the 2 * dim stencil rows stacked together; the graph
+    version below is its oracle and its replay on a non-finite result.
+    """
     real = np.asarray(real, dtype=np.float64)
     latent = np.asarray(latent, dtype=np.float64)
+    spec = state.d_spec
     fake = forward(state.g_spec, theta_g, latent)
-    anchor_grads = input_grad_batch(state.d_spec, anchor, real, h) if lam > 0 else None
+    n, n_obj = real.shape[0], real.shape[0] + fake.shape[0]
+    rows = [real, fake]
+    if lam > 0:
+        anchor_grads = input_grad_batch(spec, anchor, real, h)
+        rows.append(stencil_rows(spec, real, h))
+    rows = np.vstack(rows)
 
-    def value_and_grad(theta):
-        check_clip_box(state.objective, theta)
+    def graph(theta):
         t = Tensor(theta.values, op="theta_d_tilde")
-        d_real = forward_graph(state.d_spec, t, real)
-        d_fake = forward_graph(state.d_spec, t, fake)
+        d_real = forward_graph(spec, t, real)
+        d_fake = forward_graph(spec, t, fake)
         total = objective_from_outputs(state.objective, d_real, d_fake)
         if lam > 0:
-            total = total - lam * _sobolev_graph(state.d_spec, t, anchor_grads, real, h)
+            total = total - lam * _sobolev_graph(spec, t, anchor_grads, real, h)
         total.backward()
         grad = t.grad if t.grad is not None else np.zeros_like(t.data)
         return total.item(), grad.copy()
+
+    def fused(theta):
+        out, cache = mlp_forward(spec, theta, rows)
+        value, grad_obj = output_grads(state.objective, out[:n_obj], n)
+        grad_out = np.zeros_like(out)
+        grad_out[:n_obj] = grad_obj
+        if lam > 0:
+            # the stencil outputs as (coordinate, +/- shift, row)
+            stencil = out[n_obj:, 0].reshape(spec.input_dim, 2, n)
+            columns = central_difference(stencil[:, 0], stencil[:, 1], h)[:, :, None]
+            value = value - lam * _sobolev_sum(columns, anchor_grads)
+            # d/dcolumn_j of -lam * mean_i (column_j - anchor_j)^2, through the
+            # stencil scaling to the + and - outputs
+            diff = columns[:, :, 0] - anchor_grads.T
+            d_col = 2.0 * ((-lam / n) * diff) * (1.0 / (2.0 * h))
+            grad_out[n_obj:, 0] = np.stack([d_col, -d_col], axis=1).ravel()
+        return float(value), mlp_backward(spec, theta, cache, grad_out)[0]
+
+    def value_and_grad(theta):
+        check_clip_box(state.objective, theta)
+        return fused_or_graph(lambda: fused(theta), lambda: graph(theta))
 
     return value_and_grad
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -181,14 +182,15 @@ def train(cfg: ExperimentConfig) -> Path:
 def save_checkpoint(base, cfg: ExperimentConfig, state: GanState, adam_d, adam_g,
                     step: int, rng_state: dict) -> Path:
     base = Path(base)
-    np.savez(
-        base.with_suffix(".npz"),
+    npz = base.with_suffix(".npz")
+    _write_atomically(npz, lambda fh: np.savez(
+        fh,
         theta_d=state.theta_d.values,
         theta_g=state.theta_g.values,
         adam_d_m=adam_d.m, adam_d_v=adam_d.v,
         adam_g_m=adam_g.m, adam_g_v=adam_g.v,
         counters=np.array([adam_d.t, adam_g.t, step], dtype=np.int64),
-    )
+    ))
     sidecar = {
         "format": CHECKPOINT_FORMAT,
         "step": step,
@@ -198,9 +200,23 @@ def save_checkpoint(base, cfg: ExperimentConfig, state: GanState, adam_d, adam_g
         "arrays": ["theta_d", "theta_g", "adam_d_m", "adam_d_v",
                    "adam_g_m", "adam_g_v", "counters"],
     }
-    with open(base.with_suffix(".json"), "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2)
-    return base.with_suffix(".npz")
+    _write_atomically(base.with_suffix(".json"),
+                      lambda fh: fh.write(json.dumps(sidecar, indent=2).encode("utf-8")))
+    return npz
+
+
+def _write_atomically(path: Path, write) -> None:
+    """Write `path` through `write(binary_file)` into a temp file in the same
+    directory, then rename it into place: a reader sees the old file or the
+    whole new one, never a partial write, and a failed write leaves no trace."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    finally:
+        if tmp.exists():
+            tmp.unlink()
 
 
 def _jsonable(obj):
@@ -235,15 +251,15 @@ def load_checkpoint(path) -> Checkpoint:
     if sidecar.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"unsupported checkpoint format {sidecar.get('format')!r}")
     cfg = config_from_pairs(sidecar["config"])
-    blobs = np.load(path)
-    theta_d = state_params(cfg.d_spec, blobs["theta_d"])
-    theta_g = state_params(cfg.g_spec, blobs["theta_g"])
-    state = GanState(cfg.d_spec, cfg.g_spec, theta_d, theta_g, cfg.objective)
-    counters = blobs["counters"]
-    return Checkpoint(cfg, state, int(sidecar["step"]),
-                      blobs["adam_d_m"], blobs["adam_d_v"],
-                      blobs["adam_g_m"], blobs["adam_g_v"],
-                      int(counters[0]), int(counters[1]), sidecar["rng_state"])
+    with np.load(path) as blobs:
+        theta_d = state_params(cfg.d_spec, blobs["theta_d"])
+        theta_g = state_params(cfg.g_spec, blobs["theta_g"])
+        state = GanState(cfg.d_spec, cfg.g_spec, theta_d, theta_g, cfg.objective)
+        counters = blobs["counters"]
+        return Checkpoint(cfg, state, int(sidecar["step"]),
+                          blobs["adam_d_m"], blobs["adam_d_v"],
+                          blobs["adam_g_m"], blobs["adam_g_v"],
+                          int(counters[0]), int(counters[1]), sidecar["rng_state"])
 
 
 def state_params(spec, values):

@@ -15,7 +15,10 @@ from .diffcore import (
     exp,
     forward,
     forward_graph,
+    fused_or_graph,
     log,
+    mlp_backward,
+    mlp_forward,
     softplus,
 )
 
@@ -175,11 +178,11 @@ def _mean(x):
 
 
 def value_graph(state: GanState, theta_d, theta_g, real_batch, latent_batch):
-    """Monte-Carlo V as a graph node; either parameter argument may be a Tensor."""
-    real_batch = np.asarray(real_batch, dtype=np.float64)
-    latent_batch = np.asarray(latent_batch, dtype=np.float64)
-    if real_batch.shape[0] == 0 or latent_batch.shape[0] == 0:
-        raise ValueError("batches must be non-empty")
+    """Monte-Carlo V as a graph node; either parameter argument may be a Tensor.
+
+    The reference oracle for ``eval_objective`` and ``value_and_grad_d/g``.
+    """
+    real_batch, latent_batch = _batches(real_batch, latent_batch)
     check_clip_box(state.objective, theta_d)
     fake = forward_graph(state.g_spec, theta_g, latent_batch)
     d_real = forward_graph(state.d_spec, theta_d, real_batch)
@@ -187,31 +190,87 @@ def value_graph(state: GanState, theta_d, theta_g, real_batch, latent_batch):
     return objective_from_outputs(state.objective, d_real, d_fake)
 
 
+def _batches(real_batch, latent_batch):
+    real_batch = np.asarray(real_batch, dtype=np.float64)
+    latent_batch = np.asarray(latent_batch, dtype=np.float64)
+    if real_batch.shape[0] == 0 or latent_batch.shape[0] == 0:
+        raise ValueError("batches must be non-empty")
+    return real_batch, latent_batch
+
+
 def eval_objective(state: GanState, real_batch, latent_batch) -> float:
     """Monte-Carlo estimate of V at the state's current parameters."""
-    return value_graph(state, state.theta_d, state.theta_g,
-                       real_batch, latent_batch).item()
+    real, latent = _batches(real_batch, latent_batch)
+    check_clip_box(state.objective, state.theta_d)
+
+    def fused():
+        fake = forward(state.g_spec, state.theta_g, latent)
+        out = forward(state.d_spec, state.theta_d, np.vstack([real, fake]))
+        with np.errstate(all="ignore"):
+            return objective_from_outputs(state.objective, out[:real.shape[0]],
+                                          out[real.shape[0]:])
+
+    return fused_or_graph(fused, lambda: value_graph(
+        state, state.theta_d, state.theta_g, real, latent).item())
+
+
+def output_grads(objective: ObjectiveKind, outputs: np.ndarray, n_real: int):
+    """(V, dV/doutputs) for discriminator outputs stacked as [real rows; fake rows].
+
+    ``objective_from_outputs`` runs on two leaf Tensors, so each objective
+    keeps its one formula and its derivative comes from the graph engine.
+    """
+    d_real, d_fake = Tensor(outputs[:n_real]), Tensor(outputs[n_real:])
+    v = objective_from_outputs(objective, d_real, d_fake)
+    v.backward()
+    return v.item(), np.vstack([d_real.grad, d_fake.grad])
 
 
 def value_and_grad_d(state, theta_d: ParamVector, theta_g: ParamVector,
                      real_batch, latent_batch):
     """(V, dV/dtheta_d); the generator side is treated as a constant."""
-    fake = forward(state.g_spec, theta_g, np.asarray(latent_batch, dtype=np.float64))
+    real, latent = _batches(real_batch, latent_batch)
+    fake = forward(state.g_spec, theta_g, latent)
     check_clip_box(state.objective, theta_d)
-    t = Tensor(theta_d.values, op="theta_d")
-    d_real = forward_graph(state.d_spec, t, np.asarray(real_batch, dtype=np.float64))
-    d_fake = forward_graph(state.d_spec, t, fake)
-    v = objective_from_outputs(state.objective, d_real, d_fake)
-    v.backward()
-    grad = t.grad if t.grad is not None else np.zeros_like(t.data)
-    return v.item(), grad.copy()
+
+    def fused():
+        out, cache = mlp_forward(state.d_spec, theta_d, np.vstack([real, fake]))
+        v, grad_out = output_grads(state.objective, out, real.shape[0])
+        return v, mlp_backward(state.d_spec, theta_d, cache, grad_out)[0]
+
+    return fused_or_graph(fused, lambda: _value_and_grad_graph(
+        state, theta_d, theta_g, real, latent, "d"))
 
 
 def value_and_grad_g(state, theta_d: ParamVector, theta_g: ParamVector,
                      real_batch, latent_batch):
-    """(V, dV/dtheta_g); the discriminator side is treated as a constant."""
-    t = Tensor(theta_g.values, op="theta_g")
-    v = value_graph(state, theta_d, t, real_batch, latent_batch)
+    """(V, dV/dtheta_g); the discriminator side is treated as a constant.
+
+    The gradient reaches the generator through the discriminator's input
+    gradient on the generated rows.
+    """
+    real, latent = _batches(real_batch, latent_batch)
+    check_clip_box(state.objective, theta_d)
+
+    def fused():
+        fake, g_cache = mlp_forward(state.g_spec, theta_g, latent)
+        out, d_cache = mlp_forward(state.d_spec, theta_d, np.vstack([real, fake]))
+        v, grad_out = output_grads(state.objective, out, real.shape[0])
+        grad_rows = mlp_backward(state.d_spec, theta_d, d_cache, grad_out)[1]
+        return v, mlp_backward(state.g_spec, theta_g, g_cache, grad_rows[real.shape[0]:])[0]
+
+    return fused_or_graph(fused, lambda: _value_and_grad_graph(
+        state, theta_d, theta_g, real, latent, "g"))
+
+
+def _value_and_grad_graph(state, theta_d, theta_g, real_batch, latent_batch, wrt: str):
+    """Graph-path (V, dV/dtheta_wrt) for wrt 'd' or 'g': the oracle of the fused pair."""
+    if wrt == "d":
+        t = Tensor(theta_d.values, op="theta_d")
+        v = value_graph(state, t, theta_g, real_batch, latent_batch)
+    else:
+        t = Tensor(theta_g.values, op="theta_g")
+        v = value_graph(state, theta_d, t, real_batch, latent_batch)
     v.backward()
     grad = t.grad if t.grad is not None else np.zeros_like(t.data)
     return v.item(), grad.copy()

@@ -24,7 +24,14 @@ from .diffcore import (
 )
 from .distributions import DataSplits
 from .gapmetrics import ToyGameState
-from .objectives import GanState, check_clip_box, objective_from_outputs, value_and_grad_g, value_graph
+from .objectives import (
+    GanState,
+    check_clip_box,
+    eval_objective,
+    objective_from_outputs,
+    value_and_grad_g,
+    value_graph,
+)
 from .oracles import jsd_from_samples, toy_grad_d, toy_grad_g, toy_value
 
 GENERATOR = "generator"
@@ -102,7 +109,7 @@ def unilateral_deviation(state, splits: DataSplits | None, steps: int, lr: float
                for j in range(eval_real.shape[1])]
 
         def eval_point(theta_g):
-            v = value_graph(state, state.theta_d, theta_g, eval_real, eval_latent).item()
+            v = eval_objective(state.with_params(theta_g=theta_g), eval_real, eval_latent)
             fake = forward(state.g_spec, theta_g, eval_latent)
             return v, jsd_from_samples(eval_real, fake, bins=bins, box=box)
 

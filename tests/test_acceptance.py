@@ -2,7 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete.  The desk-scale experiment (criteria 7-10, 12) is a
-single seeded training run shared by its tests via module-scoped fixtures.
+single seeded training run shared by its tests via module-scoped fixtures;
+those tests carry the `slow` marker, so `pytest -m "not slow"` leaves them out.
 """
 
 import time
@@ -223,6 +224,7 @@ def desk_run(tmp_path_factory):
     return run_dir, read_metrics(run_dir / "metrics.csv"), elapsed, cfg
 
 
+@pytest.mark.slow
 def test_criterion_7_lower_bound_at_desk_scale(desk_run):
     run_dir, rows, elapsed, _ = desk_run
     margins = [r.dg_lambda - (r.hist_jsd - 0.1) for r in rows]
@@ -232,6 +234,7 @@ def test_criterion_7_lower_bound_at_desk_scale(desk_run):
             f"(min margin {min(margins):.3f}), run took {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_8_convergence_analog(desk_run):
     _, rows, _, _ = desk_run
     final_jsd = rows[-1].hist_jsd
@@ -242,6 +245,7 @@ def test_criterion_8_convergence_analog(desk_run):
             f"{final:.3f} (< half)")
 
 
+@pytest.mark.slow
 def test_criterion_9_correlation_analog(desk_run):
     run_dir, _, _, _ = desk_run
     rep = correlate(run_dir / "metrics.csv")
@@ -264,6 +268,7 @@ def desk_sweep(desk_run, tmp_path_factory):
     return ckpt, path, rows
 
 
+@pytest.mark.slow
 def test_criterion_10_sweep_shape(desk_sweep):
     _, _, rows = desk_sweep
     small_flat = abs(rows[0.01]["dg_lambda"] - rows[0.1]["dg_lambda"]) < 0.05
@@ -309,6 +314,7 @@ def test_criterion_11_probe_correctness():
 # -- criterion 12: determinism -------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_12_determinism(desk_run, desk_sweep, tmp_path_factory):
     run_dir, _, _, cfg = desk_run
     ckpt, sweep_path, _ = desk_sweep

@@ -250,7 +250,7 @@ def test_top_k_diagonal():
     res = top_k_eigenvalues(_matrix_op(np.diag([2.0, -1.0])), dim=2, k=2, rng=Rng(0))
     assert res.values[0] == pytest.approx(2.0, abs=1e-3)
     assert res.values[1] == pytest.approx(-1.0, abs=1e-3)
-    assert res.all_converged()
+    assert all(res.converged)
 
 
 def test_top_k_identity():

@@ -1,0 +1,232 @@
+"""The fused numpy kernel against its oracle, the Tensor graph path.
+
+Every fast path in the hot loop (``mlp_forward``/``mlp_backward``, the fused
+``value_and_grad_d/g``, the fused penalized prox step) is pinned here to the
+graph engine's value and reverse-mode gradient to 1e-12 relative.
+"""
+
+import numpy as np
+import pytest
+
+from proxgap.diffcore import (
+    NetworkSpec,
+    NonFiniteError,
+    Rng,
+    Tensor,
+    forward,
+    forward_graph,
+    grad_params,
+    init_network,
+    input_grad_batch,
+    mlp_backward,
+    mlp_forward,
+)
+from proxgap.gapmetrics import (
+    ProxDivergenceError,
+    ProximalConfig,
+    _gan_prox_step_fn,
+    _prox_loop,
+    _sobolev_graph,
+)
+from proxgap.objectives import (
+    FGAN_FAMILIES,
+    Classic,
+    FGan,
+    GanState,
+    WassersteinClip,
+    _value_and_grad_graph,
+    enforce_constraint,
+    eval_objective,
+    objective_from_outputs,
+    value_and_grad_d,
+    value_and_grad_g,
+    value_graph,
+)
+
+TOL = 1e-12
+ACTIVATIONS = ("tanh", "relu", "leaky_relu")
+HEADS = ("linear", "sigmoid")
+OBJECTIVES = ([("classic", Classic()), ("wgan_clip", WassersteinClip(0.05))]
+              + [(f"fgan_{name}", FGan(fam)) for name, fam in FGAN_FAMILIES.items()])
+
+
+def _rel(a, b) -> float:
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return float(np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300))
+
+
+def _random_spec(rng: Rng, activation: str, head: str) -> NetworkSpec:
+    widths = tuple(int(rng.integers(2, 9)) for _ in range(int(rng.integers(0, 3))))
+    return NetworkSpec(int(rng.integers(1, 4)), widths, int(rng.integers(1, 3)),
+                       activation=activation, output_head=head, leaky_slope=0.2)
+
+
+# -- the MLP kernel ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+@pytest.mark.parametrize("head", HEADS)
+def test_kernel_matches_graph_forward_and_both_gradients(activation, head):
+    rng = Rng(10 * ACTIVATIONS.index(activation) + HEADS.index(head))
+    for trial in range(4):
+        spec = _random_spec(rng.child(trial), activation, head)
+        params = init_network(spec, rng.child(100 + trial))
+        batch = rng.normal((int(rng.integers(1, 80)), spec.input_dim))
+        weights = rng.normal((batch.shape[0], spec.output_dim))
+
+        out, cache = mlp_forward(spec, params, batch)
+        np.testing.assert_array_equal(out, forward_graph(spec, params, batch).data)
+        grad_theta, grad_x = mlp_backward(spec, params, cache, weights)
+
+        oracle_theta = grad_params(lambda t: (forward_graph(spec, t, batch) * weights).sum(),
+                                   params)
+        x = Tensor(batch)
+        (forward_graph(spec, params, x) * weights).sum().backward()
+        assert _rel(grad_theta, oracle_theta) <= TOL
+        assert _rel(grad_x, x.grad) <= TOL
+
+
+def test_kernel_rejects_what_the_graph_rejects():
+    spec = NetworkSpec(2, (4,), 1)
+    params = init_network(spec, Rng(0))
+    with pytest.raises(ValueError):
+        mlp_forward(spec, params.values[:-1], np.zeros((3, 2)))
+    with pytest.raises(ValueError):
+        mlp_forward(spec, params, np.zeros((3, 3)))
+
+
+# -- objectives: value_and_grad_d/g and eval_objective -------------------------
+
+
+def _state(objective, activation: str, seed: int) -> GanState:
+    head = "sigmoid" if isinstance(objective, Classic) else "linear"
+    d_spec = NetworkSpec(2, (7, 5), 1, activation=activation, output_head=head)
+    g_spec = NetworkSpec(3, (6,), 2, activation=activation)
+    rng = Rng(seed)
+    theta_d = enforce_constraint(objective, init_network(d_spec, rng.child(0)))
+    return GanState(d_spec, g_spec, theta_d, init_network(g_spec, rng.child(1)), objective)
+
+
+@pytest.mark.parametrize("name,objective", OBJECTIVES, ids=[n for n, _ in OBJECTIVES])
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+def test_value_and_grads_match_the_graph_path(name, objective, activation):
+    state = _state(objective, activation, seed=len(name))
+    rng = Rng(31)
+    real, latent = rng.normal((40, 2)), rng.normal((33, 3))
+    for wrt, fused in (("d", value_and_grad_d), ("g", value_and_grad_g)):
+        v, grad = fused(state, state.theta_d, state.theta_g, real, latent)
+        v_ref, grad_ref = _value_and_grad_graph(state, state.theta_d, state.theta_g,
+                                                real, latent, wrt)
+        assert abs(v - v_ref) <= TOL * max(abs(v_ref), 1e-300)
+        assert _rel(grad, grad_ref) <= TOL
+    v_eval = eval_objective(state, real, latent)
+    v_graph = value_graph(state, state.theta_d, state.theta_g, real, latent).item()
+    assert abs(v_eval - v_graph) <= TOL * max(abs(v_graph), 1e-300)
+
+
+def test_generator_gradient_goes_through_the_discriminator_input_gradient():
+    # dV/dtheta_g by the chain rule: D's input gradient on the generated rows,
+    # pushed through G's backward pass, equals the graph's end-to-end gradient
+    state = _state(Classic(), "tanh", seed=5)
+    rng = Rng(32)
+    real, latent = rng.normal((24, 2)), rng.normal((24, 3))
+    fake_t = Tensor(forward(state.g_spec, state.theta_g, latent))
+    v = objective_from_outputs(state.objective, forward_graph(state.d_spec, state.theta_d, real),
+                               forward_graph(state.d_spec, state.theta_d, fake_t))
+    v.backward()
+    _, g_cache = mlp_forward(state.g_spec, state.theta_g, latent)
+    chained = mlp_backward(state.g_spec, state.theta_g, g_cache, fake_t.grad)[0]
+    oracle = grad_params(lambda t: value_graph(state, state.theta_d, t, real, latent),
+                         state.theta_g)
+    assert _rel(chained, oracle) <= TOL
+    assert _rel(value_and_grad_g(state, state.theta_d, state.theta_g, real, latent)[1],
+                oracle) <= TOL
+
+
+# -- the fused penalized prox step ---------------------------------------------
+
+
+@pytest.mark.parametrize("name,objective", OBJECTIVES, ids=[n for n, _ in OBJECTIVES])
+@pytest.mark.parametrize("lam", [0.0, 0.1, 30.0])
+def test_prox_step_matches_graph_objective_minus_sobolev_graph(name, objective, lam):
+    state = _state(objective, "tanh", seed=7 + len(name))
+    rng = Rng(33)
+    real, latent = rng.normal((50, 2)), rng.normal((50, 3))
+    h = 1e-3
+    # evaluate away from the anchor so the penalty and its gradient are nonzero
+    theta = enforce_constraint(objective, state.theta_d.with_values(
+        state.theta_d.values + 0.01 * rng.normal(len(state.theta_d))))
+    step_fn = _gan_prox_step_fn(state, state.theta_d, state.theta_g, real, latent, lam, h)
+    value, grad = step_fn(theta)
+
+    fake = forward(state.g_spec, state.theta_g, latent)
+    anchor_grads = input_grad_batch(state.d_spec, state.theta_d, real, h)
+
+    def penalized(t):
+        total = objective_from_outputs(objective, forward_graph(state.d_spec, t, real),
+                                       forward_graph(state.d_spec, t, fake))
+        if lam > 0:
+            total = total - lam * _sobolev_graph(state.d_spec, t, anchor_grads, real, h)
+        return total
+
+    ref = penalized(Tensor(theta.values)).item()
+    assert abs(value - ref) <= TOL * max(abs(ref), 1e-300)
+    assert _rel(grad, grad_params(penalized, theta)) <= TOL
+
+
+# -- the finite check and the graph replay -------------------------------------
+
+
+def _overflow_setup():
+    state = _state(Classic(), "tanh", seed=9)
+    rng = Rng(34)
+    # positive inputs against all-1e308 weights overflow the first matmul;
+    # tanh would saturate the inf to a finite 1 if nothing checked it
+    real, latent = np.abs(rng.normal((16, 2))) + 1.0, rng.normal((16, 3))
+    huge = state.theta_d.with_values(np.full(len(state.theta_d), 1e308))
+    return state, real, latent, huge
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_kernel_catches_an_overflow_that_tanh_hides():
+    state, real, _, huge = _overflow_setup()
+    with pytest.raises(NonFiniteError):
+        mlp_forward(state.d_spec, huge, real)
+    with pytest.raises(NonFiniteError) as err:
+        forward(state.d_spec, huge, real)
+    assert err.value.op == "matmul"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("lam", [0.0, 0.1])
+def test_overflowing_weights_raise_prox_divergence_named_by_the_graph(lam):
+    state, real, latent, huge = _overflow_setup()
+    with pytest.raises(NonFiniteError) as graph_err:
+        grad_params(lambda t: value_graph(state, t, state.theta_g, real, latent), huge)
+
+    step_fn = _gan_prox_step_fn(state, state.theta_d, state.theta_g, real, latent, lam, 1e-3)
+    # the first projection keeps the anchor, the second lands on the huge weights
+    landing = iter([state.theta_d, huge])
+    cfg = ProximalConfig(lam=lam, prox_steps=3)
+    with pytest.raises(ProxDivergenceError, match="inner step 1") as err:
+        _prox_loop(step_fn, state.theta_d, lambda theta: next(landing), cfg)
+    assert isinstance(err.value.__cause__, NonFiniteError)
+    assert err.value.__cause__.op == graph_err.value.op == "matmul"
+
+
+def test_nonfinite_objective_value_is_named_by_the_graph():
+    # finite network outputs can still overflow inside the objective (here the
+    # KL conjugate's exp); the replay names the objective's op
+    state = _state(FGan(FGAN_FAMILIES["kl"]), "relu", seed=11)
+    state = state.with_params(state.theta_d.with_values(np.full(len(state.theta_d), 10.0)),
+                              state.theta_g.with_values(np.ones(len(state.theta_g))))
+    real, latent = np.full((8, 2), 30.0), np.full((8, 3), 30.0)
+    with pytest.raises(NonFiniteError) as graph_err:
+        value_graph(state, state.theta_d, state.theta_g, real, latent)
+    for fused in (value_and_grad_d, value_and_grad_g):
+        with pytest.raises(NonFiniteError) as err:
+            fused(state, state.theta_d, state.theta_g, real, latent)
+        assert err.value.op == graph_err.value.op == "exp"
+    with pytest.raises(NonFiniteError) as err:
+        eval_objective(state, real, latent)
+    assert err.value.op == "exp"

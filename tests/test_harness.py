@@ -146,6 +146,32 @@ def test_checkpoint_roundtrip(tiny_run):
     rng.normal(3)
 
 
+def test_checkpoint_writes_leave_no_temp_files(tiny_run, tmp_path, monkeypatch):
+    from proxgap.diffcore import AdamState
+    from proxgap.harness import runner
+    ckpt = load_checkpoint(tiny_run / "checkpoint_000020.npz")
+    adam_d = AdamState(ckpt.adam_d_m, ckpt.adam_d_v, ckpt.adam_d_t, 1e-3)
+    adam_g = AdamState(ckpt.adam_g_m, ckpt.adam_g_v, ckpt.adam_g_t, 1e-3)
+    path = runner.save_checkpoint(tmp_path / "checkpoint_000020", ckpt.cfg, ckpt.state,
+                                  adam_d, adam_g, 20, ckpt.rng_state)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint_000020.json",
+                                                          "checkpoint_000020.npz"]
+    again = load_checkpoint(path)
+    assert np.array_equal(again.state.theta_d.values, ckpt.state.theta_d.values)
+    assert np.array_equal(again.adam_g_v, ckpt.adam_g_v)
+    # a write that fails midway leaves neither a temp file nor a partial checkpoint
+    def failing_savez(fh, **arrays):
+        fh.write(b"partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(runner.np, "savez", failing_savez)
+    with pytest.raises(OSError):
+        runner.save_checkpoint(tmp_path / "checkpoint_000040", ckpt.cfg, ckpt.state,
+                               adam_d, adam_g, 40, ckpt.rng_state)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint_000020.json",
+                                                          "checkpoint_000020.npz"]
+
+
 def test_gap_cmd_on_checkpoint(tiny_run):
     report = gap_cmd(tiny_run / "checkpoint_000040.npz")
     assert report.dg_lambda == report.v_dw - report.v_gw_lambda
