@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .diffcore import Rng
 
@@ -103,7 +102,10 @@ def log_density(dist: GaussianMixture, x) -> float | np.ndarray:
     quad = -0.5 * np.sum(diff * diff / dist.variances[None, :, :], axis=2)
     lognorm = -0.5 * np.sum(np.log(2.0 * np.pi * dist.variances), axis=1)
     comp = quad + lognorm + np.log(dist.weights)
-    out = logsumexp(comp, axis=1)
+    # max-shifted log-sum-exp; the floor keeps an all -inf row (x infinite) at -inf
+    top = np.maximum(comp.max(axis=1, keepdims=True), np.finfo(np.float64).min)
+    with np.errstate(divide="ignore"):
+        out = (top + np.log(np.sum(np.exp(comp - top), axis=1, keepdims=True)))[:, 0]
     return float(out[0]) if single else out
 
 

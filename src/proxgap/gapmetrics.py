@@ -39,7 +39,7 @@ from .objectives import (
     value_and_grad_d,
     value_and_grad_g,
 )
-from .oracles import ToyGame, toy_grad_d, toy_grad_g, toy_value
+from .oracles import ToyGame, toy_value, toy_value_and_grad
 
 # Step-size guard for the penalized inner ascent: plain gradient ascent on
 # V - lam * dist^2 is unstable once the step exceeds ~1/(curvature) ~ 1/(2*lam*S),
@@ -216,17 +216,16 @@ class _ToyOps:
         return toy_value(self.game, d, g)
 
     def v_grad_d(self, d, g, batch):
-        return toy_value(self.game, d, g), toy_grad_d(self.game, d, g)
+        return toy_value_and_grad(self.game, d, g, "d")
 
     def v_grad_g(self, d, g, batch):
-        return toy_value(self.game, d, g), toy_grad_g(self.game, d, g)
+        return toy_value_and_grad(self.game, d, g, "g")
 
     def make_prox_step(self, anchor, g, batch, lam):
-        anchor = np.asarray(anchor, dtype=np.float64)
-
         def value_and_grad(d):
-            value = toy_value(self.game, d, g) - lam * float(np.sum((d - anchor) ** 2))
-            return value, toy_grad_d(self.game, d, g) - 2.0 * lam * (d - anchor)
+            value, grad = toy_value_and_grad(self.game, d, g, "d")
+            diff = d - anchor
+            return value - lam * float((diff * diff).sum()), grad - 2.0 * lam * diff
 
         return value_and_grad
 
@@ -345,13 +344,15 @@ def estimate_v_dw(state, splits, cfg: ProximalConfig, rng: Rng, eval_latent=None
 
     The search runs `worst_iters` Adam steps on minibatches of the search
     split; the returned value is V on the evaluation split with the fixed
-    evaluation latent batch.
+    evaluation latent batch, at the searched or the projected starting
+    discriminator, whichever is larger (the start is a candidate too).
     """
     ops = _ops_for(state, splits, cfg, rng, eval_latent)
-    d = _adam_search(ops, ops.project_d(ops.d0),
+    start = ops.project_d(ops.d0)
+    d = _adam_search(ops, start,
                      lambda d, batch: -ops.v_grad_d(d, ops.g0, batch)[1],  # ascent on V
                      ops.project_d, cfg)
-    return ops.eval_value(d, ops.g0)
+    return max(ops.eval_value(d, ops.g0), ops.eval_value(start, ops.g0))
 
 
 def estimate_v_gw_lambda(state, splits, cfg: ProximalConfig, rng: Rng,

@@ -8,6 +8,7 @@ function norm, so every penalized quantity here is computable by grid search.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -43,6 +44,9 @@ class ToyGame:
             for lo, hi in box:
                 if not hi > lo:
                     raise ValueError("boxes must be non-degenerate")
+        # the (lo, hi) projection bounds, built once rather than on every clip
+        object.__setattr__(self, "_d_bounds", np.array(self.d_box, dtype=np.float64).T)
+        object.__setattr__(self, "_g_bounds", np.array(self.g_box, dtype=np.float64).T)
 
     @property
     def d_dim(self) -> int:
@@ -53,33 +57,26 @@ class ToyGame:
         return len(self.g_box)
 
     def clip_d(self, d):
-        return _clip_box(d, self.d_box)
+        return np.asarray(d, dtype=np.float64).clip(*self._d_bounds)
 
     def clip_g(self, g):
-        return _clip_box(g, self.g_box)
-
-
-def _clip_box(x, box):
-    x = np.asarray(x, dtype=np.float64)
-    lo = np.array([b[0] for b in box])
-    hi = np.array([b[1] for b in box])
-    return np.clip(x, lo, hi)
+        return np.asarray(g, dtype=np.float64).clip(*self._g_bounds)
 
 
 def bilinear(bound: float = 1.0) -> ToyGame:
-    return ToyGame("bilinear", lambda d, g: np.sum(d * g, axis=-1),
+    return ToyGame("bilinear", lambda d, g: (d * g).sum(axis=-1),
                    ((-bound, bound),), ((-bound, bound),))
 
 
 def concave_quadratic(bound: float = 1.0, d_box=None) -> ToyGame:
     return ToyGame("concave_quadratic",
-                   lambda d, g: np.sum(2.0 * d * g - d * d, axis=-1),
+                   lambda d, g: (2.0 * d * g - d * d).sum(axis=-1),
                    d_box if d_box is not None else ((-bound, bound),),
                    ((-bound, bound),))
 
 
 def saddle_shift(a: float, b: float, bound: float = 1.0) -> ToyGame:
-    return ToyGame("saddle_shift", lambda d, g: np.sum((d - a) * (g - b), axis=-1),
+    return ToyGame("saddle_shift", lambda d, g: ((d - a) * (g - b)).sum(axis=-1),
                    ((-bound, bound),), ((-bound, bound),))
 
 
@@ -215,12 +212,12 @@ def export_gap_table(path, game: ToyGame, points, lambdas,
 # -- divergence oracles --------------------------------------------------
 
 
-def _mesh_eval(fn, box, resolution):
+def _mesh_eval(fns, box, resolution):
     axes = [np.linspace(lo, hi, resolution) for lo, hi in box]
     mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    vals = np.asarray(fn(pts), dtype=np.float64).reshape([resolution] * len(box))
-    return axes, vals
+    pts = np.stack([m.ravel() for m in mesh], axis=1)  # one point set for every fn
+    shape = [resolution] * len(box)
+    return axes, [np.asarray(fn(pts), dtype=np.float64).reshape(shape) for fn in fns]
 
 
 def _integrate(values, axes):
@@ -237,8 +234,7 @@ def numeric_jsd(p, q, grid_box, resolution: int = 1001) -> float:
     ``grid_box`` is a per-dimension sequence of (lo, hi).
     """
     box = tuple(grid_box)
-    axes, pv = _mesh_eval(p, box, resolution)
-    _, qv = _mesh_eval(q, box, resolution)
+    axes, (pv, qv) = _mesh_eval((p, q), box, resolution)
     m = 0.5 * (pv + qv)
     integrand = 0.5 * (rel_entr(pv, m) + rel_entr(qv, m))
     return _integrate(integrand, axes)
@@ -247,8 +243,7 @@ def numeric_jsd(p, q, grid_box, resolution: int = 1001) -> float:
 def numeric_fdiv(family, p, q, grid_box, resolution: int = 1001) -> float:
     """f-divergence with the convention: integrate p(x) f(q(x)/p(x)) dx."""
     box = tuple(grid_box)
-    axes, pv = _mesh_eval(p, box, resolution)
-    _, qv = _mesh_eval(q, box, resolution)
+    axes, (pv, qv) = _mesh_eval((p, q), box, resolution)
     floor = 1e-300
     safe_p = np.maximum(pv, floor)
     with np.errstate(all="ignore"):
@@ -319,20 +314,24 @@ def toy_value(game: ToyGame, d, g) -> float:
     return float(game.value(d[None, :], g[None, :])[0])
 
 
-def toy_grad_d(game: ToyGame, d, g) -> np.ndarray:
-    return _fd_grad(lambda dv: toy_value(game, dv, g), np.asarray(d, dtype=np.float64).ravel())
+def toy_value_and_grad(game: ToyGame, d, g, wrt: str):
+    """V(d, g) and its central-difference gradient in ``wrt`` ("d" or "g"), from
+    one ``game.value`` call over the point and its stencil rows stacked, as
+    :func:`proxgap.diffcore.network.stencil_rows` stacks them for networks."""
+    d = np.asarray(d, dtype=np.float64).ravel()
+    g = np.asarray(g, dtype=np.float64).ravel()
+    x = {"d": d, "g": g}[wrt]
+    rows = x + _stencil_offsets(x.size)
+    vals = game.value(rows, g[None, :]) if wrt == "d" else game.value(d[None, :], rows)
+    if vals.shape != rows.shape[:1]:  # a value that ignores x comes back as one row
+        vals = np.broadcast_to(vals, rows.shape[:1])
+    return float(vals[0]), (vals[1:x.size + 1] - vals[x.size + 1:]) / (2.0 * _TOY_FD_H)
 
 
-def toy_grad_g(game: ToyGame, d, g) -> np.ndarray:
-    return _fd_grad(lambda gv: toy_value(game, d, gv), np.asarray(g, dtype=np.float64).ravel())
-
-
-def _fd_grad(fn, x: np.ndarray) -> np.ndarray:
-    grad = np.empty_like(x)
-    for i in range(x.size):
-        up = x.copy()
-        up[i] += _TOY_FD_H
-        down = x.copy()
-        down[i] -= _TOY_FD_H
-        grad[i] = (fn(up) - fn(down)) / (2.0 * _TOY_FD_H)
-    return grad
+@functools.lru_cache(maxsize=16)
+def _stencil_offsets(n: int) -> np.ndarray:
+    # rows 0, +h e_j, -h e_j: x + row is exactly x + h or x - h in one coordinate
+    shift = _TOY_FD_H * np.eye(n)
+    offsets = np.vstack([np.zeros(n), shift, -shift])
+    offsets.setflags(write=False)
+    return offsets

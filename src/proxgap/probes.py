@@ -32,7 +32,7 @@ from .objectives import (
     value_and_grad_g,
     value_graph,
 )
-from .oracles import jsd_from_samples, toy_grad_d, toy_grad_g, toy_value
+from .oracles import jsd_from_samples, toy_value, toy_value_and_grad
 
 GENERATOR = "generator"
 DISCRIMINATOR = "discriminator"
@@ -134,7 +134,7 @@ def unilateral_deviation(state, splits: DataSplits | None, steps: int, lr: float
             latent = rng.normal((len(idx), state.latent_dim))
             _, grad = value_and_grad_g(state, state.theta_d, g, splits.s_a[idx], latent)
         else:
-            grad = toy_grad_g(state.game, state.d, g)
+            grad = toy_value_and_grad(state.game, state.d, g, "g")[1]
         g, adam = adam_step(g, grad, adam)
         if not is_gan:
             g = state.game.clip_g(g)
@@ -206,16 +206,14 @@ def _toy_agent_loss(state: ToyGameState, agent):
     # the game value as a custom-gradient node backed by the central-difference
     # oracle; exact for the shipped polynomial games
     if agent == GENERATOR:
-        value_fn = lambda vec: toy_value(state.game, state.d, vec)
-        grad_fn = lambda vec: toy_grad_g(state.game, state.d, vec)
+        value_and_grad = lambda vec: toy_value_and_grad(state.game, state.d, vec, "g")
         params = state.g.copy()
     else:
-        value_fn = lambda vec: toy_value(state.game, vec, state.g)
-        grad_fn = lambda vec: toy_grad_d(state.game, vec, state.g)
+        value_and_grad = lambda vec: toy_value_and_grad(state.game, vec, state.g, "d")
         params = state.d.copy()
 
     def loss(theta: Tensor):
-        return Tensor(value_fn(theta.data), (theta,),
-                      lambda g: (float(g) * grad_fn(theta.data),), "toy_value")
+        value, grad = value_and_grad(theta.data)
+        return Tensor(value, (theta,), lambda g: (float(g) * grad,), "toy_value")
 
     return loss, params

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import trapezoid
+from scipy.special import logsumexp
 
 from proxgap.diffcore import Rng
 from proxgap.distributions import (
@@ -54,6 +55,32 @@ def test_sample_rejects_nonpositive_n():
 def test_log_density_standard_normal_origin():
     val = log_density(single_mode(2), np.zeros(2))
     assert val == pytest.approx(-np.log(2.0 * np.pi), abs=1e-12)
+
+
+def _scipy_log_density(dist, pts):
+    diff = pts[:, None, :] - dist.means[None]
+    comp = (-0.5 * np.sum(diff * diff / dist.variances[None], axis=2)
+            - 0.5 * np.sum(np.log(2.0 * np.pi * dist.variances), axis=1)
+            + np.log(dist.weights))
+    return logsumexp(comp, axis=1)
+
+
+@pytest.mark.parametrize("modes", [1, 2, 8])
+def test_log_density_matches_scipy_logsumexp(modes):
+    gen = np.random.default_rng(modes)
+    weights = gen.uniform(0.1, 1.0, modes)
+    dist = GaussianMixture(weights / weights.sum(), gen.normal(0.0, 2.0, (modes, 2)),
+                           gen.uniform(0.05, 2.0, (modes, 2)))
+    # far-tail rows: every component's exp underflows to 0 without the shift
+    pts = np.vstack([gen.normal(0.0, 3.0, (500, 2)),
+                     gen.uniform(-1e3, 1e3, (50, 2)),
+                     [[1e3, -1e3], [-1e3, 1e3]]])
+    got = log_density(dist, pts)
+    want = _scipy_log_density(dist, pts)
+    assert np.all(np.isfinite(got))
+    assert np.all(np.exp(want[500:]) == 0.0)  # the tail is past exp's range
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-15
+    assert log_density(dist, np.array([np.inf, 0.0])) == -np.inf
 
 
 def test_density_symmetric_mixture():

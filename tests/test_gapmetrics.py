@@ -222,6 +222,35 @@ def test_estimators_with_zero_iterations_return_current_values():
     assert v_lam >= direct - 1e-9
 
 
+# The desk session of perfbench/workloads.py with worst_iters 6: on seeds 4
+# and 15 the Adam search ends below the held-out value at its starting point.
+_DESK_PAIRS = {
+    "train.steps": 40, "train.checkpoint_every": 40, "train.ratio": 2,
+    "train.batch": 256, "optim.lr_d": "1e-3", "optim.lr_g": "3e-4",
+    "disc.hidden": "32 32", "gen.hidden": "32 32", "latent.dim": 4,
+    "distribution.means": "-1.2 0; 1.2 0", "distribution.variances": "0.09 0.09; 0.09 0.09",
+    "prox.lambda": 0.1, "prox.steps": 20, "prox.worst_iters": 6, "prox.worst_lr": "5e-3",
+    "prox.batch": 128,
+}
+
+
+@pytest.mark.parametrize("seed", [4, 15])
+def test_v_dw_never_below_the_unmoved_discriminator(tmp_path, seed):
+    from proxgap.harness import config_from_pairs, gap_cmd, load_checkpoint, rebuild_splits, train
+    from proxgap.harness.runner import _TAG_GAP
+
+    pairs = {"seed": str(seed), "out": str(tmp_path / "run"),
+             **{k: str(v) for k, v in _DESK_PAIRS.items()}}
+    ckpt_path = train(config_from_pairs(pairs)) / "checkpoint_000040.npz"
+    ckpt = load_checkpoint(ckpt_path)
+    splits = rebuild_splits(ckpt.cfg)
+    # gap_cmd's evaluation batch, drawn from the gap stream at the checkpoint step
+    eval_latent = Rng(seed).child(_TAG_GAP, ckpt.step).child(gapmetrics._EVAL_TAG).normal(
+        (splits.s_c.shape[0], ckpt.state.latent_dim))
+    v0 = eval_objective(ckpt.state, splits.s_c, eval_latent)
+    assert gap_cmd(ckpt_path).v_dw >= v0
+
+
 def test_v_gw_plain_bilinear_corner():
     state = ToyGameState(bilinear(), np.array([1.0]), np.array([1.0]))
     v = estimate_v_gw_plain(state, None, TOY_CFG, Rng(13))

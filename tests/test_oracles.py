@@ -9,6 +9,7 @@ from proxgap.oracles import (
     LABEL_NONE,
     EquilibriumClass,
     GridSpec,
+    ToyGame,
     bilinear,
     classify_equilibrium,
     concave_quadratic,
@@ -20,9 +21,10 @@ from proxgap.oracles import (
     numeric_jsd,
     saddle_shift,
     shipped_games,
-    toy_grad_d,
-    toy_grad_g,
+    toy_value,
+    toy_value_and_grad,
     wasserstein1_1d,
+    _TOY_FD_H,
 )
 
 GRID = GridSpec(401)
@@ -367,5 +369,61 @@ def test_export_gap_table(tmp_path):
 def test_toy_grads_exact_for_polynomials():
     game = saddle_shift(0.3, -0.4)
     d, g = np.array([0.5]), np.array([-0.2])
-    assert toy_grad_d(game, d, g)[0] == pytest.approx(g[0] + 0.4, abs=1e-9)
-    assert toy_grad_g(game, d, g)[0] == pytest.approx(d[0] - 0.3, abs=1e-9)
+    assert toy_value_and_grad(game, d, g, "d")[1][0] == pytest.approx(g[0] + 0.4, abs=1e-9)
+    assert toy_value_and_grad(game, d, g, "g")[1][0] == pytest.approx(d[0] - 0.3, abs=1e-9)
+
+
+def _coupled_2d():
+    """V = sum_j d_j^2 g_j + d_0 g_1 on [-1, 1]^2 x [-2, 2]^2."""
+    return ToyGame("coupled_2d",
+                   lambda d, g: np.sum(d * d * g, axis=-1) + d[..., 0] * g[..., 1],
+                   ((-1.0, 1.0),) * 2, ((-2.0, 2.0),) * 2)
+
+
+# game -> (dV/dd, dV/dg) in closed form
+_CLOSED_FORM_GRADS = {
+    "bilinear": lambda d, g: (g, d),
+    "concave_quadratic": lambda d, g: (2.0 * g - 2.0 * d, 2.0 * d),
+    "saddle_shift": lambda d, g: (g + 0.4, d - 0.3),
+    "coupled_2d": lambda d, g: (2.0 * d * g + np.array([g[1], 0.0]),
+                                d * d + np.array([0.0, d[0]])),
+}
+
+
+def _loop_grad(game, d, g, wrt):
+    """The per-coordinate central-difference loop, one game.value call per shift."""
+    def value(v):
+        return toy_value(game, v, g) if wrt == "d" else toy_value(game, d, v)
+
+    x = d if wrt == "d" else g
+    grad = np.empty_like(x)
+    for i in range(x.size):
+        up = x.copy()
+        up[i] += _TOY_FD_H
+        down = x.copy()
+        down[i] -= _TOY_FD_H
+        grad[i] = (value(up) - value(down)) / (2.0 * _TOY_FD_H)
+    return grad
+
+
+@pytest.mark.parametrize("game", shipped_games() + (_coupled_2d(),), ids=lambda g: g.name)
+def test_toy_stencil_matches_closed_form_and_the_loop(game):
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        d, g = _random_point(game, rng)
+        exact = dict(zip("dg", _CLOSED_FORM_GRADS[game.name](d, g)))
+        for wrt in ("d", "g"):
+            value, grad = toy_value_and_grad(game, d, g, wrt)
+            assert value == toy_value(game, d, g)
+            assert grad.shape == exact[wrt].shape
+            assert np.allclose(grad, exact[wrt], rtol=0.0, atol=1e-8)
+            assert [v.hex() for v in grad.tolist()] == \
+                [v.hex() for v in _loop_grad(game, d, g, wrt).tolist()]
+
+
+def test_toy_stencil_of_a_value_that_ignores_the_argument_is_zero():
+    game = ToyGame("g_only", lambda d, g: np.sum(g * g, axis=-1),
+                   ((-1.0, 1.0),) * 3, ((-1.0, 1.0),) * 2)
+    value, grad = toy_value_and_grad(game, np.array([0.1, 0.2, 0.3]), np.array([0.5, -0.5]), "d")
+    assert value == pytest.approx(0.5)
+    assert np.array_equal(grad, np.zeros(3))
