@@ -1,6 +1,6 @@
 """Differentiation core walkthrough: exact gradients against the
 finite-difference oracle, Adam updates, and Hessian eigenvalues by
-matrix-free power iteration."""
+matrix-free block Lanczos iteration."""
 
 import numpy as np
 
@@ -60,7 +60,7 @@ print("=" * 60)
 h = 1e-4 * (1.0 + np.linalg.norm(theta.values))
 result = top_k_eigenvalues(lambda v: hvp(mse, theta, v, h),
                            dim=spec.param_count, k=4, rng=rng.child(2))
-print("power iteration:", [f"{v:+.4f}" for v in result.values])
+print("block Lanczos    :", [f"{v:+.4f}" for v in result.values])
 
 # cross-check on an explicit symmetric matrix
 a = rng.child(3).normal((12, 12))

@@ -12,6 +12,7 @@ from .engine import (
 )
 from .eigen import EigenResult, hvp, top_k_eigenvalues
 from .network import (
+    MlpWorkspace,
     NetworkSpec,
     ParamVector,
     forward,
@@ -29,6 +30,7 @@ from .rng import Rng
 __all__ = [
     "AdamState",
     "EigenResult",
+    "MlpWorkspace",
     "NetworkSpec",
     "NonFiniteError",
     "ParamVector",

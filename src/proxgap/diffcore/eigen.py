@@ -1,4 +1,4 @@
-"""Hessian-vector products and leading eigenvalues by power iteration."""
+"""Hessian-vector products and leading eigenvalues by block Lanczos iteration."""
 
 from __future__ import annotations
 
@@ -35,52 +35,65 @@ def top_k_eigenvalues(hvp_fn, dim: int, k: int, max_iters: int = 1000,
                       tol: float = 1e-9, rng: Rng = None) -> EigenResult:
     """Top-k eigenvalues (by |lambda|) of a symmetric operator given as v -> Av.
 
-    Power iteration with Hotelling deflation; each eigenvalue is iterated
-    until its relative change falls below ``tol`` or ``max_iters`` is hit
-    (flagged unconverged).  A repeatedly vanishing operator output is a
-    breakdown, flagged with value 0.
+    Block Lanczos with block size k and full reorthogonalization.  The basis
+    Q starts as k random orthonormal vectors; each further vector is the
+    operator output of the next basis vector in turn, orthogonalized against
+    Q, so Q spans the block Krylov space of the start.  A block of k starts
+    sees up to k copies of a repeated eigenvalue, as many as the top k can
+    hold, where a single start sees one.  Each basis vector costs one
+    operator call.  When an output lies in span(Q) (an invariant subspace)
+    the next vector is a random one orthogonal to Q.  After each block,
+    Rayleigh-Ritz on Q^T A Q, with A Q from the stored outputs, gives the
+    estimates.  A Ritz pair (theta, y) is converged when
+    ||A y - theta y|| <= tol * max(|theta|, 1e-12); the iteration stops when
+    the top k pairs pass that test, when Q spans the space, or after
+    max(max_iters, k) operator calls.  A Ritz vector on which the operator
+    output vanishes is a breakdown, flagged unconverged with value 0.
     """
     if rng is None:
         raise ValueError("an Rng is required for reproducible starts")
     if k > dim:
         raise ValueError("k cannot exceed the operator dimension")
-    found_vals, found_vecs, flags = [], [], []
-    for _ in range(k):
-        v = rng.normal(dim)
-        v = _project_out(v, found_vecs)
-        nv = np.linalg.norm(v)
-        if nv < 1e-14:
-            found_vals.append(0.0)
-            found_vecs.append(np.zeros(dim))
-            flags.append(False)
-            continue
-        v /= nv
-        lam, converged = 0.0, False
-        for it in range(max_iters):
-            w = hvp_fn(v)
-            for lam_j, u_j in zip(found_vals, found_vecs):
-                w = w - lam_j * u_j * (u_j @ v)
-            w = _project_out(w, found_vecs)
-            nw = np.linalg.norm(w)
-            if nw < 1e-14:
-                lam, converged = 0.0, False  # breakdown: operator vanishes here
+    limit = min(dim, max(max_iters, k))
+    starts = rng.normal((k, dim))
+    basis, outputs = [], []
+    while True:
+        m = len(basis)
+        prev = np.array(basis).reshape(m, dim)
+        src = starts[m] if m < k else outputs[m - k]
+        w = _project_out(src, prev)
+        norm = float(np.linalg.norm(w))
+        if norm <= 1e-12 * max(float(np.linalg.norm(src)), 1e-300):
+            # span(Q) is invariant under the operator: go on from a fresh direction
+            w = _project_out(rng.normal(dim), prev)
+            norm = float(np.linalg.norm(w))
+        basis.append(w / norm)
+        outputs.append(np.asarray(hvp_fn(basis[-1]), dtype=np.float64))
+        if len(basis) % k == 0 or len(basis) == limit:
+            values, settled, broken = _ritz_pairs(np.array(basis), np.array(outputs), k, tol)
+            if settled.all() or len(basis) == limit:
                 break
-            new_lam = float(v @ w)
-            v = w / nw
-            if it > 0 and abs(new_lam - lam) <= tol * max(abs(new_lam), 1e-12):
-                lam = new_lam
-                converged = True
-                break
-            lam = new_lam
-        found_vals.append(lam)
-        found_vecs.append(v)
-        flags.append(converged)
-    order = np.argsort([-abs(x) for x in found_vals], kind="stable")
-    return EigenResult(tuple(found_vals[i] for i in order),
-                       tuple(flags[i] for i in order))
+    return EigenResult(tuple(float(v) for v in values),
+                       tuple(bool(f) for f in settled & ~broken))
 
 
-def _project_out(v: np.ndarray, basis) -> np.ndarray:
-    for u in basis:
-        v = v - u * (u @ v)
+def _ritz_pairs(basis: np.ndarray, outputs: np.ndarray, k: int, tol: float):
+    """Top-k Ritz values of the operator on span(basis), by magnitude, with
+    their residual test and breakdown flags.  ``outputs`` holds A q per row."""
+    proj = basis @ outputs.T
+    theta, s = np.linalg.eigh(0.5 * (proj + proj.T))
+    top = np.argsort(-np.abs(theta), kind="stable")[:k]
+    theta, s = theta[top], s[:, top]
+    applied = outputs.T @ s  # A y, by linearity
+    resid = np.linalg.norm(applied - (basis.T @ s) * theta, axis=0)
+    settled = resid <= tol * np.maximum(np.abs(theta), 1e-12)
+    broken = np.linalg.norm(applied, axis=0) < 1e-14  # the operator vanishes here
+    return np.where(broken, 0.0, theta), settled, broken
+
+
+def _project_out(v: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """v minus its projection on the orthonormal rows of ``basis``, done twice
+    so that the result stays orthogonal to working precision."""
+    for _ in range(2):
+        v = v - basis.T @ (basis @ v)
     return v

@@ -49,7 +49,7 @@ class Tensor:
 
     def __init__(self, data, parents=(), grad_fn=None, op="leaf"):
         arr = _asarray(data)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NonFiniteError(op)
         self.data = arr
         self.grad = None
@@ -216,13 +216,11 @@ def as_tensor(x) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # numerically stable logistic on plain arrays
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # numerically stable logistic on plain arrays: exp(-|x|) never overflows,
+    # and each branch computes what the masked two-sided formula would;
+    # min(x, -x) is -|x| that keeps the sign bit of a nan, as that formula does
+    ex = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
 
 
 # Dispatching helpers so the same formula can be written once and used on

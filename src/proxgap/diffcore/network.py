@@ -141,11 +141,31 @@ def forward(spec: NetworkSpec, params: ParamVector, batch) -> np.ndarray:
 # call through the graph, whose per-op check names the op that failed.
 
 
-def mlp_forward(spec: NetworkSpec, theta, batch):
+class MlpWorkspace:
+    """Buffers for ``mlp_forward``/``mlp_backward`` on one spec and row count.
+
+    One buffer per layer pre-activation (activated in place), one boolean
+    buffer per layer for the finite check and the gates, one gate buffer per
+    hidden leaky-ReLU layer, and the backward pass's two work buffers, made
+    by the first backward pass so that forward-only calls never map them.
+    """
+
+    def __init__(self, spec: NetworkSpec, n: int):
+        shapes = spec.layer_shapes()
+        leaky = spec.activation == "leaky_relu"
+        self.pre = [np.empty((n, fo)) for _, fo in shapes]
+        self.masks = [np.empty((n, fo), dtype=bool) for _, fo in shapes]
+        self.gates = [np.empty((n, fo)) if leaky else None for _, fo in shapes[:-1]]
+        self.bufs = None
+
+
+def mlp_forward(spec: NetworkSpec, theta, batch, work: MlpWorkspace = None):
     """Forward pass on plain arrays: (n x output_dim outputs, cache for ``mlp_backward``).
 
-    Raises NonFiniteError when a pre-activation is non-finite, which also
-    catches a matmul overflow that a saturating activation would hide.
+    With ``work`` (built for this spec and n rows) the outputs and the cache
+    alias its buffers until the next call on it; without, fresh buffers are
+    used.  Raises NonFiniteError when a pre-activation is non-finite, which
+    also catches a matmul overflow that a saturating activation would hide.
     """
     vals = _param_values(theta)
     if vals.size != spec.param_count:
@@ -153,19 +173,22 @@ def mlp_forward(spec: NetworkSpec, theta, batch):
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != spec.input_dim:
         raise ValueError(f"batch must be n x {spec.input_dim}, got {x.shape}")
+    if work is None:
+        work = MlpWorkspace(spec, x.shape[0])
     shapes = spec.layer_shapes()
     last = len(shapes) - 1
     inputs, gates = [], []
     off = 0
-    # in-place updates keep the number of large temporaries, and so the
-    # allocator's page faults, down; the arithmetic is the graph's
+    # every large array lives in the workspace, so a reused one allocates, and
+    # page-faults, nothing of the batch's size; the arithmetic is the graph's
     for i, (fi, fo) in enumerate(shapes):
         w = vals[off:off + fi * fo].reshape(fi, fo)
         b = vals[off + fi * fo:off + fi * fo + fo]
         off += fi * fo + fo
-        z = x @ w
+        z, mask = work.pre[i], work.masks[i]
+        np.matmul(x, w, out=z)
         z += b
-        if not np.isfinite(z).all():
+        if not np.isfinite(z, out=mask).all():
             raise NonFiniteError(f"pre-activation of layer {i}")
         inputs.append(x)
         if i < last:
@@ -173,22 +196,31 @@ def mlp_forward(spec: NetworkSpec, theta, batch):
                 gates.append(None)  # the backward pass uses 1 - tanh^2 of the output
                 x = np.tanh(z, out=z)
             elif spec.activation == "relu":
-                gates.append(z > 0)
+                gates.append(np.greater(z, 0.0, out=mask))
                 x = np.maximum(z, 0.0, out=z)
             else:
-                gates.append(np.where(z > 0, 1.0, spec.leaky_slope))
-                x = np.multiply(z, gates[-1], out=z)
+                # where(z > 0, 1, slope) as (not z > 0) * slope + (z > 0), exactly
+                gate = work.gates[i]
+                np.greater(z, 0.0, out=mask)
+                np.logical_not(mask, out=gate)
+                gate *= spec.leaky_slope
+                gate += mask
+                gates.append(gate)
+                x = np.multiply(z, gate, out=z)
         elif spec.output_head == "sigmoid":
             x = _sigmoid(z)
         else:
             x = z
-    return x, (inputs, gates, x)
+    return x, (inputs, gates, x, work)
 
 
 def mlp_backward(spec: NetworkSpec, theta, cache, grad_out):
-    """Backward pass of ``mlp_forward``: (dL/dtheta, dL/dbatch) given dL/doutputs."""
+    """Backward pass of ``mlp_forward``: (dL/dtheta, dL/dbatch) given dL/doutputs.
+
+    dL/dtheta is a fresh array; dL/dbatch aliases the forward's workspace.
+    """
     vals = _param_values(theta)
-    inputs, gates, out = cache
+    inputs, gates, out, work = cache
     g = np.asarray(grad_out, dtype=np.float64)
     if spec.output_head == "sigmoid":
         g = g * out * (1.0 - out)
@@ -197,8 +229,10 @@ def mlp_backward(spec: NetworkSpec, theta, cache, grad_out):
     ones = np.ones(n)
     shapes = spec.layer_shapes()
     # two work buffers, used in turn for the next gradient and as scratch
-    width = max(fi for fi, _ in shapes)
-    bufs = (np.empty(n * width), np.empty(n * width))
+    if work.bufs is None:
+        width = max(fi for fi, _ in shapes)
+        work.bufs = (np.empty(n * width), np.empty(n * width))
+    bufs = work.bufs
     off = spec.param_count
     for i in range(len(shapes) - 1, -1, -1):
         fi, fo = shapes[i]

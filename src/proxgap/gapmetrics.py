@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .diffcore import (
+    MlpWorkspace,
     NonFiniteError,
     ParamVector,
     Rng,
@@ -262,6 +263,8 @@ def _gan_prox_step_fn(state, anchor, theta_g, real, latent, lam, h):
         anchor_grads = input_grad_batch(spec, anchor, real, h)
         rows.append(stencil_rows(spec, real, h))
     rows = np.vstack(rows)
+    # the stacked row count is fixed, so every inner step reuses one workspace
+    work = MlpWorkspace(spec, rows.shape[0])
 
     def graph(theta):
         t = Tensor(theta.values, op="theta_d_tilde")
@@ -275,7 +278,7 @@ def _gan_prox_step_fn(state, anchor, theta_g, real, latent, lam, h):
         return total.item(), grad.copy()
 
     def fused(theta):
-        out, cache = mlp_forward(spec, theta, rows)
+        out, cache = mlp_forward(spec, theta, rows, work)
         value, grad_obj = output_grads(state.objective, out[:n_obj], n)
         grad_out = np.zeros_like(out)
         grad_out[:n_obj] = grad_obj

@@ -251,15 +251,26 @@ def load_checkpoint(path) -> Checkpoint:
     if sidecar.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"unsupported checkpoint format {sidecar.get('format')!r}")
     cfg = config_from_pairs(sidecar["config"])
+    n_d, n_g = cfg.d_spec.param_count, cfg.g_spec.param_count
+    # the arrays save_checkpoint writes, with the shapes the config implies
+    shapes = {"theta_d": (n_d,), "theta_g": (n_g,), "adam_d_m": (n_d,), "adam_d_v": (n_d,),
+              "adam_g_m": (n_g,), "adam_g_v": (n_g,), "counters": (3,)}
     with np.load(path) as blobs:
-        theta_d = state_params(cfg.d_spec, blobs["theta_d"])
-        theta_g = state_params(cfg.g_spec, blobs["theta_g"])
-        state = GanState(cfg.d_spec, cfg.g_spec, theta_d, theta_g, cfg.objective)
-        counters = blobs["counters"]
-        return Checkpoint(cfg, state, int(sidecar["step"]),
-                          blobs["adam_d_m"], blobs["adam_d_v"],
-                          blobs["adam_g_m"], blobs["adam_g_v"],
-                          int(counters[0]), int(counters[1]), sidecar["rng_state"])
+        arrays = {}
+        for name, shape in shapes.items():
+            if name not in blobs.files:
+                raise ValueError(f"checkpoint {path} has no array {name!r} (expected shape {shape})")
+            arrays[name] = blobs[name]
+            if arrays[name].shape != shape:
+                raise ValueError(f"checkpoint array {name!r} has shape {arrays[name].shape}, "
+                                 f"expected {shape}")
+    state = GanState(cfg.d_spec, cfg.g_spec, state_params(cfg.d_spec, arrays["theta_d"]),
+                     state_params(cfg.g_spec, arrays["theta_g"]), cfg.objective)
+    counters = arrays["counters"]
+    return Checkpoint(cfg, state, int(sidecar["step"]),
+                      arrays["adam_d_m"], arrays["adam_d_v"],
+                      arrays["adam_g_m"], arrays["adam_g_v"],
+                      int(counters[0]), int(counters[1]), sidecar["rng_state"])
 
 
 def state_params(spec, values):

@@ -146,12 +146,14 @@ def unilateral_deviation(state, splits: DataSplits | None, steps: int, lr: float
 
 def hessian_spectrum_probe(state, splits: DataSplits | None, agent: str, k: int,
                            rng: Rng, tol: float = 1e-3, max_iters: int = 2000,
-                           eig_tol: float = 1e-8) -> SpectrumReport:
+                           eig_tol: float | None = None) -> SpectrumReport:
     """Top-k eigenvalues (by magnitude) of the objective's Hessian w.r.t. one agent.
 
     At a pure Nash point the objective is locally concave in the
     discriminator and convex in the generator, so ``nash_consistent`` checks
-    the corresponding sign pattern at tolerance ``tol``.
+    the corresponding sign pattern at tolerance ``tol``.  The Hessian-vector
+    product is a central difference with step h, so a Ritz pair's relative
+    residual cannot fall much below h^2; ``eig_tol`` defaults to 100 h^2.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -165,6 +167,8 @@ def hessian_spectrum_probe(state, splits: DataSplits | None, agent: str, k: int,
         raise TypeError(f"cannot probe {type(state).__name__}")
     theta = np.asarray(getattr(params, "values", params), dtype=np.float64)
     h = 1e-4 * (1.0 + np.linalg.norm(theta))
+    if eig_tol is None:
+        eig_tol = 100.0 * h * h
     result = top_k_eigenvalues(lambda v: hvp(loss, params, v, h),
                                dim=theta.size, k=k, max_iters=max_iters,
                                tol=eig_tol, rng=rng.child(1))

@@ -268,6 +268,78 @@ def test_top_k_matches_dense_solver():
     assert np.allclose(res.values, dense, atol=1e-3)
 
 
+def _top_k_dense(mat, k):
+    dense = np.linalg.eigh(mat)[0]
+    return np.sort(dense[np.argsort(-np.abs(dense), kind="stable")][:k])
+
+
+def test_top_k_separates_eigenvalues_of_opposite_sign():
+    # equal magnitudes of opposite sign stall power iteration with deflation
+    mat = np.diag([1.0, -1.0, 0.5, 0.1, 0.05])
+    res = top_k_eigenvalues(_matrix_op(mat), dim=5, k=3, rng=Rng(4))
+    np.testing.assert_allclose(np.sort(res.values), _top_k_dense(mat, 3), rtol=0, atol=1e-12)
+    assert [abs(v) for v in res.values] == sorted((abs(v) for v in res.values), reverse=True)
+    assert all(res.converged)
+
+
+def test_top_k_random_symmetric_with_a_plus_minus_pair():
+    rng = Rng(5)
+    basis = np.linalg.qr(rng.normal((30, 30)))[0]
+    spectrum = np.concatenate([[3.0, -3.0, 2.5], 0.5 * rng.uniform(-1.0, 1.0, 27)])
+    mat = (basis * spectrum) @ basis.T
+    mat = 0.5 * (mat + mat.T)
+    res = top_k_eigenvalues(_matrix_op(mat), dim=30, k=3, rng=Rng(6))
+    np.testing.assert_allclose(np.sort(res.values), _top_k_dense(mat, 3), rtol=0, atol=1e-10)
+    assert all(res.converged)
+
+
+def test_top_k_restarts_past_a_repeated_eigenvalue():
+    # a random start's Krylov space under the identity closes after one step
+    res = top_k_eigenvalues(_matrix_op(np.eye(4)), dim=4, k=3, rng=Rng(8))
+    np.testing.assert_allclose(res.values, 1.0, rtol=0, atol=1e-12)
+    assert all(res.converged)
+
+
+def test_top_k_counts_a_doubled_eigenvalue_twice():
+    # one start vector's Krylov space holds one copy of the doubled 1 and
+    # closes after four steps, so single-vector Lanczos returns (1, 0.5, 0.1)
+    mat = np.diag([1.0, 1.0, 0.5, 0.1, 0.05])
+    res = top_k_eigenvalues(_matrix_op(mat), dim=5, k=3, rng=Rng(10))
+    np.testing.assert_allclose(np.sort(res.values), _top_k_dense(mat, 3), rtol=0, atol=1e-12)
+    assert all(res.converged)
+
+
+def _rotated(spectrum, rng):
+    basis = np.linalg.qr(rng.normal((len(spectrum), len(spectrum))))[0]
+    mat = (basis * np.asarray(spectrum)) @ basis.T
+    return 0.5 * (mat + mat.T)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_top_k_finds_a_doubled_top_eigenvalue_in_a_large_operator(k):
+    # the top converges long before the Krylov space could close, so no
+    # restart reveals the second copy
+    rng = Rng(11)
+    mat = _rotated(np.concatenate([[2.0, 2.0, -1.5, 1.2], rng.uniform(-0.5, 0.5, 196)]), rng)
+    res = top_k_eigenvalues(_matrix_op(mat), dim=200, k=k, rng=Rng(12))
+    np.testing.assert_allclose(np.sort(res.values), _top_k_dense(mat, k), rtol=0, atol=1e-10)
+    assert all(res.converged)
+
+
+def test_top_k_finds_a_tripled_eigenvalue_beyond_k():
+    rng = Rng(13)
+    mat = _rotated(np.concatenate([[-3.0, -3.0, -3.0, 1.8], rng.uniform(-0.5, 0.5, 196)]), rng)
+    res = top_k_eigenvalues(_matrix_op(mat), dim=200, k=2, rng=Rng(14))
+    np.testing.assert_allclose(res.values, -3.0, rtol=0, atol=1e-10)
+    assert all(res.converged)
+
+
+def test_top_k_flags_an_unmet_tolerance():
+    mat = np.diag(np.linspace(1.0, 2.0, 40))
+    res = top_k_eigenvalues(_matrix_op(mat), dim=40, k=2, max_iters=3, rng=Rng(9))
+    assert not any(res.converged)
+
+
 def test_top_k_zero_operator_flags_breakdown():
     res = top_k_eigenvalues(_matrix_op(np.zeros((3, 3))), dim=3, k=1, rng=Rng(3))
     assert res.values[0] == 0.0

@@ -12,6 +12,7 @@ from proxgap.diffcore import (
     grad_params,
     init_network,
 )
+from proxgap.diffcore.engine import _sigmoid
 
 
 def test_add_mul_backward():
@@ -131,3 +132,27 @@ def test_segment_reshape_roundtrip():
 def test_backward_requires_scalar():
     with pytest.raises(ValueError):
         Tensor(np.ones(3)).backward()
+
+
+def _masked_sigmoid(x):
+    # the two-sided masked formula the logistic used before; the oracle
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_is_bit_identical_to_the_masked_formula():
+    rng = Rng(40)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+                        36.0, -36.0, 709.0, -709.0, 745.0, -745.0, 1e3, -1e3])
+    for x in (special, rng.normal((64, 3)), 1e3 * rng.uniform(-1.0, 1.0, 4096),
+              np.array(-2.5)):
+        got = _sigmoid(x)
+        want = _masked_sigmoid(x)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+        # the same bits, down to the sign of zeros and nans
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

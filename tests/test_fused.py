@@ -2,13 +2,17 @@
 
 Every fast path in the hot loop (``mlp_forward``/``mlp_backward``, the fused
 ``value_and_grad_d/g``, the fused penalized prox step) is pinned here to the
-graph engine's value and reverse-mode gradient to 1e-12 relative.
+graph engine's value and reverse-mode gradient to 1e-12 relative, and the
+kernel on a reused workspace to the kernel on fresh buffers bit for bit.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from proxgap.diffcore import (
+    MlpWorkspace,
     NetworkSpec,
     NonFiniteError,
     Rng,
@@ -230,3 +234,99 @@ def test_nonfinite_objective_value_is_named_by_the_graph():
     with pytest.raises(NonFiniteError) as err:
         eval_objective(state, real, latent)
     assert err.value.op == "exp"
+
+
+# -- the reused workspace --------------------------------------------------------
+
+
+def _thetas(state, rng: Rng, count: int):
+    for j in range(count):
+        yield enforce_constraint(state.objective, state.theta_d.with_values(
+            state.theta_d.values + 0.05 * rng.child(j).normal(len(state.theta_d))))
+
+
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+@pytest.mark.parametrize("objective", [Classic(), WassersteinClip(0.05)],
+                         ids=["sigmoid_head", "linear_head"])
+@pytest.mark.parametrize("n", [7, 40])
+def test_reused_workspace_matches_fresh_allocation_bit_for_bit(activation, objective, n):
+    state = _state(objective, activation, seed=n)
+    rng = Rng(35)
+    real, latent = rng.normal((n, 2)), rng.normal((n, 3))
+    step_fn = _gan_prox_step_fn(state, state.theta_d, state.theta_g, real, latent, 0.1, 1e-3)
+    rows = rng.normal((3 * n, 2))
+    weights = rng.normal((3 * n, 1))
+    work = MlpWorkspace(state.d_spec, 3 * n)
+    for theta in _thetas(state, rng.child(1), 20):
+        # the step function's own workspace against a fresh step function
+        value, grad = step_fn(theta)
+        fresh_value, fresh_grad = _gan_prox_step_fn(state, state.theta_d, state.theta_g,
+                                                    real, latent, 0.1, 1e-3)(theta)
+        assert value == fresh_value
+        np.testing.assert_array_equal(grad, fresh_grad)
+        # and the kernel on a workspace against the kernel with fresh buffers
+        out, cache = mlp_forward(state.d_spec, theta, rows, work)
+        np.testing.assert_array_equal(out, mlp_forward(state.d_spec, theta, rows)[0])
+        grads = mlp_backward(state.d_spec, theta, cache, weights)
+        fresh = mlp_backward(state.d_spec, theta,
+                             mlp_forward(state.d_spec, theta, rows)[1], weights)
+        np.testing.assert_array_equal(grads[0], fresh[0])
+        np.testing.assert_array_equal(grads[1], fresh[1])
+
+
+def test_workspace_rejects_another_row_count():
+    spec = NetworkSpec(2, (4,), 1)
+    params = init_network(spec, Rng(0))
+    for rows in (3, 5):
+        with pytest.raises(ValueError):
+            mlp_forward(spec, params, np.zeros((rows, 2)), MlpWorkspace(spec, 4))
+
+
+def test_returned_gradients_survive_later_steps():
+    state = _state(Classic(), "leaky_relu", seed=12)
+    rng = Rng(36)
+    real, latent = rng.normal((30, 2)), rng.normal((30, 3))
+    step_fn = _gan_prox_step_fn(state, state.theta_d, state.theta_g, real, latent, 0.1, 1e-3)
+    thetas = list(_thetas(state, rng, 4))
+    value, grad = step_fn(thetas[0])
+    kept = grad.copy()
+    for theta in thetas[1:]:
+        step_fn(theta)
+    np.testing.assert_array_equal(grad, kept)
+    again = step_fn(thetas[0])
+    assert again[0] == value
+    np.testing.assert_array_equal(again[1], kept)
+    assert again[1] is not grad
+
+
+def test_repeated_eval_steps_allocate_less_than_one_activation_array():
+    # the desk discriminator on a 500-row evaluation split: 3000 stacked rows
+    d_spec = NetworkSpec(2, (32, 32), 1, activation="tanh", output_head="sigmoid")
+    g_spec = NetworkSpec(4, (32, 32), 2, activation="tanh")
+    rng = Rng(37)
+    state = GanState(d_spec, g_spec, init_network(d_spec, rng.child(0)),
+                     init_network(g_spec, rng.child(1)), Classic())
+    real, latent = rng.normal((500, 2)), rng.normal((500, 4))
+    step_fn = _gan_prox_step_fn(state, state.theta_d, state.theta_g, real, latent, 0.1, 1e-3)
+    step_fn(state.theta_d)  # the first backward pass makes the work buffers
+    tracemalloc.start()
+    try:
+        for _ in range(5):
+            step_fn(state.theta_d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3000 * 32 * 8
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflow_on_a_reused_workspace_is_named_and_leaves_it_usable():
+    state, real, latent, huge = _overflow_setup()
+    step_fn = _gan_prox_step_fn(state, state.theta_d, state.theta_g, real, latent, 0.1, 1e-3)
+    value, grad = step_fn(state.theta_d)
+    with pytest.raises(NonFiniteError) as err:
+        step_fn(huge)
+    assert err.value.op == "matmul"
+    again = step_fn(state.theta_d)
+    assert again[0] == value
+    np.testing.assert_array_equal(again[1], grad)

@@ -172,6 +172,30 @@ def test_checkpoint_writes_leave_no_temp_files(tiny_run, tmp_path, monkeypatch):
                                                           "checkpoint_000020.npz"]
 
 
+@pytest.mark.parametrize("name,tamper,expected", [
+    ("theta_d", None, "expected shape"),
+    ("counters", None, r"expected shape \(3,\)"),
+    ("adam_d_m", lambda a: a[:-1], r"adam_d_m.*expected \(\d+,\)"),
+    ("adam_g_v", lambda a: np.append(a, 0.0), r"adam_g_v.*expected \(\d+,\)"),
+    ("counters", lambda a: a[:2], r"counters.*expected \(3,\)"),
+    ("counters", lambda a: a.reshape(3, 1), r"counters.*expected \(3,\)"),
+])
+def test_load_checkpoint_rejects_missing_and_misshapen_arrays(tiny_run, tmp_path, name,
+                                                              tamper, expected):
+    src = tiny_run / "checkpoint_000020"
+    with np.load(src.with_suffix(".npz")) as blobs:
+        arrays = {key: blobs[key] for key in blobs.files}
+    if tamper is None:
+        del arrays[name]
+    else:
+        arrays[name] = tamper(arrays[name])
+    dst = tmp_path / "checkpoint_000020"
+    np.savez(dst.with_suffix(".npz"), **arrays)
+    dst.with_suffix(".json").write_bytes(src.with_suffix(".json").read_bytes())
+    with pytest.raises(ValueError, match=f"{name}.*{expected}" if tamper is None else expected):
+        load_checkpoint(dst.with_suffix(".npz"))
+
+
 def test_gap_cmd_on_checkpoint(tiny_run):
     report = gap_cmd(tiny_run / "checkpoint_000040.npz")
     assert report.dg_lambda == report.v_dw - report.v_gw_lambda

@@ -104,6 +104,17 @@ def test_spectrum_convex_quadratic_consistent():
     assert report.nash_consistent is True
 
 
+def test_spectrum_sees_a_doubled_curvature():
+    # the top two eigenvalues are both 2, so the saddle direction is not among them
+    state = ToyGameState(_quadratic_game([2.0, 2.0, -1.0]), np.array([0.0]),
+                         np.array([0.3, -0.2, 0.1]))
+    for seed in range(10, 20):
+        report = hessian_spectrum_probe(state, None, GENERATOR, k=2, rng=Rng(seed))
+        assert np.allclose(report.eigenvalues, 2.0, atol=1e-3)
+        assert report.nash_consistent is True
+        assert all(report.converged)
+
+
 def test_spectrum_discriminator_sign_convention():
     # concave in d: eigenvalues negative -> consistent for the discriminator
     game = ToyGame("concave_d", lambda d, g: np.sum(-d * d, axis=-1),
@@ -126,6 +137,21 @@ def test_spectrum_matches_dense_solver_on_small_net():
     top = dense[np.argsort(-np.abs(dense))][:3]
     report = hessian_spectrum_probe(state, splits, GENERATOR, k=3, rng=Rng(10))
     assert np.allclose(report.eigenvalues, top, atol=1e-3)
+
+
+@pytest.mark.parametrize("agent", [GENERATOR, DISCRIMINATOR])
+def test_spectrum_flags_converged_at_the_default_tolerance(agent):
+    # a 1e-8 residual tolerance lies below the central difference's h^2 floor
+    # here, and every flag reads False however long the iteration runs
+    d_spec = NetworkSpec(2, (16, 16), 1, output_head="sigmoid", activation="tanh")
+    g_spec = NetworkSpec(2, (16, 16), 2, activation="tanh")
+    rng = Rng(0)
+    state = GanState(d_spec, g_spec, init_network(d_spec, rng.child(0)),
+                     init_network(g_spec, rng.child(1)), Classic())
+    dist = GaussianMixture([1.0], [[0.0, 0.0]], [[1.0, 1.0]])
+    splits = make_splits(dist, 400, 200, 200, rng.child(2))
+    report = hessian_spectrum_probe(state, splits, agent, k=3, rng=Rng(1))
+    assert all(report.converged)
 
 
 def test_spectrum_requires_tanh():
