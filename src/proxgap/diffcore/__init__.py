@@ -15,9 +15,9 @@ from .network import (
     MlpWorkspace,
     NetworkSpec,
     ParamVector,
+    finite_value_and_grad,
     forward,
     forward_graph,
-    fused_or_graph,
     init_network,
     input_grad_batch,
     input_grad_columns,
@@ -41,9 +41,9 @@ __all__ = [
     "as_tensor",
     "exp",
     "finite_diff_grad",
+    "finite_value_and_grad",
     "forward",
     "forward_graph",
-    "fused_or_graph",
     "grad_params",
     "hvp",
     "init_network",

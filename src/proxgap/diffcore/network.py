@@ -126,19 +126,19 @@ def forward_graph(spec: NetworkSpec, theta, batch) -> Tensor:
 
 def forward(spec: NetworkSpec, params: ParamVector, batch) -> np.ndarray:
     """Plain forward evaluation, returning an n x output_dim array."""
-    batch = np.asarray(batch, dtype=np.float64)
-    return fused_or_graph(lambda: mlp_forward(spec, params, batch)[0],
-                          lambda: forward_graph(spec, params, batch).data)
+    return mlp_forward(spec, params, batch)[0]
 
 
 # -- the fused kernel ----------------------------------------------------------
 #
 # ``mlp_forward``/``mlp_backward`` evaluate the same layers as ``forward_graph``
 # with plain numpy and no per-op graph, so a value and gradient cost a few
-# matrix products.  The graph path stays as their reference oracle: the fused
-# kernel checks every pre-activation, and its callers check the value and the
-# gradient, once per call; when a check fails ``fused_or_graph`` replays the
-# call through the graph, whose per-op check names the op that failed.
+# matrix products.  The graph path is their reference oracle only, never run
+# in their place.  Failures keep the graph's names all the same: the kernel
+# checks every pre-activation and names a failed check by the op the graph
+# would have stopped at, ``objectives.output_grads`` runs the objective on leaf
+# Tensors so its own ops name an objective failure, and ``finite_value_and_grad``
+# names whatever else is non-finite in a value and gradient 'backward'.
 
 
 class MlpWorkspace:
@@ -165,7 +165,8 @@ def mlp_forward(spec: NetworkSpec, theta, batch, work: MlpWorkspace = None):
     With ``work`` (built for this spec and n rows) the outputs and the cache
     alias its buffers until the next call on it; without, fresh buffers are
     used.  Raises NonFiniteError when a pre-activation is non-finite, which
-    also catches a matmul overflow that a saturating activation would hide.
+    also catches a matmul overflow that a saturating activation would hide,
+    naming the op at which ``forward_graph`` would have stopped.
     """
     vals = _param_values(theta)
     if vals.size != spec.param_count:
@@ -189,7 +190,7 @@ def mlp_forward(spec: NetworkSpec, theta, batch, work: MlpWorkspace = None):
         np.matmul(x, w, out=z)
         z += b
         if not np.isfinite(z, out=mask).all():
-            raise NonFiniteError(f"pre-activation of layer {i}")
+            raise NonFiniteError(_failed_op(spec, vals, x, w, i))
         inputs.append(x)
         if i < last:
             if spec.activation == "tanh":
@@ -257,27 +258,25 @@ def mlp_backward(spec: NetworkSpec, theta, cache, grad_out):
     return grad, g
 
 
-def fused_or_graph(fused, graph):
-    """``fused()`` when it succeeds with finite results, else ``graph()``.
+def _failed_op(spec: NetworkSpec, vals, x, w, i: int) -> str:
+    """The op of ``forward_graph`` that fails first when layer i's pre-activation
+    x @ w + b is non-finite; worked out only once that check has failed."""
+    if not np.isfinite(vals).all():
+        return "theta"
+    if not np.isfinite(x).all():
+        return "leaf" if i == 0 else spec.activation
+    return "add" if np.isfinite(x @ w).all() else "matmul"
 
-    The graph replay raises NonFiniteError naming the op that failed; a
-    non-finite gradient that no forward op caught is reported as 'backward'.
+
+def finite_value_and_grad(value, grad):
+    """(value, grad) when both are finite, else NonFiniteError('backward').
+
+    The kernel and the objective's leaf graph name the forward ops, so what
+    is non-finite only here came from the backward pass.
     """
-    try:
-        result = fused()
-        if _all_finite(result):
-            return result
-    except NonFiniteError:
-        pass
-    result = graph()
-    if not _all_finite(result):
+    if not (np.isfinite(value) and np.isfinite(grad).all()):
         raise NonFiniteError("backward")
-    return result
-
-
-def _all_finite(result) -> bool:
-    parts = result if isinstance(result, tuple) else (result,)
-    return all(np.isfinite(part).all() for part in parts)
+    return value, grad
 
 
 # -- input gradients -----------------------------------------------------------

@@ -20,9 +20,8 @@ from .diffcore import (
     Tensor,
     adam_init,
     adam_step,
+    finite_value_and_grad,
     forward,
-    forward_graph,
-    fused_or_graph,
     input_grad_batch,
     input_grad_columns,
     mlp_backward,
@@ -35,7 +34,6 @@ from .objectives import (
     check_clip_box,
     enforce_constraint,
     eval_objective,
-    objective_from_outputs,
     output_grads,
     value_and_grad_d,
     value_and_grad_g,
@@ -250,8 +248,8 @@ def _gan_prox_step_fn(state, anchor, theta_g, real, latent, lam, h):
     on one batch, as a function of the discriminator copy theta.
 
     Each call runs one fused forward and one backward over the real rows, the
-    generated rows and the 2 * dim stencil rows stacked together; the graph
-    version below is its oracle and its replay on a non-finite result.
+    generated rows and the 2 * dim stencil rows stacked together;
+    ``objective_from_outputs`` minus ``_sobolev_graph`` is its graph oracle.
     """
     real = np.asarray(real, dtype=np.float64)
     latent = np.asarray(latent, dtype=np.float64)
@@ -266,18 +264,8 @@ def _gan_prox_step_fn(state, anchor, theta_g, real, latent, lam, h):
     # the stacked row count is fixed, so every inner step reuses one workspace
     work = MlpWorkspace(spec, rows.shape[0])
 
-    def graph(theta):
-        t = Tensor(theta.values, op="theta_d_tilde")
-        d_real = forward_graph(spec, t, real)
-        d_fake = forward_graph(spec, t, fake)
-        total = objective_from_outputs(state.objective, d_real, d_fake)
-        if lam > 0:
-            total = total - lam * _sobolev_graph(spec, t, anchor_grads, real, h)
-        total.backward()
-        grad = t.grad if t.grad is not None else np.zeros_like(t.data)
-        return total.item(), grad.copy()
-
-    def fused(theta):
+    def value_and_grad(theta):
+        check_clip_box(state.objective, theta)
         out, cache = mlp_forward(spec, theta, rows, work)
         value, grad_obj = output_grads(state.objective, out[:n_obj], n)
         grad_out = np.zeros_like(out)
@@ -292,11 +280,7 @@ def _gan_prox_step_fn(state, anchor, theta_g, real, latent, lam, h):
             diff = columns[:, :, 0] - anchor_grads.T
             d_col = 2.0 * ((-lam / n) * diff) * (1.0 / (2.0 * h))
             grad_out[n_obj:, 0] = np.stack([d_col, -d_col], axis=1).ravel()
-        return float(value), mlp_backward(spec, theta, cache, grad_out)[0]
-
-    def value_and_grad(theta):
-        check_clip_box(state.objective, theta)
-        return fused_or_graph(lambda: fused(theta), lambda: graph(theta))
+        return finite_value_and_grad(float(value), mlp_backward(spec, theta, cache, grad_out)[0])
 
     return value_and_grad
 

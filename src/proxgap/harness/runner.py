@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .. import __version__
-from ..diffcore import NonFiniteError, Rng, adam_init, adam_step, forward, init_network
+from ..diffcore import NonFiniteError, ParamVector, Rng, adam_init, adam_step, forward, init_network
 from ..distributions import make_splits
 from ..gapmetrics import GapReport, ProxDivergenceError, duality_gap, lambda_sweep
 from ..objectives import (
@@ -179,6 +179,13 @@ def train(cfg: ExperimentConfig) -> Path:
 # -- checkpoints -------------------------------------------------------------
 
 
+def _checkpoint_arrays(cfg: ExperimentConfig) -> dict:
+    """Name -> shape of every array a checkpoint holds, in the order it is written."""
+    n_d, n_g = cfg.d_spec.param_count, cfg.g_spec.param_count
+    return {"theta_d": (n_d,), "theta_g": (n_g,), "adam_d_m": (n_d,), "adam_d_v": (n_d,),
+            "adam_g_m": (n_g,), "adam_g_v": (n_g,), "counters": (3,)}
+
+
 def save_checkpoint(base, cfg: ExperimentConfig, state: GanState, adam_d, adam_g,
                     step: int, rng_state: dict) -> Path:
     base = Path(base)
@@ -197,8 +204,7 @@ def save_checkpoint(base, cfg: ExperimentConfig, state: GanState, adam_d, adam_g
         "seed": cfg.seed,
         "config": cfg.pairs,
         "rng_state": _jsonable(rng_state),
-        "arrays": ["theta_d", "theta_g", "adam_d_m", "adam_d_v",
-                   "adam_g_m", "adam_g_v", "counters"],
+        "arrays": list(_checkpoint_arrays(cfg)),
     }
     _write_atomically(base.with_suffix(".json"),
                       lambda fh: fh.write(json.dumps(sidecar, indent=2).encode("utf-8")))
@@ -251,10 +257,10 @@ def load_checkpoint(path) -> Checkpoint:
     if sidecar.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"unsupported checkpoint format {sidecar.get('format')!r}")
     cfg = config_from_pairs(sidecar["config"])
-    n_d, n_g = cfg.d_spec.param_count, cfg.g_spec.param_count
-    # the arrays save_checkpoint writes, with the shapes the config implies
-    shapes = {"theta_d": (n_d,), "theta_g": (n_g,), "adam_d_m": (n_d,), "adam_d_v": (n_d,),
-              "adam_g_m": (n_g,), "adam_g_v": (n_g,), "counters": (3,)}
+    shapes = _checkpoint_arrays(cfg)
+    if sidecar.get("arrays") != list(shapes):
+        raise ValueError(f"checkpoint sidecar {sidecar_path} lists arrays "
+                         f"{sidecar.get('arrays')!r}, expected {list(shapes)!r}")
     with np.load(path) as blobs:
         arrays = {}
         for name, shape in shapes.items():
@@ -274,7 +280,6 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def state_params(spec, values):
-    from ..diffcore import ParamVector
     return ParamVector(values, spec.layout())
 
 

@@ -1,5 +1,6 @@
 """Game objectives with a single sign convention (D maximizes V, G minimizes V),
-the f-divergence conjugate machinery, and closed-form optimal-discriminator helpers."""
+their values and parameter gradients through the fused kernel, and the
+f-divergence conjugate machinery."""
 
 from __future__ import annotations
 
@@ -13,9 +14,9 @@ from .diffcore import (
     ParamVector,
     Tensor,
     exp,
+    finite_value_and_grad,
     forward,
     forward_graph,
-    fused_or_graph,
     log,
     mlp_backward,
     mlp_forward,
@@ -202,16 +203,11 @@ def eval_objective(state: GanState, real_batch, latent_batch) -> float:
     """Monte-Carlo estimate of V at the state's current parameters."""
     real, latent = _batches(real_batch, latent_batch)
     check_clip_box(state.objective, state.theta_d)
-
-    def fused():
-        fake = forward(state.g_spec, state.theta_g, latent)
-        out = forward(state.d_spec, state.theta_d, np.vstack([real, fake]))
-        with np.errstate(all="ignore"):
-            return objective_from_outputs(state.objective, out[:real.shape[0]],
-                                          out[real.shape[0]:])
-
-    return fused_or_graph(fused, lambda: value_graph(
-        state, state.theta_d, state.theta_g, real, latent).item())
+    fake = forward(state.g_spec, state.theta_g, latent)
+    out = forward(state.d_spec, state.theta_d, np.vstack([real, fake]))
+    # leaf Tensors over the outputs, as in output_grads, so a failed objective op is named
+    n = real.shape[0]
+    return objective_from_outputs(state.objective, Tensor(out[:n]), Tensor(out[n:])).item()
 
 
 def output_grads(objective: ObjectiveKind, outputs: np.ndarray, n_real: int):
@@ -232,14 +228,9 @@ def value_and_grad_d(state, theta_d: ParamVector, theta_g: ParamVector,
     real, latent = _batches(real_batch, latent_batch)
     fake = forward(state.g_spec, theta_g, latent)
     check_clip_box(state.objective, theta_d)
-
-    def fused():
-        out, cache = mlp_forward(state.d_spec, theta_d, np.vstack([real, fake]))
-        v, grad_out = output_grads(state.objective, out, real.shape[0])
-        return v, mlp_backward(state.d_spec, theta_d, cache, grad_out)[0]
-
-    return fused_or_graph(fused, lambda: _value_and_grad_graph(
-        state, theta_d, theta_g, real, latent, "d"))
+    out, cache = mlp_forward(state.d_spec, theta_d, np.vstack([real, fake]))
+    v, grad_out = output_grads(state.objective, out, real.shape[0])
+    return finite_value_and_grad(v, mlp_backward(state.d_spec, theta_d, cache, grad_out)[0])
 
 
 def value_and_grad_g(state, theta_d: ParamVector, theta_g: ParamVector,
@@ -251,36 +242,12 @@ def value_and_grad_g(state, theta_d: ParamVector, theta_g: ParamVector,
     """
     real, latent = _batches(real_batch, latent_batch)
     check_clip_box(state.objective, theta_d)
-
-    def fused():
-        fake, g_cache = mlp_forward(state.g_spec, theta_g, latent)
-        out, d_cache = mlp_forward(state.d_spec, theta_d, np.vstack([real, fake]))
-        v, grad_out = output_grads(state.objective, out, real.shape[0])
-        grad_rows = mlp_backward(state.d_spec, theta_d, d_cache, grad_out)[1]
-        return v, mlp_backward(state.g_spec, theta_g, g_cache, grad_rows[real.shape[0]:])[0]
-
-    return fused_or_graph(fused, lambda: _value_and_grad_graph(
-        state, theta_d, theta_g, real, latent, "g"))
-
-
-def _value_and_grad_graph(state, theta_d, theta_g, real_batch, latent_batch, wrt: str):
-    """Graph-path (V, dV/dtheta_wrt) for wrt 'd' or 'g': the oracle of the fused pair."""
-    if wrt == "d":
-        t = Tensor(theta_d.values, op="theta_d")
-        v = value_graph(state, t, theta_g, real_batch, latent_batch)
-    else:
-        t = Tensor(theta_g.values, op="theta_g")
-        v = value_graph(state, theta_d, t, real_batch, latent_batch)
-    v.backward()
-    grad = t.grad if t.grad is not None else np.zeros_like(t.data)
-    return v.item(), grad.copy()
-
-
-def optimal_classic_discriminator(p_r: float, p_g: float) -> float:
-    """Pointwise maximizer of the probabilistic objective given both densities."""
-    if p_r + p_g <= 0:
-        raise ValueError("at least one density must be positive")
-    return p_r / (p_r + p_g)
+    fake, g_cache = mlp_forward(state.g_spec, theta_g, latent)
+    out, d_cache = mlp_forward(state.d_spec, theta_d, np.vstack([real, fake]))
+    v, grad_out = output_grads(state.objective, out, real.shape[0])
+    grad_rows = mlp_backward(state.d_spec, theta_d, d_cache, grad_out)[1]
+    return finite_value_and_grad(
+        v, mlp_backward(state.g_spec, theta_g, g_cache, grad_rows[real.shape[0]:])[0])
 
 
 def fenchel_identity_residual(family: FGanFamily, t: float) -> float:

@@ -181,34 +181,6 @@ def classify_equilibrium(game: ToyGame, point, lambda_list, grid: GridSpec,
     return EquilibriumClass(label, lam, dg, tuple(gaps), tol)
 
 
-def export_gap_table(path, game: ToyGame, points, lambdas,
-                     grid: GridSpec = GridSpec()):
-    """Write grid-search gaps for a set of configurations as CSV.
-
-    One row per (configuration, lambda): the exact penalized gap next to the
-    plain gap, for cross-checking gradient-based estimates offline.
-    """
-    import csv
-
-    lams = sorted(float(x) for x in lambdas)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["game", "d", "g", "lambda", "dg_lambda", "dg_plain"])
-        for point in points:
-            d0, g0 = _point(point)
-            plain = grid_dg(game, point, grid)
-            for lam in lams:
-                writer.writerow([
-                    game.name,
-                    " ".join(f"{v:.12g}" for v in d0),
-                    " ".join(f"{v:.12g}" for v in g0),
-                    f"{lam:.12g}",
-                    f"{grid_dg_lambda(game, point, lam, grid):.12g}",
-                    f"{plain:.12g}",
-                ])
-    return path
-
-
 # -- divergence oracles --------------------------------------------------
 
 

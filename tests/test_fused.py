@@ -3,9 +3,12 @@
 Every fast path in the hot loop (``mlp_forward``/``mlp_backward``, the fused
 ``value_and_grad_d/g``, the fused penalized prox step) is pinned here to the
 graph engine's value and reverse-mode gradient to 1e-12 relative, and the
-kernel on a reused workspace to the kernel on fresh buffers bit for bit.
+kernel on a reused workspace to the kernel on fresh buffers bit for bit.  The
+fast paths never call the graph, not even to name a failure: the kernel names
+a failed op as the graph would.
 """
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -15,6 +18,7 @@ from proxgap.diffcore import (
     MlpWorkspace,
     NetworkSpec,
     NonFiniteError,
+    ParamVector,
     Rng,
     Tensor,
     forward,
@@ -38,7 +42,6 @@ from proxgap.objectives import (
     FGan,
     GanState,
     WassersteinClip,
-    _value_and_grad_graph,
     enforce_constraint,
     eval_objective,
     objective_from_outputs,
@@ -117,10 +120,14 @@ def test_value_and_grads_match_the_graph_path(name, objective, activation):
     state = _state(objective, activation, seed=len(name))
     rng = Rng(31)
     real, latent = rng.normal((40, 2)), rng.normal((33, 3))
-    for wrt, fused in (("d", value_and_grad_d), ("g", value_and_grad_g)):
+    v_ref = value_graph(state, state.theta_d, state.theta_g, real, latent).item()
+    oracles = ((value_and_grad_d, state.theta_d,
+                lambda t: value_graph(state, t, state.theta_g, real, latent)),
+               (value_and_grad_g, state.theta_g,
+                lambda t: value_graph(state, state.theta_d, t, real, latent)))
+    for fused, theta, oracle in oracles:
         v, grad = fused(state, state.theta_d, state.theta_g, real, latent)
-        v_ref, grad_ref = _value_and_grad_graph(state, state.theta_d, state.theta_g,
-                                                real, latent, wrt)
+        grad_ref = grad_params(oracle, theta)
         assert abs(v - v_ref) <= TOL * max(abs(v_ref), 1e-300)
         assert _rel(grad, grad_ref) <= TOL
     v_eval = eval_objective(state, real, latent)
@@ -178,7 +185,7 @@ def test_prox_step_matches_graph_objective_minus_sobolev_graph(name, objective, 
     assert _rel(grad, grad_params(penalized, theta)) <= TOL
 
 
-# -- the finite check and the graph replay -------------------------------------
+# -- the finite check and the op names -----------------------------------------
 
 
 def _overflow_setup():
@@ -218,12 +225,16 @@ def test_overflowing_weights_raise_prox_divergence_named_by_the_graph(lam):
     assert err.value.__cause__.op == graph_err.value.op == "matmul"
 
 
+def _kl_overflow_state():
+    state = _state(FGan(FGAN_FAMILIES["kl"]), "relu", seed=11)
+    return state.with_params(state.theta_d.with_values(np.full(len(state.theta_d), 10.0)),
+                             state.theta_g.with_values(np.ones(len(state.theta_g))))
+
+
 def test_nonfinite_objective_value_is_named_by_the_graph():
     # finite network outputs can still overflow inside the objective (here the
-    # KL conjugate's exp); the replay names the objective's op
-    state = _state(FGan(FGAN_FAMILIES["kl"]), "relu", seed=11)
-    state = state.with_params(state.theta_d.with_values(np.full(len(state.theta_d), 10.0)),
-                              state.theta_g.with_values(np.ones(len(state.theta_g))))
+    # KL conjugate's exp); the objective's leaf graph names the objective's op
+    state = _kl_overflow_state()
     real, latent = np.full((8, 2), 30.0), np.full((8, 3), 30.0)
     with pytest.raises(NonFiniteError) as graph_err:
         value_graph(state, state.theta_d, state.theta_g, real, latent)
@@ -234,6 +245,139 @@ def test_nonfinite_objective_value_is_named_by_the_graph():
     with pytest.raises(NonFiniteError) as err:
         eval_objective(state, real, latent)
     assert err.value.op == "exp"
+
+
+def _failure_cases():
+    """(spec, theta values, batch) whose forward pass fails at each op the kernel names."""
+    tanh = NetworkSpec(2, (4,), 1)
+    theta = init_network(tanh, Rng(0)).values
+    ones = np.ones((3, 2))
+    nan_theta = theta.copy()
+    nan_theta[-1] = np.nan  # the output bias: layer 0 still runs
+    linear = NetworkSpec(1, (), 1)  # one layer: W0 then b0
+    # a slope above 1 takes a finite -1e308 pre-activation to -inf
+    steep = NetworkSpec(1, (1,), 1, activation="leaky_relu", leaky_slope=10.0)
+    return {
+        "leaf": (tanh, theta, np.array([[0.0, 1.0], [np.nan, 0.0], [1.0, 1.0]])),
+        "matmul": (tanh, np.full(theta.size, 1e308), ones + 1.0),
+        "add": (linear, np.array([1.5e308, 1.5e308]), np.ones((3, 1))),
+        "theta": (tanh, nan_theta, ones),
+        "leaky_relu": (steep, np.array([-1e308, 0.0, 1.0, 0.0]), np.ones((3, 1))),
+    }
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("op", sorted(_failure_cases()))
+def test_kernel_names_the_op_that_forward_graph_names(op):
+    spec, theta, batch = _failure_cases()[op]
+    with pytest.raises(NonFiniteError) as graph_err:
+        forward_graph(spec, theta, batch)
+    with pytest.raises(NonFiniteError) as err:
+        mlp_forward(spec, theta, batch)
+    with pytest.raises(NonFiniteError) as work_err:
+        mlp_forward(spec, theta, batch, MlpWorkspace(spec, batch.shape[0]))
+    assert err.value.op == work_err.value.op == graph_err.value.op == op
+    if op != "theta":  # a ParamVector cannot hold a non-finite value
+        with pytest.raises(NonFiniteError) as err:
+            forward(spec, ParamVector(theta, spec.layout()), batch)
+        assert err.value.op == op
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_a_nonfinite_gradient_past_a_finite_forward_is_named_backward():
+    # tiny first-layer weights keep the forward finite; the backward pass then
+    # multiplies 1e10 inputs by a 1e308 output weight
+    d_spec = NetworkSpec(1, (1,), 1)
+    g_spec = NetworkSpec(1, (), 1)
+    theta_d = ParamVector(np.array([1e-300, 0.0, 1e308, 0.0]), d_spec.layout())
+    theta_g = ParamVector(np.array([1.0, 0.0]), g_spec.layout())
+    state = GanState(d_spec, g_spec, theta_d, theta_g, FGan(FGAN_FAMILIES["pearson_chi2"]))
+    real, latent = np.full((4, 1), 1e10), np.full((4, 1), 1e10)
+    assert np.isfinite(eval_objective(state, real, latent))
+    for fused in (value_and_grad_d, value_and_grad_g):
+        with pytest.raises(NonFiniteError) as err:
+            fused(state, theta_d, theta_g, real, latent)
+        assert err.value.op == "backward"
+
+
+# -- no graph replay -------------------------------------------------------------
+
+GRAPH_ORACLES = ("forward_graph", "value_graph", "input_grad_columns", "_sobolev_graph")
+
+
+def _forbid_graph_oracles(monkeypatch):
+    """Make each graph oracle raise in every proxgap module that holds it."""
+
+    def replayed(*args, **kwargs):
+        raise AssertionError("a fast path called a graph oracle")
+
+    patched = set()
+    for module in list(sys.modules.values()):
+        if not getattr(module, "__name__", "").startswith("proxgap"):
+            continue
+        for name in GRAPH_ORACLES:
+            if callable(getattr(module, name, None)):
+                monkeypatch.setattr(module, name, replayed)
+                patched.add(name)
+    assert patched == set(GRAPH_ORACLES)
+
+
+def _fast_paths(state, real, latent, theta_d):
+    """Every call that used to replay through the graph, at discriminator theta_d,
+    as name -> thunk; the prox step is anchored at the state's discriminator."""
+    step_fn = _gan_prox_step_fn(state, state.theta_d, state.theta_g, real, latent, 0.1, 1e-3)
+    theta_g = state.theta_g
+    return {
+        "forward": lambda: forward(state.d_spec, theta_d, real),
+        "eval_objective": lambda: eval_objective(state.with_params(theta_d), real, latent),
+        "value_and_grad_d": lambda: value_and_grad_d(state, theta_d, theta_g, real, latent),
+        "value_and_grad_g": lambda: value_and_grad_g(state, theta_d, theta_g, real, latent),
+        "prox_step": lambda: step_fn(theta_d),
+    }
+
+
+def _flat(result):
+    parts = result if isinstance(result, tuple) else (result,)
+    return [np.asarray(part) for part in parts]
+
+
+def test_fast_paths_return_their_values_without_the_graph(monkeypatch):
+    state = _state(Classic(), "tanh", seed=13)
+    rng = Rng(38)
+    real, latent = rng.normal((20, 2)), rng.normal((20, 3))
+    paths = _fast_paths(state, real, latent, state.theta_d)
+    expected = {name: _flat(call()) for name, call in paths.items()}
+    _forbid_graph_oracles(monkeypatch)
+    for name, call in _fast_paths(state, real, latent, state.theta_d).items():
+        for got, want in zip(_flat(call()), expected[name]):
+            np.testing.assert_array_equal(got, want, err_msg=name)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_fast_paths_name_failures_without_the_graph(monkeypatch):
+    _forbid_graph_oracles(monkeypatch)
+    state, real, latent, huge = _overflow_setup()
+    for name, call in _fast_paths(state, real, latent, huge).items():
+        with pytest.raises(NonFiniteError) as err:
+            call()
+        assert err.value.op == "matmul", name
+    step_fn = _gan_prox_step_fn(state, state.theta_d, state.theta_g, real, latent, 0.1, 1e-3)
+    landing = iter([state.theta_d, huge])
+    with pytest.raises(ProxDivergenceError, match="inner step 1") as err:
+        _prox_loop(step_fn, state.theta_d, lambda theta: next(landing),
+                   ProximalConfig(lam=0.1, prox_steps=3))
+    assert err.value.__cause__.op == "matmul"
+
+    kl = _kl_overflow_state()
+    real, latent = np.full((8, 2), 30.0), np.full((8, 3), 30.0)
+    for name, call in _fast_paths(kl, real, latent, kl.theta_d).items():
+        if name == "forward":  # the network outputs are finite; the objective overflows
+            continue
+        with pytest.raises(NonFiniteError) as err:
+            call()
+        assert err.value.op == "exp", name
 
 
 # -- the reused workspace --------------------------------------------------------

@@ -196,6 +196,26 @@ def test_load_checkpoint_rejects_missing_and_misshapen_arrays(tiny_run, tmp_path
         load_checkpoint(dst.with_suffix(".npz"))
 
 
+@pytest.mark.parametrize("tamper", [
+    lambda names: names[:-1],
+    lambda names: names + ["extra"],
+    lambda names: names[1:] + names[:1],
+    None,
+], ids=["dropped", "added", "reordered", "missing"])
+def test_load_checkpoint_rejects_a_sidecar_with_other_arrays(tiny_run, tmp_path, tamper):
+    src = tiny_run / "checkpoint_000020"
+    sidecar = json.loads(src.with_suffix(".json").read_text())
+    if tamper is None:
+        del sidecar["arrays"]
+    else:
+        sidecar["arrays"] = tamper(sidecar["arrays"])
+    dst = tmp_path / "checkpoint_000020"
+    dst.with_suffix(".npz").write_bytes(src.with_suffix(".npz").read_bytes())
+    dst.with_suffix(".json").write_text(json.dumps(sidecar))
+    with pytest.raises(ValueError, match="sidecar .* lists arrays"):
+        load_checkpoint(dst.with_suffix(".npz"))
+
+
 def test_gap_cmd_on_checkpoint(tiny_run):
     report = gap_cmd(tiny_run / "checkpoint_000040.npz")
     assert report.dg_lambda == report.v_dw - report.v_gw_lambda

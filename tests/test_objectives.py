@@ -16,7 +16,6 @@ from proxgap.objectives import (
     enforce_constraint,
     eval_objective,
     fenchel_identity_residual,
-    optimal_classic_discriminator,
     value_and_grad_d,
 )
 from proxgap.oracles import numeric_jsd
@@ -85,13 +84,6 @@ def test_one_adam_ascent_step_increases_classic_value(seed):
     new_d, _ = adam_step(state.theta_d, -grad, adam)
     v1 = eval_objective(state.with_params(theta_d=new_d), real, latent)
     assert v1 > v0
-
-
-def test_optimal_classic_discriminator_values():
-    assert optimal_classic_discriminator(0.3, 0.3) == pytest.approx(0.5)
-    assert optimal_classic_discriminator(0.7, 0.0) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        optimal_classic_discriminator(0.0, 0.0)
 
 
 def test_optimal_discriminator_attains_divergence_value():

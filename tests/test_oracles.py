@@ -348,21 +348,6 @@ def test_w1_rejects_empty():
         wasserstein1_1d([], [1.0])
 
 
-def test_export_gap_table(tmp_path):
-    from proxgap.oracles import export_gap_table
-    path = export_gap_table(tmp_path / "gaps.csv", bilinear(),
-                            [(np.array([1.0]), np.array([1.0])),
-                             (np.array([0.0]), np.array([0.0]))],
-                            [0.1, 0.0], GridSpec(201))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "game,d,g,lambda,dg_lambda,dg_plain"
-    assert len(lines) == 5  # two configurations x two lambdas
-    first = lines[1].split(",")
-    assert first[0] == "bilinear"
-    assert float(first[3]) == 0.0  # lambdas sorted ascending
-    assert float(lines[2].split(",")[4]) == pytest.approx(1.1, abs=1e-6)
-
-
 # -- toy derivatives ---------------------------------------------------------
 
 
