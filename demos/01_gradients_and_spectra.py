@@ -58,7 +58,7 @@ print("=" * 60)
 print("3. leading Hessian eigenvalues without forming the Hessian")
 print("=" * 60)
 h = 1e-4 * (1.0 + np.linalg.norm(theta.values))
-result = top_k_eigenvalues(lambda v: hvp(mse, theta, v, h),
+result = top_k_eigenvalues(lambda v: hvp(lambda th: grad_params(mse, th), theta, v, h),
                            dim=spec.param_count, k=4, rng=rng.child(2))
 print("block Lanczos    :", [f"{v:+.4f}" for v in result.values])
 

@@ -3,7 +3,6 @@
 from .engine import (
     NonFiniteError,
     Tensor,
-    as_tensor,
     exp,
     finite_diff_grad,
     grad_params,
@@ -38,7 +37,6 @@ __all__ = [
     "Tensor",
     "adam_init",
     "adam_step",
-    "as_tensor",
     "exp",
     "finite_diff_grad",
     "finite_value_and_grad",

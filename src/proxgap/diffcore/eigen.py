@@ -6,21 +6,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import grad_params, _param_values
+from .engine import _param_values
 from .rng import Rng
 
 
-def hvp(loss, params, v, h: float) -> np.ndarray:
-    """Hessian-vector product by a central difference of exact gradients."""
+def hvp(grad_fn, params, v, h: float) -> np.ndarray:
+    """Hessian-vector product (grad_fn(theta + h v) - grad_fn(theta - h v)) / 2h of
+    an exact gradient function of a flat parameter array; ``params`` holds theta."""
     v = np.asarray(v, dtype=np.float64)
     if np.linalg.norm(v) <= 1e-10:
         raise ValueError("direction vector must have nonzero norm")
     if h <= 0:
         raise ValueError("h must be positive")
     base = _param_values(params)
-    g_up = grad_params(loss, base + h * v)
-    g_down = grad_params(loss, base - h * v)
-    return (g_up - g_down) / (2.0 * h)
+    return (grad_fn(base + h * v) - grad_fn(base - h * v)) / (2.0 * h)
 
 
 @dataclass(frozen=True)
@@ -32,7 +31,7 @@ class EigenResult:
 
 
 def top_k_eigenvalues(hvp_fn, dim: int, k: int, max_iters: int = 1000,
-                      tol: float = 1e-9, rng: Rng = None) -> EigenResult:
+                      tol: float = 1e-9, *, rng: Rng) -> EigenResult:
     """Top-k eigenvalues (by |lambda|) of a symmetric operator given as v -> Av.
 
     Block Lanczos with block size k and full reorthogonalization.  The basis
@@ -50,8 +49,6 @@ def top_k_eigenvalues(hvp_fn, dim: int, k: int, max_iters: int = 1000,
     max(max_iters, k) operator calls.  A Ritz vector on which the operator
     output vanishes is a breakdown, flagged unconverged with value 0.
     """
-    if rng is None:
-        raise ValueError("an Rng is required for reproducible starts")
     if k > dim:
         raise ValueError("k cannot exceed the operator dimension")
     limit = min(dim, max(max_iters, k))

@@ -69,6 +69,8 @@ class ProximalConfig:
     batch_size: int = 128
 
     def __post_init__(self):
+        if not np.isfinite([self.lam, self.prox_lr, self.worst_lr, self.sobolev_h]).all():
+            raise ValueError("lam, prox_lr, worst_lr and sobolev_h must be finite")
         if self.lam < 0:
             raise ValueError("lam must be nonnegative")
         if self.prox_steps < 1 or self.worst_iters < 0 or self.batch_size < 1:
@@ -249,7 +251,8 @@ def _gan_prox_step_fn(state, anchor, theta_g, real, latent, lam, h):
 
     Each call runs one fused forward and one backward over the real rows, the
     generated rows and the 2 * dim stencil rows stacked together;
-    ``objective_from_outputs`` minus ``_sobolev_graph`` is its graph oracle.
+    ``objective_from_outputs`` minus ``_sobolev_graph`` is its graph oracle,
+    and a failure carries the op name that oracle gives.
     """
     real = np.asarray(real, dtype=np.float64)
     latent = np.asarray(latent, dtype=np.float64)
@@ -274,7 +277,12 @@ def _gan_prox_step_fn(state, anchor, theta_g, real, latent, lam, h):
             # the stencil outputs as (coordinate, +/- shift, row)
             stencil = out[n_obj:, 0].reshape(spec.input_dim, 2, n)
             columns = central_difference(stencil[:, 0], stencil[:, 1], h)[:, :, None]
-            value = value - lam * _sobolev_sum(columns, anchor_grads)
+            penalized = value - lam * _sobolev_sum(columns, anchor_grads)
+            if not np.isfinite(penalized):  # a leaf-Tensor replay raises the oracle's op
+                value - lam * _sobolev_sum([central_difference(Tensor(up[:, None]),
+                                                               Tensor(down[:, None]), h)
+                                            for up, down in stencil], anchor_grads)
+            value = penalized
             # d/dcolumn_j of -lam * mean_i (column_j - anchor_j)^2, through the
             # stencil scaling to the + and - outputs
             diff = columns[:, :, 0] - anchor_grads.T
@@ -307,7 +315,7 @@ def _prox_loop(step_fn, anchor, project, cfg: ProximalConfig):
             _, grad = step_fn(theta)
         except NonFiniteError as err:
             raise ProxDivergenceError(
-                f"penalized ascent diverged at inner step {j}") from err
+                f"penalized ascent diverged at inner step {j}: {err}") from err
         theta = project(_axpy(theta, lr, grad))
     return theta
 

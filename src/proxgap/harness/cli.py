@@ -6,6 +6,8 @@ import argparse
 import json
 import sys
 
+from ..diffcore import NonFiniteError
+from ..gapmetrics import ProxDivergenceError
 from .config import ConfigError, load_config, with_overrides
 from .runner import (
     correlate,
@@ -167,6 +169,9 @@ def main(argv=None) -> int:
     except (ConfigError, FileNotFoundError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except (NonFiniteError, ProxDivergenceError) as err:  # names the inner step and op
+        print(f"error: {err}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -93,6 +93,9 @@ class ExperimentConfig:
         for name in ("lr_d", "lr_g"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"optim.{name} must lie in [0, 1)")
         if self.total_steps < 0 or self.train_batch < 1:
             raise ConfigError("steps must be nonnegative and batch positive")
         if self.checkpoint_interval < 1:
@@ -127,6 +130,14 @@ def _rows(s: str) -> np.ndarray:
     return np.array([_floats(part) for part in s.split(";") if part.strip()])
 
 
+def _finite(pairs: dict, key: str, parse=float):
+    """``pairs[key]`` read by ``parse``; every number in it must be finite."""
+    value = parse(pairs[key])
+    if not np.isfinite(value).all():
+        raise ConfigError(f"{key} must be finite, got {pairs[key]!r}")
+    return value
+
+
 def config_from_pairs(pairs: dict) -> ExperimentConfig:
     unknown = set(pairs) - set(DEFAULTS)
     if unknown:
@@ -136,12 +147,12 @@ def config_from_pairs(pairs: dict) -> ExperimentConfig:
 
     kind = merged["distribution.kind"]
     if kind == "gmm":
-        dist = GaussianMixture(_floats(merged["distribution.weights"]),
-                               _rows(merged["distribution.means"]),
-                               _rows(merged["distribution.variances"]))
+        dist = GaussianMixture(_finite(merged, "distribution.weights", _floats),
+                               _finite(merged, "distribution.means", _rows),
+                               _finite(merged, "distribution.variances", _rows))
     elif kind == "ring":
-        dist = ring_mixture(int(merged["ring.modes"]), float(merged["ring.radius"]),
-                            float(merged["ring.sigma"]))
+        dist = ring_mixture(int(merged["ring.modes"]), _finite(merged, "ring.radius"),
+                            _finite(merged, "ring.sigma"))
     else:
         raise ConfigError(f"unknown distribution kind {kind!r}")
 
@@ -149,7 +160,7 @@ def config_from_pairs(pairs: dict) -> ExperimentConfig:
     if obj_kind == "classic":
         objective: ObjectiveKind = Classic()
     elif obj_kind == "wgan_clip":
-        objective = WassersteinClip(float(merged["objective.clip"]))
+        objective = WassersteinClip(_finite(merged, "objective.clip"))
     elif obj_kind == "fgan":
         family = merged["objective.family"]
         if family not in FGAN_FAMILIES:
@@ -162,10 +173,10 @@ def config_from_pairs(pairs: dict) -> ExperimentConfig:
     d_spec = NetworkSpec(dist.dimension, _ints(merged["disc.hidden"]), 1,
                          activation=merged["disc.activation"],
                          output_head="sigmoid" if obj_kind == "classic" else "linear",
-                         leaky_slope=float(merged["disc.leaky_slope"]))
+                         leaky_slope=_finite(merged, "disc.leaky_slope"))
     g_spec = NetworkSpec(latent.dim, _ints(merged["gen.hidden"]), dist.dimension,
                          activation=merged["gen.activation"],
-                         leaky_slope=float(merged["gen.leaky_slope"]))
+                         leaky_slope=_finite(merged, "gen.leaky_slope"))
 
     total_steps = int(merged["train.steps"])
     interval_raw = merged["train.checkpoint_every"].strip()
@@ -178,12 +189,12 @@ def config_from_pairs(pairs: dict) -> ExperimentConfig:
     merged["train.checkpoint_every"] = str(interval)
 
     prox = ProximalConfig(
-        lam=float(merged["prox.lambda"]),
+        lam=_finite(merged, "prox.lambda"),
         prox_steps=int(merged["prox.steps"]),
-        prox_lr=float(merged["prox.lr"]),
+        prox_lr=_finite(merged, "prox.lr"),
         worst_iters=int(merged["prox.worst_iters"]),
-        worst_lr=float(merged["prox.worst_lr"]),
-        sobolev_h=float(merged["prox.sobolev_h"]),
+        worst_lr=_finite(merged, "prox.worst_lr"),
+        sobolev_h=_finite(merged, "prox.sobolev_h"),
         batch_size=int(merged["prox.batch"]),
     )
 
@@ -193,10 +204,10 @@ def config_from_pairs(pairs: dict) -> ExperimentConfig:
         d_spec=d_spec,
         g_spec=g_spec,
         objective=objective,
-        lr_d=float(merged["optim.lr_d"]),
-        lr_g=float(merged["optim.lr_g"]),
-        beta1=float(merged["optim.beta1"]),
-        beta2=float(merged["optim.beta2"]),
+        lr_d=_finite(merged, "optim.lr_d"),
+        lr_g=_finite(merged, "optim.lr_g"),
+        beta1=_finite(merged, "optim.beta1"),
+        beta2=_finite(merged, "optim.beta2"),
         update_ratio=int(merged["train.ratio"]),
         total_steps=total_steps,
         checkpoint_interval=interval,

@@ -154,28 +154,19 @@ def check_clip_box(objective, theta_d):
         raise ClipBoxError("discriminator parameters outside the clip box")
 
 
-def objective_from_outputs(objective: ObjectiveKind, d_real, d_fake):
-    """V from the discriminator's outputs on real and generated points.
-
-    Works on Tensors (differentiable) and plain arrays alike; callers decide
-    which side of the game carries gradients by what they pass in.
-    """
+def objective_from_outputs(objective: ObjectiveKind, d_real: Tensor, d_fake: Tensor) -> Tensor:
+    """V as a scalar Tensor from the discriminator's outputs on real and generated
+    points: leaf Tensors over kernel outputs, or the oracle's ``forward_graph`` nodes."""
     if isinstance(objective, Classic):
-        pr = d_real.clamp(EPS_LOG, 1.0 - EPS_LOG) if isinstance(d_real, Tensor) \
-            else np.clip(d_real, EPS_LOG, 1.0 - EPS_LOG)
-        pf = d_fake.clamp(EPS_LOG, 1.0 - EPS_LOG) if isinstance(d_fake, Tensor) \
-            else np.clip(d_fake, EPS_LOG, 1.0 - EPS_LOG)
-        return _mean(log(pr)) + _mean(log(1.0 - pf))
+        pr = d_real.clamp(EPS_LOG, 1.0 - EPS_LOG)
+        pf = d_fake.clamp(EPS_LOG, 1.0 - EPS_LOG)
+        return pr.log().mean() + (1.0 - pf).log().mean()
     if isinstance(objective, WassersteinClip):
-        return _mean(d_real) - _mean(d_fake)
+        return d_real.mean() - d_fake.mean()
     fam = objective.family
     t_real = fam.output_map(d_real)
     t_fake = fam.output_map(d_fake)
-    return _mean(t_real) - _mean(fam.f_star(t_fake))
-
-
-def _mean(x):
-    return x.mean() if isinstance(x, Tensor) else float(np.mean(x))
+    return t_real.mean() - fam.f_star(t_fake).mean()
 
 
 def value_graph(state: GanState, theta_d, theta_g, real_batch, latent_batch):

@@ -13,13 +13,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .diffcore import (
+    MlpWorkspace,
     Rng,
-    Tensor,
     adam_init,
     adam_step,
+    finite_value_and_grad,
     forward,
-    forward_graph,
     hvp,
+    mlp_backward,
+    mlp_forward,
     top_k_eigenvalues,
 )
 from .distributions import DataSplits
@@ -28,9 +30,8 @@ from .objectives import (
     GanState,
     check_clip_box,
     eval_objective,
-    objective_from_outputs,
+    output_grads,
     value_and_grad_g,
-    value_graph,
 )
 from .oracles import jsd_from_samples, toy_value, toy_value_and_grad
 
@@ -80,13 +81,14 @@ class SpectrumReport:
     converged: tuple
 
     def __post_init__(self):
-        lams = np.array(self.eigenvalues)
-        if self.agent == GENERATOR:
-            expect = bool(np.all(lams >= -self.tolerance))
-        else:
-            expect = bool(np.all(lams <= self.tolerance))
-        if expect != self.nash_consistent:
+        if _nash_consistent(self.agent, self.eigenvalues, self.tolerance) != self.nash_consistent:
             raise ValueError("nash_consistent flag contradicts the eigenvalues")
+
+
+def _nash_consistent(agent: str, eigenvalues, tol: float) -> bool:
+    """The local Nash sign pattern at tolerance tol: V convex in G, concave in D."""
+    lams = np.array(eigenvalues)
+    return bool(np.all(lams >= -tol) if agent == GENERATOR else np.all(lams <= tol))
 
 
 def unilateral_deviation(state, splits: DataSplits | None, steps: int, lr: float,
@@ -114,20 +116,18 @@ def unilateral_deviation(state, splits: DataSplits | None, steps: int, lr: float
             return v, jsd_from_samples(eval_real, fake, bins=bins, box=box)
 
         g = state.theta_g
-        n_params = len(g)
     elif isinstance(state, ToyGameState):
         def eval_point(g_vec):
             return toy_value(state.game, state.d, g_vec), None
 
         g = state.g.copy()
-        n_params = g.size
     else:
         raise TypeError(f"cannot probe {type(state).__name__}")
 
     points = []
     v0, div0 = eval_point(g)
     points.append(TracePoint(0, v0, div0))
-    adam = adam_init(n_params, lr)
+    adam = adam_init(len(g), lr)
     for step in range(1, steps + 1):
         if is_gan:
             idx = rng.integers(0, splits.s_a.shape[0], min(128, splits.s_a.shape[0]))
@@ -145,43 +145,38 @@ def unilateral_deviation(state, splits: DataSplits | None, steps: int, lr: float
 
 
 def hessian_spectrum_probe(state, splits: DataSplits | None, agent: str, k: int,
-                           rng: Rng, tol: float = 1e-3, max_iters: int = 2000,
-                           eig_tol: float | None = None) -> SpectrumReport:
+                           rng: Rng, tol: float = 1e-3) -> SpectrumReport:
     """Top-k eigenvalues (by magnitude) of the objective's Hessian w.r.t. one agent.
 
     At a pure Nash point the objective is locally concave in the
     discriminator and convex in the generator, so ``nash_consistent`` checks
     the corresponding sign pattern at tolerance ``tol``.  The Hessian-vector
-    product is a central difference with step h, so a Ritz pair's relative
-    residual cannot fall much below h^2; ``eig_tol`` defaults to 100 h^2.
+    product is a central difference of the agent's exact gradient with step h,
+    so a Ritz pair's relative residual cannot fall much below h^2; block
+    Lanczos stops at a residual of 100 h^2, or after 2000 products.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     if agent not in (GENERATOR, DISCRIMINATOR):
         raise ValueError(f"unknown agent {agent!r}")
     if isinstance(state, GanState):
-        loss, params = _gan_agent_loss(state, splits, agent, rng)
+        grad_fn, theta = _gan_agent_grad(state, splits, agent, rng)
     elif isinstance(state, ToyGameState):
-        loss, params = _toy_agent_loss(state, agent)
+        grad_fn, theta = _toy_agent_grad(state, agent)
     else:
         raise TypeError(f"cannot probe {type(state).__name__}")
-    theta = np.asarray(getattr(params, "values", params), dtype=np.float64)
     h = 1e-4 * (1.0 + np.linalg.norm(theta))
-    if eig_tol is None:
-        eig_tol = 100.0 * h * h
-    result = top_k_eigenvalues(lambda v: hvp(loss, params, v, h),
-                               dim=theta.size, k=k, max_iters=max_iters,
-                               tol=eig_tol, rng=rng.child(1))
-    lams = np.array(result.values)
-    if agent == GENERATOR:
-        consistent = bool(np.all(lams >= -tol))
-    else:
-        consistent = bool(np.all(lams <= tol))
-    return SpectrumReport(tuple(result.values), agent, consistent, tol,
-                          tuple(result.converged))
+    result = top_k_eigenvalues(lambda v: hvp(grad_fn, theta, v, h),
+                               dim=theta.size, k=k, max_iters=2000,
+                               tol=100.0 * h * h, rng=rng.child(1))
+    return SpectrumReport(result.values, agent, _nash_consistent(agent, result.values, tol),
+                          tol, result.converged)
 
 
-def _gan_agent_loss(state: GanState, splits, agent, rng: Rng):
+def _gan_agent_grad(state: GanState, splits, agent, rng: Rng):
+    """(theta -> the agent's kernel gradient of V on the probe batch, the agent's
+    parameter array); the other agent stays frozen, so the discriminator's
+    generated rows are computed once."""
     if splits is None:
         raise ValueError("GAN probes require data splits")
     if state.d_spec.activation != "tanh" or state.g_spec.activation != "tanh":
@@ -189,35 +184,27 @@ def _gan_agent_loss(state: GanState, splits, agent, rng: Rng):
     n = min(PROBE_BATCH, splits.s_c.shape[0])
     real = splits.s_c[:n]
     latent = rng.child(0).normal((n, state.latent_dim))
+    # the box is checked once, at the state, never at theta_d +/- h v: a
+    # clipped critic sits on the box edge, which those perturbations cross
     check_clip_box(state.objective, state.theta_d)
     if agent == GENERATOR:
-        def loss(theta_g):
-            return value_graph(state, state.theta_d, theta_g, real, latent)
+        return (lambda theta_g: value_and_grad_g(state, state.theta_d, theta_g,
+                                                 real, latent)[1]), state.theta_g.values
 
-        return loss, state.theta_g
+    rows = np.vstack([real, forward(state.g_spec, state.theta_g, latent)])
+    work = MlpWorkspace(state.d_spec, rows.shape[0])
 
-    fake = forward(state.g_spec, state.theta_g, latent)
+    def grad_d(theta_d):
+        out, cache = mlp_forward(state.d_spec, theta_d, rows, work)
+        value, grad_out = output_grads(state.objective, out, n)
+        return finite_value_and_grad(
+            value, mlp_backward(state.d_spec, theta_d, cache, grad_out)[0])[1]
 
-    def loss(theta_d):
-        d_real = forward_graph(state.d_spec, theta_d, real)
-        d_fake = forward_graph(state.d_spec, theta_d, fake)
-        return objective_from_outputs(state.objective, d_real, d_fake)
-
-    return loss, state.theta_d
+    return grad_d, state.theta_d.values
 
 
-def _toy_agent_loss(state: ToyGameState, agent):
-    # the game value as a custom-gradient node backed by the central-difference
-    # oracle; exact for the shipped polynomial games
+def _toy_agent_grad(state: ToyGameState, agent):
+    # the stacked central-difference toy gradient, exact for the shipped polynomial games
     if agent == GENERATOR:
-        value_and_grad = lambda vec: toy_value_and_grad(state.game, state.d, vec, "g")
-        params = state.g.copy()
-    else:
-        value_and_grad = lambda vec: toy_value_and_grad(state.game, vec, state.g, "d")
-        params = state.d.copy()
-
-    def loss(theta: Tensor):
-        value, grad = value_and_grad(theta.data)
-        return Tensor(value, (theta,), lambda g: (float(g) * grad,), "toy_value")
-
-    return loss, params
+        return (lambda g: toy_value_and_grad(state.game, state.d, g, "g")[1]), state.g
+    return (lambda d: toy_value_and_grad(state.game, d, state.g, "d")[1]), state.d

@@ -10,6 +10,7 @@ from proxgap.diffcore import (
     adam_step,
     forward,
     forward_graph,
+    grad_params,
     hvp,
     init_network,
     input_grad_batch,
@@ -212,14 +213,15 @@ def _quadratic_loss(a):
 
 def test_hvp_diagonal_quadratic():
     pv = ParamVector(np.array([0.3, -0.2]), {"w": (0, 2)})
-    out = hvp(_quadratic_loss([2.0, -1.0]), pv, np.array([1.0, 1.0]), h=1e-4)
+    loss = _quadratic_loss([2.0, -1.0])
+    out = hvp(lambda th: grad_params(loss, th), pv, np.array([1.0, 1.0]), h=1e-4)
     assert np.allclose(out, [2.0, -1.0], atol=1e-8)
 
 
 def test_hvp_rejects_tiny_direction():
     pv = ParamVector(np.array([0.0]), {"w": (0, 1)})
     with pytest.raises(ValueError):
-        hvp(_quadratic_loss([1.0]), pv, np.array([1e-12]), h=1e-4)
+        hvp(lambda th: grad_params(_quadratic_loss([1.0]), th), pv, np.array([1e-12]), h=1e-4)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -235,8 +237,8 @@ def test_hvp_symmetry_on_tanh_nets(seed):
 
     u = rng.normal(spec.param_count)
     v = rng.normal(spec.param_count)
-    hu = hvp(loss, params, u, h=1e-4)
-    hv = hvp(loss, params, v, h=1e-4)
+    hu = hvp(lambda th: grad_params(loss, th), params, u, h=1e-4)
+    hv = hvp(lambda th: grad_params(loss, th), params, v, h=1e-4)
     asym = abs(u @ hv - v @ hu)
     assert asym < 1e-5 * np.linalg.norm(u) * np.linalg.norm(v)
 

@@ -4,8 +4,8 @@ Every fast path in the hot loop (``mlp_forward``/``mlp_backward``, the fused
 ``value_and_grad_d/g``, the fused penalized prox step) is pinned here to the
 graph engine's value and reverse-mode gradient to 1e-12 relative, and the
 kernel on a reused workspace to the kernel on fresh buffers bit for bit.  The
-fast paths never call the graph, not even to name a failure: the kernel names
-a failed op as the graph would.
+fast paths and the spectrum probe never call a graph oracle, not even to name
+a failure: the kernel names a failed op as the graph would.
 """
 
 import sys
@@ -29,9 +29,11 @@ from proxgap.diffcore import (
     mlp_backward,
     mlp_forward,
 )
+from proxgap.distributions import GaussianMixture, make_splits
 from proxgap.gapmetrics import (
     ProxDivergenceError,
     ProximalConfig,
+    ToyGameState,
     _gan_prox_step_fn,
     _prox_loop,
     _sobolev_graph,
@@ -49,6 +51,8 @@ from proxgap.objectives import (
     value_and_grad_g,
     value_graph,
 )
+from proxgap.oracles import concave_quadratic
+from proxgap.probes import DISCRIMINATOR, GENERATOR, hessian_spectrum_probe
 
 TOL = 1e-12
 ACTIVATIONS = ("tanh", "relu", "leaky_relu")
@@ -302,9 +306,40 @@ def test_a_nonfinite_gradient_past_a_finite_forward_is_named_backward():
         assert err.value.op == "backward"
 
 
+def _sobolev_overflow_case():
+    """A linear critic whose objective stays finite at weight 1e305 while the
+    Sobolev penalty against a zero-weight anchor squares 1e305."""
+    spec = NetworkSpec(1, (), 1)
+    state = GanState(spec, NetworkSpec(1, (), 1), ParamVector([0.0, 0.0], spec.layout()),
+                     ParamVector([1.0, 0.0], spec.layout()), WassersteinClip(1e306))
+    real, latent = np.linspace(-1.0, 1.0, 8)[:, None], np.linspace(0.0, 1.0, 8)[:, None]
+    step_fn = _gan_prox_step_fn(state, state.theta_d, state.theta_g, real, latent, 0.1, 1e-3)
+    return state, real, latent, step_fn, state.theta_d.with_values([1e305, 0.0])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_a_sobolev_penalty_overflow_is_named_by_the_graph():
+    state, real, latent, step_fn, theta = _sobolev_overflow_case()
+    fake = forward(state.g_spec, state.theta_g, latent)
+    anchor_grads = input_grad_batch(state.d_spec, state.theta_d, real, 1e-3)
+
+    def penalized(t):
+        value = objective_from_outputs(state.objective, forward_graph(state.d_spec, t, real),
+                                       forward_graph(state.d_spec, t, fake))
+        return value - 0.1 * _sobolev_graph(state.d_spec, t, anchor_grads, real, 1e-3)
+
+    assert np.isfinite(eval_objective(state.with_params(theta), real, latent))
+    with pytest.raises(NonFiniteError) as graph_err:
+        grad_params(penalized, theta)
+    with pytest.raises(NonFiniteError) as err:
+        step_fn(theta)
+    assert err.value.op == graph_err.value.op == "mul"
+
+
 # -- no graph replay -------------------------------------------------------------
 
-GRAPH_ORACLES = ("forward_graph", "value_graph", "input_grad_columns", "_sobolev_graph")
+GRAPH_ORACLES = ("forward_graph", "value_graph", "input_grad_columns", "_sobolev_graph",
+                 "grad_params")
 
 
 def _forbid_graph_oracles(monkeypatch):
@@ -378,6 +413,23 @@ def test_fast_paths_name_failures_without_the_graph(monkeypatch):
         with pytest.raises(NonFiniteError) as err:
             call()
         assert err.value.op == "exp", name
+
+    _, _, _, step_fn, theta = _sobolev_overflow_case()
+    with pytest.raises(NonFiniteError) as err:
+        step_fn(theta)
+    assert err.value.op == "mul"
+
+
+@pytest.mark.parametrize("agent", [GENERATOR, DISCRIMINATOR])
+def test_spectrum_probe_runs_without_the_graph(monkeypatch, agent):
+    dist = GaussianMixture([1.0], [[0.0, 0.0]], [[1.0, 1.0]])
+    cases = ((_state(Classic(), "tanh", seed=13), make_splits(dist, 200, 100, 100, Rng(39)), 2),
+             (ToyGameState(concave_quadratic(), [0.3], [-0.2]), None, 1))
+    expected = [hessian_spectrum_probe(state, splits, agent, k, Rng(40))
+                for state, splits, k in cases]
+    _forbid_graph_oracles(monkeypatch)
+    for (state, splits, k), want in zip(cases, expected):
+        assert hessian_spectrum_probe(state, splits, agent, k, Rng(40)) == want
 
 
 # -- the reused workspace --------------------------------------------------------

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from proxgap.gapmetrics import ProximalConfig
 from proxgap.harness import (
     ConfigError,
     compare_metrics_csv,
@@ -78,6 +79,39 @@ def test_config_wgan_gets_linear_head():
     cfg = config_from_text("objective.kind = wgan_clip\nobjective.clip = 0.01")
     assert cfg.d_spec.output_head == "linear"
     assert isinstance(cfg.objective, WassersteinClip)
+
+
+@pytest.mark.parametrize("text,key", [
+    ("prox.lambda = nan", "prox.lambda"),
+    ("prox.lr = inf", "prox.lr"),
+    ("prox.worst_lr = nan", "prox.worst_lr"),
+    ("prox.sobolev_h = inf", "prox.sobolev_h"),
+    ("optim.lr_d = nan", "optim.lr_d"),
+    ("optim.lr_g = inf", "optim.lr_g"),
+    ("optim.beta1 = nan", "optim.beta1"),
+    ("optim.beta2 = -inf", "optim.beta2"),
+    ("objective.kind = wgan_clip\nobjective.clip = nan", "objective.clip"),
+    ("disc.leaky_slope = nan", "disc.leaky_slope"),
+    ("gen.leaky_slope = inf", "gen.leaky_slope"),
+    ("distribution.kind = ring\nring.sigma = nan", "ring.sigma"),
+    ("distribution.kind = ring\nring.radius = inf", "ring.radius"),
+    ("distribution.weights = 0.5 nan", "distribution.weights"),
+    ("distribution.means = -1.5 0; inf 0", "distribution.means"),
+    ("distribution.variances = 0.0625 nan; 0.0625 0.0625", "distribution.variances"),
+    ("optim.beta1 = 1.0", "optim.beta1"),
+    ("optim.beta2 = 1.5", "optim.beta2"),
+    ("optim.beta1 = -0.1", "optim.beta1"),
+])
+def test_config_rejects_nonfinite_and_out_of_range_floats(text, key):
+    with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+        config_from_text(text)
+
+
+@pytest.mark.parametrize("field", ["lam", "prox_lr", "worst_lr", "sobolev_h"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_proximal_config_rejects_nonfinite_values(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        ProximalConfig(**{field: value})
 
 
 def test_config_ring_distribution():
@@ -337,6 +371,52 @@ def test_cli_unknown_probe_kind_is_usage_error(tiny_run):
     with pytest.raises(SystemExit):
         main(["probe", "--checkpoint", str(tiny_run / "checkpoint_000040.npz"),
               "--kind", "teleport"])
+
+
+def test_cli_rejects_a_nonfinite_lambda(tiny_run, capsys):
+    ckpt = str(tiny_run / "checkpoint_000040.npz")
+    assert main(["gap", "--checkpoint", ckpt, "--lambda", "nan"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def _checkpoint_with(tmp_path, cfg, theta_d, theta_g):
+    """A step-0 checkpoint of ``cfg`` holding the given parameter values."""
+    from proxgap.diffcore import Rng, adam_init
+    from proxgap.harness import runner
+    state, _ = runner.build_state(cfg, Rng(cfg.seed))
+    state = state.with_params(state.theta_d.with_values(theta_d),
+                              state.theta_g.with_values(theta_g))
+    return str(runner.save_checkpoint(
+        tmp_path / "checkpoint_000000", cfg, state, adam_init(len(theta_d), cfg.lr_d),
+        adam_init(len(theta_g), cfg.lr_g), 0, Rng(0).state))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_cli_names_an_estimator_failure_without_a_traceback(tmp_path, capsys):
+    # a discriminator that overflows the kernel's first matmul
+    cfg = tiny_cfg(tmp_path / "unused")
+    path = _checkpoint_with(tmp_path, cfg, np.full(cfg.d_spec.param_count, 1e308),
+                            np.zeros(cfg.g_spec.param_count))
+    for argv in (["gap", "--checkpoint", path],
+                 ["lambda-sweep", "--checkpoint", path, "--lambda", "0.1"],
+                 ["probe", "--checkpoint", path, "--kind", "spectrum", "--k", "1"],
+                 ["probe", "--checkpoint", path, "--kind", "deviation", "--steps", "0"]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: non-finite values produced by op 'matmul'\n"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_cli_names_the_inner_step_of_a_diverged_ascent(tmp_path, capsys):
+    # linear nets: the critic's first ascent step on 1e300-scale generated rows
+    # lands on a weight that overflows the next step's matmul
+    cfg = config_from_text(TINY + "objective.kind = wgan_clip\nobjective.clip = 1e306\n"
+                                  "disc.hidden =\ngen.hidden =\nprox.worst_iters = 2\n")
+    path = _checkpoint_with(tmp_path, cfg, np.ones(cfg.d_spec.param_count),
+                            np.full(cfg.g_spec.param_count, 1e300))
+    assert main(["gap", "--checkpoint", path]) == 1
+    assert capsys.readouterr().err == (
+        "error: penalized ascent diverged at inner step 1: "
+        "non-finite values produced by op 'matmul'\n")
 
 
 def test_cli_missing_config_reports_error(tmp_path):

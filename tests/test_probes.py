@@ -1,17 +1,34 @@
 import numpy as np
 import pytest
 
-from proxgap.diffcore import NetworkSpec, Rng, hvp, init_network
+from proxgap.diffcore import (
+    NetworkSpec,
+    Rng,
+    forward,
+    forward_graph,
+    grad_params,
+    hvp,
+    init_network,
+)
 from proxgap.distributions import GaussianMixture, make_splits
 from proxgap.gapmetrics import ToyGameState
-from proxgap.objectives import Classic, GanState
+from proxgap.objectives import (
+    Classic,
+    GanState,
+    WassersteinClip,
+    enforce_constraint,
+    objective_from_outputs,
+    value_graph,
+)
 from proxgap.oracles import ToyGame, bilinear
 from proxgap.probes import (
     DISCRIMINATOR,
     GENERATOR,
+    PROBE_BATCH,
     DeviationTrace,
     SpectrumReport,
     TracePoint,
+    _gan_agent_grad,
     hessian_spectrum_probe,
     unilateral_deviation,
 )
@@ -125,18 +142,64 @@ def test_spectrum_discriminator_sign_convention():
     assert report.nash_consistent is True
 
 
+def _graph_agent_grad(state, splits, agent, rng):
+    """The graph oracle of ``probes._gan_agent_grad``: ``grad_params`` over the
+    objective's graph on the same probe batch, the other agent frozen."""
+    n = min(PROBE_BATCH, splits.s_c.shape[0])
+    real = splits.s_c[:n]
+    latent = rng.child(0).normal((n, state.latent_dim))
+    if agent == GENERATOR:
+        return lambda th: grad_params(
+            lambda t: value_graph(state, state.theta_d, t, real, latent), th)
+    fake = forward(state.g_spec, state.theta_g, latent)
+    # not value_graph: it checks the clip box, which theta_d +/- h v leaves
+    return lambda th: grad_params(lambda t: objective_from_outputs(
+        state.objective, forward_graph(state.d_spec, t, real),
+        forward_graph(state.d_spec, t, fake)), th)
+
+
+def _dense_oracle_hessian(state, splits, agent, rng):
+    """The agent's Hessian, column by column, from the graph oracle's hvp at
+    the probe's step h; symmetrized."""
+    params = state.theta_g if agent == GENERATOR else state.theta_d
+    h = 1e-4 * (1.0 + np.linalg.norm(params.values))
+    grad_fn = _graph_agent_grad(state, splits, agent, rng)
+    cols = np.array([hvp(grad_fn, params, e, h) for e in np.eye(len(params))])
+    return 0.5 * (cols + cols.T)
+
+
+def _top_by_magnitude(mat, k):
+    dense = np.linalg.eigvalsh(mat)
+    return dense[np.argsort(-np.abs(dense))][:k]
+
+
 def test_spectrum_matches_dense_solver_on_small_net():
     state, splits = _gan_setup(seed=9)
-    # materialize the generator Hessian column by column through the same hvp
-    from proxgap.probes import _gan_agent_loss
-    loss, params = _gan_agent_loss(state, splits, GENERATOR, Rng(10))
-    n = len(params)
-    h = 1e-4 * (1.0 + np.linalg.norm(params.values))
-    cols = [hvp(loss, params, e, h) for e in np.eye(n)]
-    dense = np.linalg.eigvalsh(0.5 * (np.array(cols) + np.array(cols).T))
-    top = dense[np.argsort(-np.abs(dense))][:3]
+    # the probe's kernel gradient is its graph oracle's to rounding
+    grad_fn, theta = _gan_agent_grad(state, splits, GENERATOR, Rng(10))
+    oracle = _graph_agent_grad(state, splits, GENERATOR, Rng(10))(theta)
+    assert np.linalg.norm(grad_fn(theta) - oracle) <= 1e-12 * np.linalg.norm(oracle)
+    top = _top_by_magnitude(_dense_oracle_hessian(state, splits, GENERATOR, Rng(10)), 3)
     report = hessian_spectrum_probe(state, splits, GENERATOR, k=3, rng=Rng(10))
     assert np.allclose(report.eigenvalues, top, atol=1e-3)
+
+
+def test_spectrum_of_a_clipped_critic_matches_the_graph_oracle():
+    # a weight-clipped critic sits on its box edge, so theta_d +/- h v leaves
+    # the box; the probe checks the box at the state only
+    d_spec = NetworkSpec(2, (8,), 1, activation="tanh")
+    g_spec = NetworkSpec(2, (8,), 2, activation="tanh")
+    rng = Rng(14)
+    objective = WassersteinClip(0.05)
+    theta_d = enforce_constraint(objective, init_network(d_spec, rng.child(0)))
+    state = GanState(d_spec, g_spec, theta_d, init_network(g_spec, rng.child(1)), objective)
+    dist = GaussianMixture([1.0], [[0.0, 0.0]], [[1.0, 1.0]])
+    splits = make_splits(dist, 400, 200, 200, rng.child(2))
+    assert np.mean(np.abs(theta_d.values) == objective.clip) > 0.5
+    report = hessian_spectrum_probe(state, splits, DISCRIMINATOR, k=3, rng=Rng(15))
+    top = _top_by_magnitude(_dense_oracle_hessian(state, splits, DISCRIMINATOR, Rng(15)), 3)
+    assert all(report.converged)
+    np.testing.assert_allclose(report.eigenvalues, top, rtol=1e-6)
 
 
 @pytest.mark.parametrize("agent", [GENERATOR, DISCRIMINATOR])
