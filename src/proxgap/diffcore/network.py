@@ -34,24 +34,31 @@ class NetworkSpec:
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.output_head not in _HEADS:
             raise ValueError(f"unknown output head {self.output_head!r}")
-
-    def layer_shapes(self):
+        # the derived shapes, once per spec; plain attributes rather than
+        # dataclass fields, so equality, hashing and repr ignore them
         dims = (self.input_dim, *self.hidden_widths, self.output_dim)
-        return [(dims[i], dims[i + 1]) for i in range(len(dims) - 1)]
+        shapes = tuple((dims[i], dims[i + 1]) for i in range(len(dims) - 1))
+        layout, offset = {}, 0
+        for i, (fi, fo) in enumerate(shapes):
+            layout[f"W{i}"] = (offset, fi * fo)
+            offset += fi * fo
+            layout[f"b{i}"] = (offset, fo)
+            offset += fo
+        object.__setattr__(self, "_shapes", shapes)
+        object.__setattr__(self, "_layout", layout)
+        object.__setattr__(self, "_param_count", offset)
+
+    def layer_shapes(self) -> tuple:
+        """(fan_in, fan_out) per layer, input to output."""
+        return self._shapes
 
     @property
     def param_count(self) -> int:
-        return sum(fi * fo + fo for fi, fo in self.layer_shapes())
+        return self._param_count
 
     def layout(self) -> dict:
         """Segment name -> (offset, length) for the flat parameter vector."""
-        out, offset = {}, 0
-        for i, (fi, fo) in enumerate(self.layer_shapes()):
-            out[f"W{i}"] = (offset, fi * fo)
-            offset += fi * fo
-            out[f"b{i}"] = (offset, fo)
-            offset += fo
-        return out
+        return dict(self._layout)
 
 
 @dataclass(frozen=True)
@@ -133,11 +140,13 @@ def forward(spec: NetworkSpec, params: ParamVector, batch) -> np.ndarray:
 #
 # ``mlp_forward``/``mlp_backward`` evaluate the same layers as ``forward_graph``
 # with plain numpy and no per-op graph, so a value and gradient cost a few
-# matrix products.  The graph path is their reference oracle only, never run
-# in their place.  Failures keep the graph's names all the same: the kernel
-# checks every pre-activation and names a failed check by the op the graph
-# would have stopped at, ``objectives.output_grads`` runs the objective on leaf
-# Tensors so its own ops name an objective failure, and ``finite_value_and_grad``
+# matrix products; ``objectives.output_grads`` gives dV/d(outputs) in closed
+# form, so a healthy step builds no Tensor at all.  The graph path is their
+# reference oracle only, never run in their place.  Failures keep the graph's
+# names all the same: the kernel checks every pre-activation and names a failed
+# check by the op the graph would have stopped at, ``output_grads`` runs the
+# objective on leaf Tensors once its closed form is non-finite (and only then)
+# so the objective's own op names the failure, and ``finite_value_and_grad``
 # names whatever else is non-finite in a value and gradient 'backward'.
 
 
@@ -271,8 +280,8 @@ def _failed_op(spec: NetworkSpec, vals, x, w, i: int) -> str:
 def finite_value_and_grad(value, grad):
     """(value, grad) when both are finite, else NonFiniteError('backward').
 
-    The kernel and the objective's leaf graph name the forward ops, so what
-    is non-finite only here came from the backward pass.
+    The kernel and the objective's leaf-graph replay name the forward ops, so
+    what is non-finite only here came from the backward pass.
     """
     if not (np.isfinite(value) and np.isfinite(grad).all()):
         raise NonFiniteError("backward")

@@ -1,6 +1,13 @@
 """Game objectives with a single sign convention (D maximizes V, G minimizes V),
 their values and parameter gradients through the fused kernel, and the
-f-divergence conjugate machinery."""
+f-divergence conjugate machinery.
+
+Each objective has one formula, ``objective_from_outputs``, and next to it
+its value and its derivative with respect to the discriminator's outputs in
+plain numpy (``output_grads``), written op for op as the graph engine's
+backward pass over that formula, so the two agree bit for bit.  The leaf
+graph runs only to name a failure.
+"""
 
 from __future__ import annotations
 
@@ -22,6 +29,7 @@ from .diffcore import (
     mlp_forward,
     softplus,
 )
+from .diffcore.engine import _sigmoid
 
 # D outputs are clamped into [EPS_LOG, 1 - EPS_LOG] before logs so a saturated
 # discriminator yields a large-but-finite value instead of -inf.
@@ -35,7 +43,10 @@ class FGanFamily:
 
     ``f`` and ``f_prime`` operate on plain arrays; ``f_star`` and
     ``output_map`` are written against the dispatching math helpers so they
-    build graphs when handed Tensors.
+    build graphs when handed Tensors.  ``f_star_vjp(x, g)`` and
+    ``output_map_vjp(v, g)`` are their derivatives on plain arrays, an
+    upstream gradient g times f*'(x) or output_map'(v), computed as the
+    engine's backward pass computes them, op for op.
     """
 
     name: str
@@ -43,10 +54,23 @@ class FGanFamily:
     f_prime: Callable
     f_star: Callable
     output_map: Callable
+    f_star_vjp: Callable
+    output_map_vjp: Callable
 
 
 def _js_f(t):
     return t * np.log(t) - (t + 1.0) * np.log(0.5 * (t + 1.0))
+
+
+def _pearson_f_star_vjp(x, g):
+    # x feeds x * x (twice) and the final add; the add's share arrives first
+    g_sq = g * 0.25
+    return (g + g_sq * x) + g_sq * x
+
+
+def _js_f_star_vjp(x, g):
+    e = np.exp(x)
+    return -(-g / (2.0 - e)) * e
 
 
 FGAN_FAMILIES = {
@@ -56,6 +80,8 @@ FGAN_FAMILIES = {
         f_prime=lambda t: np.log(t) + 1.0,
         f_star=lambda x: exp(x - 1.0),
         output_map=lambda v: v,
+        f_star_vjp=lambda x, g: g * np.exp(x - 1.0),
+        output_map_vjp=lambda v, g: g,
     ),
     "reverse_kl": FGanFamily(
         "reverse_kl",
@@ -63,6 +89,8 @@ FGAN_FAMILIES = {
         f_prime=lambda t: -1.0 / t,
         f_star=lambda x: -1.0 - log(-x),
         output_map=lambda v: -exp(v),
+        f_star_vjp=lambda x, g: -(-g / -x),
+        output_map_vjp=lambda v, g: -g * np.exp(v),
     ),
     "pearson_chi2": FGanFamily(
         "pearson_chi2",
@@ -70,6 +98,8 @@ FGAN_FAMILIES = {
         f_prime=lambda t: 2.0 * (t - 1.0),
         f_star=lambda x: x * x * 0.25 + x,
         output_map=lambda v: v,
+        f_star_vjp=_pearson_f_star_vjp,
+        output_map_vjp=lambda v, g: g,
     ),
     "js_scaled": FGanFamily(
         "js_scaled",
@@ -77,6 +107,8 @@ FGAN_FAMILIES = {
         f_prime=lambda t: np.log(2.0 * t / (t + 1.0)),
         f_star=lambda x: -log(2.0 - exp(x)),
         output_map=lambda v: np.log(2.0) - softplus(-v),
+        f_star_vjp=_js_f_star_vjp,
+        output_map_vjp=lambda v, g: -(-g * _sigmoid(-v)),
     ),
 }
 
@@ -156,7 +188,10 @@ def check_clip_box(objective, theta_d):
 
 def objective_from_outputs(objective: ObjectiveKind, d_real: Tensor, d_fake: Tensor) -> Tensor:
     """V as a scalar Tensor from the discriminator's outputs on real and generated
-    points: leaf Tensors over kernel outputs, or the oracle's ``forward_graph`` nodes."""
+    points: leaf Tensors over kernel outputs, or the oracle's ``forward_graph`` nodes.
+
+    The one formula of each objective; ``_outputs_value_and_grads`` is its
+    value and backward pass on plain arrays."""
     if isinstance(objective, Classic):
         pr = d_real.clamp(EPS_LOG, 1.0 - EPS_LOG)
         pf = d_fake.clamp(EPS_LOG, 1.0 - EPS_LOG)
@@ -167,6 +202,32 @@ def objective_from_outputs(objective: ObjectiveKind, d_real: Tensor, d_fake: Ten
     t_real = fam.output_map(d_real)
     t_fake = fam.output_map(d_fake)
     return t_real.mean() - fam.f_star(t_fake).mean()
+
+
+def _outputs_value_and_grads(objective: ObjectiveKind, d_real, d_fake):
+    """(V, dV/d_real, dV/d_fake) on plain n x 1 arrays: ``objective_from_outputs``
+    and the engine's backward pass over it, op for op, so all three carry the
+    graph's bits.  A gradient block may be a scalar that broadcasts over its rows.
+
+    Each mean's backward hands its rows 1/n (-1/n on the subtracted side);
+    each op then maps its upstream g as the engine does: a clamp by its
+    in-range mask, a log as g / x, a subtraction from a constant as -g.
+    """
+    n, m = d_real.size, d_fake.size
+    if isinstance(objective, Classic):
+        hi = 1.0 - EPS_LOG
+        pr = d_real.clip(EPS_LOG, hi)
+        qf = 1.0 - d_fake.clip(EPS_LOG, hi)
+        value = np.log(pr).mean() + np.log(qf).mean()
+        return (value, ((1.0 / n) / pr) * ((d_real >= EPS_LOG) & (d_real <= hi)),
+                (-((1.0 / m) / qf)) * ((d_fake >= EPS_LOG) & (d_fake <= hi)))
+    if isinstance(objective, WassersteinClip):
+        return d_real.mean() - d_fake.mean(), 1.0 / n, -1.0 / m
+    fam = objective.family
+    t_fake = fam.output_map(d_fake)
+    value = fam.output_map(d_real).mean() - fam.f_star(t_fake).mean()
+    return (value, fam.output_map_vjp(d_real, 1.0 / n),
+            fam.output_map_vjp(d_fake, fam.f_star_vjp(t_fake, -1.0 / m)))
 
 
 def value_graph(state: GanState, theta_d, theta_g, real_batch, latent_batch):
@@ -196,18 +257,26 @@ def eval_objective(state: GanState, real_batch, latent_batch) -> float:
     check_clip_box(state.objective, state.theta_d)
     fake = forward(state.g_spec, state.theta_g, latent)
     out = forward(state.d_spec, state.theta_d, np.vstack([real, fake]))
-    # leaf Tensors over the outputs, as in output_grads, so a failed objective op is named
-    n = real.shape[0]
-    return objective_from_outputs(state.objective, Tensor(out[:n]), Tensor(out[n:])).item()
+    return output_grads(state.objective, out, real.shape[0])[0]
 
 
 def output_grads(objective: ObjectiveKind, outputs: np.ndarray, n_real: int):
     """(V, dV/doutputs) for discriminator outputs stacked as [real rows; fake rows].
 
-    ``objective_from_outputs`` runs on two leaf Tensors, so each objective
-    keeps its one formula and its derivative comes from the graph engine.
+    Closed form on plain arrays (``_outputs_value_and_grads``).  Only when the
+    value or a gradient entry is non-finite does ``objective_from_outputs``
+    run on two leaf Tensors: it raises NonFiniteError naming the objective's
+    failed op, or hands on its own non-finite gradient for the caller's
+    ``finite_value_and_grad`` to name 'backward'.
     """
-    d_real, d_fake = Tensor(outputs[:n_real]), Tensor(outputs[n_real:])
+    d_real, d_fake = outputs[:n_real], outputs[n_real:]
+    with np.errstate(all="ignore"):
+        value, g_real, g_fake = _outputs_value_and_grads(objective, d_real, d_fake)
+    grad = np.empty_like(outputs)
+    grad[:n_real], grad[n_real:] = g_real, g_fake
+    if np.isfinite(value) and np.isfinite(grad).all():
+        return float(value), grad
+    d_real, d_fake = Tensor(d_real), Tensor(d_fake)
     v = objective_from_outputs(objective, d_real, d_fake)
     v.backward()
     return v.item(), np.vstack([d_real.grad, d_fake.grad])

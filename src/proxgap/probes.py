@@ -101,6 +101,8 @@ def unilateral_deviation(state, splits: DataSplits | None, steps: int, lr: float
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
+    if not (np.isfinite(lr) and lr > 0):  # a negative rate would ascend
+        raise ValueError(f"lr must be positive and finite, got {lr}")
     is_gan = isinstance(state, GanState)
     if is_gan:
         if splits is None:

@@ -4,8 +4,10 @@ Every fast path in the hot loop (``mlp_forward``/``mlp_backward``, the fused
 ``value_and_grad_d/g``, the fused penalized prox step) is pinned here to the
 graph engine's value and reverse-mode gradient to 1e-12 relative, and the
 kernel on a reused workspace to the kernel on fresh buffers bit for bit.  The
-fast paths and the spectrum probe never call a graph oracle, not even to name
-a failure: the kernel names a failed op as the graph would.
+closed-form objective derivative (``output_grads``) is pinned to the
+objective's leaf graph byte for byte.  The fast paths and the spectrum probe
+never call a graph oracle, not even to name a failure, and on healthy inputs
+they build no Tensor at all.
 """
 
 import sys
@@ -39,6 +41,7 @@ from proxgap.gapmetrics import (
     _sobolev_graph,
 )
 from proxgap.objectives import (
+    EPS_LOG,
     FGAN_FAMILIES,
     Classic,
     FGan,
@@ -47,12 +50,13 @@ from proxgap.objectives import (
     enforce_constraint,
     eval_objective,
     objective_from_outputs,
+    output_grads,
     value_and_grad_d,
     value_and_grad_g,
     value_graph,
 )
 from proxgap.oracles import concave_quadratic
-from proxgap.probes import DISCRIMINATOR, GENERATOR, hessian_spectrum_probe
+from proxgap.probes import DISCRIMINATOR, GENERATOR, _gan_agent_grad, hessian_spectrum_probe
 
 TOL = 1e-12
 ACTIVATIONS = ("tanh", "relu", "leaky_relu")
@@ -156,6 +160,85 @@ def test_generator_gradient_goes_through_the_discriminator_input_gradient():
     assert _rel(chained, oracle) <= TOL
     assert _rel(value_and_grad_g(state, state.theta_d, state.theta_g, real, latent)[1],
                 oracle) <= TOL
+
+
+# -- the closed-form output derivative -----------------------------------------
+
+ROW_COUNTS = [(1, 1), (7, 7), (64, 64), (500, 500), (1, 7), (64, 7), (500, 1), (7, 500)]
+# sigmoid outputs at, just inside and just outside each clamp edge, and beyond
+CLAMP_EDGES = np.array([EPS_LOG, np.nextafter(EPS_LOG, 1.0), np.nextafter(EPS_LOG, 0.0),
+                        1.0 - EPS_LOG, np.nextafter(1.0 - EPS_LOG, 0.0),
+                        np.nextafter(1.0 - EPS_LOG, 1.0), 0.0, 1.0, 1e-12, 1.0 - 1e-12])
+
+
+def _leaf_graph(objective, outputs, n_real):
+    """The oracle: ``objective_from_outputs`` on two leaf Tensors, then backward."""
+    d_real, d_fake = Tensor(outputs[:n_real]), Tensor(outputs[n_real:])
+    v = objective_from_outputs(objective, d_real, d_fake)
+    v.backward()
+    return v.item(), d_real.grad, d_fake.grad
+
+
+def _outputs(objective, rows: int, rng: Rng, trial: int) -> np.ndarray:
+    if not isinstance(objective, Classic):
+        return 3.0 * rng.normal((rows, 1))
+    out = rng.uniform(0.0, 1.0, (rows, 1))
+    # every third row sits on an edge case; the trial shifts which, so one row sees them all
+    picks = (np.arange(0, rows, 3) + trial) % CLAMP_EDGES.size
+    out[::3, 0] = CLAMP_EDGES[picks]
+    return out
+
+
+@pytest.mark.parametrize("name,objective", OBJECTIVES, ids=[n for n, _ in OBJECTIVES])
+@pytest.mark.parametrize("n_real,n_fake", ROW_COUNTS)
+def test_closed_form_output_grads_carry_the_leaf_graphs_bytes(name, objective, n_real, n_fake):
+    rng = Rng(100 * n_real + n_fake + len(name))
+    for trial in range(CLAMP_EDGES.size):
+        outputs = _outputs(objective, n_real + n_fake, rng.child(trial), trial)
+        value, grad = output_grads(objective, outputs, n_real)
+        ref_value, ref_real, ref_fake = _leaf_graph(objective, outputs, n_real)
+        assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
+        assert grad.shape == outputs.shape
+        assert grad[:n_real].tobytes() == ref_real.tobytes()
+        assert grad[n_real:].tobytes() == ref_fake.tobytes()
+
+
+def _objective_overflows():
+    """name -> (objective, finite outputs [real; fake], real rows, the op that overflows)."""
+    fams = FGAN_FAMILIES
+    return {
+        "kl_exp": (FGan(fams["kl"]), [[0.0], [1000.0]], 1, "exp"),
+        "reverse_kl_exp": (FGan(fams["reverse_kl"]), [[1000.0], [0.0]], 1, "exp"),
+        "pearson_mul": (FGan(fams["pearson_chi2"]), [[0.0], [1e200]], 1, "mul"),
+        # 2 - exp(log 2 - softplus(-40)) is 0 in floating point
+        "js_log": (FGan(fams["js_scaled"]), [[0.0], [40.0]], 1, "log"),
+        "wgan_mean": (WassersteinClip(0.05), [[1e308], [1e308], [0.0]], 2, "mean"),
+    }
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("case", sorted(_objective_overflows()))
+def test_closed_form_names_an_objective_overflow_as_the_leaf_graph(case):
+    objective, outputs, n_real, op = _objective_overflows()[case]
+    outputs = np.array(outputs)
+    with pytest.raises(NonFiniteError) as graph_err:
+        _leaf_graph(objective, outputs, n_real)
+    with pytest.raises(NonFiniteError) as err:
+        output_grads(objective, outputs, n_real)
+    assert err.value.op == graph_err.value.op == op
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_a_nonfinite_output_gradient_is_handed_on_as_the_leaf_graph_gives_it():
+    # reverse KL at a fake output of -745: exp underflows to 5e-324, so the
+    # value stays finite while that row's (1/m) / 5e-324 overflows
+    objective = FGan(FGAN_FAMILIES["reverse_kl"])
+    outputs = np.array([[0.0], [-745.0]])
+    value, grad = output_grads(objective, outputs, 1)
+    ref_value, ref_real, ref_fake = _leaf_graph(objective, outputs, 1)
+    assert np.isfinite(value) and not np.isfinite(grad).all()
+    assert value == ref_value
+    assert grad.tobytes() == np.vstack([ref_real, ref_fake]).tobytes()
 
 
 # -- the fused penalized prox step ---------------------------------------------
@@ -430,6 +513,43 @@ def test_spectrum_probe_runs_without_the_graph(monkeypatch, agent):
     _forbid_graph_oracles(monkeypatch)
     for (state, splits, k), want in zip(cases, expected):
         assert hessian_spectrum_probe(state, splits, agent, k, Rng(40)) == want
+
+
+def _forbid_tensors(monkeypatch):
+    """Make constructing a Tensor raise, whichever proxgap module asks."""
+
+    def built(*args, **kwargs):
+        raise AssertionError("a healthy path built a Tensor")
+
+    monkeypatch.setattr(Tensor, "__init__", built)
+
+
+@pytest.mark.parametrize("name,objective", OBJECTIVES, ids=[n for n, _ in OBJECTIVES])
+def test_healthy_paths_build_no_tensor(monkeypatch, name, objective):
+    state = _state(objective, "tanh", seed=14 + len(name))
+    rng = Rng(41)
+    real, latent = rng.normal((20, 2)), rng.normal((17, 3))
+    outputs = forward(state.d_spec, state.theta_d,
+                      np.vstack([real, forward(state.g_spec, state.theta_g, latent)]))
+    splits = make_splits(GaussianMixture([1.0], [[0.0, 0.0]], [[1.0, 1.0]]),
+                         200, 100, 100, Rng(39))
+
+    def paths():
+        calls = _fast_paths(state, real, latent, state.theta_d)
+        calls["output_grads"] = lambda: output_grads(objective, outputs, real.shape[0])
+        calls["spectrum_grad_d"] = lambda: _gan_agent_grad(
+            state, splits, DISCRIMINATOR, Rng(40))[0](state.theta_d.values)
+        return calls
+
+    expected = {name: _flat(call()) for name, call in paths().items()}
+    _forbid_tensors(monkeypatch)
+    with pytest.raises(AssertionError, match="built a Tensor"):
+        Tensor(np.zeros(1))
+    for name, call in paths().items():
+        got = _flat(call())
+        assert len(got) == len(expected[name])
+        for part, want in zip(got, expected[name]):
+            assert part.tobytes() == want.tobytes(), name
 
 
 # -- the reused workspace --------------------------------------------------------

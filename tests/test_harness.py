@@ -379,6 +379,16 @@ def test_cli_rejects_a_nonfinite_lambda(tiny_run, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("lr", ["-0.05", "0", "nan", "inf"])
+def test_cli_rejects_a_deviation_rate_that_cannot_descend(tmp_path, tiny_run, capsys, lr):
+    out = tmp_path / "dev.csv"
+    assert main(["probe", "--checkpoint", str(tiny_run / "checkpoint_000040.npz"),
+                 "--kind", "deviation", "--steps", "5", f"--lr={lr}", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: lr must be positive and finite") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def _checkpoint_with(tmp_path, cfg, theta_d, theta_g):
     """A step-0 checkpoint of ``cfg`` holding the given parameter values."""
     from proxgap.diffcore import Rng, adam_init

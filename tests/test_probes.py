@@ -83,6 +83,16 @@ def test_deviation_descends_away_from_non_nash():
     assert trace.points[-1].value < trace.points[0].value - 0.5
 
 
+@pytest.mark.parametrize("lr", [-0.05, 0.0, float("nan"), float("inf"), float("-inf")])
+def test_deviation_rejects_a_rate_that_cannot_descend(lr):
+    # at lr = -0.05 the bilinear trace would climb from 0.25 to 0.5
+    state = ToyGameState(bilinear(), np.array([0.5]), np.array([0.5]))
+    with pytest.raises(ValueError, match="lr must be positive and finite"):
+        unilateral_deviation(state, None, steps=50, lr=lr, eval_every=10, rng=Rng(4))
+    trace = unilateral_deviation(state, None, steps=50, lr=0.05, eval_every=10, rng=Rng(4))
+    assert trace.values[-1] < trace.values[0] == 0.25
+
+
 def test_deviation_gan_records_divergence_and_is_pure():
     state, splits = _gan_setup()
     before_d = state.theta_d.values.copy()
