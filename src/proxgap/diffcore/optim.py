@@ -26,6 +26,8 @@ class AdamState:
             raise ValueError("moment vectors must have equal length")
         if np.any(self.v < 0):
             raise ValueError("second moments must be nonnegative")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ValueError("Adam betas must lie in [0, 1)")
 
 
 def adam_init(n_params: int, lr: float, beta1: float = 0.9, beta2: float = 0.999,
@@ -49,7 +51,11 @@ def adam_step(params, grad, state: AdamState):
     m_hat = m / (1.0 - state.beta1 ** t)
     v_hat = v / (1.0 - state.beta2 ** t)
     new_vals = vals - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    new_state = AdamState(m, v, t, state.lr, state.beta1, state.beta2, state.eps)
+    # the state was checked where it entered, and one step keeps what
+    # __post_init__ checks (m and v share a shape; v >= 0 as beta2 is in
+    # [0, 1); t >= 1), so the next state skips the check
+    new_state = object.__new__(AdamState)
+    new_state.__dict__.update(state.__dict__, m=m, v=v, t=t)
     if isinstance(params, ParamVector):
         return params.with_values(new_vals), new_state
     return new_vals, new_state

@@ -91,21 +91,66 @@ def sample_real(dist: GaussianMixture, n: int, rng: Rng) -> np.ndarray:
     return dist.means[comps] + np.sqrt(dist.variances[comps]) * eps
 
 
+def _pairwise_sum(terms: list) -> np.ndarray:
+    """Elementwise sum of equal-shape arrays, added in the order numpy's sum
+    takes along a contiguous axis of length len(terms): in turn below 8
+    terms, in 8 interleaved partial sums up to 128, halved beyond that."""
+    n = len(terms)
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
+    if n < 8:
+        out, rest = terms[0], terms[1:]
+    else:
+        lanes, stop = terms[:8], n - n % 8
+        for i in range(8, stop, 8):
+            lanes = [lane + t for lane, t in zip(lanes, terms[i:i + 8])]
+        out = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + \
+              ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]))
+        rest = terms[stop:]
+    for t in rest:
+        out = out + t
+    return out
+
+
 def log_density(dist: GaussianMixture, x) -> float | np.ndarray:
-    """Exact log mixture density at a point (1-D input) or per row of a batch."""
+    """Exact log mixture density at a point (1-D input) or per row of a batch.
+
+    Works mode by mode on the point columns, so no (rows, modes, dim) array
+    is built: mode j's log component is -0.5 * sum_c (x_c - mu_jc)^2 / var_jc
+    + lognorm_j + log w_j, and the modes meet in a max-shifted log-sum-exp.
+    Both sums add their terms in the order numpy's sum over a trailing axis
+    would, so the bits equal the broadcast formula's.
+    """
     arr = np.asarray(x, dtype=np.float64)
     single = arr.ndim == 1
     pts = np.atleast_2d(arr)
     if pts.shape[1] != dist.dimension:
         raise ValueError(f"expected dimension {dist.dimension}, got {pts.shape[1]}")
-    diff = pts[:, None, :] - dist.means[None, :, :]
-    quad = -0.5 * np.sum(diff * diff / dist.variances[None, :, :], axis=2)
+    cols = [pts[:, c] for c in range(dist.dimension)]
     lognorm = -0.5 * np.sum(np.log(2.0 * np.pi * dist.variances), axis=1)
-    comp = quad + lognorm + np.log(dist.weights)
+    comps = []
+    for mu, var, norm, log_w in zip(dist.means, dist.variances, lognorm, np.log(dist.weights)):
+        terms = []
+        for col, mu_c, var_c in zip(cols, mu, var):
+            t = col - mu_c
+            t *= t
+            t /= var_c
+            terms.append(t)
+        comp = _pairwise_sum(terms)
+        comp *= -0.5
+        comp += norm
+        comp += log_w
+        comps.append(comp)
     # max-shifted log-sum-exp; the floor keeps an all -inf row (x infinite) at -inf
-    top = np.maximum(comp.max(axis=1, keepdims=True), np.finfo(np.float64).min)
+    top = np.finfo(np.float64).min
+    for comp in comps:
+        top = np.maximum(top, comp)
+    for comp in comps:
+        comp -= top
+        np.exp(comp, out=comp)
     with np.errstate(divide="ignore"):
-        out = (top + np.log(np.sum(np.exp(comp - top), axis=1, keepdims=True)))[:, 0]
+        out = top + np.log(_pairwise_sum(comps))
     return float(out[0]) if single else out
 
 

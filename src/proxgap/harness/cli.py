@@ -21,6 +21,8 @@ from .runner import (
 # matches the published sweep range endpoints
 DEFAULT_LAMBDA_GRID = "0.01,0.1,1,10,100,1000000"
 DEFAULT_RATIOS = ",".join(str(n) for n in range(-10, 11) if n != 0)
+# the probe_cmd keywords each probe kind takes
+PROBE_FLAGS = {"deviation": ("steps", "lr", "eval_every"), "spectrum": ("k", "agent")}
 
 
 def _seed_u64(text: str) -> int:
@@ -86,12 +88,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe = sub.add_parser("probe", help="deviation or spectrum probe at a checkpoint")
     p_probe.add_argument("--checkpoint", required=True)
     p_probe.add_argument("--kind", required=True, choices=["deviation", "spectrum"])
-    p_probe.add_argument("--k", type=int, default=5, help="eigenvalues to extract")
+    # no defaults here: a flag left out takes probe_cmd's default, and a flag
+    # given to the kind that does not take it is an error
+    p_probe.add_argument("--k", type=int, help="spectrum: eigenvalues to extract (default 5)")
     p_probe.add_argument("--agent", choices=["generator", "discriminator"],
-                         default="generator")
-    p_probe.add_argument("--steps", type=int, default=200)
-    p_probe.add_argument("--lr", type=float, default=1e-3)
-    p_probe.add_argument("--eval-every", type=int, default=20)
+                         help="spectrum: probed agent (default generator)")
+    p_probe.add_argument("--steps", type=int, help="deviation: steps (default 200)")
+    p_probe.add_argument("--lr", type=float, help="deviation: step size (default 1e-3)")
+    p_probe.add_argument("--eval-every", type=int,
+                         help="deviation: steps between evaluations (default 20)")
     p_probe.add_argument("--out")
     return parser
 
@@ -162,9 +167,13 @@ def main(argv=None) -> int:
                 "rows_excluded": report.rows_excluded,
             }, indent=2))
         elif args.command == "probe":
-            out = probe_cmd(args.checkpoint, args.kind, out=args.out, k=args.k,
-                            steps=args.steps, lr=args.lr, eval_every=args.eval_every,
-                            agent=args.agent)
+            given = {name: getattr(args, name) for names in PROBE_FLAGS.values()
+                     for name in names if getattr(args, name) is not None}
+            foreign = [name for name in given if name not in PROBE_FLAGS[args.kind]]
+            if foreign:
+                raise ValueError(f"--kind {args.kind} does not take " + ", ".join(
+                    "--" + name.replace("_", "-") for name in foreign))
+            out = probe_cmd(args.checkpoint, args.kind, out=args.out, **given)
             print(f"wrote {out}")
     except (ConfigError, FileNotFoundError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)

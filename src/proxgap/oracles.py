@@ -45,8 +45,8 @@ class ToyGame:
                 if not hi > lo:
                     raise ValueError("boxes must be non-degenerate")
         # the (lo, hi) projection bounds, built once rather than on every clip
-        object.__setattr__(self, "_d_bounds", np.array(self.d_box, dtype=np.float64).T)
-        object.__setattr__(self, "_g_bounds", np.array(self.g_box, dtype=np.float64).T)
+        object.__setattr__(self, "_d_bounds", tuple(np.array(self.d_box, dtype=np.float64).T))
+        object.__setattr__(self, "_g_bounds", tuple(np.array(self.g_box, dtype=np.float64).T))
 
     @property
     def d_dim(self) -> int:
@@ -56,11 +56,15 @@ class ToyGame:
     def g_dim(self) -> int:
         return len(self.g_box)
 
+    # minimum(maximum(...)) is ndarray.clip on a configuration vector, bit for
+    # bit, without clip's Python-level argument handling
     def clip_d(self, d):
-        return np.asarray(d, dtype=np.float64).clip(*self._d_bounds)
+        lo, hi = self._d_bounds
+        return np.minimum(np.maximum(d, lo), hi)
 
     def clip_g(self, g):
-        return np.asarray(g, dtype=np.float64).clip(*self._g_bounds)
+        lo, hi = self._g_bounds
+        return np.minimum(np.maximum(g, lo), hi)
 
 
 def bilinear(bound: float = 1.0) -> ToyGame:
@@ -292,7 +296,7 @@ def toy_value_and_grad(game: ToyGame, d, g, wrt: str):
     :func:`proxgap.diffcore.network.stencil_rows` stacks them for networks."""
     d = np.asarray(d, dtype=np.float64).ravel()
     g = np.asarray(g, dtype=np.float64).ravel()
-    x = {"d": d, "g": g}[wrt]
+    x = d if wrt == "d" else g
     rows = x + _stencil_offsets(x.size)
     vals = game.value(rows, g[None, :]) if wrt == "d" else game.value(d[None, :], rows)
     if vals.shape != rows.shape[:1]:  # a value that ignores x comes back as one row

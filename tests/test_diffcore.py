@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxgap.diffcore import (
+    AdamState,
     NetworkSpec,
     Rng,
     adam_init,
@@ -171,6 +172,52 @@ def test_adam_deterministic_trajectories():
         return trace
 
     assert run() == run()
+
+
+def _textbook_adam(theta, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Bias-corrected Adam written out step by step, the oracle for adam_step."""
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
+    for t, grad in enumerate(grads, start=1):
+        m = beta1 * m + (1.0 - beta1) * grad
+        v = beta2 * v + (1.0 - beta2) * grad * grad
+        m_hat = m / (1.0 - beta1 ** t)
+        v_hat = v / (1.0 - beta2 ** t)
+        theta = theta - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return theta, m, v
+
+
+@pytest.mark.parametrize("kind", ["param_vector", "array"])
+def test_adam_step_carries_the_textbook_formulas_bytes(kind, monkeypatch):
+    gen = np.random.default_rng(7)
+    theta0 = gen.normal(0.0, 1.0, 5)
+    grads = gen.normal(0.0, 1.0, (200, 5)) * 10.0 ** gen.integers(-6, 4, (200, 5))
+    params = ParamVector(theta0.copy(), {"w": (0, 5)}) if kind == "param_vector" else theta0
+    state = adam_init(5, lr=0.01, beta1=0.8, beta2=0.99)
+    checks = []
+    monkeypatch.setattr(AdamState, "__post_init__", lambda self: checks.append(self))
+    for grad in grads:
+        params, state = adam_step(params, grad, state)
+    assert isinstance(params, ParamVector) == (kind == "param_vector")
+    want, m, v = _textbook_adam(theta0, grads, 0.01, 0.8, 0.99)
+    got = params.values if kind == "param_vector" else params
+    assert got.tobytes() == want.tobytes()
+    assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
+    assert (state.t, state.lr, state.beta1, state.beta2, state.eps) == (200, 0.01, 0.8, 0.99, 1e-8)
+    assert checks == []  # a state adam_step derives is not checked again
+
+
+@pytest.mark.parametrize("fields, match", [
+    ({"t": -1}, "step counter"),
+    ({"v": np.zeros(2)}, "equal length"),
+    ({"m": np.zeros((3, 1))}, "equal length"),
+    ({"v": np.array([0.0, -1e-300, 1.0])}, "nonnegative"),
+    ({"beta1": 1.0}, "betas"),
+    ({"beta2": -0.1}, "betas"),
+])
+def test_adam_state_built_by_a_caller_is_checked(fields, match):
+    args = {"m": np.zeros(3), "v": np.zeros(3), "t": 0, "lr": 0.1} | fields
+    with pytest.raises(ValueError, match=match):
+        AdamState(**args)
 
 
 def test_clip_values_from_protocol():

@@ -57,12 +57,16 @@ def test_log_density_standard_normal_origin():
     assert val == pytest.approx(-np.log(2.0 * np.pi), abs=1e-12)
 
 
+def _broadcast_components(dist, pts):
+    """Log mixture components per (row, mode), from (rows, modes, dim) arrays."""
+    diff = pts[:, None, :] - dist.means[None, :, :]
+    quad = -0.5 * np.sum(diff * diff / dist.variances[None, :, :], axis=2)
+    lognorm = -0.5 * np.sum(np.log(2.0 * np.pi * dist.variances), axis=1)
+    return quad + lognorm + np.log(dist.weights)
+
+
 def _scipy_log_density(dist, pts):
-    diff = pts[:, None, :] - dist.means[None]
-    comp = (-0.5 * np.sum(diff * diff / dist.variances[None], axis=2)
-            - 0.5 * np.sum(np.log(2.0 * np.pi * dist.variances), axis=1)
-            + np.log(dist.weights))
-    return logsumexp(comp, axis=1)
+    return logsumexp(_broadcast_components(dist, pts), axis=1)
 
 
 @pytest.mark.parametrize("modes", [1, 2, 8])
@@ -152,3 +156,61 @@ def test_splits_arrays_read_only():
     with pytest.raises(ValueError):
         splits.s_a[0, 0] = 99.0
     assert isinstance(splits, DataSplits)
+
+
+def _broadcast_log_density(dist, x):
+    """The broadcast formula log_density replaced: (rows, modes, dim) arrays
+    reduced by numpy's sum, kept as the oracle its bits are pinned to."""
+    arr = np.asarray(x, dtype=np.float64)
+    comp = _broadcast_components(dist, np.atleast_2d(arr))
+    top = np.maximum(comp.max(axis=1, keepdims=True), np.finfo(np.float64).min)
+    with np.errstate(divide="ignore"):
+        out = (top + np.log(np.sum(np.exp(comp - top), axis=1, keepdims=True)))[:, 0]
+    return float(out[0]) if arr.ndim == 1 else out
+
+
+def _random_mixture(gen, modes, dim):
+    weights = gen.uniform(0.1, 1.0, modes)
+    return GaussianMixture(weights / weights.sum(), gen.normal(0.0, 2.0, (modes, dim)),
+                           gen.uniform(0.05, 2.0, (modes, dim)))
+
+
+def _hard_rows(gen, dim):
+    """Bulk and far-tail rows plus rows holding inf, -inf, 1e200 and nan."""
+    rows = np.vstack([gen.normal(0.0, 3.0, (300, dim)), gen.uniform(-1e3, 1e3, (20, dim)),
+                      np.zeros((1, dim))])
+    special = np.full((6, dim), 0.5)
+    special[0, 0], special[1, -1], special[2, 0], special[3, -1] = np.inf, -np.inf, 1e200, -1e200
+    special[4], special[5, 0] = np.inf, np.nan
+    return np.vstack([rows, special])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("modes", range(1, 8))
+def test_log_density_carries_the_broadcast_formulas_bytes(modes, dim):
+    gen = np.random.default_rng(100 * modes + dim)
+    dist = _random_mixture(gen, modes, dim)
+    pts = _hard_rows(gen, dim)
+    got = log_density(dist, pts)
+    assert got.tobytes() == _broadcast_log_density(dist, pts).tobytes()
+    assert got[-2] == -np.inf and np.isnan(got[-1])
+    point = pts[0]
+    assert np.float64(log_density(dist, point)).tobytes() == \
+        np.float64(_broadcast_log_density(dist, point)).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("modes, dim", [(8, 2), (9, 1), (10, 2), (17, 3), (10, 9), (130, 1)])
+def test_log_density_keeps_numpys_pairwise_order_past_eight_terms(modes, dim):
+    # from 8 terms on numpy sums in 8 interleaved partial sums (and halves
+    # past 128), which log_density repeats over modes and over coordinates
+    gen = np.random.default_rng(modes + 1000 * dim)
+    pts = _hard_rows(gen, dim)
+    dists = [_random_mixture(gen, modes, dim)]
+    if (modes, dim) == (8, 2):
+        dists.append(ring_mixture(8, 2.0, 0.05))
+    for dist in dists:
+        assert log_density(dist, pts).tobytes() == _broadcast_log_density(dist, pts).tobytes()

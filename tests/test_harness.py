@@ -389,6 +389,22 @@ def test_cli_rejects_a_deviation_rate_that_cannot_descend(tmp_path, tiny_run, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind, flags, named", [
+    ("spectrum", ["--lr=-1", "--steps", "-5"], "--steps, --lr"),
+    ("spectrum", ["--k", "1", "--eval-every", "3"], "--eval-every"),
+    ("deviation", ["--k", "1"], "--k"),
+    ("deviation", ["--steps", "5", "--agent", "discriminator"], "--agent"),
+])
+def test_cli_probe_rejects_the_other_kinds_flags(tmp_path, tiny_run, capsys, kind, flags, named):
+    ckpt = tiny_run / "checkpoint_000040.npz"
+    out = tmp_path / "probe.out"
+    before = sorted(tiny_run.iterdir())
+    assert main(["probe", "--checkpoint", str(ckpt), "--kind", kind, *flags,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --kind {kind} does not take {named}\n"
+    assert not out.exists() and sorted(tiny_run.iterdir()) == before
+
+
 def _checkpoint_with(tmp_path, cfg, theta_d, theta_g):
     """A step-0 checkpoint of ``cfg`` holding the given parameter values."""
     from proxgap.diffcore import Rng, adam_init

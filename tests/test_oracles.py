@@ -412,3 +412,20 @@ def test_toy_stencil_of_a_value_that_ignores_the_argument_is_zero():
     value, grad = toy_value_and_grad(game, np.array([0.1, 0.2, 0.3]), np.array([0.5, -0.5]), "d")
     assert value == pytest.approx(0.5)
     assert np.array_equal(grad, np.zeros(3))
+
+
+_CLIP_VALUES = (-0.0, 0.0, np.inf, -np.inf, np.nan, 0.5, -0.5, 1e308, -5e-324)
+
+
+@pytest.mark.parametrize("box", [((-1.0, 1.0),), ((0.0, 1.0),), ((-2.0, -0.0),),
+                                 ((-1.0, 1.0), (0.0, 3.0)), ((-np.inf, 0.5), (-0.5, np.inf))],
+                         ids=["sym", "zero-lo", "zero-hi", "2d", "2d-open"])
+def test_toy_clip_carries_ndarray_clips_bytes(box):
+    game = ToyGame("clip", lambda d, g: (d * g).sum(axis=-1), box, box)
+    lo, hi = np.array(box).T
+    values = _CLIP_VALUES + tuple(lo) + tuple(hi)  # the bounds themselves too
+    for combo in np.array(np.meshgrid(*[values] * len(box))).reshape(len(box), -1).T:
+        want = combo.clip(lo, hi).tobytes()
+        assert game.clip_d(combo).tobytes() == want
+        assert game.clip_g(combo).tobytes() == want
+        assert game.clip_d(list(combo)).tobytes() == want
