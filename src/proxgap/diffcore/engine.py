@@ -123,23 +123,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = as_tensor(other)
-        return Tensor(self.data / other.data, (self, other),
-                      lambda g: (g / other.data,
-                                 -g * self.data / (other.data * other.data)),
-                      "div")
-
-    def __rtruediv__(self, other):
-        return as_tensor(other) / self
-
-    def __pow__(self, n):
-        if isinstance(n, Tensor):
-            raise TypeError("only constant exponents are supported")
-        n = float(n)
-        return Tensor(self.data ** n, (self,),
-                      lambda g: (g * n * self.data ** (n - 1),), "pow")
-
     def __matmul__(self, other):
         other = as_tensor(other)
         return Tensor(self.data @ other.data, (self, other),

@@ -8,6 +8,7 @@ so every estimator can be checked against :mod:`proxgap.oracles`.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,7 +32,6 @@ from .diffcore.network import central_difference, stencil_rows
 from .distributions import DataSplits
 from .objectives import (
     GanState,
-    check_clip_box,
     enforce_constraint,
     eval_objective,
     output_grads,
@@ -153,13 +153,11 @@ def _sobolev_graph(d_spec, theta: Tensor, anchor_grads: np.ndarray, x_batch, h: 
 
 
 class _GanOps:
-    def __init__(self, state: GanState, splits: DataSplits, cfg: ProximalConfig,
-                 rng: Rng, eval_latent=None):
+    def __init__(self, state: GanState, splits: DataSplits, rng: Rng, eval_latent=None):
         if splits is None:
-            raise ValueError("GAN estimation requires data splits")
+            raise ValueError("GAN states require data splits")
         self.state = state
         self.splits = splits
-        self.cfg = cfg
         self.rng = rng
         if eval_latent is None:
             eval_latent = rng.child(_EVAL_TAG).normal(
@@ -168,9 +166,9 @@ class _GanOps:
         self.d0 = state.theta_d
         self.g0 = state.theta_g
 
-    def draw_batch(self):
-        idx = self.rng.integers(0, self.splits.s_b.shape[0], self.cfg.batch_size)
-        latent = self.rng.normal((self.cfg.batch_size, self.state.latent_dim))
+    def draw_batch(self, size):
+        idx = self.rng.integers(0, self.splits.s_b.shape[0], size)
+        latent = self.rng.normal((size, self.state.latent_dim))
         return self.splits.s_b[idx], latent
 
     def eval_batch(self):
@@ -188,10 +186,9 @@ class _GanOps:
         real, latent = batch
         return value_and_grad_g(self.state, theta_d, theta_g, real, latent)
 
-    def make_prox_step(self, anchor, theta_g, batch, lam):
+    def make_prox_step(self, anchor, theta_g, batch, lam, h):
         real, latent = batch
-        return _gan_prox_step_fn(self.state, anchor, theta_g, real, latent,
-                                 lam, self.cfg.sobolev_h)
+        return _gan_prox_step_fn(self.state, anchor, theta_g, real, latent, lam, h)
 
     def project_d(self, theta_d):
         return enforce_constraint(self.state.objective, theta_d)
@@ -207,7 +204,7 @@ class _ToyOps:
         self.d0 = state.d.copy()
         self.g0 = state.g.copy()
 
-    def draw_batch(self):
+    def draw_batch(self, size):
         return None
 
     def eval_batch(self):
@@ -222,7 +219,7 @@ class _ToyOps:
     def v_grad_g(self, d, g, batch):
         return toy_value_and_grad(self.game, d, g, "g")
 
-    def make_prox_step(self, anchor, g, batch, lam):
+    def make_prox_step(self, anchor, g, batch, lam, h):
         def value_and_grad(d):
             value, grad = toy_value_and_grad(self.game, d, g, "d")
             diff = d - anchor
@@ -237,12 +234,12 @@ class _ToyOps:
         return self.game.clip_g(g)
 
 
-def _ops_for(state, splits, cfg, rng, eval_latent=None):
+def _ops_for(state, splits, rng, eval_latent=None):
     if isinstance(state, GanState):
-        return _GanOps(state, splits, cfg, rng, eval_latent)
+        return _GanOps(state, splits, rng, eval_latent)
     if isinstance(state, ToyGameState):
         return _ToyOps(state)
-    raise TypeError(f"cannot estimate gaps for {type(state).__name__}")
+    raise TypeError(f"cannot estimate or probe {type(state).__name__}")
 
 
 def _gan_prox_step_fn(state, anchor, theta_g, real, latent, lam, h):
@@ -252,7 +249,9 @@ def _gan_prox_step_fn(state, anchor, theta_g, real, latent, lam, h):
     Each call runs one fused forward and one backward over the real rows, the
     generated rows and the 2 * dim stencil rows stacked together;
     ``objective_from_outputs`` minus ``_sobolev_graph`` is its graph oracle,
-    and a failure carries the op name that oracle gives.
+    and a failure carries the op name that oracle gives.  At lam = 0 there are
+    no stencil rows and ``h`` is unused.  The clip box is not checked: the
+    inner ascent projects every iterate before the call.
     """
     real = np.asarray(real, dtype=np.float64)
     latent = np.asarray(latent, dtype=np.float64)
@@ -268,7 +267,6 @@ def _gan_prox_step_fn(state, anchor, theta_g, real, latent, lam, h):
     work = MlpWorkspace(spec, rows.shape[0])
 
     def value_and_grad(theta):
-        check_clip_box(state.objective, theta)
         out, cache = mlp_forward(spec, theta, rows, work)
         value, grad_obj = output_grads(state.objective, out[:n_obj], n)
         grad_out = np.zeros_like(out)
@@ -320,15 +318,24 @@ def _prox_loop(step_fn, anchor, project, cfg: ProximalConfig):
     return theta
 
 
-def _adam_search(ops, start, descent_dir, project, cfg: ProximalConfig):
-    """The worst-case search: `worst_iters` projected Adam steps from `start`,
-    each along `descent_dir(params, batch)` on a fresh search minibatch."""
+def _adam_search(start, descent_dir, project, draw_batch, lr: float, iters: int):
+    """The one Adam search: yields `start`, then each of `iters` projected Adam
+    iterates, each step along `descent_dir(params, draw_batch())`."""
     params = start
-    adam = adam_init(len(start), cfg.worst_lr)
-    for _ in range(cfg.worst_iters):
-        params, adam = adam_step(params, descent_dir(params, ops.draw_batch()), adam)
+    adam = adam_init(len(start), lr)
+    yield params
+    for _ in range(iters):
+        params, adam = adam_step(params, descent_dir(params, draw_batch()), adam)
         params = project(params)
-    return params
+        yield params
+
+
+def _worst_case(ops, start, descent_dir, project, cfg: ProximalConfig):
+    """The last iterate of the estimators' search: `worst_iters` steps at
+    `worst_lr` on fresh search-split minibatches."""
+    return deque(_adam_search(start, descent_dir, project,
+                              lambda: ops.draw_batch(cfg.batch_size),
+                              cfg.worst_lr, cfg.worst_iters), maxlen=1)[0]
 
 
 # -- the estimators ----------------------------------------------------------
@@ -342,11 +349,11 @@ def estimate_v_dw(state, splits, cfg: ProximalConfig, rng: Rng, eval_latent=None
     evaluation latent batch, at the searched or the projected starting
     discriminator, whichever is larger (the start is a candidate too).
     """
-    ops = _ops_for(state, splits, cfg, rng, eval_latent)
+    ops = _ops_for(state, splits, rng, eval_latent)
     start = ops.project_d(ops.d0)
-    d = _adam_search(ops, start,
-                     lambda d, batch: -ops.v_grad_d(d, ops.g0, batch)[1],  # ascent on V
-                     ops.project_d, cfg)
+    d = _worst_case(ops, start,
+                    lambda d, batch: -ops.v_grad_d(d, ops.g0, batch)[1],  # ascent on V
+                    ops.project_d, cfg)
     return max(ops.eval_value(d, ops.g0), ops.eval_value(start, ops.g0))
 
 
@@ -360,15 +367,15 @@ def estimate_v_gw_lambda(state, splits, cfg: ProximalConfig, rng: Rng,
     objective w.r.t. the generator).  The final value is the penalized
     objective on the evaluation split.
     """
-    ops = _ops_for(state, splits, cfg, rng, eval_latent)
+    ops = _ops_for(state, splits, rng, eval_latent)
 
     def descent_dir(g, batch):
-        step_fn = ops.make_prox_step(ops.d0, g, batch, cfg.lam)
+        step_fn = ops.make_prox_step(ops.d0, g, batch, cfg.lam, cfg.sobolev_h)
         d_star = _prox_loop(step_fn, ops.d0, ops.project_d, cfg)
         return ops.v_grad_g(d_star, g, batch)[1]
 
-    g = _adam_search(ops, ops.g0, descent_dir, ops.project_g, cfg)
-    step_fn = ops.make_prox_step(ops.d0, g, ops.eval_batch(), cfg.lam)
+    g = _worst_case(ops, ops.g0, descent_dir, ops.project_g, cfg)
+    step_fn = ops.make_prox_step(ops.d0, g, ops.eval_batch(), cfg.lam, cfg.sobolev_h)
     return step_fn(_prox_loop(step_fn, ops.d0, ops.project_d, cfg))[0]
 
 
@@ -376,9 +383,9 @@ def estimate_v_gw_plain(state, splits, cfg: ProximalConfig, rng: Rng,
                         eval_latent=None) -> float:
     """Plain worst-case generator value: descend a copy of theta_g against the
     frozen discriminator, evaluate held out."""
-    ops = _ops_for(state, splits, cfg, rng, eval_latent)
-    g = _adam_search(ops, ops.g0, lambda g, batch: ops.v_grad_g(ops.d0, g, batch)[1],
-                     ops.project_g, cfg)
+    ops = _ops_for(state, splits, rng, eval_latent)
+    g = _worst_case(ops, ops.g0, lambda g, batch: ops.v_grad_g(ops.d0, g, batch)[1],
+                    ops.project_g, cfg)
     return ops.eval_value(ops.d0, g)
 
 
@@ -390,7 +397,7 @@ def _gap_reports(state, splits, cfgs, rng: Rng):
     its own child stream of `rng` and all share one evaluation latent batch,
     so each report equals the one a single-config call would give.
     """
-    eval_latent = _ops_for(state, splits, cfgs[0], rng).eval_latent
+    eval_latent = _ops_for(state, splits, rng).eval_latent
     v_dw = estimate_v_dw(state, splits, cfgs[0], rng.child(_DW_TAG), eval_latent)
     v_gw_lambdas = [estimate_v_gw_lambda(state, splits, cfg, rng.child(_GW_LAMBDA_TAG),
                                          eval_latent) for cfg in cfgs]

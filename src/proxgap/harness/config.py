@@ -100,6 +100,8 @@ class ExperimentConfig:
             raise ConfigError("steps must be nonnegative and batch positive")
         if self.checkpoint_interval < 1:
             raise ConfigError("checkpoint interval must be positive")
+        if self.jsd_bins < 1:
+            raise ConfigError(f"jsd.bins must be positive, got {self.jsd_bins}")
         if self.total_steps > 0 and self.total_steps % self.checkpoint_interval != 0:
             raise ConfigError("checkpoint interval must divide total steps")
 

@@ -2,7 +2,10 @@
 and Hessian-spectrum indefiniteness checks.
 
 Probes are pure observers; they clone whatever they perturb and never touch
-the configuration they are given.
+the configuration they are given.  They are built from the gap estimators'
+parts in :mod:`proxgap.gapmetrics`, for toy games and GANs alike: the game
+operations of ``_ops_for`` give both players' gradients, and the deviation
+trace walks the iterates of the estimators' one Adam search, ``_adam_search``.
 """
 
 from __future__ import annotations
@@ -12,34 +15,22 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .diffcore import (
-    MlpWorkspace,
-    Rng,
-    adam_init,
-    adam_step,
-    finite_value_and_grad,
-    forward,
-    hvp,
-    mlp_backward,
-    mlp_forward,
-    top_k_eigenvalues,
-)
+from .diffcore import Rng, forward, hvp, top_k_eigenvalues
+from .diffcore.engine import _param_values
 from .distributions import DataSplits
-from .gapmetrics import ToyGameState
-from .objectives import (
-    GanState,
-    check_clip_box,
-    eval_objective,
-    output_grads,
-    value_and_grad_g,
-)
-from .oracles import jsd_from_samples, toy_value, toy_value_and_grad
+from .gapmetrics import _adam_search, _ops_for
+from .objectives import GanState, check_clip_box
+from .oracles import jsd_from_samples
 
 GENERATOR = "generator"
 DISCRIMINATOR = "discriminator"
 
 # Fixed probe batch size drawn from the head of the evaluation split.
 PROBE_BATCH = 2048
+# Rows per deviation step, drawn with replacement from the training split.
+DEVIATION_BATCH = 128
+# Eigenvalue tolerance of the local Nash sign pattern.
+NASH_TOL = 1e-3
 
 
 class TracePoint(NamedTuple):
@@ -95,64 +86,51 @@ def unilateral_deviation(state, splits: DataSplits | None, steps: int, lr: float
                          eval_every: int, rng: Rng, bins: int = 16) -> DeviationTrace:
     """Descend the generator with the discriminator frozen, tracing V.
 
-    For GAN states the trace also records the histogram divergence between
-    held-out real samples and fresh generator output; the binning box is the
-    real-data extent widened by 1 and stays fixed along the trace.
+    The descent is the estimators' Adam search on the generator's gradient;
+    a GAN step draws its minibatch from the training split.  V is recorded at
+    the start, every `eval_every` steps and at the last step, or at the start
+    only when `eval_every` is 0.  For GAN states the trace also records the
+    histogram divergence between held-out real samples and fresh generator
+    output; the binning box is the real-data extent widened by 1 and stays
+    fixed along the trace.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
+    if eval_every < 0:
+        raise ValueError(f"eval_every must be nonnegative, got {eval_every}")
     if not (np.isfinite(lr) and lr > 0):  # a negative rate would ascend
         raise ValueError(f"lr must be positive and finite, got {lr}")
-    is_gan = isinstance(state, GanState)
-    if is_gan:
-        if splits is None:
-            raise ValueError("GAN deviation requires data splits")
-        eval_real = splits.s_c
-        eval_latent = rng.child(0).normal((eval_real.shape[0], state.latent_dim))
-        box = [(eval_real[:, j].min() - 1.0, eval_real[:, j].max() + 1.0)
-               for j in range(eval_real.shape[1])]
+    ops = _ops_for(state, splits, rng)
+    if isinstance(state, GanState):
+        train, real = splits.s_a, splits.s_c
+        n = min(DEVIATION_BATCH, train.shape[0])
+        box = [(real[:, j].min() - 1.0, real[:, j].max() + 1.0) for j in range(real.shape[1])]
 
-        def eval_point(theta_g):
-            v = eval_objective(state.with_params(theta_g=theta_g), eval_real, eval_latent)
-            fake = forward(state.g_spec, theta_g, eval_latent)
-            return v, jsd_from_samples(eval_real, fake, bins=bins, box=box)
+        def draw_batch():
+            idx = rng.integers(0, train.shape[0], n)
+            return train[idx], rng.normal((n, state.latent_dim))
 
-        g = state.theta_g
-    elif isinstance(state, ToyGameState):
-        def eval_point(g_vec):
-            return toy_value(state.game, state.d, g_vec), None
-
-        g = state.g.copy()
+        def divergence(theta_g):
+            fake = forward(state.g_spec, theta_g, ops.eval_latent)
+            return jsd_from_samples(real, fake, bins=bins, box=box)
     else:
-        raise TypeError(f"cannot probe {type(state).__name__}")
+        draw_batch, divergence = (lambda: None), (lambda g: None)
 
-    points = []
-    v0, div0 = eval_point(g)
-    points.append(TracePoint(0, v0, div0))
-    adam = adam_init(len(g), lr)
-    for step in range(1, steps + 1):
-        if is_gan:
-            idx = rng.integers(0, splits.s_a.shape[0], min(128, splits.s_a.shape[0]))
-            latent = rng.normal((len(idx), state.latent_dim))
-            _, grad = value_and_grad_g(state, state.theta_d, g, splits.s_a[idx], latent)
-        else:
-            grad = toy_value_and_grad(state.game, state.d, g, "g")[1]
-        g, adam = adam_step(g, grad, adam)
-        if not is_gan:
-            g = state.game.clip_g(g)
-        if eval_every > 0 and (step % eval_every == 0 or step == steps):
-            v, div = eval_point(g)
-            points.append(TracePoint(step, v, div))
-    return DeviationTrace(tuple(points))
+    iterates = _adam_search(ops.g0, lambda g, batch: ops.v_grad_g(ops.d0, g, batch)[1],
+                            ops.project_g, draw_batch, lr, steps)
+    return DeviationTrace(tuple(
+        TracePoint(step, ops.eval_value(ops.d0, g), divergence(g))
+        for step, g in enumerate(iterates)
+        if step == 0 or eval_every > 0 and (step % eval_every == 0 or step == steps)))
 
 
 def hessian_spectrum_probe(state, splits: DataSplits | None, agent: str, k: int,
-                           rng: Rng, tol: float = 1e-3) -> SpectrumReport:
+                           rng: Rng) -> SpectrumReport:
     """Top-k eigenvalues (by magnitude) of the objective's Hessian w.r.t. one agent.
 
     At a pure Nash point the objective is locally concave in the
     discriminator and convex in the generator, so ``nash_consistent`` checks
-    the corresponding sign pattern at tolerance ``tol``.  The Hessian-vector
+    the corresponding sign pattern at tolerance ``NASH_TOL``.  The Hessian-vector
     product is a central difference of the agent's exact gradient with step h,
     so a Ritz pair's relative residual cannot fall much below h^2; block
     Lanczos stops at a residual of 100 h^2, or after 2000 products.
@@ -161,52 +139,36 @@ def hessian_spectrum_probe(state, splits: DataSplits | None, agent: str, k: int,
         raise ValueError("k must be at least 1")
     if agent not in (GENERATOR, DISCRIMINATOR):
         raise ValueError(f"unknown agent {agent!r}")
-    if isinstance(state, GanState):
-        grad_fn, theta = _gan_agent_grad(state, splits, agent, rng)
-    elif isinstance(state, ToyGameState):
-        grad_fn, theta = _toy_agent_grad(state, agent)
-    else:
-        raise TypeError(f"cannot probe {type(state).__name__}")
+    grad_fn, theta = _agent_grad(state, splits, agent, rng)
     h = 1e-4 * (1.0 + np.linalg.norm(theta))
     result = top_k_eigenvalues(lambda v: hvp(grad_fn, theta, v, h),
                                dim=theta.size, k=k, max_iters=2000,
                                tol=100.0 * h * h, rng=rng.child(1))
-    return SpectrumReport(result.values, agent, _nash_consistent(agent, result.values, tol),
-                          tol, result.converged)
+    return SpectrumReport(result.values, agent,
+                          _nash_consistent(agent, result.values, NASH_TOL),
+                          NASH_TOL, result.converged)
 
 
-def _gan_agent_grad(state: GanState, splits, agent, rng: Rng):
-    """(theta -> the agent's kernel gradient of V on the probe batch, the agent's
-    parameter array); the other agent stays frozen, so the discriminator's
-    generated rows are computed once."""
-    if splits is None:
-        raise ValueError("GAN probes require data splits")
-    if state.d_spec.activation != "tanh" or state.g_spec.activation != "tanh":
-        raise ValueError("spectrum probes need twice-differentiable (tanh) activations")
-    n = min(PROBE_BATCH, splits.s_c.shape[0])
-    real = splits.s_c[:n]
-    latent = rng.child(0).normal((n, state.latent_dim))
-    # the box is checked once, at the state, never at theta_d +/- h v: a
-    # clipped critic sits on the box edge, which those perturbations cross
-    check_clip_box(state.objective, state.theta_d)
+def _agent_grad(state, splits, agent, rng: Rng):
+    """(theta -> the agent's gradient of V with the other agent frozen, the
+    agent's parameter array), from the estimators' game operations on the
+    probe batch (the head of the evaluation split; none for toy games).
+
+    The generator's gradient is ``ops.v_grad_g``.  The discriminator's is the
+    penalized inner-ascent step at lam = 0, which runs the kernel on the fixed
+    [real; generated] rows in one workspace and checks no clip box: theta_d
+    +/- h v crosses the box edge a clipped critic sits on, so the box is
+    checked once, at the state.
+    """
+    ops = _ops_for(state, splits, rng)
+    batch = None
+    if isinstance(state, GanState):
+        if state.d_spec.activation != "tanh" or state.g_spec.activation != "tanh":
+            raise ValueError("spectrum probes need twice-differentiable (tanh) activations")
+        check_clip_box(state.objective, state.theta_d)
+        real, latent = ops.eval_batch()
+        batch = real[:PROBE_BATCH], latent[:PROBE_BATCH]
     if agent == GENERATOR:
-        return (lambda theta_g: value_and_grad_g(state, state.theta_d, theta_g,
-                                                 real, latent)[1]), state.theta_g.values
-
-    rows = np.vstack([real, forward(state.g_spec, state.theta_g, latent)])
-    work = MlpWorkspace(state.d_spec, rows.shape[0])
-
-    def grad_d(theta_d):
-        out, cache = mlp_forward(state.d_spec, theta_d, rows, work)
-        value, grad_out = output_grads(state.objective, out, n)
-        return finite_value_and_grad(
-            value, mlp_backward(state.d_spec, theta_d, cache, grad_out)[0])[1]
-
-    return grad_d, state.theta_d.values
-
-
-def _toy_agent_grad(state: ToyGameState, agent):
-    # the stacked central-difference toy gradient, exact for the shipped polynomial games
-    if agent == GENERATOR:
-        return (lambda g: toy_value_and_grad(state.game, state.d, g, "g")[1]), state.g
-    return (lambda d: toy_value_and_grad(state.game, d, state.g, "d")[1]), state.d
+        return (lambda g: ops.v_grad_g(ops.d0, g, batch)[1]), _param_values(ops.g0)
+    step_fn = ops.make_prox_step(ops.d0, ops.g0, batch, 0.0, None)
+    return (lambda d: step_fn(d)[1]), _param_values(ops.d0)

@@ -56,7 +56,7 @@ from proxgap.objectives import (
     value_graph,
 )
 from proxgap.oracles import concave_quadratic
-from proxgap.probes import DISCRIMINATOR, GENERATOR, _gan_agent_grad, hessian_spectrum_probe
+from proxgap.probes import DISCRIMINATOR, GENERATOR, _agent_grad, hessian_spectrum_probe
 
 TOL = 1e-12
 ACTIVATIONS = ("tanh", "relu", "leaky_relu")
@@ -537,7 +537,7 @@ def test_healthy_paths_build_no_tensor(monkeypatch, name, objective):
     def paths():
         calls = _fast_paths(state, real, latent, state.theta_d)
         calls["output_grads"] = lambda: output_grads(objective, outputs, real.shape[0])
-        calls["spectrum_grad_d"] = lambda: _gan_agent_grad(
+        calls["spectrum_grad_d"] = lambda: _agent_grad(
             state, splits, DISCRIMINATOR, Rng(40))[0](state.theta_d.values)
         return calls
 

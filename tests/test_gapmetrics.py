@@ -167,6 +167,50 @@ def test_prox_opt_reclips_wasserstein():
     assert np.max(np.abs(theta.values)) <= 0.01 + 1e-15
 
 
+def test_prox_loop_hands_the_step_only_iterates_inside_the_clip_box():
+    # the fused prox step checks no clip box; the loop projects every iterate,
+    # an anchor outside the box included, before handing it to the step
+    d_spec = NetworkSpec(2, (8,), 1)
+    g_spec = NetworkSpec(2, (8,), 2)
+    rng = Rng(16)
+    wgan = WassersteinClip(0.01)
+    anchor = init_network(d_spec, rng.child(0))
+    state = GanState(d_spec, g_spec, enforce_constraint(wgan, anchor),
+                     init_network(g_spec, rng.child(1)), wgan)
+    real, latent = rng.normal((32, 2)), rng.normal((32, 2))
+    cfg = ProximalConfig(lam=0.1, prox_steps=25, prox_lr=0.5)
+    step_fn = _gan_prox_step_fn(state, anchor, state.theta_g, real, latent,
+                                cfg.lam, cfg.sobolev_h)
+    seen = []
+
+    def recording(theta):
+        seen.append(theta.values)
+        return step_fn(theta)
+
+    _prox_loop(recording, anchor, lambda pv: enforce_constraint(wgan, pv), cfg)
+    assert np.max(np.abs(anchor.values)) > 0.01
+    assert len(seen) == cfg.prox_steps
+    assert max(np.max(np.abs(vals)) for vals in seen) <= 0.01
+    # the steps do push against the box: later iterates sit on its edge
+    assert np.mean(np.abs(seen[-1]) == 0.01) > 0.25
+
+
+def test_adam_search_yields_the_start_and_every_projected_iterate():
+    game = bilinear()
+    draws = []
+
+    def draw_batch():
+        draws.append(len(draws))
+        return None
+
+    start = np.array([0.9])
+    iterates = list(gapmetrics._adam_search(
+        start, lambda g, batch: -np.ones(1), game.clip_g, draw_batch, 0.5, 6))
+    assert len(iterates) == 7 and iterates[0] is start and len(draws) == 6
+    assert all(game.clip_g(g) == g for g in iterates)
+    assert iterates[-1] == 1.0 and iterates[1] == 1.0  # clipped on the first step
+
+
 def test_toy_prox_value_matches_grid_oracle():
     # worst_iters=0 returns the penalized objective at the current configuration
     game = concave_quadratic()

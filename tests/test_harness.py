@@ -101,6 +101,7 @@ def test_config_wgan_gets_linear_head():
     ("optim.beta1 = 1.0", "optim.beta1"),
     ("optim.beta2 = 1.5", "optim.beta2"),
     ("optim.beta1 = -0.1", "optim.beta1"),
+    ("jsd.bins = 0", "jsd.bins"),
 ])
 def test_config_rejects_nonfinite_and_out_of_range_floats(text, key):
     with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
@@ -386,6 +387,16 @@ def test_cli_rejects_a_deviation_rate_that_cannot_descend(tmp_path, tiny_run, ca
                  "--kind", "deviation", "--steps", "5", f"--lr={lr}", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: lr must be positive and finite") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cli_rejects_a_negative_deviation_eval_interval(tmp_path, tiny_run, capsys):
+    # --eval-every 0 records the start only; a negative interval is an error
+    out = tmp_path / "dev.csv"
+    assert main(["probe", "--checkpoint", str(tiny_run / "checkpoint_000040.npz"),
+                 "--kind", "deviation", "--eval-every", "-3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: eval_every must be nonnegative, got -3\n"
     assert not out.exists()
 
 

@@ -1,14 +1,24 @@
 import numpy as np
 import pytest
 
+import ast
+import inspect
+
+from proxgap import probes
 from proxgap.diffcore import (
+    MlpWorkspace,
     NetworkSpec,
     Rng,
+    adam_init,
+    adam_step,
+    finite_value_and_grad,
     forward,
     forward_graph,
     grad_params,
     hvp,
     init_network,
+    mlp_backward,
+    mlp_forward,
 )
 from proxgap.distributions import GaussianMixture, make_splits
 from proxgap.gapmetrics import ToyGameState
@@ -17,10 +27,20 @@ from proxgap.objectives import (
     GanState,
     WassersteinClip,
     enforce_constraint,
+    eval_objective,
     objective_from_outputs,
+    output_grads,
+    value_and_grad_g,
     value_graph,
 )
-from proxgap.oracles import ToyGame, bilinear
+from proxgap.oracles import (
+    ToyGame,
+    bilinear,
+    jsd_from_samples,
+    shipped_games,
+    toy_value,
+    toy_value_and_grad,
+)
 from proxgap.probes import (
     DISCRIMINATOR,
     GENERATOR,
@@ -28,7 +48,7 @@ from proxgap.probes import (
     DeviationTrace,
     SpectrumReport,
     TracePoint,
-    _gan_agent_grad,
+    _agent_grad,
     hessian_spectrum_probe,
     unilateral_deviation,
 )
@@ -52,6 +72,153 @@ def _gan_setup(seed=0):
     dist = GaussianMixture([1.0], [[0.0, 0.0]], [[1.0, 1.0]])
     splits = make_splits(dist, 400, 200, 200, rng.child(2))
     return state, splits
+
+
+def _clipped_setup(seed=14, n_eval=200):
+    """A weight-clipped tanh critic on its box edge, with its data splits."""
+    d_spec = NetworkSpec(2, (8,), 1, activation="tanh")
+    g_spec = NetworkSpec(2, (8,), 2, activation="tanh")
+    rng = Rng(seed)
+    objective = WassersteinClip(0.05)
+    theta_d = enforce_constraint(objective, init_network(d_spec, rng.child(0)))
+    state = GanState(d_spec, g_spec, theta_d, init_network(g_spec, rng.child(1)), objective)
+    dist = GaussianMixture([1.0], [[0.0, 0.0]], [[1.0, 1.0]])
+    splits = make_splits(dist, 400, 200, n_eval, rng.child(2))
+    assert np.mean(np.abs(theta_d.values) == objective.clip) > 0.5
+    return state, splits
+
+
+def _toy_states():
+    rng = np.random.default_rng(3)
+    quad = _quadratic_game([2.0, -1.0])
+    for game in shipped_games() + (quad,):
+        yield ToyGameState(game, [rng.uniform(lo, hi) for lo, hi in game.d_box],
+                           [rng.uniform(lo, hi) for lo, hi in game.g_box])
+
+
+# -- the probes' former machinery, kept as references ------------------------------
+#
+# The probes once ran their own Adam descent and built their own gradients;
+# they now walk the estimators' search and use the estimators' game
+# operations.  These are the former code paths, and the probes must keep
+# their bytes.
+
+
+def _reference_deviation(state, splits, steps, lr, eval_every, rng, bins=16):
+    """The deviation probe's own Adam loop, as it was."""
+    is_gan = isinstance(state, GanState)
+    if is_gan:
+        eval_real = splits.s_c
+        eval_latent = rng.child(0).normal((eval_real.shape[0], state.latent_dim))
+        box = [(eval_real[:, j].min() - 1.0, eval_real[:, j].max() + 1.0)
+               for j in range(eval_real.shape[1])]
+
+        def eval_point(theta_g):
+            v = eval_objective(state.with_params(theta_g=theta_g), eval_real, eval_latent)
+            fake = forward(state.g_spec, theta_g, eval_latent)
+            return v, jsd_from_samples(eval_real, fake, bins=bins, box=box)
+
+        g = state.theta_g
+    else:
+        def eval_point(g_vec):
+            return toy_value(state.game, state.d, g_vec), None
+
+        g = state.g.copy()
+    points = [TracePoint(0, *eval_point(g))]
+    adam = adam_init(len(g), lr)
+    for step in range(1, steps + 1):
+        if is_gan:
+            idx = rng.integers(0, splits.s_a.shape[0], min(128, splits.s_a.shape[0]))
+            latent = rng.normal((len(idx), state.latent_dim))
+            _, grad = value_and_grad_g(state, state.theta_d, g, splits.s_a[idx], latent)
+        else:
+            grad = toy_value_and_grad(state.game, state.d, g, "g")[1]
+        g, adam = adam_step(g, grad, adam)
+        if not is_gan:
+            g = state.game.clip_g(g)
+        if eval_every > 0 and (step % eval_every == 0 or step == steps):
+            points.append(TracePoint(step, *eval_point(g)))
+    return DeviationTrace(tuple(points))
+
+
+def _reference_agent_grad(state, splits, agent, rng):
+    """The spectrum probe's gradients, as they were: ``value_and_grad_g`` for the
+    generator, and for the critic a hand-built kernel pass over the fixed
+    [real; generated] rows in one workspace; the toy stencil for toy games."""
+    if isinstance(state, ToyGameState):
+        if agent == GENERATOR:
+            return lambda g: toy_value_and_grad(state.game, state.d, g, "g")[1]
+        return lambda d: toy_value_and_grad(state.game, d, state.g, "d")[1]
+    n = min(PROBE_BATCH, splits.s_c.shape[0])
+    real = splits.s_c[:n]
+    latent = rng.child(0).normal((n, state.latent_dim))
+    if agent == GENERATOR:
+        return lambda theta_g: value_and_grad_g(state, state.theta_d, theta_g,
+                                                real, latent)[1]
+    rows = np.vstack([real, forward(state.g_spec, state.theta_g, latent)])
+    work = MlpWorkspace(state.d_spec, rows.shape[0])
+
+    def grad_d(theta_d):
+        out, cache = mlp_forward(state.d_spec, theta_d, rows, work)
+        value, grad_out = output_grads(state.objective, out, n)
+        return finite_value_and_grad(
+            value, mlp_backward(state.d_spec, theta_d, cache, grad_out)[0])[1]
+
+    return grad_d
+
+
+def _trace_bytes(trace):
+    return [(p.step, np.float64(p.value).tobytes(),
+             None if p.divergence is None else np.float64(p.divergence).tobytes())
+            for p in trace.points]
+
+
+def _gan_cases():
+    yield "classic", *_gan_setup(seed=3)
+    yield "classic-small-train", _gan_setup(seed=4)[0], make_splits(
+        GaussianMixture([1.0], [[0.0, 0.0]], [[1.0, 1.0]]), 60, 40, 50, Rng(6))
+    yield "clipped", *_clipped_setup()
+    yield "clipped-long-eval", *_clipped_setup(seed=17, n_eval=PROBE_BATCH + 52)
+
+
+@pytest.mark.parametrize("steps,eval_every", [(30, 7), (12, 0), (10, 10), (0, 3)])
+def test_deviation_trace_keeps_the_former_loops_bytes(steps, eval_every):
+    cases = list(_gan_cases()) + [(s.game.name, s, None) for s in _toy_states()]
+    for name, state, splits in cases:
+        lr = 1e-3 if splits is not None else 0.05
+        got = unilateral_deviation(state, splits, steps, lr, eval_every, Rng(21))
+        want = _reference_deviation(state, splits, steps, lr, eval_every, Rng(21))
+        assert _trace_bytes(got) == _trace_bytes(want), name
+
+
+@pytest.mark.parametrize("agent", [GENERATOR, DISCRIMINATOR])
+def test_spectrum_gradients_keep_the_former_bytes(agent):
+    cases = list(_gan_cases()) + [(s.game.name, s, None) for s in _toy_states()]
+    for name, state, splits in cases:
+        grad_fn, theta = _agent_grad(state, splits, agent, Rng(22))
+        want_fn = _reference_agent_grad(state, splits, agent, Rng(22))
+        directions = Rng(23).normal((3, theta.size))
+        # theta and the points theta +/- h v at which hvp evaluates the gradient
+        for point in [theta] + [theta + s * 1e-4 * v for v in directions for s in (1, -1)]:
+            assert grad_fn(point).tobytes() == want_fn(point).tobytes(), (name, agent)
+        h = 1e-4 * (1.0 + np.linalg.norm(theta))
+        v = Rng(25).normal(theta.size)
+        assert hvp(grad_fn, theta, v, h).tobytes() == hvp(want_fn, theta, v, h).tobytes()
+    report = hessian_spectrum_probe(state, splits, agent, k=1, rng=Rng(24))
+    assert report.tolerance == probes.NASH_TOL == 1e-3
+
+
+def test_probes_hold_no_kernel_adam_or_toy_gradient_code():
+    # the probes take gradients and the Adam search from gapmetrics
+    banned = {"mlp_forward", "mlp_backward", "MlpWorkspace", "output_grads",
+              "finite_value_and_grad", "adam_step", "toy_value_and_grad"}
+    tree = ast.parse(inspect.getsource(probes))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {alias.name for node in ast.walk(tree)
+              if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert not banned & names
+    assert not [name for name in banned if hasattr(probes, name)]
 
 
 # -- unilateral deviation ----------------------------------------------------
@@ -91,6 +258,12 @@ def test_deviation_rejects_a_rate_that_cannot_descend(lr):
         unilateral_deviation(state, None, steps=50, lr=lr, eval_every=10, rng=Rng(4))
     trace = unilateral_deviation(state, None, steps=50, lr=0.05, eval_every=10, rng=Rng(4))
     assert trace.values[-1] < trace.values[0] == 0.25
+
+
+def test_deviation_rejects_a_negative_eval_interval():
+    state = ToyGameState(bilinear(), np.array([0.5]), np.array([0.5]))
+    with pytest.raises(ValueError, match="eval_every must be nonnegative"):
+        unilateral_deviation(state, None, steps=50, lr=0.05, eval_every=-3, rng=Rng(4))
 
 
 def test_deviation_gan_records_divergence_and_is_pure():
@@ -153,7 +326,7 @@ def test_spectrum_discriminator_sign_convention():
 
 
 def _graph_agent_grad(state, splits, agent, rng):
-    """The graph oracle of ``probes._gan_agent_grad``: ``grad_params`` over the
+    """The graph oracle of ``probes._agent_grad``: ``grad_params`` over the
     objective's graph on the same probe batch, the other agent frozen."""
     n = min(PROBE_BATCH, splits.s_c.shape[0])
     real = splits.s_c[:n]
@@ -186,7 +359,7 @@ def _top_by_magnitude(mat, k):
 def test_spectrum_matches_dense_solver_on_small_net():
     state, splits = _gan_setup(seed=9)
     # the probe's kernel gradient is its graph oracle's to rounding
-    grad_fn, theta = _gan_agent_grad(state, splits, GENERATOR, Rng(10))
+    grad_fn, theta = _agent_grad(state, splits, GENERATOR, Rng(10))
     oracle = _graph_agent_grad(state, splits, GENERATOR, Rng(10))(theta)
     assert np.linalg.norm(grad_fn(theta) - oracle) <= 1e-12 * np.linalg.norm(oracle)
     top = _top_by_magnitude(_dense_oracle_hessian(state, splits, GENERATOR, Rng(10)), 3)
@@ -197,15 +370,7 @@ def test_spectrum_matches_dense_solver_on_small_net():
 def test_spectrum_of_a_clipped_critic_matches_the_graph_oracle():
     # a weight-clipped critic sits on its box edge, so theta_d +/- h v leaves
     # the box; the probe checks the box at the state only
-    d_spec = NetworkSpec(2, (8,), 1, activation="tanh")
-    g_spec = NetworkSpec(2, (8,), 2, activation="tanh")
-    rng = Rng(14)
-    objective = WassersteinClip(0.05)
-    theta_d = enforce_constraint(objective, init_network(d_spec, rng.child(0)))
-    state = GanState(d_spec, g_spec, theta_d, init_network(g_spec, rng.child(1)), objective)
-    dist = GaussianMixture([1.0], [[0.0, 0.0]], [[1.0, 1.0]])
-    splits = make_splits(dist, 400, 200, 200, rng.child(2))
-    assert np.mean(np.abs(theta_d.values) == objective.clip) > 0.5
+    state, splits = _clipped_setup()
     report = hessian_spectrum_probe(state, splits, DISCRIMINATOR, k=3, rng=Rng(15))
     top = _top_by_magnitude(_dense_oracle_hessian(state, splits, DISCRIMINATOR, Rng(15)), 3)
     assert all(report.converged)
