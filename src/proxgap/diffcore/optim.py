@@ -24,6 +24,8 @@ class AdamState:
             raise ValueError("step counter must be nonnegative")
         if self.m.shape != self.v.shape:
             raise ValueError("moment vectors must have equal length")
+        if not (np.isfinite(self.m).all() and np.isfinite(self.v).all()):
+            raise ValueError("Adam moments must be finite")
         if np.any(self.v < 0):
             raise ValueError("second moments must be nonnegative")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
@@ -53,7 +55,8 @@ def adam_step(params, grad, state: AdamState):
     new_vals = vals - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
     # the state was checked where it entered, and one step keeps what
     # __post_init__ checks (m and v share a shape; v >= 0 as beta2 is in
-    # [0, 1); t >= 1), so the next state skips the check
+    # [0, 1); t >= 1) but finiteness, which a gradient beyond 1e154 breaks
+    # in v; the next state skips the check
     new_state = object.__new__(AdamState)
     new_state.__dict__.update(state.__dict__, m=m, v=v, t=t)
     if isinstance(params, ParamVector):

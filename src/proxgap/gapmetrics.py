@@ -4,6 +4,10 @@ penalized worst-case generator value, and the plain and proximal duality gaps.
 The estimators run on full GAN states and on toy-game configurations through
 one code path: toy games stand in wherever exhaustive grid search is feasible,
 so every estimator can be checked against :mod:`proxgap.oracles`.
+
+It holds the searches and the estimators only: values and gradients come
+from :mod:`proxgap.objectives` (the discriminator's from ``penalized_step_fn``)
+or, for toy games, from :mod:`proxgap.oracles`.
 """
 
 from __future__ import annotations
@@ -13,29 +17,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diffcore import (
-    MlpWorkspace,
-    NonFiniteError,
-    ParamVector,
-    Rng,
-    Tensor,
-    adam_init,
-    adam_step,
-    finite_value_and_grad,
-    forward,
-    input_grad_batch,
-    input_grad_columns,
-    mlp_backward,
-    mlp_forward,
-)
-from .diffcore.network import central_difference, stencil_rows
+from .diffcore import NonFiniteError, ParamVector, Rng, adam_init, adam_step
 from .distributions import DataSplits
 from .objectives import (
     GanState,
     enforce_constraint,
     eval_objective,
-    output_grads,
-    value_and_grad_d,
+    penalized_step_fn,
     value_and_grad_g,
 )
 from .oracles import ToyGame, toy_value, toy_value_and_grad
@@ -115,40 +103,6 @@ class ToyGameState:
             raise ValueError("configuration does not match the game's dimensions")
 
 
-# -- the Sobolev function distance ----------------------------------------
-
-
-def sobolev_dist_sq(d_spec, theta_1: ParamVector, theta_2: ParamVector,
-                    x_batch, h: float) -> float:
-    """Mean squared input-gradient difference over the batch.
-
-    Realizes the squared function distance between two discriminators as
-    (1/n) sum_i ||grad_x D_1(x_i) - grad_x D_2(x_i)||^2.
-    """
-    x_batch = np.asarray(x_batch, dtype=np.float64)
-    if x_batch.shape[0] == 0:
-        raise ValueError("batch must be non-empty")
-    g1 = input_grad_batch(d_spec, theta_1, x_batch, h)
-    g2 = input_grad_batch(d_spec, theta_2, x_batch, h)
-    return float(_sobolev_sum(g1.T[:, :, None], g2))
-
-
-def _sobolev_sum(columns, anchor_grads):
-    """sum_j mean_i (column_j - anchor_grads[:, j])^2 over n x 1 input-gradient
-    columns; the one formula of the distance, on arrays or Tensors."""
-    total = None
-    for j, col in enumerate(columns):
-        diff = col - anchor_grads[:, j:j + 1]
-        term = (diff * diff).mean()
-        total = term if total is None else total + term
-    return total
-
-
-def _sobolev_graph(d_spec, theta: Tensor, anchor_grads: np.ndarray, x_batch, h: float):
-    """Graph version of sobolev_dist_sq with the anchor side precomputed."""
-    return _sobolev_sum(input_grad_columns(d_spec, theta, x_batch, h), anchor_grads)
-
-
 # -- internal game operations ----------------------------------------------
 
 
@@ -178,17 +132,11 @@ class _GanOps:
         return eval_objective(self.state.with_params(theta_d, theta_g),
                               self.splits.s_c, self.eval_latent)
 
-    def v_grad_d(self, theta_d, theta_g, batch):
-        real, latent = batch
-        return value_and_grad_d(self.state, theta_d, theta_g, real, latent)
-
     def v_grad_g(self, theta_d, theta_g, batch):
-        real, latent = batch
-        return value_and_grad_g(self.state, theta_d, theta_g, real, latent)
+        return value_and_grad_g(self.state, theta_d, theta_g, *batch)
 
     def make_prox_step(self, anchor, theta_g, batch, lam, h):
-        real, latent = batch
-        return _gan_prox_step_fn(self.state, anchor, theta_g, real, latent, lam, h)
+        return penalized_step_fn(self.state, anchor, theta_g, *batch, lam, h)
 
     def project_d(self, theta_d):
         return enforce_constraint(self.state.objective, theta_d)
@@ -213,13 +161,13 @@ class _ToyOps:
     def eval_value(self, d, g) -> float:
         return toy_value(self.game, d, g)
 
-    def v_grad_d(self, d, g, batch):
-        return toy_value_and_grad(self.game, d, g, "d")
-
     def v_grad_g(self, d, g, batch):
         return toy_value_and_grad(self.game, d, g, "g")
 
     def make_prox_step(self, anchor, g, batch, lam, h):
+        if lam <= 0:
+            return lambda d: toy_value_and_grad(self.game, d, g, "d")
+
         def value_and_grad(d):
             value, grad = toy_value_and_grad(self.game, d, g, "d")
             diff = d - anchor
@@ -240,55 +188,6 @@ def _ops_for(state, splits, rng, eval_latent=None):
     if isinstance(state, ToyGameState):
         return _ToyOps(state)
     raise TypeError(f"cannot estimate or probe {type(state).__name__}")
-
-
-def _gan_prox_step_fn(state, anchor, theta_g, real, latent, lam, h):
-    """(value, gradient) of V(theta, theta_g) - lam * sobolev_dist_sq(theta, anchor)
-    on one batch, as a function of the discriminator copy theta.
-
-    Each call runs one fused forward and one backward over the real rows, the
-    generated rows and the 2 * dim stencil rows stacked together;
-    ``objective_from_outputs`` minus ``_sobolev_graph`` is its graph oracle,
-    and a failure carries the op name that oracle gives.  At lam = 0 there are
-    no stencil rows and ``h`` is unused.  The clip box is not checked: the
-    inner ascent projects every iterate before the call.
-    """
-    real = np.asarray(real, dtype=np.float64)
-    latent = np.asarray(latent, dtype=np.float64)
-    spec = state.d_spec
-    fake = forward(state.g_spec, theta_g, latent)
-    n, n_obj = real.shape[0], real.shape[0] + fake.shape[0]
-    rows = [real, fake]
-    if lam > 0:
-        anchor_grads = input_grad_batch(spec, anchor, real, h)
-        rows.append(stencil_rows(spec, real, h))
-    rows = np.vstack(rows)
-    # the stacked row count is fixed, so every inner step reuses one workspace
-    work = MlpWorkspace(spec, rows.shape[0])
-
-    def value_and_grad(theta):
-        out, cache = mlp_forward(spec, theta, rows, work)
-        value, grad_obj = output_grads(state.objective, out[:n_obj], n)
-        grad_out = np.zeros_like(out)
-        grad_out[:n_obj] = grad_obj
-        if lam > 0:
-            # the stencil outputs as (coordinate, +/- shift, row)
-            stencil = out[n_obj:, 0].reshape(spec.input_dim, 2, n)
-            columns = central_difference(stencil[:, 0], stencil[:, 1], h)[:, :, None]
-            penalized = value - lam * _sobolev_sum(columns, anchor_grads)
-            if not np.isfinite(penalized):  # a leaf-Tensor replay raises the oracle's op
-                value - lam * _sobolev_sum([central_difference(Tensor(up[:, None]),
-                                                               Tensor(down[:, None]), h)
-                                            for up, down in stencil], anchor_grads)
-            value = penalized
-            # d/dcolumn_j of -lam * mean_i (column_j - anchor_j)^2, through the
-            # stencil scaling to the + and - outputs
-            diff = columns[:, :, 0] - anchor_grads.T
-            d_col = 2.0 * ((-lam / n) * diff) * (1.0 / (2.0 * h))
-            grad_out[n_obj:, 0] = np.stack([d_col, -d_col], axis=1).ravel()
-        return finite_value_and_grad(float(value), mlp_backward(spec, theta, cache, grad_out)[0])
-
-    return value_and_grad
 
 
 def _prox_step_size(prox_lr: float, lam: float) -> float:
@@ -351,8 +250,8 @@ def estimate_v_dw(state, splits, cfg: ProximalConfig, rng: Rng, eval_latent=None
     """
     ops = _ops_for(state, splits, rng, eval_latent)
     start = ops.project_d(ops.d0)
-    d = _worst_case(ops, start,
-                    lambda d, batch: -ops.v_grad_d(d, ops.g0, batch)[1],  # ascent on V
+    d = _worst_case(ops, start,  # ascent on V: the penalized step at lam = 0
+                    lambda d, batch: -ops.make_prox_step(d, ops.g0, batch, 0.0, None)(d)[1],
                     ops.project_d, cfg)
     return max(ops.eval_value(d, ops.g0), ops.eval_value(start, ops.g0))
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from .. import __version__
 from ..diffcore import NonFiniteError, ParamVector, Rng, adam_init, adam_step, forward, init_network
+from ..diffcore.optim import AdamState
 from ..distributions import make_splits
 from ..gapmetrics import GapReport, ProxDivergenceError, duality_gap, lambda_sweep
 from ..objectives import (
@@ -138,8 +139,8 @@ def train(cfg: ExperimentConfig) -> Path:
             writer.writerow([step, f"{v_d:.12g}", f"{v_g:.12g}", f"{dg_plain:.12g}",
                              f"{dg_lambda:.12g}", f"{hist:.12g}", f"{wall:.3f}"])
             fh.flush()
-            path = save_checkpoint(run_dir / f"checkpoint_{step:06d}", cfg, state,
-                                   adam_d, adam_g, step, train_rng.state)
+            path = save_checkpoint(run_dir / f"checkpoint_{step:06d}", Checkpoint(
+                cfg, state, adam_d, adam_g, step, train_rng.state))
             checkpoints.append(str(path))
 
         checkpoint(0)
@@ -186,25 +187,37 @@ def _checkpoint_arrays(cfg: ExperimentConfig) -> dict:
             "adam_g_m": (n_g,), "adam_g_v": (n_g,), "counters": (3,)}
 
 
-def save_checkpoint(base, cfg: ExperimentConfig, state: GanState, adam_d, adam_g,
-                    step: int, rng_state: dict) -> Path:
+@dataclass(frozen=True)
+class Checkpoint:
+    """A saved run point: the game, both players' Adam states, the training stream's cursor."""
+
+    cfg: ExperimentConfig
+    state: GanState
+    adam_d: AdamState
+    adam_g: AdamState
+    step: int
+    rng_state: dict
+
+
+def save_checkpoint(base, ckpt: Checkpoint) -> Path:
+    """Write ``ckpt`` as ``base``.npz and its ``base``.json sidecar; returns the .npz path."""
     base = Path(base)
     npz = base.with_suffix(".npz")
     _write_atomically(npz, lambda fh: np.savez(
         fh,
-        theta_d=state.theta_d.values,
-        theta_g=state.theta_g.values,
-        adam_d_m=adam_d.m, adam_d_v=adam_d.v,
-        adam_g_m=adam_g.m, adam_g_v=adam_g.v,
-        counters=np.array([adam_d.t, adam_g.t, step], dtype=np.int64),
+        theta_d=ckpt.state.theta_d.values,
+        theta_g=ckpt.state.theta_g.values,
+        adam_d_m=ckpt.adam_d.m, adam_d_v=ckpt.adam_d.v,
+        adam_g_m=ckpt.adam_g.m, adam_g_v=ckpt.adam_g.v,
+        counters=np.array([ckpt.adam_d.t, ckpt.adam_g.t, ckpt.step], dtype=np.int64),
     ))
     sidecar = {
         "format": CHECKPOINT_FORMAT,
-        "step": step,
-        "seed": cfg.seed,
-        "config": cfg.pairs,
-        "rng_state": _jsonable(rng_state),
-        "arrays": list(_checkpoint_arrays(cfg)),
+        "step": ckpt.step,
+        "seed": ckpt.cfg.seed,
+        "config": ckpt.cfg.pairs,
+        "rng_state": _jsonable(ckpt.rng_state),
+        "arrays": list(_checkpoint_arrays(ckpt.cfg)),
     }
     _write_atomically(base.with_suffix(".json"),
                       lambda fh: fh.write(json.dumps(sidecar, indent=2).encode("utf-8")))
@@ -233,20 +246,6 @@ def _jsonable(obj):
     return obj
 
 
-@dataclass(frozen=True)
-class Checkpoint:
-    cfg: ExperimentConfig
-    state: GanState
-    step: int
-    adam_d_m: np.ndarray
-    adam_d_v: np.ndarray
-    adam_g_m: np.ndarray
-    adam_g_v: np.ndarray
-    adam_d_t: int
-    adam_g_t: int
-    rng_state: dict
-
-
 def load_checkpoint(path) -> Checkpoint:
     path = Path(path)
     sidecar_path = path.with_suffix(".json")
@@ -273,10 +272,14 @@ def load_checkpoint(path) -> Checkpoint:
     state = GanState(cfg.d_spec, cfg.g_spec, state_params(cfg.d_spec, arrays["theta_d"]),
                      state_params(cfg.g_spec, arrays["theta_g"]), cfg.objective)
     counters = arrays["counters"]
-    return Checkpoint(cfg, state, int(sidecar["step"]),
-                      arrays["adam_d_m"], arrays["adam_d_v"],
-                      arrays["adam_g_m"], arrays["adam_g_v"],
-                      int(counters[0]), int(counters[1]), sidecar["rng_state"])
+    adams = []
+    for player, t, lr in (("d", counters[0], cfg.lr_d), ("g", counters[1], cfg.lr_g)):
+        try:
+            adams.append(AdamState(arrays[f"adam_{player}_m"], arrays[f"adam_{player}_v"],
+                                   int(t), lr, cfg.beta1, cfg.beta2))
+        except ValueError as err:
+            raise ValueError(f"checkpoint {path} holds a bad adam_{player} state: {err}") from err
+    return Checkpoint(cfg, state, *adams, int(sidecar["step"]), sidecar["rng_state"])
 
 
 def state_params(spec, values):
@@ -303,13 +306,10 @@ def gap_cmd(checkpoint_path, lam: float | None = None) -> GapReport:
 
 def lambda_sweep_cmd(checkpoint_path, lambdas, out_csv=None) -> Path:
     """Gap estimates across a lambda grid at one checkpoint, written as CSV."""
-    lams = [float(x) for x in lambdas]
-    if not lams:
-        raise ValueError("lambda list must be non-empty")
     ckpt = load_checkpoint(checkpoint_path)
     cfg = ckpt.cfg
     splits = rebuild_splits(cfg)
-    rows = lambda_sweep(ckpt.state, splits, lams, cfg.prox,
+    rows = lambda_sweep(ckpt.state, splits, lambdas, cfg.prox,
                         Rng(cfg.seed).child(_TAG_GAP, ckpt.step))
     out = Path(out_csv) if out_csv else Path(checkpoint_path).with_name(
         Path(checkpoint_path).stem + "_lambda_sweep.csv")

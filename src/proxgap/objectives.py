@@ -7,6 +7,9 @@ its value and its derivative with respect to the discriminator's outputs in
 plain numpy (``output_grads``), written op for op as the graph engine's
 backward pass over that formula, so the two agree bit for bit.  The leaf
 graph runs only to name a failure.
+
+The discriminator's gradient has one source, ``penalized_step_fn``, the
+proximal objective's per-step V - lam * dist^2; at lam = 0 it is V itself.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .diffcore import (
+    MlpWorkspace,
     NetworkSpec,
     ParamVector,
     Tensor,
@@ -24,12 +28,15 @@ from .diffcore import (
     finite_value_and_grad,
     forward,
     forward_graph,
+    input_grad_batch,
+    input_grad_columns,
     log,
     mlp_backward,
     mlp_forward,
     softplus,
 )
 from .diffcore.engine import _sigmoid
+from .diffcore.network import central_difference, stencil_rows
 
 # D outputs are clamped into [EPS_LOG, 1 - EPS_LOG] before logs so a saturated
 # discriminator yields a large-but-finite value instead of -inf.
@@ -243,6 +250,11 @@ def value_graph(state: GanState, theta_d, theta_g, real_batch, latent_batch):
     return objective_from_outputs(state.objective, d_real, d_fake)
 
 
+def _sobolev_graph(d_spec, theta: Tensor, anchor_grads: np.ndarray, x_batch, h: float):
+    """Graph version of the Sobolev distance with the anchor side precomputed."""
+    return _sobolev_sum(input_grad_columns(d_spec, theta, x_batch, h), anchor_grads)
+
+
 def _batches(real_batch, latent_batch):
     real_batch = np.asarray(real_batch, dtype=np.float64)
     latent_batch = np.asarray(latent_batch, dtype=np.float64)
@@ -282,15 +294,71 @@ def output_grads(objective: ObjectiveKind, outputs: np.ndarray, n_real: int):
     return v.item(), np.vstack([d_real.grad, d_fake.grad])
 
 
+def penalized_step_fn(state, anchor, theta_g, real, latent, lam, h):
+    """(value, gradient) of V(theta, theta_g) - lam * dist^2(theta, anchor) on one
+    batch as a function of the discriminator copy theta, dist^2 being the mean
+    squared input-gradient difference over the real rows (Sobolev distance).
+
+    The generator runs once, here; each call runs one fused forward and one
+    backward over the real, the generated and, when lam > 0, the 2 * dim
+    stencil rows stacked.  ``objective_from_outputs`` minus ``_sobolev_graph``
+    is its graph oracle, whose op names its failures carry.  At lam = 0 it is
+    V, and ``anchor`` and ``h`` are unused.  Callers check the clip box.
+    """
+    real, latent = _batches(real, latent)
+    spec = state.d_spec
+    fake = forward(state.g_spec, theta_g, latent)
+    n, n_obj = real.shape[0], real.shape[0] + fake.shape[0]
+    rows = [real, fake]
+    if lam > 0:
+        anchor_grads = input_grad_batch(spec, anchor, real, h)
+        rows.append(stencil_rows(spec, real, h))
+    rows = np.vstack(rows)
+    # the stacked row count is fixed, so every call reuses one workspace
+    work = MlpWorkspace(spec, rows.shape[0])
+
+    def value_and_grad(theta):
+        out, cache = mlp_forward(spec, theta, rows, work)
+        value, grad_out = output_grads(state.objective, out[:n_obj], n)
+        if lam > 0:
+            # the stencil outputs as (coordinate, +/- shift, row)
+            stencil = out[n_obj:, 0].reshape(spec.input_dim, 2, n)
+            columns = central_difference(stencil[:, 0], stencil[:, 1], h)[:, :, None]
+            penalized = value - lam * _sobolev_sum(columns, anchor_grads)
+            if not np.isfinite(penalized):  # a leaf-Tensor replay raises the oracle's op
+                value - lam * _sobolev_sum([central_difference(Tensor(up[:, None]),
+                                                               Tensor(down[:, None]), h)
+                                            for up, down in stencil], anchor_grads)
+            value = penalized
+            # d/dcolumn_j of -lam * mean_i (column_j - anchor_j)^2, through the
+            # stencil scaling to the + and - outputs
+            diff = columns[:, :, 0] - anchor_grads.T
+            d_col = 2.0 * ((-lam / n) * diff) * (1.0 / (2.0 * h))
+            grad_out = np.vstack([grad_out, np.stack([d_col, -d_col], axis=1).reshape(-1, 1)])
+        return finite_value_and_grad(float(value), mlp_backward(spec, theta, cache, grad_out)[0])
+
+    return value_and_grad
+
+
+def _sobolev_sum(columns, anchor_grads):
+    """sum_j mean_i (column_j - anchor_grads[:, j])^2 over n x 1 input-gradient
+    columns; the one formula of the Sobolev distance, on arrays or Tensors."""
+    total = None
+    for j, col in enumerate(columns):
+        diff = col - anchor_grads[:, j:j + 1]
+        term = (diff * diff).mean()
+        total = term if total is None else total + term
+    return total
+
+
 def value_and_grad_d(state, theta_d: ParamVector, theta_g: ParamVector,
                      real_batch, latent_batch):
-    """(V, dV/dtheta_d); the generator side is treated as a constant."""
-    real, latent = _batches(real_batch, latent_batch)
-    fake = forward(state.g_spec, theta_g, latent)
+    """(V, dV/dtheta_d); the generator side is treated as a constant.
+
+    The penalized step at lam = 0; the clip box is checked after the generator runs."""
+    step = penalized_step_fn(state, theta_d, theta_g, real_batch, latent_batch, 0.0, None)
     check_clip_box(state.objective, theta_d)
-    out, cache = mlp_forward(state.d_spec, theta_d, np.vstack([real, fake]))
-    v, grad_out = output_grads(state.objective, out, real.shape[0])
-    return finite_value_and_grad(v, mlp_backward(state.d_spec, theta_d, cache, grad_out)[0])
+    return step(theta_d)
 
 
 def value_and_grad_g(state, theta_d: ParamVector, theta_g: ParamVector,
@@ -317,12 +385,6 @@ def fenchel_identity_residual(family: FGanFamily, t: float) -> float:
         raise ValueError("t must be inside the positive domain of f")
     slope = family.f_prime(t)
     return abs(float(family.f_star(slope)) - (t * slope - family.f(t)))
-
-
-def conjugate_from_grid(family: FGanFamily, x: float, t_grid) -> float:
-    """Brute-force sup_t {x t - f(t)} on a grid; the oracle for f_star."""
-    t_grid = np.asarray(t_grid, dtype=np.float64)
-    return float(np.max(x * t_grid - family.f(t_grid)))
 
 
 def enforce_constraint(objective, theta_d: ParamVector) -> ParamVector:

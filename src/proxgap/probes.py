@@ -89,10 +89,10 @@ def unilateral_deviation(state, splits: DataSplits | None, steps: int, lr: float
     The descent is the estimators' Adam search on the generator's gradient;
     a GAN step draws its minibatch from the training split.  V is recorded at
     the start, every `eval_every` steps and at the last step, or at the start
-    only when `eval_every` is 0.  For GAN states the trace also records the
-    histogram divergence between held-out real samples and fresh generator
-    output; the binning box is the real-data extent widened by 1 and stays
-    fixed along the trace.
+    only, with no step taken, when `eval_every` is 0.  For GAN states the
+    trace also records the histogram divergence between held-out real samples
+    and fresh generator output; the binning box is the real-data extent
+    widened by 1 and stays fixed along the trace.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
@@ -117,11 +117,11 @@ def unilateral_deviation(state, splits: DataSplits | None, steps: int, lr: float
         draw_batch, divergence = (lambda: None), (lambda g: None)
 
     iterates = _adam_search(ops.g0, lambda g, batch: ops.v_grad_g(ops.d0, g, batch)[1],
-                            ops.project_g, draw_batch, lr, steps)
+                            ops.project_g, draw_batch, lr, steps if eval_every else 0)
     return DeviationTrace(tuple(
         TracePoint(step, ops.eval_value(ops.d0, g), divergence(g))
         for step, g in enumerate(iterates)
-        if step == 0 or eval_every > 0 and (step % eval_every == 0 or step == steps)))
+        if step == 0 or step == steps or step % eval_every == 0))
 
 
 def hessian_spectrum_probe(state, splits: DataSplits | None, agent: str, k: int,
@@ -155,8 +155,8 @@ def _agent_grad(state, splits, agent, rng: Rng):
     probe batch (the head of the evaluation split; none for toy games).
 
     The generator's gradient is ``ops.v_grad_g``.  The discriminator's is the
-    penalized inner-ascent step at lam = 0, which runs the kernel on the fixed
-    [real; generated] rows in one workspace and checks no clip box: theta_d
+    penalized step at lam = 0 (``objectives.penalized_step_fn`` for GANs), built
+    once on the fixed [real; generated] rows; it checks no clip box: theta_d
     +/- h v crosses the box edge a clipped critic sits on, so the box is
     checked once, at the state.
     """

@@ -213,6 +213,9 @@ def test_adam_step_carries_the_textbook_formulas_bytes(kind, monkeypatch):
     ({"v": np.array([0.0, -1e-300, 1.0])}, "nonnegative"),
     ({"beta1": 1.0}, "betas"),
     ({"beta2": -0.1}, "betas"),
+    ({"m": np.array([0.0, np.nan, 1.0])}, "finite"),
+    ({"v": np.array([0.0, np.inf, 1.0])}, "finite"),
+    ({"m": np.array([-np.inf, 0.0, 1.0])}, "finite"),
 ])
 def test_adam_state_built_by_a_caller_is_checked(fields, match):
     args = {"m": np.zeros(3), "v": np.zeros(3), "t": 0, "lr": 0.1} | fields

@@ -23,6 +23,7 @@ from proxgap.diffcore import (
     ParamVector,
     Rng,
     Tensor,
+    finite_value_and_grad,
     forward,
     forward_graph,
     grad_params,
@@ -36,26 +37,31 @@ from proxgap.gapmetrics import (
     ProxDivergenceError,
     ProximalConfig,
     ToyGameState,
-    _gan_prox_step_fn,
+    estimate_v_dw,
+    _ops_for,
     _prox_loop,
-    _sobolev_graph,
+    _worst_case,
 )
 from proxgap.objectives import (
     EPS_LOG,
     FGAN_FAMILIES,
     Classic,
+    ClipBoxError,
     FGan,
     GanState,
     WassersteinClip,
+    check_clip_box,
     enforce_constraint,
     eval_objective,
     objective_from_outputs,
     output_grads,
+    penalized_step_fn,
     value_and_grad_d,
     value_and_grad_g,
     value_graph,
+    _sobolev_graph,
 )
-from proxgap.oracles import concave_quadratic
+from proxgap.oracles import concave_quadratic, shipped_games, toy_value_and_grad
 from proxgap.probes import DISCRIMINATOR, GENERATOR, _agent_grad, hessian_spectrum_probe
 
 TOL = 1e-12
@@ -254,7 +260,7 @@ def test_prox_step_matches_graph_objective_minus_sobolev_graph(name, objective, 
     # evaluate away from the anchor so the penalty and its gradient are nonzero
     theta = enforce_constraint(objective, state.theta_d.with_values(
         state.theta_d.values + 0.01 * rng.normal(len(state.theta_d))))
-    step_fn = _gan_prox_step_fn(state, state.theta_d, state.theta_g, real, latent, lam, h)
+    step_fn = penalized_step_fn(state, state.theta_d, state.theta_g, real, latent, lam, h)
     value, grad = step_fn(theta)
 
     fake = forward(state.g_spec, state.theta_g, latent)
@@ -270,6 +276,96 @@ def test_prox_step_matches_graph_objective_minus_sobolev_graph(name, objective, 
     ref = penalized(Tensor(theta.values)).item()
     assert abs(value - ref) <= TOL * max(abs(ref), 1e-300)
     assert _rel(grad, grad_params(penalized, theta)) <= TOL
+
+
+# -- one discriminator step -----------------------------------------------------
+#
+# value_and_grad_d once ran its own kernel pass, and the estimators' v_dw search
+# ascended along it through a per-game ``v_grad_d``; both now take the
+# penalized step at lam = 0.  The former code paths are kept here as references.
+
+
+def _reference_value_and_grad_d(state, theta_d, theta_g, real_batch, latent_batch):
+    """value_and_grad_d as it was: a kernel pass of its own over [real; generated]."""
+    real = np.asarray(real_batch, dtype=np.float64)
+    latent = np.asarray(latent_batch, dtype=np.float64)
+    fake = forward(state.g_spec, theta_g, latent)
+    check_clip_box(state.objective, theta_d)
+    out, cache = mlp_forward(state.d_spec, theta_d, np.vstack([real, fake]))
+    v, grad_out = output_grads(state.objective, out, real.shape[0])
+    return finite_value_and_grad(v, mlp_backward(state.d_spec, theta_d, cache, grad_out)[0])
+
+
+def _reference_v_dw(state, splits, cfg, rng):
+    """estimate_v_dw as it was: the search ascends along v_grad_d, which was
+    ``value_and_grad_d`` for GANs and the toy stencil gradient for toy games."""
+    ops = _ops_for(state, splits, rng)
+
+    def v_grad_d(d, g, batch):
+        if isinstance(state, ToyGameState):
+            return toy_value_and_grad(state.game, d, g, "d")
+        return _reference_value_and_grad_d(state, d, g, *batch)
+
+    start = ops.project_d(ops.d0)
+    d = _worst_case(ops, start, lambda d, batch: -v_grad_d(d, ops.g0, batch)[1],
+                    ops.project_d, cfg)
+    return max(ops.eval_value(d, ops.g0), ops.eval_value(start, ops.g0))
+
+
+ONE_STEP_OBJECTIVES = [("classic", Classic()), ("wgan_clip_edge", WassersteinClip(0.01)),
+                       ("fgan_kl", FGan(FGAN_FAMILIES["kl"]))]
+
+
+@pytest.mark.parametrize("name,objective", ONE_STEP_OBJECTIVES,
+                         ids=[n for n, _ in ONE_STEP_OBJECTIVES])
+def test_value_and_grad_d_keeps_its_former_bytes(name, objective):
+    state = _state(objective, "tanh", seed=40 + len(name))
+    if isinstance(objective, WassersteinClip):  # the critic sits on its box edge
+        assert np.mean(np.abs(state.theta_d.values) == objective.clip) > 0.5
+    rng = Rng(41)
+    real, latent = rng.normal((30, 2)), rng.normal((24, 3))
+    for theta_d in [state.theta_d, *_thetas(state, rng, 3)]:
+        got = value_and_grad_d(state, theta_d, state.theta_g, real, latent)
+        want = _reference_value_and_grad_d(state, theta_d, state.theta_g, real, latent)
+        assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("name,objective", ONE_STEP_OBJECTIVES,
+                         ids=[n for n, _ in ONE_STEP_OBJECTIVES])
+def test_v_dw_search_keeps_its_former_bytes(name, objective):
+    state = _state(objective, "tanh", seed=50 + len(name))
+    dist = GaussianMixture([0.5, 0.5], [[1.0, 0.0], [-1.0, 0.5]], [[0.3, 0.3], [0.2, 0.4]])
+    splits = make_splits(dist, 200, 150, 120, Rng(51))
+    cfg = ProximalConfig(worst_iters=25, worst_lr=0.02, batch_size=32)
+    got = estimate_v_dw(state, splits, cfg, Rng(52))
+    assert np.float64(got).tobytes() == np.float64(_reference_v_dw(state, splits, cfg,
+                                                                  Rng(52))).tobytes()
+
+
+def test_toy_v_dw_search_keeps_its_former_bytes():
+    cfg = ProximalConfig(worst_iters=60, worst_lr=0.02, batch_size=1)
+    rng = np.random.default_rng(5)
+    for game in shipped_games():
+        state = ToyGameState(game, [rng.uniform(lo, hi) for lo, hi in game.d_box],
+                             [rng.uniform(lo, hi) for lo, hi in game.g_box])
+        got = estimate_v_dw(state, None, cfg, Rng(0))
+        assert np.float64(got).tobytes() == np.float64(
+            _reference_v_dw(state, None, cfg, Rng(0))).tobytes(), game.name
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_value_and_grad_d_checks_the_box_after_the_generator():
+    state = _state(WassersteinClip(0.01), "tanh", seed=60)
+    rng = Rng(61)
+    real, latent = rng.normal((10, 2)), rng.normal((10, 3))
+    outside = state.theta_d.with_values(state.theta_d.values * 2.0)
+    with pytest.raises(ClipBoxError):
+        value_and_grad_d(state, outside, state.theta_g, real, latent)
+    # a generator whose first matmul overflows is named before the box is checked
+    huge_g = state.theta_g.with_values(np.full(len(state.theta_g), 1e308))
+    with pytest.raises(NonFiniteError, match="matmul"):
+        value_and_grad_d(state, outside, huge_g, np.abs(real), np.abs(latent) + 1.0)
 
 
 # -- the finite check and the op names -----------------------------------------
@@ -302,7 +398,7 @@ def test_overflowing_weights_raise_prox_divergence_named_by_the_graph(lam):
     with pytest.raises(NonFiniteError) as graph_err:
         grad_params(lambda t: value_graph(state, t, state.theta_g, real, latent), huge)
 
-    step_fn = _gan_prox_step_fn(state, state.theta_d, state.theta_g, real, latent, lam, 1e-3)
+    step_fn = penalized_step_fn(state, state.theta_d, state.theta_g, real, latent, lam, 1e-3)
     # the first projection keeps the anchor, the second lands on the huge weights
     landing = iter([state.theta_d, huge])
     cfg = ProximalConfig(lam=lam, prox_steps=3)
@@ -396,7 +492,7 @@ def _sobolev_overflow_case():
     state = GanState(spec, NetworkSpec(1, (), 1), ParamVector([0.0, 0.0], spec.layout()),
                      ParamVector([1.0, 0.0], spec.layout()), WassersteinClip(1e306))
     real, latent = np.linspace(-1.0, 1.0, 8)[:, None], np.linspace(0.0, 1.0, 8)[:, None]
-    step_fn = _gan_prox_step_fn(state, state.theta_d, state.theta_g, real, latent, 0.1, 1e-3)
+    step_fn = penalized_step_fn(state, state.theta_d, state.theta_g, real, latent, 0.1, 1e-3)
     return state, real, latent, step_fn, state.theta_d.with_values([1e305, 0.0])
 
 
@@ -445,7 +541,7 @@ def _forbid_graph_oracles(monkeypatch):
 def _fast_paths(state, real, latent, theta_d):
     """Every call that used to replay through the graph, at discriminator theta_d,
     as name -> thunk; the prox step is anchored at the state's discriminator."""
-    step_fn = _gan_prox_step_fn(state, state.theta_d, state.theta_g, real, latent, 0.1, 1e-3)
+    step_fn = penalized_step_fn(state, state.theta_d, state.theta_g, real, latent, 0.1, 1e-3)
     theta_g = state.theta_g
     return {
         "forward": lambda: forward(state.d_spec, theta_d, real),
@@ -481,7 +577,7 @@ def test_fast_paths_name_failures_without_the_graph(monkeypatch):
         with pytest.raises(NonFiniteError) as err:
             call()
         assert err.value.op == "matmul", name
-    step_fn = _gan_prox_step_fn(state, state.theta_d, state.theta_g, real, latent, 0.1, 1e-3)
+    step_fn = penalized_step_fn(state, state.theta_d, state.theta_g, real, latent, 0.1, 1e-3)
     landing = iter([state.theta_d, huge])
     with pytest.raises(ProxDivergenceError, match="inner step 1") as err:
         _prox_loop(step_fn, state.theta_d, lambda theta: next(landing),
@@ -569,14 +665,14 @@ def test_reused_workspace_matches_fresh_allocation_bit_for_bit(activation, objec
     state = _state(objective, activation, seed=n)
     rng = Rng(35)
     real, latent = rng.normal((n, 2)), rng.normal((n, 3))
-    step_fn = _gan_prox_step_fn(state, state.theta_d, state.theta_g, real, latent, 0.1, 1e-3)
+    step_fn = penalized_step_fn(state, state.theta_d, state.theta_g, real, latent, 0.1, 1e-3)
     rows = rng.normal((3 * n, 2))
     weights = rng.normal((3 * n, 1))
     work = MlpWorkspace(state.d_spec, 3 * n)
     for theta in _thetas(state, rng.child(1), 20):
         # the step function's own workspace against a fresh step function
         value, grad = step_fn(theta)
-        fresh_value, fresh_grad = _gan_prox_step_fn(state, state.theta_d, state.theta_g,
+        fresh_value, fresh_grad = penalized_step_fn(state, state.theta_d, state.theta_g,
                                                     real, latent, 0.1, 1e-3)(theta)
         assert value == fresh_value
         np.testing.assert_array_equal(grad, fresh_grad)
@@ -602,7 +698,7 @@ def test_returned_gradients_survive_later_steps():
     state = _state(Classic(), "leaky_relu", seed=12)
     rng = Rng(36)
     real, latent = rng.normal((30, 2)), rng.normal((30, 3))
-    step_fn = _gan_prox_step_fn(state, state.theta_d, state.theta_g, real, latent, 0.1, 1e-3)
+    step_fn = penalized_step_fn(state, state.theta_d, state.theta_g, real, latent, 0.1, 1e-3)
     thetas = list(_thetas(state, rng, 4))
     value, grad = step_fn(thetas[0])
     kept = grad.copy()
@@ -623,7 +719,7 @@ def test_repeated_eval_steps_allocate_less_than_one_activation_array():
     state = GanState(d_spec, g_spec, init_network(d_spec, rng.child(0)),
                      init_network(g_spec, rng.child(1)), Classic())
     real, latent = rng.normal((500, 2)), rng.normal((500, 4))
-    step_fn = _gan_prox_step_fn(state, state.theta_d, state.theta_g, real, latent, 0.1, 1e-3)
+    step_fn = penalized_step_fn(state, state.theta_d, state.theta_g, real, latent, 0.1, 1e-3)
     step_fn(state.theta_d)  # the first backward pass makes the work buffers
     tracemalloc.start()
     try:
@@ -638,7 +734,7 @@ def test_repeated_eval_steps_allocate_less_than_one_activation_array():
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_overflow_on_a_reused_workspace_is_named_and_leaves_it_usable():
     state, real, latent, huge = _overflow_setup()
-    step_fn = _gan_prox_step_fn(state, state.theta_d, state.theta_g, real, latent, 0.1, 1e-3)
+    step_fn = penalized_step_fn(state, state.theta_d, state.theta_g, real, latent, 0.1, 1e-3)
     value, grad = step_fn(state.theta_d)
     with pytest.raises(NonFiniteError) as err:
         step_fn(huge)

@@ -1,3 +1,6 @@
+import ast
+import inspect
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -22,12 +25,18 @@ from proxgap.gapmetrics import (
     estimate_v_gw_lambda,
     estimate_v_gw_plain,
     lambda_sweep,
-    sobolev_dist_sq,
-    _gan_prox_step_fn,
     _prox_loop,
-    _sobolev_graph,
 )
-from proxgap.objectives import Classic, GanState, WassersteinClip, enforce_constraint, eval_objective
+from proxgap.objectives import (
+    Classic,
+    GanState,
+    WassersteinClip,
+    enforce_constraint,
+    eval_objective,
+    penalized_step_fn,
+    _sobolev_graph,
+    _sobolev_sum,
+)
 from proxgap.oracles import (
     GridSpec,
     bilinear,
@@ -36,6 +45,7 @@ from proxgap.oracles import (
     grid_dg_lambda,
     grid_v_lambda,
     shipped_games,
+    toy_value_and_grad,
 )
 
 TOY_CFG = ProximalConfig(lam=0.1, prox_steps=20, prox_lr=0.5,
@@ -56,6 +66,18 @@ def _perfect_fit_setup(seed=42):
 
 
 # -- sobolev distance ----------------------------------------------------
+
+
+def sobolev_dist_sq(d_spec, theta_1, theta_2, x_batch, h):
+    """Mean squared input-gradient difference over the batch: the squared
+    function distance (1/n) sum_i ||grad_x D_1(x_i) - grad_x D_2(x_i)||^2 that
+    the penalized step's penalty computes, between two whole discriminators."""
+    x_batch = np.asarray(x_batch, dtype=np.float64)
+    if x_batch.shape[0] == 0:
+        raise ValueError("batch must be non-empty")
+    g1 = input_grad_batch(d_spec, theta_1, x_batch, h)
+    g2 = input_grad_batch(d_spec, theta_2, x_batch, h)
+    return float(_sobolev_sum(g1.T[:, :, None], g2))
 
 
 def test_sobolev_zero_for_identical_parameters():
@@ -126,7 +148,7 @@ def _small_classic_state(seed=7):
 
 def _prox_opt(state, real, latent, cfg):
     """Inner ascent anchored at the state's discriminator: (final params, penalized value)."""
-    step_fn = _gan_prox_step_fn(state, state.theta_d, state.theta_g, real, latent,
+    step_fn = penalized_step_fn(state, state.theta_d, state.theta_g, real, latent,
                                 cfg.lam, cfg.sobolev_h)
     theta = _prox_loop(step_fn, state.theta_d,
                        lambda pv: enforce_constraint(state.objective, pv), cfg)
@@ -179,7 +201,7 @@ def test_prox_loop_hands_the_step_only_iterates_inside_the_clip_box():
                      init_network(g_spec, rng.child(1)), wgan)
     real, latent = rng.normal((32, 2)), rng.normal((32, 2))
     cfg = ProximalConfig(lam=0.1, prox_steps=25, prox_lr=0.5)
-    step_fn = _gan_prox_step_fn(state, anchor, state.theta_g, real, latent,
+    step_fn = penalized_step_fn(state, anchor, state.theta_g, real, latent,
                                 cfg.lam, cfg.sobolev_h)
     seen = []
 
@@ -209,6 +231,37 @@ def test_adam_search_yields_the_start_and_every_projected_iterate():
     assert len(iterates) == 7 and iterates[0] is start and len(draws) == 6
     assert all(game.clip_g(g) == g for g in iterates)
     assert iterates[-1] == 1.0 and iterates[1] == 1.0  # clipped on the first step
+
+
+def test_toy_step_at_zero_lambda_is_the_toy_gradient():
+    # the v_dw search ascends along this step, as it once did along the toy gradient
+    rng = np.random.default_rng(7)
+    for game in shipped_games():
+        d0 = np.array([rng.uniform(lo, hi) for lo, hi in game.d_box])
+        g = np.array([rng.uniform(lo, hi) for lo, hi in game.g_box])
+        ops = gapmetrics._ops_for(ToyGameState(game, d0, g), None, Rng(0))
+        step = ops.make_prox_step(d0, g, None, 0.0, None)
+        for d in (d0, d0 - 0.25, d0 + 0.5):
+            value, grad = step(d)
+            want_value, want_grad = toy_value_and_grad(game, d, g, "d")
+            assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
+            assert grad.tobytes() == want_grad.tobytes(), game.name
+
+
+def test_gapmetrics_holds_only_the_searches_and_estimators():
+    # every value and gradient comes from objectives or oracles
+    banned = {"mlp_forward", "mlp_backward", "MlpWorkspace", "forward", "output_grads",
+              "finite_value_and_grad", "stencil_rows", "central_difference",
+              "input_grad_batch", "input_grad_columns", "Tensor", "value_and_grad_d"}
+    tree = ast.parse(inspect.getsource(gapmetrics))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {alias.name for node in ast.walk(tree)
+              if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert not banned & names
+    assert not [name for name in banned if hasattr(gapmetrics, name)]
+    assert not [cls for cls in (gapmetrics._GanOps, gapmetrics._ToyOps)
+                if hasattr(cls, "v_grad_d")]
 
 
 def test_toy_prox_value_matches_grid_oracle():

@@ -173,7 +173,9 @@ def test_checkpoint_roundtrip(tiny_run):
     assert ckpt.step == 20
     assert ckpt.cfg.seed == 11
     assert len(ckpt.state.theta_d) == ckpt.cfg.d_spec.param_count
-    assert ckpt.adam_d_t == 20
+    assert ckpt.adam_d.t == 20
+    assert (ckpt.adam_d.lr, ckpt.adam_g.lr) == (ckpt.cfg.lr_d, ckpt.cfg.lr_g)
+    assert (ckpt.adam_g.beta1, ckpt.adam_g.beta2) == (ckpt.cfg.beta1, ckpt.cfg.beta2)
     # the stored rng cursor is a valid generator state
     from proxgap.diffcore import Rng
     rng = Rng(0)
@@ -182,18 +184,18 @@ def test_checkpoint_roundtrip(tiny_run):
 
 
 def test_checkpoint_writes_leave_no_temp_files(tiny_run, tmp_path, monkeypatch):
-    from proxgap.diffcore import AdamState
     from proxgap.harness import runner
     ckpt = load_checkpoint(tiny_run / "checkpoint_000020.npz")
-    adam_d = AdamState(ckpt.adam_d_m, ckpt.adam_d_v, ckpt.adam_d_t, 1e-3)
-    adam_g = AdamState(ckpt.adam_g_m, ckpt.adam_g_v, ckpt.adam_g_t, 1e-3)
-    path = runner.save_checkpoint(tmp_path / "checkpoint_000020", ckpt.cfg, ckpt.state,
-                                  adam_d, adam_g, 20, ckpt.rng_state)
+    path = runner.save_checkpoint(tmp_path / "checkpoint_000020", ckpt)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint_000020.json",
                                                           "checkpoint_000020.npz"]
+    # what load_checkpoint returns saves back to the same bytes
+    for suffix in (".npz", ".json"):
+        assert path.with_suffix(suffix).read_bytes() == \
+            (tiny_run / "checkpoint_000020").with_suffix(suffix).read_bytes()
     again = load_checkpoint(path)
     assert np.array_equal(again.state.theta_d.values, ckpt.state.theta_d.values)
-    assert np.array_equal(again.adam_g_v, ckpt.adam_g_v)
+    assert np.array_equal(again.adam_g.v, ckpt.adam_g.v)
     # a write that fails midway leaves neither a temp file nor a partial checkpoint
     def failing_savez(fh, **arrays):
         fh.write(b"partial")
@@ -201,8 +203,7 @@ def test_checkpoint_writes_leave_no_temp_files(tiny_run, tmp_path, monkeypatch):
 
     monkeypatch.setattr(runner.np, "savez", failing_savez)
     with pytest.raises(OSError):
-        runner.save_checkpoint(tmp_path / "checkpoint_000040", ckpt.cfg, ckpt.state,
-                               adam_d, adam_g, 40, ckpt.rng_state)
+        runner.save_checkpoint(tmp_path / "checkpoint_000040", ckpt)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint_000020.json",
                                                           "checkpoint_000020.npz"]
 
@@ -249,6 +250,28 @@ def test_load_checkpoint_rejects_a_sidecar_with_other_arrays(tiny_run, tmp_path,
     dst.with_suffix(".json").write_text(json.dumps(sidecar))
     with pytest.raises(ValueError, match="sidecar .* lists arrays"):
         load_checkpoint(dst.with_suffix(".npz"))
+
+
+@pytest.mark.parametrize("name,tamper,player", [
+    ("adam_d_v", lambda a: a - 1.0, "adam_d"),
+    ("adam_g_m", lambda a: np.where(np.arange(a.size) == 2, np.nan, a), "adam_g"),
+    ("adam_d_m", lambda a: a + np.inf, "adam_d"),
+])
+def test_checkpoint_with_bad_adam_moments_is_rejected(tiny_run, tmp_path, capsys, name,
+                                                      tamper, player):
+    src = tiny_run / "checkpoint_000020"
+    with np.load(src.with_suffix(".npz")) as blobs:
+        arrays = {key: blobs[key] for key in blobs.files}
+    arrays[name] = tamper(arrays[name])
+    dst = tmp_path / "checkpoint_000020"
+    np.savez(dst.with_suffix(".npz"), **arrays)
+    dst.with_suffix(".json").write_bytes(src.with_suffix(".json").read_bytes())
+    with pytest.raises(ValueError, match=f"bad {player} state"):
+        load_checkpoint(dst.with_suffix(".npz"))
+    capsys.readouterr()
+    assert main(["gap", "--checkpoint", str(dst.with_suffix(".npz"))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"bad {player} state" in err
 
 
 def test_gap_cmd_on_checkpoint(tiny_run):
@@ -423,9 +446,9 @@ def _checkpoint_with(tmp_path, cfg, theta_d, theta_g):
     state, _ = runner.build_state(cfg, Rng(cfg.seed))
     state = state.with_params(state.theta_d.with_values(theta_d),
                               state.theta_g.with_values(theta_g))
-    return str(runner.save_checkpoint(
-        tmp_path / "checkpoint_000000", cfg, state, adam_init(len(theta_d), cfg.lr_d),
-        adam_init(len(theta_g), cfg.lr_g), 0, Rng(0).state))
+    return str(runner.save_checkpoint(tmp_path / "checkpoint_000000", runner.Checkpoint(
+        cfg, state, adam_init(len(theta_d), cfg.lr_d), adam_init(len(theta_g), cfg.lr_g),
+        0, Rng(0).state)))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

@@ -12,7 +12,6 @@ from proxgap.objectives import (
     FGan,
     GanState,
     WassersteinClip,
-    conjugate_from_grid,
     enforce_constraint,
     eval_objective,
     fenchel_identity_residual,
@@ -118,6 +117,12 @@ def test_fenchel_identity_examples():
     for name, fam in FGAN_FAMILIES.items():
         assert fenchel_identity_residual(fam, 1.0) < 1e-9
         assert fam.f(1.0) == pytest.approx(0.0, abs=1e-12)
+
+
+def conjugate_from_grid(family, x, t_grid):
+    """Brute-force sup_t {x t - f(t)} on a grid; the oracle for f_star."""
+    t_grid = np.asarray(t_grid, dtype=np.float64)
+    return float(np.max(x * t_grid - family.f(t_grid)))
 
 
 @pytest.mark.parametrize("name", sorted(FGAN_FAMILIES))

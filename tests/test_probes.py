@@ -231,6 +231,27 @@ def test_deviation_zero_eval_interval_single_point():
     assert trace.points[0].step == 0
 
 
+def test_deviation_at_zero_eval_interval_takes_no_step(monkeypatch):
+    # only the start is recorded, so no generator gradient is taken; the
+    # trace keeps the former loop's bytes, which ran every step regardless
+    from proxgap import gapmetrics
+    calls = []
+    for name in ("toy_value_and_grad", "value_and_grad_g"):
+        real = getattr(gapmetrics, name)
+        monkeypatch.setattr(gapmetrics, name,
+                            lambda *a, real=real, **k: calls.append(1) or real(*a, **k))
+    toy = ToyGameState(bilinear(), np.array([0.8]), np.array([0.5]))
+    gan, splits = _gan_setup()
+    for state, data, lr in ((toy, None, 0.05), (gan, splits, 1e-3)):
+        trace = unilateral_deviation(state, data, steps=200, lr=lr, eval_every=0, rng=Rng(4))
+        assert not calls
+        want = _reference_deviation(state, data, 200, lr, 0, Rng(4))
+        assert _trace_bytes(trace) == _trace_bytes(want)
+        unilateral_deviation(state, data, steps=200, lr=lr, eval_every=50, rng=Rng(4))
+        assert len(calls) == 200
+        calls.clear()
+
+
 def test_deviation_zero_steps_single_point():
     state, splits = _gan_setup()
     trace = unilateral_deviation(state, splits, steps=0, lr=0.01, eval_every=5, rng=Rng(2))
