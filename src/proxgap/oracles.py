@@ -1,6 +1,10 @@
 """Brute-force ground truth: grid-search gaps on low-dimensional toy games,
 quadrature divergences, and equilibrium classification.
 
+The quadrature is numpy's own trapezoid arithmetic (:func:`_integrate`), so
+importing this module loads no ``scipy.integrate``; ``scipy.special`` stays
+for ``rel_entr``, whose log1p branch numpy's ``log`` does not reproduce.
+
 Toy games use the squared parameter distance as the discriminator function
 distance, which is exact for linear discriminators under the gradient-based
 function norm, so every penalized quantity here is computable by grid search.
@@ -13,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import trapezoid
 from scipy.special import rel_entr
 
 LABEL_NASH = "nash"
@@ -197,9 +200,15 @@ def _mesh_eval(fns, box, resolution):
 
 
 def _integrate(values, axes):
+    """Nested trapezoid rule over a tensor grid, last axis first.
+
+    Each pass sums diff(x) * (y[1:] + y[:-1]) / 2 along the last axis with
+    numpy's pairwise sum, the expression ``scipy.integrate.trapezoid``
+    evaluates, so the result is its bytes without importing it.
+    """
     out = values
     for axis_vals in reversed(axes):
-        out = trapezoid(out, axis_vals, axis=-1)
+        out = np.sum(np.diff(axis_vals) * (out[..., 1:] + out[..., :-1]) / 2.0, axis=-1)
     return float(out)
 
 
@@ -207,7 +216,8 @@ def numeric_jsd(p, q, grid_box, resolution: int = 1001) -> float:
     """Jensen-Shannon divergence (natural log) by trapezoidal quadrature.
 
     ``p`` and ``q`` are density callables over (n, dim) point arrays;
-    ``grid_box`` is a per-dimension sequence of (lo, hi).
+    ``grid_box`` is a per-dimension sequence of (lo, hi).  The quadrature is
+    numpy-only (:func:`_integrate`), byte-equal to ``scipy.integrate.trapezoid``.
     """
     box = tuple(grid_box)
     axes, (pv, qv) = _mesh_eval((p, q), box, resolution)
@@ -217,7 +227,10 @@ def numeric_jsd(p, q, grid_box, resolution: int = 1001) -> float:
 
 
 def numeric_fdiv(family, p, q, grid_box, resolution: int = 1001) -> float:
-    """f-divergence with the convention: integrate p(x) f(q(x)/p(x)) dx."""
+    """f-divergence with the convention: integrate p(x) f(q(x)/p(x)) dx.
+
+    Same grid and numpy-only quadrature as :func:`numeric_jsd`.
+    """
     box = tuple(grid_box)
     axes, (pv, qv) = _mesh_eval((p, q), box, resolution)
     floor = 1e-300

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from proxgap import oracles as oracles_module
 from proxgap.diffcore import Rng
 from proxgap.distributions import GaussianMixture, density
 from proxgap.objectives import FGAN_FAMILIES
@@ -24,6 +30,7 @@ from proxgap.oracles import (
     toy_value,
     toy_value_and_grad,
     wasserstein1_1d,
+    _integrate,
     _TOY_FD_H,
 )
 
@@ -296,6 +303,100 @@ def test_fdiv_kl_matches_gaussian_closed_form():
     q = _gauss1d(0.5, 1.0)
     val = numeric_fdiv(FGAN_FAMILIES["kl"], p, q, [(-7.0, 7.5)], 4001)
     assert val == pytest.approx(0.125, abs=1e-4)  # (mu difference)^2 / 2
+
+
+# -- the quadrature is scipy's trapezoid rule, bit for bit -------------------
+# scipy.integrate.trapezoid stays the reference here; the library evaluates
+# the same expression in numpy so that importing it loads no scipy.integrate.
+
+
+def _scipy_integrate(values, axes):
+    from scipy.integrate import trapezoid
+
+    out = values
+    for axis_vals in reversed(axes):
+        out = trapezoid(out, axis_vals, axis=-1)
+    return float(out)
+
+
+def _bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@pytest.mark.parametrize("special", [None, 0.0, np.inf, np.nan, "inf-inf"])
+@pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "nonuniform"])
+@pytest.mark.parametrize("dim,n", [(1, 3), (1, 4), (1, 801), (1, 1001),
+                                   (2, 3), (2, 4), (2, 801), (2, 1001),
+                                   (3, 3), (3, 4), (3, 41)])
+def test_integrate_carries_scipy_trapezoids_bytes(dim, n, uniform, special):
+    gen = np.random.default_rng(1000 * dim + n)
+    if uniform:
+        axes = [np.linspace(-3.0, 2.5, n) for _ in range(dim)]
+    else:
+        axes = [np.sort(np.concatenate([[-3.0, 2.5], gen.uniform(-3.0, 2.5, n - 2)]))
+                for _ in range(dim)]
+    values = gen.exponential(size=(n,) * dim)
+    flat = values.reshape(-1)
+    cells = gen.choice(flat.size, size=max(1, flat.size // 10), replace=False)
+    if special == "inf-inf":
+        flat[cells[0]], flat[cells[-1]] = np.inf, -np.inf
+    elif special is not None:
+        flat[cells] = special
+    with np.errstate(invalid="ignore"):
+        got = _integrate(values, axes)
+        want = _scipy_integrate(values, axes)
+    assert _bits(got) == _bits(want)
+
+
+def _toy_oracles_pairs(seed):
+    # the mixture pairs perfbench's toy_oracles workload draws: a two-mode
+    # mixture against a Gaussian for the JSD, two Gaussians for the f-divergence
+    gen = np.random.default_rng(seed)
+
+    def gaussian():
+        return GaussianMixture([1.0], gen.uniform(-1.5, 1.5, (1, 2)),
+                               gen.uniform(0.3, 1.0, (1, 2)))
+
+    w = gen.uniform(0.3, 0.7)
+    two_mode = GaussianMixture([w, 1.0 - w], gen.uniform(-1.5, 1.5, (2, 2)),
+                               gen.uniform(0.3, 1.0, (2, 2)))
+    jsd_pair = (two_mode, gaussian())
+    return jsd_pair, (gaussian(), gaussian())
+
+
+@pytest.mark.parametrize("seed", [3, 43])
+def test_divergences_keep_the_bytes_of_scipys_quadrature(seed, monkeypatch):
+    box, resolution = ((-8.0, 8.0), (-8.0, 8.0)), 801
+    (jp, jq), (fp, fq) = _toy_oracles_pairs(seed)
+
+    def both(fn, *args):
+        got = fn(*args)
+        with monkeypatch.context() as m:
+            m.setattr(oracles_module, "_integrate", _scipy_integrate)
+            want = fn(*args)
+        return got, want
+
+    def dens(mixture):
+        return lambda x: density(mixture, x)
+
+    got, want = both(numeric_jsd, dens(jp), dens(jq), box, resolution)
+    assert _bits(got) == _bits(want)
+    for name, family in FGAN_FAMILIES.items():
+        got, want = both(numeric_fdiv, family, dens(fp), dens(fq), box, resolution)
+        assert _bits(got) == _bits(want), name
+
+
+def test_importing_the_library_loads_no_scipy_integrate():
+    code = ("import sys\n"
+            "import proxgap.harness.cli, proxgap.probes, proxgap.oracles, proxgap.gapmetrics\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[:2] in (['scipy', 'integrate'], ['scipy', 'optimize'],\n"
+            "                                     ['scipy', 'sparse'])))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_histogram_jsd_identical_sets():
