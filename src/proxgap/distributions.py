@@ -164,6 +164,12 @@ def sample_latent(spec: LatentSpec, n: int, rng: Rng) -> np.ndarray:
     return rng.normal((n, spec.dim))
 
 
+def draw_minibatch(rows: np.ndarray, n: int, latent_dim: int, rng: Rng):
+    """n rows drawn with replacement, then n standard-normal latents, from one stream."""
+    idx = rng.integers(0, rows.shape[0], n)
+    return rows[idx], rng.normal((n, latent_dim))
+
+
 def make_splits(dist: GaussianMixture, n_a: int, n_b: int, n_c: int, rng: Rng) -> DataSplits:
     """Draw n_a + n_b + n_c independent rows and assign them disjointly."""
     for n in (n_a, n_b, n_c):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .diffcore import NonFiniteError, ParamVector, Rng, adam_init, adam_step
-from .distributions import DataSplits
+from .distributions import DataSplits, draw_minibatch
 from .objectives import (
     GanState,
     enforce_constraint,
@@ -121,9 +121,7 @@ class _GanOps:
         self.g0 = state.theta_g
 
     def draw_batch(self, size):
-        idx = self.rng.integers(0, self.splits.s_b.shape[0], size)
-        latent = self.rng.normal((size, self.state.latent_dim))
-        return self.splits.s_b[idx], latent
+        return draw_minibatch(self.splits.s_b, size, self.state.latent_dim, self.rng)
 
     def eval_batch(self):
         return self.splits.s_c, self.eval_latent

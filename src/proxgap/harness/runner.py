@@ -9,14 +9,14 @@ import os
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .. import __version__
 from ..diffcore import NonFiniteError, ParamVector, Rng, adam_init, adam_step, forward, init_network
 from ..diffcore.optim import AdamState
-from ..distributions import make_splits
+from ..distributions import draw_minibatch, make_splits
 from ..gapmetrics import GapReport, ProxDivergenceError, duality_gap, lambda_sweep
 from ..objectives import (
     enforce_constraint,
@@ -25,12 +25,10 @@ from ..objectives import (
     value_and_grad_g,
 )
 from ..objectives import GanState
-from ..oracles import jsd_from_samples
+from ..oracles import hist_jsd
 from ..probes import hessian_spectrum_probe, unilateral_deviation
 from .config import ExperimentConfig, config_from_pairs, with_overrides
 
-METRICS_COLUMNS = ("step", "v_d", "v_g", "dg_plain", "dg_lambda", "hist_jsd",
-                   "wallclock_ms")
 CHECKPOINT_FORMAT = "proxgap-checkpoint-v1"
 
 
@@ -44,6 +42,9 @@ class MetricsRow(NamedTuple):
     dg_lambda: float
     hist_jsd: float
     wallclock_ms: float
+
+
+METRICS_COLUMNS = MetricsRow._fields
 
 # child-stream tags: one fixed lane per consumer, so adding a consumer never
 # shifts the draws of another
@@ -66,13 +67,49 @@ def build_state(cfg: ExperimentConfig, root: Rng):
     return state, splits
 
 
+@dataclass
+class _Player:
+    """One side of the game in the training loop."""
+
+    theta: str  # its parameters' field on GanState
+    value_and_grad: Callable
+    sign: float  # of its Adam step's gradient: -1 ascends V (D), +1 descends it (G)
+    project: Callable  # (objective, params) -> params
+    adam: AdamState
+    loss: float  # sign * V on its last minibatch
+
+
+def _unprojected(objective, params):
+    return params
+
+
+def _eval_latent(cfg: ExperimentConfig, splits) -> np.ndarray:
+    """The fixed generator input paired with the evaluation split."""
+    return Rng(cfg.seed).child(_TAG_EVAL).normal((splits.s_c.shape[0], cfg.latent.dim))
+
+
+def score_checkpoint(state: GanState, splits, cfg: ExperimentConfig, step: int):
+    """``(dg_plain, dg_lambda, hist_jsd)`` of one checkpoint, as ``metrics.csv`` logs them.
+
+    The gaps draw from the stream ``(seed, _TAG_GAP, step)``, never the training
+    stream, and are nan when their estimate fails.
+    """
+    try:
+        report = duality_gap(state, splits, cfg.prox, Rng(cfg.seed).child(_TAG_GAP, step))
+        dg_plain, dg_lambda = report.dg_plain, report.dg_lambda
+    except (NonFiniteError, ProxDivergenceError):
+        dg_plain = dg_lambda = float("nan")
+    fake = forward(cfg.g_spec, state.theta_g, _eval_latent(cfg, splits))
+    return dg_plain, dg_lambda, hist_jsd(splits.s_c, fake, cfg.jsd_bins)
+
+
 def train(cfg: ExperimentConfig) -> Path:
     """Run the alternating loop and return the run directory.
 
     Per cycle: |N| discriminator steps then one generator step for N > 0,
     one discriminator step then |N| generator steps for N < 0.  Either gap
-    is logged at every checkpoint; a non-finite loss marks the run failed at
-    that step and preserves everything logged so far.
+    is logged at every checkpoint; a non-finite loss or Adam moment marks the
+    run failed at that step and preserves everything logged so far.
     """
     if not cfg.out_dir:
         raise ValueError("config needs an output directory (key 'out')")
@@ -81,84 +118,49 @@ def train(cfg: ExperimentConfig) -> Path:
 
     root = Rng(cfg.seed)
     state, splits = build_state(cfg, root)
-    adam_d = adam_init(len(state.theta_d), cfg.lr_d, cfg.beta1, cfg.beta2)
-    adam_g = adam_init(len(state.theta_g), cfg.lr_g, cfg.beta1, cfg.beta2)
     train_rng = root.child(_TAG_TRAIN)
-    eval_latent = root.child(_TAG_EVAL).normal((splits.s_c.shape[0], cfg.latent.dim))
-    jsd_box = [(splits.s_c[:, j].min() - 1.0, splits.s_c[:, j].max() + 1.0)
-               for j in range(splits.s_c.shape[1])]
+    v0 = eval_objective(state, splits.s_c, _eval_latent(cfg, splits))
+    disc = _Player("theta_d", value_and_grad_d, -1.0, enforce_constraint,
+                   adam_init(len(state.theta_d), cfg.lr_d, cfg.beta1, cfg.beta2), -v0)
+    gen = _Player("theta_g", value_and_grad_g, 1.0, _unprojected,
+                  adam_init(len(state.theta_g), cfg.lr_g, cfg.beta1, cfg.beta2), v0)
+    n = cfg.update_ratio
+    cycle = [disc] * n + [gen] if n > 0 else [disc] + [gen] * -n
 
     t_start = time.monotonic()
     started = time.time()
-    d_updates = g_updates = 0
     failed_at = None
     checkpoints = []
-    last_d_loss = last_g_loss = None
-
-    def d_step():
-        nonlocal state, adam_d, last_d_loss, d_updates
-        idx = train_rng.integers(0, cfg.n_a, cfg.train_batch)
-        latent = train_rng.normal((cfg.train_batch, cfg.latent.dim))
-        v, grad = value_and_grad_d(state, state.theta_d, state.theta_g,
-                                   splits.s_a[idx], latent)
-        new_d, adam_d = adam_step(state.theta_d, -grad, adam_d)  # ascend V
-        state = state.with_params(theta_d=enforce_constraint(state.objective, new_d))
-        last_d_loss = -v
-        d_updates += 1
-
-    def g_step():
-        nonlocal state, adam_g, last_g_loss, g_updates
-        idx = train_rng.integers(0, cfg.n_a, cfg.train_batch)
-        latent = train_rng.normal((cfg.train_batch, cfg.latent.dim))
-        v, grad = value_and_grad_g(state, state.theta_d, state.theta_g,
-                                   splits.s_a[idx], latent)
-        new_g, adam_g = adam_step(state.theta_g, grad, adam_g)  # descend V
-        state = state.with_params(theta_g=new_g)
-        last_g_loss = v
-        g_updates += 1
-
     metrics_path = run_dir / "metrics.csv"
     with open(metrics_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(METRICS_COLUMNS)
-
-        def checkpoint(step: int):
-            if last_d_loss is None:
-                v = eval_objective(state, splits.s_c, eval_latent)
-                v_d, v_g = -v, v
-            else:
-                v_d, v_g = last_d_loss, last_g_loss
+        for step in range(cfg.total_steps + 1):
             try:
-                report = duality_gap(state, splits, cfg.prox, root.child(_TAG_GAP, step))
-                dg_plain, dg_lambda = report.dg_plain, report.dg_lambda
-            except (NonFiniteError, ProxDivergenceError):
-                dg_plain = dg_lambda = float("nan")
-            fake = forward(cfg.g_spec, state.theta_g, eval_latent)
-            hist = jsd_from_samples(splits.s_c, fake, bins=cfg.jsd_bins, box=jsd_box)
-            wall = (time.monotonic() - t_start) * 1000.0
-            writer.writerow([step, f"{v_d:.12g}", f"{v_g:.12g}", f"{dg_plain:.12g}",
-                             f"{dg_lambda:.12g}", f"{hist:.12g}", f"{wall:.3f}"])
-            fh.flush()
-            path = save_checkpoint(run_dir / f"checkpoint_{step:06d}", Checkpoint(
-                cfg, state, adam_d, adam_g, step, train_rng.state))
-            checkpoints.append(str(path))
-
-        checkpoint(0)
-        for step in range(1, cfg.total_steps + 1):
-            try:
-                if cfg.update_ratio > 0:
-                    for _ in range(cfg.update_ratio):
-                        d_step()
-                    g_step()
-                else:
-                    d_step()
-                    for _ in range(-cfg.update_ratio):
-                        g_step()
+                for player in (cycle if step else ()):  # step 0 is the initial state
+                    real, latent = draw_minibatch(splits.s_a, cfg.train_batch,
+                                                  cfg.latent.dim, train_rng)
+                    v, grad = player.value_and_grad(state, state.theta_d, state.theta_g,
+                                                    real, latent)
+                    params, adam = adam_step(getattr(state, player.theta),
+                                             player.sign * grad, player.adam)
+                    if not (np.isfinite(adam.m).all() and np.isfinite(adam.v).all()):
+                        raise NonFiniteError("adam")
+                    state = state.with_params(
+                        **{player.theta: player.project(state.objective, params)})
+                    player.adam, player.loss = adam, player.sign * v
             except NonFiniteError:
                 failed_at = step
                 break
-            if step % cfg.checkpoint_interval == 0:
-                checkpoint(step)
+            if step % cfg.checkpoint_interval:
+                continue
+            scores = score_checkpoint(state, splits, cfg, step)
+            wall = (time.monotonic() - t_start) * 1000.0
+            writer.writerow([step] + [f"{x:.12g}" for x in (disc.loss, gen.loss, *scores)]
+                            + [f"{wall:.3f}"])
+            fh.flush()
+            ckpt = Checkpoint(cfg, state, disc.adam, gen.adam, step, train_rng.state)
+            checkpoints.append(str(save_checkpoint(run_dir / f"checkpoint_{step:06d}", ckpt)))
 
     report = {
         "version": __version__,
@@ -166,8 +168,8 @@ def train(cfg: ExperimentConfig) -> Path:
         "started_unix": started,
         "config": cfg.pairs,
         "epoch_equivalent_steps": max(1, cfg.n_a // cfg.train_batch),
-        "d_updates": d_updates,
-        "g_updates": g_updates,
+        "d_updates": disc.adam.t,  # Adam counts the steps it took
+        "g_updates": gen.adam.t,
         "failed_at_step": failed_at,
         "checkpoints": checkpoints,
         "metrics_csv": str(metrics_path),
@@ -269,8 +271,8 @@ def load_checkpoint(path) -> Checkpoint:
             if arrays[name].shape != shape:
                 raise ValueError(f"checkpoint array {name!r} has shape {arrays[name].shape}, "
                                  f"expected {shape}")
-    state = GanState(cfg.d_spec, cfg.g_spec, state_params(cfg.d_spec, arrays["theta_d"]),
-                     state_params(cfg.g_spec, arrays["theta_g"]), cfg.objective)
+    state = GanState(cfg.d_spec, cfg.g_spec, ParamVector(arrays["theta_d"], cfg.d_spec.layout()),
+                     ParamVector(arrays["theta_g"], cfg.g_spec.layout()), cfg.objective)
     counters = arrays["counters"]
     adams = []
     for player, t, lr in (("d", counters[0], cfg.lr_d), ("g", counters[1], cfg.lr_g)):
@@ -282,10 +284,6 @@ def load_checkpoint(path) -> Checkpoint:
     return Checkpoint(cfg, state, *adams, int(sidecar["step"]), sidecar["rng_state"])
 
 
-def state_params(spec, values):
-    return ParamVector(values, spec.layout())
-
-
 def rebuild_splits(cfg: ExperimentConfig):
     return make_splits(cfg.dist, cfg.n_a, cfg.n_b, cfg.n_c,
                        Rng(cfg.seed).child(_TAG_DATA))
@@ -294,23 +292,23 @@ def rebuild_splits(cfg: ExperimentConfig):
 # -- gap, sweeps, probes -----------------------------------------------------
 
 
+def _open_checkpoint(checkpoint_path, tag: int):
+    """A stored checkpoint, its run's splits and its step's child stream ``tag``."""
+    ckpt = load_checkpoint(checkpoint_path)
+    return ckpt, rebuild_splits(ckpt.cfg), Rng(ckpt.cfg.seed).child(tag, ckpt.step)
+
+
 def gap_cmd(checkpoint_path, lam: float | None = None) -> GapReport:
     """Both duality gaps at a stored checkpoint, on the run's own splits."""
-    ckpt = load_checkpoint(checkpoint_path)
-    cfg = ckpt.cfg
-    prox = cfg.prox if lam is None else replace(cfg.prox, lam=lam)
-    splits = rebuild_splits(cfg)
-    return duality_gap(ckpt.state, splits, prox,
-                       Rng(cfg.seed).child(_TAG_GAP, ckpt.step))
+    ckpt, splits, rng = _open_checkpoint(checkpoint_path, _TAG_GAP)
+    prox = ckpt.cfg.prox if lam is None else replace(ckpt.cfg.prox, lam=lam)
+    return duality_gap(ckpt.state, splits, prox, rng)
 
 
 def lambda_sweep_cmd(checkpoint_path, lambdas, out_csv=None) -> Path:
     """Gap estimates across a lambda grid at one checkpoint, written as CSV."""
-    ckpt = load_checkpoint(checkpoint_path)
-    cfg = ckpt.cfg
-    splits = rebuild_splits(cfg)
-    rows = lambda_sweep(ckpt.state, splits, lambdas, cfg.prox,
-                        Rng(cfg.seed).child(_TAG_GAP, ckpt.step))
+    ckpt, splits, rng = _open_checkpoint(checkpoint_path, _TAG_GAP)
+    rows = lambda_sweep(ckpt.state, splits, lambdas, ckpt.cfg.prox, rng)
     out = Path(out_csv) if out_csv else Path(checkpoint_path).with_name(
         Path(checkpoint_path).stem + "_lambda_sweep.csv")
     with open(out, "w", newline="", encoding="utf-8") as fh:
@@ -357,10 +355,7 @@ def ratio_sweep_cmd(cfg: ExperimentConfig, ratios, out_dir) -> Path:
 def probe_cmd(checkpoint_path, kind: str, out=None, k: int = 5, steps: int = 200,
               lr: float = 1e-3, eval_every: int = 20, agent: str = "generator"):
     """Run a deviation or spectrum probe at a checkpoint and write the artifact."""
-    ckpt = load_checkpoint(checkpoint_path)
-    cfg = ckpt.cfg
-    splits = rebuild_splits(cfg)
-    rng = Rng(cfg.seed).child(_TAG_PROBE, ckpt.step)
+    ckpt, splits, rng = _open_checkpoint(checkpoint_path, _TAG_PROBE)
     base = Path(checkpoint_path)
     if kind == "spectrum":
         report = hessian_spectrum_probe(ckpt.state, splits, agent, k, rng)
@@ -377,7 +372,7 @@ def probe_cmd(checkpoint_path, kind: str, out=None, k: int = 5, steps: int = 200
         return out
     if kind == "deviation":
         trace = unilateral_deviation(ckpt.state, splits, steps, lr, eval_every, rng,
-                                     bins=cfg.jsd_bins)
+                                     bins=ckpt.cfg.jsd_bins)
         out = Path(out) if out else base.with_name(base.stem + "_deviation.csv")
         with open(out, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
@@ -446,9 +441,7 @@ def compare_metrics_csv(path_a, path_b, tol: float = 1e-9) -> bool:
     if len(rows_a) != len(rows_b):
         return False
     for ra, rb in zip(rows_a, rows_b):
-        for key in METRICS_COLUMNS:
-            if key == "wallclock_ms":
-                continue
+        for key in METRICS_COLUMNS[:-1]:  # all but wallclock_ms
             va, vb = getattr(ra, key), getattr(rb, key)
             if np.isnan(va) and np.isnan(vb):
                 continue

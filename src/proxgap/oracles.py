@@ -271,6 +271,13 @@ def jsd_from_samples(samples_p, samples_q, bins: int, box=None) -> float:
     return float(0.5 * (rel_entr(p, m).sum() + rel_entr(q, m).sum()))
 
 
+def hist_jsd(real, fake, bins: int) -> float:
+    """The monitors' histogram JSD: ``jsd_from_samples`` binned on the real rows'
+    extent widened by 1 on each axis, a box that stays fixed as ``fake`` moves."""
+    box = [(real[:, j].min() - 1.0, real[:, j].max() + 1.0) for j in range(real.shape[1])]
+    return jsd_from_samples(real, fake, bins=bins, box=box)
+
+
 def wasserstein1_1d(samples_p, samples_q) -> float:
     """W1 between 1-D samples: mean absolute difference of aligned quantiles."""
     sp = np.sort(np.asarray(samples_p, dtype=np.float64).ravel())

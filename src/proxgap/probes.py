@@ -10,6 +10,7 @@ trace walks the iterates of the estimators' one Adam search, ``_adam_search``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -17,10 +18,10 @@ import numpy as np
 
 from .diffcore import Rng, forward, hvp, top_k_eigenvalues
 from .diffcore.engine import _param_values
-from .distributions import DataSplits
+from .distributions import DataSplits, draw_minibatch
 from .gapmetrics import _adam_search, _ops_for
 from .objectives import GanState, check_clip_box
-from .oracles import jsd_from_samples
+from .oracles import hist_jsd
 
 GENERATOR = "generator"
 DISCRIMINATOR = "discriminator"
@@ -90,9 +91,8 @@ def unilateral_deviation(state, splits: DataSplits | None, steps: int, lr: float
     a GAN step draws its minibatch from the training split.  V is recorded at
     the start, every `eval_every` steps and at the last step, or at the start
     only, with no step taken, when `eval_every` is 0.  For GAN states the
-    trace also records the histogram divergence between held-out real samples
-    and fresh generator output; the binning box is the real-data extent
-    widened by 1 and stays fixed along the trace.
+    trace also records ``oracles.hist_jsd`` between held-out real samples and
+    fresh generator output, the histogram divergence ``metrics.csv`` logs.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
@@ -102,17 +102,11 @@ def unilateral_deviation(state, splits: DataSplits | None, steps: int, lr: float
         raise ValueError(f"lr must be positive and finite, got {lr}")
     ops = _ops_for(state, splits, rng)
     if isinstance(state, GanState):
-        train, real = splits.s_a, splits.s_c
-        n = min(DEVIATION_BATCH, train.shape[0])
-        box = [(real[:, j].min() - 1.0, real[:, j].max() + 1.0) for j in range(real.shape[1])]
-
-        def draw_batch():
-            idx = rng.integers(0, train.shape[0], n)
-            return train[idx], rng.normal((n, state.latent_dim))
+        n = min(DEVIATION_BATCH, splits.s_a.shape[0])
+        draw_batch = functools.partial(draw_minibatch, splits.s_a, n, state.latent_dim, rng)
 
         def divergence(theta_g):
-            fake = forward(state.g_spec, theta_g, ops.eval_latent)
-            return jsd_from_samples(real, fake, bins=bins, box=box)
+            return hist_jsd(splits.s_c, forward(state.g_spec, theta_g, ops.eval_latent), bins)
     else:
         draw_batch, divergence = (lambda: None), (lambda g: None)
 

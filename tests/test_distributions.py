@@ -8,6 +8,7 @@ from proxgap.distributions import (
     DataSplits,
     GaussianMixture,
     LatentSpec,
+    draw_minibatch,
     log_density,
     make_splits,
     ring_mixture,
@@ -214,3 +215,13 @@ def test_log_density_keeps_numpys_pairwise_order_past_eight_terms(modes, dim):
         dists.append(ring_mixture(8, 2.0, 0.05))
     for dist in dists:
         assert log_density(dist, pts).tobytes() == _broadcast_log_density(dist, pts).tobytes()
+
+
+def test_draw_minibatch_takes_rows_then_latents_from_one_stream():
+    rows = np.arange(20.0).reshape(10, 2)
+    rng, ref = Rng(4), Rng(4)
+    real, latent = draw_minibatch(rows, 7, 3, rng)
+    idx = ref.integers(0, 10, 7)
+    assert np.array_equal(real, rows[idx])
+    assert latent.tobytes() == ref.normal((7, 3)).tobytes()
+    assert rng.state == ref.state

@@ -1,4 +1,8 @@
+import ast
+import csv
+import inspect
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,9 +19,11 @@ from proxgap.harness import (
     pearson_r,
     ratio_sweep_cmd,
     read_metrics,
+    rebuild_splits,
     train,
     with_overrides,
 )
+from proxgap.harness import runner
 from proxgap.harness.cli import main
 from proxgap.objectives import WassersteinClip
 
@@ -166,6 +172,69 @@ def test_train_reproducible(tmp_path, tiny_run):
     b = np.load(second / "checkpoint_000040.npz")
     assert np.array_equal(a["theta_g"], b["theta_g"])
     assert np.array_equal(a["theta_d"], b["theta_d"])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_an_overflowing_adam_moment_fails_the_run_before_its_checkpoint(tmp_path,
+                                                                       monkeypatch):
+    # 1e300 squares to inf in the second moment, while the step it takes stays
+    # finite; the run must stop there, not write a checkpoint load_checkpoint rejects
+    calls, value_and_grad_d = [], runner.value_and_grad_d
+
+    def overflowing_third_update(*args):
+        v, grad = value_and_grad_d(*args)
+        calls.append(1)
+        if len(calls) == 3:
+            grad = grad.copy()
+            grad[0] = 1e300
+        return v, grad
+
+    cfg = tiny_cfg(tmp_path / "run", **{"train.steps": 4, "train.checkpoint_every": 2})
+    monkeypatch.setattr(runner, "value_and_grad_d", overflowing_third_update)
+    run_dir = train(cfg)
+    report = json.loads((run_dir / "report.json").read_text())
+    assert report["failed_at_step"] == 3
+    assert report["d_updates"] == report["g_updates"] == 2
+    assert [load_checkpoint(path).step for path in report["checkpoints"]] == [0, 2]
+    assert [r.step for r in read_metrics(run_dir / "metrics.csv")] == [0.0, 2.0]
+
+
+def test_every_checkpoint_rescores_to_its_metrics_row(tiny_run):
+    # a checkpoint holds everything its scores need: re-scored from disk, each
+    # one reproduces the cells train logged for it
+    with open(tiny_run / "metrics.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    paths = json.loads((tiny_run / "report.json").read_text())["checkpoints"]
+    assert len(rows) == len(paths) == 3
+    for row, path in zip(rows, paths):
+        ckpt = load_checkpoint(path)
+        assert str(ckpt.step) == row["step"]
+        gap = gap_cmd(path)
+        assert [f"{gap.dg_plain:.12g}", f"{gap.dg_lambda:.12g}"] == [row["dg_plain"],
+                                                                     row["dg_lambda"]]
+        scores = runner.score_checkpoint(ckpt.state, rebuild_splits(ckpt.cfg), ckpt.cfg,
+                                         ckpt.step)
+        assert [f"{x:.12g}" for x in scores] == [row["dg_plain"], row["dg_lambda"],
+                                                 row["hist_jsd"]]
+
+
+def test_train_has_one_update_step_and_only_oracles_bins_histograms():
+    train_def = ast.parse(inspect.getsource(runner.train)).body[0]
+    nested = [type(node).__name__ for stmt in train_def.body for node in ast.walk(stmt)
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
+                                   ast.Nonlocal, ast.Global))]
+    assert not nested
+    src = Path(runner.__file__).resolve().parents[1]
+    callers = []
+    for path in sorted(src.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {alias.name for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+        if "jsd_from_samples" in names:
+            callers.append(path.relative_to(src).as_posix())
+    assert callers == ["oracles.py"]
 
 
 def test_checkpoint_roundtrip(tiny_run):

@@ -22,6 +22,7 @@ from proxgap.oracles import (
     grid_dg,
     grid_dg_lambda,
     grid_v_lambda,
+    hist_jsd,
     jsd_from_samples,
     numeric_fdiv,
     numeric_jsd,
@@ -419,6 +420,18 @@ def test_histogram_jsd_in_range():
         b = rng.normal((500, 2)) * 1.5
         val = jsd_from_samples(a, b, bins=16)
         assert 0.0 <= val <= np.log(2.0) + 1e-12
+
+
+def test_hist_jsd_bins_on_the_real_extent_widened_by_one():
+    rng = Rng(3)
+    real = rng.normal((400, 2)) * [1.0, 0.3]
+    fake = rng.normal((300, 2)) * 2.0 + 0.5
+    box = [(real[:, 0].min() - 1.0, real[:, 0].max() + 1.0),
+           (real[:, 1].min() - 1.0, real[:, 1].max() + 1.0)]
+    assert hist_jsd(real, fake, 16) == jsd_from_samples(real, fake, bins=16, box=box)
+    # the box follows the real rows alone
+    assert hist_jsd(real, fake * 3.0, 16) == jsd_from_samples(real, fake * 3.0, bins=16,
+                                                              box=box)
 
 
 def test_w1_point_masses():
