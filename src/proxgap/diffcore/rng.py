@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-ALGORITHM = "pcg64"
-
 
 class Rng:
     """A PCG64 stream keyed by a 64-bit seed.

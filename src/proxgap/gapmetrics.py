@@ -34,6 +34,11 @@ from .oracles import ToyGame, toy_value, toy_value_and_grad
 # rate is used unchanged, which keeps the small-lam protocol intact.
 STEP_GUARD = 25.0
 
+# Revision of the estimates: bumped by any change that moves an estimate for the
+# same state, splits, stream and config, so estimates stored under an older
+# revision are recomputed instead of reused.
+ESTIMATE_REVISION = 1
+
 _EVAL_TAG = 0
 _DW_TAG = 1
 _GW_LAMBDA_TAG = 2
@@ -286,20 +291,31 @@ def estimate_v_gw_plain(state, splits, cfg: ProximalConfig, rng: Rng,
     return ops.eval_value(ops.d0, g)
 
 
-def _gap_reports(state, splits, cfgs, rng: Rng):
+def _gap_reports(state, splits, cfgs, rng: Rng, known: GapReport | None = None):
     """One GapReport per config in `cfgs`, which may differ only in lam.
 
     v_dw and v_gw_plain do not depend on lam, so they are estimated once and
     shared; v_gw_lambda is estimated per config.  Every estimate draws from
     its own child stream of `rng` and all share one evaluation latent batch,
     so each report equals the one a single-config call would give.
+
+    `known`, when given, was computed on the same state, splits and stream
+    under a config that differs from `cfgs` at most in lam: its v_dw and
+    v_gw_plain, and its v_gw_lambda at its own lam, are taken instead of
+    estimated again.
     """
+    cfg0 = cfgs[0]
+    if known is not None and (known.seed, known.worst_iters, known.prox_steps) != (
+            rng.seed, cfg0.worst_iters, cfg0.prox_steps):
+        raise ValueError("known gap report comes from another stream or budget")
     eval_latent = _ops_for(state, splits, rng).eval_latent
-    v_dw = estimate_v_dw(state, splits, cfgs[0], rng.child(_DW_TAG), eval_latent)
-    v_gw_lambdas = [estimate_v_gw_lambda(state, splits, cfg, rng.child(_GW_LAMBDA_TAG),
-                                         eval_latent) for cfg in cfgs]
-    v_gw_plain = estimate_v_gw_plain(state, splits, cfgs[0], rng.child(_GW_PLAIN_TAG),
-                                     eval_latent)
+    v_dw = known.v_dw if known is not None else estimate_v_dw(
+        state, splits, cfg0, rng.child(_DW_TAG), eval_latent)
+    v_gw_lambdas = [known.v_gw_lambda if known is not None and cfg.lam == known.lam
+                    else estimate_v_gw_lambda(state, splits, cfg, rng.child(_GW_LAMBDA_TAG),
+                                              eval_latent) for cfg in cfgs]
+    v_gw_plain = known.v_gw_plain if known is not None else estimate_v_gw_plain(
+        state, splits, cfg0, rng.child(_GW_PLAIN_TAG), eval_latent)
     return [GapReport(
         v_dw=v_dw,
         v_gw_lambda=v_gw_lambda,
@@ -313,19 +329,26 @@ def _gap_reports(state, splits, cfgs, rng: Rng):
     ) for cfg, v_gw_lambda in zip(cfgs, v_gw_lambdas)]
 
 
-def duality_gap(state, splits, cfg: ProximalConfig, rng: Rng) -> GapReport:
-    """Both duality gaps at one configuration, sharing one evaluation latent batch."""
-    return _gap_reports(state, splits, [cfg], rng)[0]
+def duality_gap(state, splits, cfg: ProximalConfig, rng: Rng,
+                known: GapReport | None = None) -> GapReport:
+    """Both duality gaps at one configuration, sharing one evaluation latent batch.
+
+    `known` is a report to reuse, as in `_gap_reports`.
+    """
+    return _gap_reports(state, splits, [cfg], rng, known)[0]
 
 
-def lambda_sweep(state, splits, lambdas, cfg: ProximalConfig, rng: Rng):
+def lambda_sweep(state, splits, lambdas, cfg: ProximalConfig, rng: Rng,
+                 known: GapReport | None = None):
     """Gap estimates per lambda with shared seeds, ordered by lambda.
 
     Each row equals ``duality_gap`` at that lambda; the lambda-independent
-    v_dw and v_gw_plain are estimated once for the whole sweep.
+    v_dw and v_gw_plain are estimated once for the whole sweep, or taken
+    from `known` as in `_gap_reports`.
     """
     lams = sorted(float(x) for x in lambdas)
     if not lams:
         raise ValueError("lambda list must be non-empty")
-    reports = _gap_reports(state, splits, [replace(cfg, lam=lam) for lam in lams], rng)
+    reports = _gap_reports(state, splits, [replace(cfg, lam=lam) for lam in lams], rng,
+                           known)
     return list(zip(lams, reports))

@@ -4,6 +4,7 @@ correlation reporting, and checkpoint serialization."""
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import os
 import time
@@ -17,7 +18,13 @@ from .. import __version__
 from ..diffcore import NonFiniteError, ParamVector, Rng, adam_init, adam_step, forward, init_network
 from ..diffcore.optim import AdamState
 from ..distributions import draw_minibatch, make_splits
-from ..gapmetrics import GapReport, ProxDivergenceError, duality_gap, lambda_sweep
+from ..gapmetrics import (
+    ESTIMATE_REVISION,
+    GapReport,
+    ProxDivergenceError,
+    duality_gap,
+    lambda_sweep,
+)
 from ..objectives import (
     enforce_constraint,
     eval_objective,
@@ -57,14 +64,24 @@ _TAG_GAP = 6
 _TAG_PROBE = 7
 
 
+def _stream(cfg: ExperimentConfig, tag: int, *keys: int) -> Rng:
+    """The run's child stream ``(seed, tag, *keys)``."""
+    return Rng(cfg.seed).child(tag, *keys)
+
+
+def rebuild_splits(cfg: ExperimentConfig):
+    """The run's data splits: the one derivation, from the config alone."""
+    return make_splits(cfg.dist, cfg.n_a, cfg.n_b, cfg.n_c, _stream(cfg, _TAG_DATA))
+
+
 def build_state(cfg: ExperimentConfig, root: Rng):
-    """Deterministically build the initial game state and the data splits."""
+    """Deterministically build the initial game state (networks drawn from
+    ``root``) and the run's data splits (``rebuild_splits(cfg)``)."""
     theta_d = enforce_constraint(cfg.objective,
                                  init_network(cfg.d_spec, root.child(_TAG_INIT_D)))
     theta_g = init_network(cfg.g_spec, root.child(_TAG_INIT_G))
     state = GanState(cfg.d_spec, cfg.g_spec, theta_d, theta_g, cfg.objective)
-    splits = make_splits(cfg.dist, cfg.n_a, cfg.n_b, cfg.n_c, root.child(_TAG_DATA))
-    return state, splits
+    return state, rebuild_splits(cfg)
 
 
 @dataclass
@@ -85,22 +102,27 @@ def _unprojected(objective, params):
 
 def _eval_latent(cfg: ExperimentConfig, splits) -> np.ndarray:
     """The fixed generator input paired with the evaluation split."""
-    return Rng(cfg.seed).child(_TAG_EVAL).normal((splits.s_c.shape[0], cfg.latent.dim))
+    return _stream(cfg, _TAG_EVAL).normal((splits.s_c.shape[0], cfg.latent.dim))
+
+
+def _score(state: GanState, splits, cfg: ExperimentConfig, step: int):
+    """``score_checkpoint``'s scores and the gap report behind them (None when it failed)."""
+    try:
+        report = duality_gap(state, splits, cfg.prox, _stream(cfg, _TAG_GAP, step))
+        gaps = report.dg_plain, report.dg_lambda
+    except (NonFiniteError, ProxDivergenceError):
+        report, gaps = None, (float("nan"), float("nan"))
+    fake = forward(cfg.g_spec, state.theta_g, _eval_latent(cfg, splits))
+    return (*gaps, hist_jsd(splits.s_c, fake, cfg.jsd_bins)), report
 
 
 def score_checkpoint(state: GanState, splits, cfg: ExperimentConfig, step: int):
     """``(dg_plain, dg_lambda, hist_jsd)`` of one checkpoint, as ``metrics.csv`` logs them.
 
     The gaps draw from the stream ``(seed, _TAG_GAP, step)``, never the training
-    stream, and are nan when their estimate fails.
+    stream, and are nan when their estimate fails.  It always estimates afresh.
     """
-    try:
-        report = duality_gap(state, splits, cfg.prox, Rng(cfg.seed).child(_TAG_GAP, step))
-        dg_plain, dg_lambda = report.dg_plain, report.dg_lambda
-    except (NonFiniteError, ProxDivergenceError):
-        dg_plain = dg_lambda = float("nan")
-    fake = forward(cfg.g_spec, state.theta_g, _eval_latent(cfg, splits))
-    return dg_plain, dg_lambda, hist_jsd(splits.s_c, fake, cfg.jsd_bins)
+    return _score(state, splits, cfg, step)[0]
 
 
 def train(cfg: ExperimentConfig) -> Path:
@@ -108,8 +130,9 @@ def train(cfg: ExperimentConfig) -> Path:
 
     Per cycle: |N| discriminator steps then one generator step for N > 0,
     one discriminator step then |N| generator steps for N < 0.  Either gap
-    is logged at every checkpoint; a non-finite loss or Adam moment marks the
-    run failed at that step and preserves everything logged so far.
+    is logged at every checkpoint, whose sidecar keeps the three estimates; a
+    non-finite loss or Adam moment marks the run failed at that step and
+    preserves everything logged so far.
     """
     if not cfg.out_dir:
         raise ValueError("config needs an output directory (key 'out')")
@@ -154,12 +177,12 @@ def train(cfg: ExperimentConfig) -> Path:
                 break
             if step % cfg.checkpoint_interval:
                 continue
-            scores = score_checkpoint(state, splits, cfg, step)
+            scores, gap = _score(state, splits, cfg, step)
             wall = (time.monotonic() - t_start) * 1000.0
             writer.writerow([step] + [f"{x:.12g}" for x in (disc.loss, gen.loss, *scores)]
                             + [f"{wall:.3f}"])
             fh.flush()
-            ckpt = Checkpoint(cfg, state, disc.adam, gen.adam, step, train_rng.state)
+            ckpt = Checkpoint(cfg, state, disc.adam, gen.adam, step, train_rng.state, gap)
             checkpoints.append(str(save_checkpoint(run_dir / f"checkpoint_{step:06d}", ckpt)))
 
     report = {
@@ -191,7 +214,8 @@ def _checkpoint_arrays(cfg: ExperimentConfig) -> dict:
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """A saved run point: the game, both players' Adam states, the training stream's cursor."""
+    """A saved run point: the game, both players' Adam states, the training
+    stream's cursor and, when there is one, the gap report estimated there."""
 
     cfg: ExperimentConfig
     state: GanState
@@ -199,10 +223,85 @@ class Checkpoint:
     adam_g: AdamState
     step: int
     rng_state: dict
+    gap: GapReport | None = None
+
+
+_GAP_ESTIMATES = ("v_dw", "v_gw_lambda", "v_gw_plain")
+
+
+def _params_sha256(state: GanState) -> str:
+    digest = hashlib.sha256(state.theta_d.values.tobytes())
+    digest.update(state.theta_g.values.tobytes())
+    return digest.hexdigest()
+
+
+def _gap_budget(cfg: ExperimentConfig, step: int):
+    """What a checkpoint's gap report is estimated under: lambda, budgets, stream seed."""
+    prox = cfg.prox
+    return prox.lam, prox.worst_iters, prox.prox_steps, _stream(cfg, _TAG_GAP, step).seed
+
+
+def _gap_block(ckpt: Checkpoint):
+    """The sidecar's record of ``ckpt.gap``: its three estimates as exact hex
+    floats, the estimates' revision and a digest of the parameters they were
+    estimated at.  None without a report (a failed estimate)."""
+    gap = ckpt.gap
+    if gap is None:
+        return None
+    values = [float(getattr(gap, name)) for name in _GAP_ESTIMATES]
+    if ((gap.lam, gap.worst_iters, gap.prox_steps, gap.seed) != _gap_budget(ckpt.cfg, ckpt.step)
+            or not np.isfinite(values).all()):
+        raise ValueError("a checkpoint keeps only a finite gap report of its own config and "
+                         "step's stream")
+    return {"revision": ESTIMATE_REVISION, "params_sha256": _params_sha256(ckpt.state),
+            **{name: value.hex() for name, value in zip(_GAP_ESTIMATES, values)}}
+
+
+def _stored_gap(block, cfg: ExperimentConfig, step: int, state: GanState, where):
+    """The gap report a sidecar's ``gap`` block records.
+
+    None when there is no block or it was written under another
+    ``ESTIMATE_REVISION``; ValueError when it is malformed, holds a non-finite
+    estimate or was estimated at other parameters.
+    """
+    if block is None:
+        return None
+    if not isinstance(block, dict) or type(block.get("revision")) is not int:
+        raise ValueError(f"checkpoint sidecar {where} has a gap block without an integer "
+                         f"revision")
+    if block["revision"] != ESTIMATE_REVISION:
+        return None
+    fields = ["revision", "params_sha256", *_GAP_ESTIMATES]
+    if sorted(block) != sorted(fields):
+        raise ValueError(f"checkpoint sidecar {where} has gap fields {sorted(block)!r}, "
+                         f"expected {sorted(fields)!r}")
+    try:
+        v_dw, v_gw_lambda, v_gw_plain = (float.fromhex(block[name]) for name in _GAP_ESTIMATES)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ValueError(f"checkpoint sidecar {where} holds a gap estimate that is not a "
+                         f"hex float: {err}") from err
+    if not np.isfinite([v_dw, v_gw_lambda, v_gw_plain]).all():
+        raise ValueError(f"checkpoint sidecar {where} holds a non-finite gap estimate")
+    if block["params_sha256"] != _params_sha256(state):
+        raise ValueError(f"checkpoint sidecar {where} holds gap estimates of other parameters "
+                         f"(params_sha256 does not match the arrays)")
+    return GapReport(v_dw, v_gw_lambda, v_dw - v_gw_lambda, v_gw_plain, v_dw - v_gw_plain,
+                     *_gap_budget(cfg, step))
 
 
 def save_checkpoint(base, ckpt: Checkpoint) -> Path:
     """Write ``ckpt`` as ``base``.npz and its ``base``.json sidecar; returns the .npz path."""
+    sidecar = {
+        "format": CHECKPOINT_FORMAT,
+        "step": ckpt.step,
+        "seed": ckpt.cfg.seed,
+        "config": ckpt.cfg.pairs,
+        "rng_state": _jsonable(ckpt.rng_state),
+        "arrays": list(_checkpoint_arrays(ckpt.cfg)),
+    }
+    gap = _gap_block(ckpt)  # checked before anything is written
+    if gap is not None:
+        sidecar["gap"] = gap
     base = Path(base)
     npz = base.with_suffix(".npz")
     _write_atomically(npz, lambda fh: np.savez(
@@ -213,14 +312,6 @@ def save_checkpoint(base, ckpt: Checkpoint) -> Path:
         adam_g_m=ckpt.adam_g.m, adam_g_v=ckpt.adam_g.v,
         counters=np.array([ckpt.adam_d.t, ckpt.adam_g.t, ckpt.step], dtype=np.int64),
     ))
-    sidecar = {
-        "format": CHECKPOINT_FORMAT,
-        "step": ckpt.step,
-        "seed": ckpt.cfg.seed,
-        "config": ckpt.cfg.pairs,
-        "rng_state": _jsonable(ckpt.rng_state),
-        "arrays": list(_checkpoint_arrays(ckpt.cfg)),
-    }
     _write_atomically(base.with_suffix(".json"),
                       lambda fh: fh.write(json.dumps(sidecar, indent=2).encode("utf-8")))
     return npz
@@ -281,12 +372,9 @@ def load_checkpoint(path) -> Checkpoint:
                                    int(t), lr, cfg.beta1, cfg.beta2))
         except ValueError as err:
             raise ValueError(f"checkpoint {path} holds a bad adam_{player} state: {err}") from err
-    return Checkpoint(cfg, state, *adams, int(sidecar["step"]), sidecar["rng_state"])
-
-
-def rebuild_splits(cfg: ExperimentConfig):
-    return make_splits(cfg.dist, cfg.n_a, cfg.n_b, cfg.n_c,
-                       Rng(cfg.seed).child(_TAG_DATA))
+    step = int(sidecar["step"])
+    gap = _stored_gap(sidecar.get("gap"), cfg, step, state, sidecar_path)
+    return Checkpoint(cfg, state, *adams, step, sidecar["rng_state"], gap)
 
 
 # -- gap, sweeps, probes -----------------------------------------------------
@@ -295,20 +383,27 @@ def rebuild_splits(cfg: ExperimentConfig):
 def _open_checkpoint(checkpoint_path, tag: int):
     """A stored checkpoint, its run's splits and its step's child stream ``tag``."""
     ckpt = load_checkpoint(checkpoint_path)
-    return ckpt, rebuild_splits(ckpt.cfg), Rng(ckpt.cfg.seed).child(tag, ckpt.step)
+    return ckpt, rebuild_splits(ckpt.cfg), _stream(ckpt.cfg, tag, ckpt.step)
 
 
 def gap_cmd(checkpoint_path, lam: float | None = None) -> GapReport:
-    """Both duality gaps at a stored checkpoint, on the run's own splits."""
+    """Both duality gaps at a stored checkpoint, on the run's own splits.
+
+    The estimates the checkpoint's sidecar keeps are reused: at the run's
+    lambda nothing is estimated again, at another only ``v_gw_lambda``.
+    """
     ckpt, splits, rng = _open_checkpoint(checkpoint_path, _TAG_GAP)
     prox = ckpt.cfg.prox if lam is None else replace(ckpt.cfg.prox, lam=lam)
-    return duality_gap(ckpt.state, splits, prox, rng)
+    return duality_gap(ckpt.state, splits, prox, rng, ckpt.gap)
 
 
 def lambda_sweep_cmd(checkpoint_path, lambdas, out_csv=None) -> Path:
-    """Gap estimates across a lambda grid at one checkpoint, written as CSV."""
+    """Gap estimates across a lambda grid at one checkpoint, written as CSV.
+
+    Like ``gap_cmd``, it reuses the estimates the checkpoint's sidecar keeps.
+    """
     ckpt, splits, rng = _open_checkpoint(checkpoint_path, _TAG_GAP)
-    rows = lambda_sweep(ckpt.state, splits, lambdas, ckpt.cfg.prox, rng)
+    rows = lambda_sweep(ckpt.state, splits, lambdas, ckpt.cfg.prox, rng, ckpt.gap)
     out = Path(out_csv) if out_csv else Path(checkpoint_path).with_name(
         Path(checkpoint_path).stem + "_lambda_sweep.csv")
     with open(out, "w", newline="", encoding="utf-8") as fh:

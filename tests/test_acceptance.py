@@ -6,6 +6,7 @@ single seeded training run shared by its tests via module-scoped fixtures;
 those tests carry the `slow` marker, so `pytest -m "not slow"` leaves them out.
 """
 
+import json
 import time
 
 import numpy as np
@@ -20,7 +21,7 @@ from proxgap.diffcore import (
     init_network,
 )
 from proxgap.distributions import GaussianMixture, density
-from proxgap.gapmetrics import ProximalConfig, ToyGameState, duality_gap
+from proxgap.gapmetrics import ESTIMATE_REVISION, ProximalConfig, ToyGameState, duality_gap
 from proxgap.harness import (
     compare_metrics_csv,
     config_from_text,
@@ -332,3 +333,24 @@ def test_criterion_12_determinism(desk_run, desk_sweep, tmp_path_factory):
     _report(12, metrics_ok and sweep_ok and gap_ok,
             f"re-run metrics identical (sans wallclock)={metrics_ok}, "
             f"sweep identical={sweep_ok}, gap command identical={gap_ok}")
+
+
+# -- reuse of the estimates a checkpoint keeps --------------------------------
+
+
+@pytest.mark.slow
+def test_desk_reuse_gives_the_bytes_of_a_recomputation(desk_sweep, tmp_path):
+    # the final desk checkpoint's sidecar keeps its gap estimates; the gap and
+    # the sweep that reuse them equal the same calls on a copy without them
+    ckpt, sweep_path, _ = desk_sweep
+    bare = tmp_path / ckpt.name
+    bare.write_bytes(ckpt.read_bytes())
+    sidecar = json.loads(ckpt.with_suffix(".json").read_text())
+    assert sidecar.pop("gap")["revision"] == ESTIMATE_REVISION
+    bare.with_suffix(".json").write_text(json.dumps(sidecar))
+    sweep_bare = lambda_sweep_cmd(bare, [0.01, 0.1, 1e6], tmp_path / "sweep.csv")
+    assert sweep_path.read_bytes() == sweep_bare.read_bytes()
+    reused, again = gap_cmd(ckpt), gap_cmd(bare)
+    for name in ("v_dw", "v_gw_lambda", "dg_lambda", "v_gw_plain", "dg_plain"):
+        assert getattr(reused, name).hex() == getattr(again, name).hex()
+    assert (reused.lam, reused.seed) == (again.lam, again.seed)

@@ -430,6 +430,24 @@ def test_lambda_sweep_rows_equal_per_lambda_gaps():
             assert report == duality_gap(state, data, replace(cfg, lam=lam), Rng(21))
 
 
+def test_a_known_report_gives_the_rows_of_a_recomputation():
+    # reuse of a report estimated at another lambda on the same state, splits
+    # and stream: every row equals the one estimated from scratch
+    lams = [0.0, 0.1, 10.0]
+    toy = ToyGameState(concave_quadratic(), np.array([0.4]), np.array([-0.2]))
+    gan, splits, gan_cfg = _small_gan_setup()
+    for state, data, cfg in ((toy, None, TOY_CFG), (gan, splits, gan_cfg)):
+        for known_lam in (0.1, 1.0):
+            known = duality_gap(state, data, replace(cfg, lam=known_lam), Rng(21))
+            assert lambda_sweep(state, data, lams, cfg, Rng(21), known) == \
+                lambda_sweep(state, data, lams, cfg, Rng(21))
+            assert duality_gap(state, data, cfg, Rng(21), known) == \
+                duality_gap(state, data, cfg, Rng(21))
+        for other_rng, other_cfg in ((Rng(22), cfg), (Rng(21), replace(cfg, worst_iters=2))):
+            with pytest.raises(ValueError, match="another stream or budget"):
+                duality_gap(state, data, other_cfg, other_rng, known)
+
+
 def test_lambda_sweep_estimates_lambda_independent_terms_once(monkeypatch):
     calls = {}
 

@@ -1,13 +1,17 @@
 import ast
 import csv
+import hashlib
 import inspect
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from proxgap.gapmetrics import ProximalConfig
+from proxgap import gapmetrics
+from proxgap.diffcore import Rng
+from proxgap.gapmetrics import ESTIMATE_REVISION, ProximalConfig, duality_gap
 from proxgap.harness import (
     ConfigError,
     compare_metrics_csv,
@@ -341,6 +345,192 @@ def test_checkpoint_with_bad_adam_moments_is_rejected(tiny_run, tmp_path, capsys
     assert main(["gap", "--checkpoint", str(dst.with_suffix(".npz"))]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"bad {player} state" in err
+
+
+# -- gap estimates kept in the sidecar ---------------------------------------
+
+GAP_ESTIMATES = ("v_dw", "v_gw_lambda", "v_gw_plain")
+
+
+def _hexes(report):
+    """Every field of a GapReport, floats as exact hex."""
+    return [getattr(report, f).hex() if isinstance(getattr(report, f), float)
+            else getattr(report, f) for f in report.__dataclass_fields__]
+
+
+def _fresh_gap(ckpt, lam=None):
+    prox = ckpt.cfg.prox if lam is None else replace(ckpt.cfg.prox, lam=lam)
+    return duality_gap(ckpt.state, rebuild_splits(ckpt.cfg), prox,
+                       Rng(ckpt.cfg.seed).child(runner._TAG_GAP, ckpt.step))
+
+
+def _copy_checkpoint(src, dst_dir, edit_gap=None):
+    """A copy of checkpoint ``src`` (.npz) in ``dst_dir`` whose sidecar's gap
+    block went through ``edit_gap`` (a block it returns None for is dropped)."""
+    src = Path(src)
+    dst = Path(dst_dir) / src.name
+    dst.write_bytes(src.read_bytes())
+    sidecar = json.loads(src.with_suffix(".json").read_text())
+    gap = sidecar.pop("gap")
+    gap = edit_gap(gap) if edit_gap else None
+    if gap is not None:
+        sidecar["gap"] = gap
+    dst.with_suffix(".json").write_text(json.dumps(sidecar, indent=2))
+    return dst
+
+
+class _EstimatorCalls:
+    """Counts the estimator calls ``_gap_reports`` makes."""
+
+    def __init__(self, monkeypatch):
+        self.calls = dict.fromkeys(GAP_ESTIMATES, 0)
+        for name in GAP_ESTIMATES:
+            original = getattr(gapmetrics, f"estimate_{name}")
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                self.calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(gapmetrics, f"estimate_{name}", counted)
+
+    def take(self):
+        calls, self.calls = self.calls, dict.fromkeys(GAP_ESTIMATES, 0)
+        return calls
+
+
+def test_every_checkpoint_sidecar_keeps_a_fresh_estimate(tiny_run):
+    # train writes the estimates it scored each checkpoint with; a fresh
+    # estimate on the reloaded state and the run's splits gives the same bits
+    paths = json.loads((tiny_run / "report.json").read_text())["checkpoints"]
+    assert len(paths) == 3
+    for path in paths:
+        ckpt = load_checkpoint(path)
+        fresh = _fresh_gap(ckpt)
+        digest = hashlib.sha256(ckpt.state.theta_d.values.tobytes()
+                                + ckpt.state.theta_g.values.tobytes()).hexdigest()
+        block = json.loads(Path(path).with_suffix(".json").read_text())["gap"]
+        assert block == {"revision": ESTIMATE_REVISION, "params_sha256": digest,
+                         **{name: getattr(fresh, name).hex() for name in GAP_ESTIMATES}}
+        assert _hexes(ckpt.gap) == _hexes(fresh)
+
+
+# Estimates of tiny_run's initial checkpoint per ESTIMATE_REVISION.  A change
+# that moves them bumps the revision in the same edit and adds its row here,
+# so sidecars written before it are recomputed rather than reused.
+GOLDEN_INITIAL_ESTIMATES = {
+    1: ["-0x1.62a61dca0b144p+0", "-0x1.5ff847207ad64p+0", "-0x1.8416c60bcf26dp+0"],
+}
+
+
+def test_estimate_revision_names_the_estimates_it_stores(tiny_run):
+    block = json.loads((tiny_run / "checkpoint_000000.json").read_text())["gap"]
+    assert (block["revision"], [block[name] for name in GAP_ESTIMATES]) == \
+        (ESTIMATE_REVISION, GOLDEN_INITIAL_ESTIMATES[ESTIMATE_REVISION])
+
+
+def test_gap_and_sweep_reuse_give_the_bytes_of_a_recomputation(tiny_run, tmp_path):
+    for step in (0, 20, 40):
+        path = tiny_run / f"checkpoint_{step:06d}.npz"
+        (tmp_path / str(step)).mkdir()
+        bare = _copy_checkpoint(path, tmp_path / str(step))
+        assert load_checkpoint(bare).gap is None
+        for lam in (None, 0.1, 0.0, 1.0, 1e6):
+            assert _hexes(gap_cmd(path, lam=lam)) == _hexes(gap_cmd(bare, lam=lam))
+        lams = [1e6, 0.1, 0.0, 0.01]
+        reused = lambda_sweep_cmd(path, lams, tmp_path / f"reused_{step}.csv")
+        again = lambda_sweep_cmd(bare, lams, tmp_path / f"again_{step}.csv")
+        assert reused.read_bytes() == again.read_bytes()
+
+
+def test_reuse_runs_only_the_estimates_the_sidecar_lacks(tiny_run, tmp_path, monkeypatch):
+    path = tiny_run / "checkpoint_000040.npz"
+    lam = load_checkpoint(path).cfg.prox.lam
+    calls = _EstimatorCalls(monkeypatch)
+    none = dict.fromkeys(GAP_ESTIMATES, 0)
+    gap_cmd(path)
+    assert calls.take() == none
+    gap_cmd(path, lam=lam)
+    assert calls.take() == none
+    gap_cmd(path, lam=1.0)
+    assert calls.take() == {**none, "v_gw_lambda": 1}
+    lams = [0.01, lam, 1.0, 1e6]
+    lambda_sweep_cmd(path, lams, tmp_path / "sweep.csv")
+    assert calls.take() == {**none, "v_gw_lambda": len(lams) - 1}
+    bare = _copy_checkpoint(path, tmp_path)
+    gap_cmd(bare)
+    assert calls.take() == dict.fromkeys(GAP_ESTIMATES, 1)
+    lambda_sweep_cmd(bare, lams, tmp_path / "bare_sweep.csv")
+    assert calls.take() == {"v_dw": 1, "v_gw_lambda": len(lams), "v_gw_plain": 1}
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda b: {**b, "params_sha256": "0" * 64}, "params_sha256 does not match"),
+    (lambda b: {**b, "v_dw": float("nan").hex()}, "non-finite gap estimate"),
+    (lambda b: {**b, "v_gw_plain": "-inf"}, "non-finite gap estimate"),
+    (lambda b: {k: v for k, v in b.items() if k != "v_gw_lambda"}, "gap fields"),
+    (lambda b: {**b, "extra": 1}, "gap fields"),
+    (lambda b: {**b, "v_dw": -1.25}, "not a hex float"),
+    (lambda b: {**b, "v_gw_lambda": "0x1p99999"}, "not a hex float"),
+    (lambda b: {k: v for k, v in b.items() if k != "revision"}, "integer revision"),
+    (lambda b: {**b, "revision": True}, "integer revision"),
+    (lambda b: [b], "integer revision"),
+], ids=["digest", "nan", "inf", "missing", "extra", "number", "overflow", "no-revision",
+        "bool-revision", "not-a-dict"])
+def test_a_bad_gap_block_is_rejected(tiny_run, tmp_path, capsys, edit, message):
+    path = _copy_checkpoint(tiny_run / "checkpoint_000020.npz", tmp_path, edit)
+    with pytest.raises(ValueError, match=message):
+        load_checkpoint(path)
+    capsys.readouterr()
+    assert main(["gap", "--checkpoint", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("edit", [
+    None,
+    lambda b: {**b, "revision": ESTIMATE_REVISION + 1},
+    lambda b: {"revision": ESTIMATE_REVISION - 1, "params_sha256": "stale", "v_dw": 0},
+], ids=["no-block", "newer-revision", "older-revision"])
+def test_a_missing_or_stale_gap_block_is_recomputed(tiny_run, tmp_path, monkeypatch, edit):
+    path = _copy_checkpoint(tiny_run / "checkpoint_000020.npz", tmp_path, edit)
+    ckpt = load_checkpoint(path)
+    assert ckpt.gap is None
+    calls = _EstimatorCalls(monkeypatch)
+    assert _hexes(gap_cmd(path)) == _hexes(_fresh_gap(ckpt))
+    assert calls.take() == dict.fromkeys(GAP_ESTIMATES, 2)  # gap_cmd and the fresh estimate
+
+
+def test_a_failed_estimate_leaves_no_gap_block(tmp_path, monkeypatch):
+    def failing(*args, **kwargs):
+        raise gapmetrics.ProxDivergenceError("diverged")
+
+    monkeypatch.setattr(runner, "duality_gap", failing)
+    run_dir = train(tiny_cfg(tmp_path / "run", **{"train.steps": 0,
+                                                  "train.checkpoint_every": 1}))
+    row, = read_metrics(run_dir / "metrics.csv")
+    assert np.isnan(row.dg_plain) and np.isnan(row.dg_lambda)
+    assert "gap" not in json.loads((run_dir / "checkpoint_000000.json").read_text())
+    monkeypatch.undo()
+    ckpt = load_checkpoint(run_dir / "checkpoint_000000.npz")
+    assert ckpt.gap is None
+    assert _hexes(gap_cmd(run_dir / "checkpoint_000000.npz")) == _hexes(_fresh_gap(ckpt))
+    # a checkpoint refuses a report of another lambda or stream, or a non-finite one
+    fresh = _fresh_gap(ckpt)
+    inf = float("inf")
+    for other in (_fresh_gap(ckpt, lam=1.0), replace(fresh, seed=fresh.seed + 1),
+                  replace(fresh, v_dw=inf, dg_lambda=inf, dg_plain=inf),
+                  replace(fresh, v_gw_plain=-inf, dg_plain=inf)):
+        with pytest.raises(ValueError, match="only a finite gap report of its own"):
+            runner.save_checkpoint(tmp_path / "checkpoint_000000", replace(ckpt, gap=other))
+    assert not list(tmp_path.glob("checkpoint_000000.*"))
+
+
+def test_build_state_takes_the_runs_splits():
+    cfg = tiny_cfg("unused")
+    _, splits = runner.build_state(cfg, Rng(cfg.seed + 1))
+    again = rebuild_splits(cfg)
+    for name in ("s_a", "s_b", "s_c"):
+        assert np.array_equal(getattr(splits, name), getattr(again, name))
 
 
 def test_gap_cmd_on_checkpoint(tiny_run):
