@@ -26,7 +26,7 @@ from .objectives import (
     penalized_step_fn,
     value_and_grad_g,
 )
-from .oracles import ToyGame, toy_value, toy_value_and_grad
+from .oracles import ToyGame, toy_stencil, toy_value, toy_value_and_grad
 
 # Step-size guard for the penalized inner ascent: plain gradient ascent on
 # V - lam * dist^2 is unstable once the step exceeds ~1/(curvature) ~ 1/(2*lam*S),
@@ -141,6 +141,11 @@ class _GanOps:
     def make_prox_step(self, anchor, theta_g, batch, lam, h):
         return penalized_step_fn(self.state, anchor, theta_g, *batch, lam, h)
 
+    def make_prox_grad(self, anchor, theta_g, batch, lam, h):
+        # the value stays: its finiteness check names a diverged step's op
+        step_fn = self.make_prox_step(anchor, theta_g, batch, lam, h)
+        return lambda theta_d: step_fn(theta_d)[1]
+
     def project_d(self, theta_d):
         return enforce_constraint(self.state.objective, theta_d)
 
@@ -154,6 +159,8 @@ class _ToyOps:
         self.eval_latent = None
         self.d0 = state.d.copy()
         self.g0 = state.g.copy()
+        self.project_d = state.game.clip_d
+        self.project_g = state.game.clip_g
 
     def draw_batch(self, size):
         return None
@@ -168,21 +175,25 @@ class _ToyOps:
         return toy_value_and_grad(self.game, d, g, "g")
 
     def make_prox_step(self, anchor, g, batch, lam, h):
-        if lam <= 0:
-            return lambda d: toy_value_and_grad(self.game, d, g, "d")
+        stencil = toy_stencil(self.game, g, "d", self.d0.size)
 
         def value_and_grad(d):
-            value, grad = toy_value_and_grad(self.game, d, g, "d")
+            value, grad = stencil(d)
+            if lam <= 0:
+                return float(value), grad
             diff = d - anchor
-            return value - lam * float((diff * diff).sum()), grad - 2.0 * lam * diff
+            return float(value) - lam * float((diff * diff).sum()), grad - 2.0 * lam * diff
 
         return value_and_grad
 
-    def project_d(self, d):
-        return self.game.clip_d(d)
-
-    def project_g(self, g):
-        return self.game.clip_g(g)
+    def make_prox_grad(self, anchor, g, batch, lam, h):
+        # the gradient of make_prox_step's objective alone: the inner ascent
+        # never reads the value
+        stencil = toy_stencil(self.game, g, "d", self.d0.size)
+        if lam <= 0:
+            return lambda d: stencil(d)[1]
+        coef = 2.0 * lam
+        return lambda d: stencil(d)[1] - coef * (d - anchor)
 
 
 def _ops_for(state, splits, rng, eval_latent=None):
@@ -199,24 +210,22 @@ def _prox_step_size(prox_lr: float, lam: float) -> float:
     return min(prox_lr, 1.0 / (STEP_GUARD * lam))
 
 
-def _axpy(params, coef: float, vec: np.ndarray):
-    if isinstance(params, ParamVector):
-        return params.with_values(params.values + coef * vec)
-    return params + coef * vec
-
-
-def _prox_loop(step_fn, anchor, project, cfg: ProximalConfig):
+def _prox_loop(grad_fn, anchor, project, cfg: ProximalConfig):
     """Penalized inner maximization: `prox_steps` projected ascent steps from
-    the anchor along the gradient of `step_fn`; returns the final parameters."""
+    the anchor along `grad_fn`, the penalized objective's gradient; returns the
+    final parameters."""
     theta = project(anchor)
     lr = _prox_step_size(cfg.prox_lr, cfg.lam)
+    # GAN iterates are ParamVectors of one layout, toy iterates plain arrays
+    as_params = theta.with_values if isinstance(theta, ParamVector) else None
     for j in range(cfg.prox_steps):
         try:
-            _, grad = step_fn(theta)
+            grad = grad_fn(theta)
         except NonFiniteError as err:
             raise ProxDivergenceError(
                 f"penalized ascent diverged at inner step {j}: {err}") from err
-        theta = project(_axpy(theta, lr, grad))
+        theta = project(theta + lr * grad if as_params is None
+                        else as_params(theta.values + lr * grad))
     return theta
 
 
@@ -254,7 +263,7 @@ def estimate_v_dw(state, splits, cfg: ProximalConfig, rng: Rng, eval_latent=None
     ops = _ops_for(state, splits, rng, eval_latent)
     start = ops.project_d(ops.d0)
     d = _worst_case(ops, start,  # ascent on V: the penalized step at lam = 0
-                    lambda d, batch: -ops.make_prox_step(d, ops.g0, batch, 0.0, None)(d)[1],
+                    lambda d, batch: -ops.make_prox_grad(d, ops.g0, batch, 0.0, None)(d),
                     ops.project_d, cfg)
     return max(ops.eval_value(d, ops.g0), ops.eval_value(start, ops.g0))
 
@@ -272,13 +281,13 @@ def estimate_v_gw_lambda(state, splits, cfg: ProximalConfig, rng: Rng,
     ops = _ops_for(state, splits, rng, eval_latent)
 
     def descent_dir(g, batch):
-        step_fn = ops.make_prox_step(ops.d0, g, batch, cfg.lam, cfg.sobolev_h)
-        d_star = _prox_loop(step_fn, ops.d0, ops.project_d, cfg)
+        grad_fn = ops.make_prox_grad(ops.d0, g, batch, cfg.lam, cfg.sobolev_h)
+        d_star = _prox_loop(grad_fn, ops.d0, ops.project_d, cfg)
         return ops.v_grad_g(d_star, g, batch)[1]
 
     g = _worst_case(ops, ops.g0, descent_dir, ops.project_g, cfg)
     step_fn = ops.make_prox_step(ops.d0, g, ops.eval_batch(), cfg.lam, cfg.sobolev_h)
-    return step_fn(_prox_loop(step_fn, ops.d0, ops.project_d, cfg))[0]
+    return step_fn(_prox_loop(lambda d: step_fn(d)[1], ops.d0, ops.project_d, cfg))[0]
 
 
 def estimate_v_gw_plain(state, splits, cfg: ProximalConfig, rng: Rng,
@@ -295,9 +304,9 @@ def _gap_reports(state, splits, cfgs, rng: Rng, known: GapReport | None = None):
     """One GapReport per config in `cfgs`, which may differ only in lam.
 
     v_dw and v_gw_plain do not depend on lam, so they are estimated once and
-    shared; v_gw_lambda is estimated per config.  Every estimate draws from
-    its own child stream of `rng` and all share one evaluation latent batch,
-    so each report equals the one a single-config call would give.
+    shared; v_gw_lambda is estimated once per distinct lam.  Every estimate
+    draws from its own child stream of `rng` and all share one evaluation
+    latent batch, so each report equals the one a single-config call would give.
 
     `known`, when given, was computed on the same state, splits and stream
     under a config that differs from `cfgs` at most in lam: its v_dw and
@@ -311,22 +320,24 @@ def _gap_reports(state, splits, cfgs, rng: Rng, known: GapReport | None = None):
     eval_latent = _ops_for(state, splits, rng).eval_latent
     v_dw = known.v_dw if known is not None else estimate_v_dw(
         state, splits, cfg0, rng.child(_DW_TAG), eval_latent)
-    v_gw_lambdas = [known.v_gw_lambda if known is not None and cfg.lam == known.lam
-                    else estimate_v_gw_lambda(state, splits, cfg, rng.child(_GW_LAMBDA_TAG),
-                                              eval_latent) for cfg in cfgs]
+    v_gw_lambdas = {known.lam: known.v_gw_lambda} if known is not None else {}
+    for cfg in cfgs:
+        if cfg.lam not in v_gw_lambdas:
+            v_gw_lambdas[cfg.lam] = estimate_v_gw_lambda(
+                state, splits, cfg, rng.child(_GW_LAMBDA_TAG), eval_latent)
     v_gw_plain = known.v_gw_plain if known is not None else estimate_v_gw_plain(
         state, splits, cfg0, rng.child(_GW_PLAIN_TAG), eval_latent)
     return [GapReport(
         v_dw=v_dw,
-        v_gw_lambda=v_gw_lambda,
-        dg_lambda=v_dw - v_gw_lambda,
+        v_gw_lambda=v_gw_lambdas[cfg.lam],
+        dg_lambda=v_dw - v_gw_lambdas[cfg.lam],
         v_gw_plain=v_gw_plain,
         dg_plain=v_dw - v_gw_plain,
         lam=cfg.lam,
         worst_iters=cfg.worst_iters,
         prox_steps=cfg.prox_steps,
         seed=rng.seed,
-    ) for cfg, v_gw_lambda in zip(cfgs, v_gw_lambdas)]
+    ) for cfg in cfgs]
 
 
 def duality_gap(state, splits, cfg: ProximalConfig, rng: Rng,

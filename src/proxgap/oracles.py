@@ -311,17 +311,38 @@ def toy_value(game: ToyGame, d, g) -> float:
 
 
 def toy_value_and_grad(game: ToyGame, d, g, wrt: str):
-    """V(d, g) and its central-difference gradient in ``wrt`` ("d" or "g"), from
-    one ``game.value`` call over the point and its stencil rows stacked, as
-    :func:`proxgap.diffcore.network.stencil_rows` stacks them for networks."""
-    d = np.asarray(d, dtype=np.float64).ravel()
-    g = np.asarray(g, dtype=np.float64).ravel()
-    x = d if wrt == "d" else g
-    rows = x + _stencil_offsets(x.size)
-    vals = game.value(rows, g[None, :]) if wrt == "d" else game.value(d[None, :], rows)
-    if vals.shape != rows.shape[:1]:  # a value that ignores x comes back as one row
-        vals = np.broadcast_to(vals, rows.shape[:1])
-    return float(vals[0]), (vals[1:x.size + 1] - vals[x.size + 1:]) / (2.0 * _TOY_FD_H)
+    """V(d, g) and its central-difference gradient in ``wrt`` ("d" or "g"): the
+    :func:`toy_stencil` against the other player, applied once."""
+    x, fixed = (d, g) if wrt == "d" else (g, d)
+    x = np.asarray(x, dtype=np.float64).ravel()
+    value, grad = toy_stencil(game, fixed, wrt, x.size)(x)
+    return float(value), grad
+
+
+def toy_stencil(game: ToyGame, fixed, wrt: str, n: int):
+    """x -> (V, central-difference gradient of V in x) for the ``n``-vector
+    player ``wrt`` ("d" or "g") against the ``fixed`` other player.
+
+    The offsets and the fixed row are built here, once per opponent; each call
+    runs one ``game.value`` over the point and its stencil rows stacked, as
+    :func:`proxgap.diffcore.network.stencil_rows` stacks them for networks.
+    ``x`` must be a float64 vector; V comes back as a numpy scalar.
+    """
+    fixed = np.asarray(fixed, dtype=np.float64).ravel()[None, :]
+    offsets = _stencil_offsets(n)
+    shape = offsets.shape[:1]
+    value = game.value
+    at_d = wrt == "d"
+    scale = 2.0 * _TOY_FD_H
+
+    def value_and_grad(x):
+        rows = x + offsets
+        vals = value(rows, fixed) if at_d else value(fixed, rows)
+        if vals.shape != shape:  # a value that ignores x comes back as one row
+            vals = np.broadcast_to(vals, shape)
+        return vals[0], (vals[1:n + 1] - vals[n + 1:]) / scale
+
+    return value_and_grad
 
 
 @functools.lru_cache(maxsize=16)

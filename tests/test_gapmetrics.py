@@ -1,5 +1,6 @@
 import ast
 import inspect
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,7 +39,9 @@ from proxgap.objectives import (
     _sobolev_sum,
 )
 from proxgap.oracles import (
+    _TOY_FD_H,
     GridSpec,
+    ToyGame,
     bilinear,
     concave_quadratic,
     grid_dg,
@@ -150,7 +153,7 @@ def _prox_opt(state, real, latent, cfg):
     """Inner ascent anchored at the state's discriminator: (final params, penalized value)."""
     step_fn = penalized_step_fn(state, state.theta_d, state.theta_g, real, latent,
                                 cfg.lam, cfg.sobolev_h)
-    theta = _prox_loop(step_fn, state.theta_d,
+    theta = _prox_loop(lambda pv: step_fn(pv)[1], state.theta_d,
                        lambda pv: enforce_constraint(state.objective, pv), cfg)
     return theta, step_fn(theta)[0]
 
@@ -207,7 +210,7 @@ def test_prox_loop_hands_the_step_only_iterates_inside_the_clip_box():
 
     def recording(theta):
         seen.append(theta.values)
-        return step_fn(theta)
+        return step_fn(theta)[1]
 
     _prox_loop(recording, anchor, lambda pv: enforce_constraint(wgan, pv), cfg)
     assert np.max(np.abs(anchor.values)) > 0.01
@@ -262,6 +265,134 @@ def test_gapmetrics_holds_only_the_searches_and_estimators():
     assert not [name for name in banned if hasattr(gapmetrics, name)]
     assert not [cls for cls in (gapmetrics._GanOps, gapmetrics._ToyOps)
                 if hasattr(cls, "v_grad_d")]
+
+
+# -- the toy inner step, pinned to its former formula ------------------------
+#
+# The toy inner ascent once rebuilt its stencil on every step, computed the
+# penalized value the loop discards and updated through a type check.  These
+# are the former step, stencil and loop; the step and the estimates must keep
+# their bytes.
+
+
+def _reference_toy_value_and_grad(game, d, g, wrt):
+    """The toy stencil as it was: offsets and the fixed row rebuilt per call."""
+    d = np.asarray(d, dtype=np.float64).ravel()
+    g = np.asarray(g, dtype=np.float64).ravel()
+    x = d if wrt == "d" else g
+    shift = _TOY_FD_H * np.eye(x.size)
+    rows = x + np.vstack([np.zeros(x.size), shift, -shift])
+    vals = game.value(rows, g[None, :]) if wrt == "d" else game.value(d[None, :], rows)
+    if vals.shape != rows.shape[:1]:
+        vals = np.broadcast_to(vals, rows.shape[:1])
+    return float(vals[0]), (vals[1:x.size + 1] - vals[x.size + 1:]) / (2.0 * _TOY_FD_H)
+
+
+def _reference_toy_step(game, anchor, g, lam):
+    """The toy ``make_prox_step`` as it was: value and gradient on every step."""
+    if lam <= 0:
+        return lambda d: _reference_toy_value_and_grad(game, d, g, "d")
+
+    def value_and_grad(d):
+        value, grad = _reference_toy_value_and_grad(game, d, g, "d")
+        diff = d - anchor
+        return value - lam * float((diff * diff).sum()), grad - 2.0 * lam * diff
+
+    return value_and_grad
+
+
+def _reference_prox_iterates(step_fn, anchor, project, cfg):
+    """The inner ascent as it was, every projected iterate kept."""
+    theta = project(anchor)
+    lr = gapmetrics._prox_step_size(cfg.prox_lr, cfg.lam)
+    iterates = [theta]
+    for _ in range(cfg.prox_steps):
+        _, grad = step_fn(theta)
+        theta = project(theta + lr * grad)
+        iterates.append(theta)
+    return iterates
+
+
+def _pin_games():
+    yield from shipped_games()
+    yield concave_quadratic(d_box=((-1.0, 1.0), (-0.5, 2.0), (-2.0, 0.5)))
+    # values that ignore one player come back as one row for that player's stencil
+    yield ToyGame("g_only", lambda d, g: np.sum(g * g, axis=-1), ((-1.0, 1.0),) * 2,
+                  ((-1.0, 1.0),))
+    yield ToyGame("d_only", lambda d, g: np.sum(d * d - d, axis=-1), ((-1.0, 1.0),),
+                  ((-1.0, 1.0),) * 2)
+
+
+def _hex(x):
+    return np.asarray(x, dtype=np.float64).tobytes().hex()
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.1, 1e6])
+def test_toy_inner_ascent_keeps_the_former_bytes(lam):
+    # 6 games x 5 configurations, whose anchors may lie outside the box; at
+    # lam > 0 the step is STEP_GUARD's cap, down to 4e-8 at lam = 1e6
+    cfg = replace(TOY_CFG, lam=lam, prox_steps=12, worst_iters=5)
+    assert gapmetrics._prox_step_size(cfg.prox_lr, lam) == (
+        cfg.prox_lr if lam == 0 else 1.0 / (gapmetrics.STEP_GUARD * lam))
+    rng = np.random.default_rng(15)
+    configs = 0
+    for game in _pin_games():
+        for _ in range(5):
+            d, g = ([rng.uniform(lo - 0.5, hi + 0.5) for lo, hi in box]
+                    for box in (game.d_box, game.g_box))
+            state = ToyGameState(game, d, g)
+            ops = gapmetrics._ops_for(state, None, Rng(0))
+            for wrt in "dg":
+                got = toy_value_and_grad(game, state.d, state.g, wrt)
+                want = _reference_toy_value_and_grad(game, state.d, state.g, wrt)
+                assert [_hex(v) for v in got] == [_hex(v) for v in want], (game.name, wrt)
+            step = ops.make_prox_step(ops.d0, ops.g0, None, lam, None)
+            grad = ops.make_prox_grad(ops.d0, ops.g0, None, lam, None)
+            want_step = _reference_toy_step(game, ops.d0, ops.g0, lam)
+            for d in (game.clip_d(ops.d0), ops.d0, ops.d0 - 0.3, ops.d0 + 0.7):
+                value, want_value = step(d), want_step(d)
+                assert isinstance(value[0], float)
+                assert [_hex(v) for v in value] == [_hex(v) for v in want_value], game.name
+                assert _hex(grad(d)) == _hex(want_value[1]), game.name
+            seen = []
+
+            def recording(d):
+                seen.append(game.clip_d(d))
+                return seen[-1]
+
+            final = gapmetrics._prox_loop(grad, ops.d0, recording, cfg)
+            want = _reference_prox_iterates(want_step, ops.d0, game.clip_d, cfg)
+            assert [_hex(d) for d in seen] == [_hex(d) for d in want], game.name
+            assert final is seen[-1]
+            configs += 1
+            got = duality_gap(state, None, cfg, Rng(configs))
+            with pytest.MonkeyPatch.context() as mp:  # the former step and stencil
+                mp.setattr(gapmetrics, "toy_value_and_grad", _reference_toy_value_and_grad)
+                mp.setattr(gapmetrics._ToyOps, "make_prox_step",
+                           lambda ops, anchor, g, batch, lam, h:
+                           _reference_toy_step(ops.game, anchor, g, lam))
+                mp.setattr(gapmetrics._ToyOps, "make_prox_grad",
+                           lambda ops, anchor, g, batch, lam, h:
+                           lambda d: _reference_toy_step(ops.game, anchor, g, lam)(d)[1])
+                want = duality_gap(state, None, cfg, Rng(configs))
+            assert [float(getattr(got, f)).hex() for f in got.__dataclass_fields__] == \
+                [float(getattr(want, f)).hex() for f in want.__dataclass_fields__], game.name
+    assert configs == 30
+
+
+def test_only_oracles_builds_the_toy_stencil():
+    # one toy stencil: no other source module names its offsets or its step
+    src = Path(gapmetrics.__file__).resolve().parent
+    holders = []
+    for path in sorted(src.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {alias.name for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+        if names & {"_stencil_offsets", "_TOY_FD_H"}:
+            holders.append(path.relative_to(src).as_posix())
+    assert holders == ["oracles.py"]
 
 
 def test_toy_prox_value_matches_grid_oracle():
@@ -465,6 +596,12 @@ def test_lambda_sweep_estimates_lambda_independent_terms_once(monkeypatch):
     state, splits, cfg = _small_gan_setup()
     lambda_sweep(state, splits, [0.01, 0.1, 1.0, 1e6], cfg, Rng(22))
     assert calls == {"estimate_v_dw": 1, "estimate_v_gw_plain": 1, "estimate_v_gw_lambda": 4}
+    # a repeated lambda is estimated once, and each of its rows is duality_gap's
+    calls.clear()
+    toy = ToyGameState(concave_quadratic(), np.array([0.4]), np.array([-0.2]))
+    rows = lambda_sweep(toy, None, [0.1, 0.1, 0.1], TOY_CFG, Rng(22))
+    assert calls == {"estimate_v_dw": 1, "estimate_v_gw_plain": 1, "estimate_v_gw_lambda": 1}
+    assert rows == [(0.1, duality_gap(toy, None, TOY_CFG, Rng(22)))] * 3
 
 
 def test_lambda_sweep_rejects_empty():

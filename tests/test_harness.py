@@ -463,6 +463,19 @@ def test_reuse_runs_only_the_estimates_the_sidecar_lacks(tiny_run, tmp_path, mon
     assert calls.take() == {"v_dw": 1, "v_gw_lambda": len(lams), "v_gw_plain": 1}
 
 
+def test_a_sweep_estimates_a_repeated_lambda_once(tiny_run, tmp_path, monkeypatch):
+    bare = _copy_checkpoint(tiny_run / "checkpoint_000040.npz", tmp_path)
+    calls = _EstimatorCalls(monkeypatch)
+    out = tmp_path / "repeated.csv"
+    assert main(["lambda-sweep", "--checkpoint", str(bare), "--lambda", "0.1,0.1",
+                 "--out", str(out)]) == 0
+    assert calls.take() == dict.fromkeys(GAP_ESTIMATES, 1)
+    header, *rows = list(csv.reader(out.open(encoding="utf-8")))
+    report = _fresh_gap(load_checkpoint(bare), lam=0.1)
+    assert rows == [[f"{x:.12g}" for x in (0.1, report.v_dw, report.v_gw_lambda,
+                                           report.dg_lambda, report.dg_plain)]] * 2
+
+
 @pytest.mark.parametrize("edit,message", [
     (lambda b: {**b, "params_sha256": "0" * 64}, "params_sha256 does not match"),
     (lambda b: {**b, "v_dw": float("nan").hex()}, "non-finite gap estimate"),
