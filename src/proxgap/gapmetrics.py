@@ -26,7 +26,7 @@ from .objectives import (
     penalized_step_fn,
     value_and_grad_g,
 )
-from .oracles import ToyGame, toy_stencil, toy_value, toy_value_and_grad
+from .oracles import ToyGame, toy_stencil, toy_value
 
 # Step-size guard for the penalized inner ascent: plain gradient ascent on
 # V - lam * dist^2 is unstable once the step exceeds ~1/(curvature) ~ 1/(2*lam*S),
@@ -135,8 +135,16 @@ class _GanOps:
         return eval_objective(self.state.with_params(theta_d, theta_g),
                               self.splits.s_c, self.eval_latent)
 
-    def v_grad_g(self, theta_d, theta_g, batch):
-        return value_and_grad_g(self.state, theta_d, theta_g, *batch)
+    # grad_g_fn(theta_d) and grad_d_fn(theta_g): (params, batch) -> dV/dparams
+    # against the fixed opponent, built once per search
+    def grad_g_fn(self, theta_d):
+        return lambda theta_g, batch: value_and_grad_g(
+            self.state, theta_d, theta_g, *batch)[1]
+
+    def grad_d_fn(self, theta_g):
+        # the penalized step at lam = 0, built on each batch
+        return lambda theta_d, batch: self.make_prox_grad(
+            theta_d, theta_g, batch, 0.0, None)(theta_d)
 
     def make_prox_step(self, anchor, theta_g, batch, lam, h):
         return penalized_step_fn(self.state, anchor, theta_g, *batch, lam, h)
@@ -171,8 +179,13 @@ class _ToyOps:
     def eval_value(self, d, g) -> float:
         return toy_value(self.game, d, g)
 
-    def v_grad_g(self, d, g, batch):
-        return toy_value_and_grad(self.game, d, g, "g")
+    def grad_g_fn(self, d):
+        stencil = toy_stencil(self.game, d, "g", self.g0.size)
+        return lambda g, batch: stencil(g)[1]
+
+    def grad_d_fn(self, g):
+        grad = self.make_prox_grad(None, g, None, 0.0, None)  # one stencil per search
+        return lambda d, batch: grad(d)
 
     def make_prox_step(self, anchor, g, batch, lam, h):
         stencil = toy_stencil(self.game, g, "d", self.d0.size)
@@ -262,9 +275,8 @@ def estimate_v_dw(state, splits, cfg: ProximalConfig, rng: Rng, eval_latent=None
     """
     ops = _ops_for(state, splits, rng, eval_latent)
     start = ops.project_d(ops.d0)
-    d = _worst_case(ops, start,  # ascent on V: the penalized step at lam = 0
-                    lambda d, batch: -ops.make_prox_grad(d, ops.g0, batch, 0.0, None)(d),
-                    ops.project_d, cfg)
+    grad_d = ops.grad_d_fn(ops.g0)
+    d = _worst_case(ops, start, lambda d, batch: -grad_d(d, batch), ops.project_d, cfg)
     return max(ops.eval_value(d, ops.g0), ops.eval_value(start, ops.g0))
 
 
@@ -283,7 +295,7 @@ def estimate_v_gw_lambda(state, splits, cfg: ProximalConfig, rng: Rng,
     def descent_dir(g, batch):
         grad_fn = ops.make_prox_grad(ops.d0, g, batch, cfg.lam, cfg.sobolev_h)
         d_star = _prox_loop(grad_fn, ops.d0, ops.project_d, cfg)
-        return ops.v_grad_g(d_star, g, batch)[1]
+        return ops.grad_g_fn(d_star)(g, batch)
 
     g = _worst_case(ops, ops.g0, descent_dir, ops.project_g, cfg)
     step_fn = ops.make_prox_step(ops.d0, g, ops.eval_batch(), cfg.lam, cfg.sobolev_h)
@@ -295,8 +307,7 @@ def estimate_v_gw_plain(state, splits, cfg: ProximalConfig, rng: Rng,
     """Plain worst-case generator value: descend a copy of theta_g against the
     frozen discriminator, evaluate held out."""
     ops = _ops_for(state, splits, rng, eval_latent)
-    g = _worst_case(ops, ops.g0, lambda g, batch: ops.v_grad_g(ops.d0, g, batch)[1],
-                    ops.project_g, cfg)
+    g = _worst_case(ops, ops.g0, ops.grad_g_fn(ops.d0), ops.project_g, cfg)
     return ops.eval_value(ops.d0, g)
 
 

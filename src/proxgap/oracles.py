@@ -1,9 +1,11 @@
 """Brute-force ground truth: grid-search gaps on low-dimensional toy games,
 quadrature divergences, and equilibrium classification.
 
-The quadrature is numpy's own trapezoid arithmetic (:func:`_integrate`), so
-importing this module loads no ``scipy.integrate``; ``scipy.special`` stays
-for ``rel_entr``, whose log1p branch numpy's ``log`` does not reproduce.
+The quadrature (:func:`_grid_quadrature`) is numpy's own trapezoid
+arithmetic, streamed over blocks of grid rows so that no array spans the
+whole grid; importing this module loads no ``scipy.integrate``.
+``scipy.special`` stays for ``rel_entr``, whose log1p branch numpy's ``log``
+does not reproduce.
 
 Toy games use the squared parameter distance as the discriminator function
 distance, which is exact for linear discriminators under the gradient-based
@@ -191,56 +193,71 @@ def classify_equilibrium(game: ToyGame, point, lambda_list, grid: GridSpec,
 # -- divergence oracles --------------------------------------------------
 
 
-def _mesh_eval(fns, box, resolution):
-    axes = [np.linspace(lo, hi, resolution) for lo, hi in box]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)  # one point set for every fn
-    shape = [resolution] * len(box)
-    return axes, [np.asarray(fn(pts), dtype=np.float64).reshape(shape) for fn in fns]
+# Grid points per block of the streamed quadrature: a block's few float64
+# arrays stay in cache, and no array spans the whole grid.
+_BLOCK_POINTS = 16384
 
 
-def _integrate(values, axes):
-    """Nested trapezoid rule over a tensor grid, last axis first.
+def _trapezoid(y, x):
+    # numpy's pairwise sum of diff(x) * (y[1:] + y[:-1]) / 2 along the last
+    # axis: the expression scipy.integrate.trapezoid evaluates
+    return np.sum(np.diff(x) * (y[..., 1:] + y[..., :-1]) / 2.0, axis=-1)
 
-    Each pass sums diff(x) * (y[1:] + y[:-1]) / 2 along the last axis with
-    numpy's pairwise sum, the expression ``scipy.integrate.trapezoid``
-    evaluates, so the result is its bytes without importing it.
-    """
-    out = values
-    for axis_vals in reversed(axes):
-        out = np.sum(np.diff(axis_vals) * (out[..., 1:] + out[..., :-1]) / 2.0, axis=-1)
-    return float(out)
+
+def _grid_quadrature(integrand, p, q, axes) -> float:
+    """Nested trapezoid rule, last axis first, of ``integrand(p(x), q(x))`` on
+    the grid of ``axes``, streamed over blocks of about ``_BLOCK_POINTS`` points
+    in first-axis rows; each block is integrated along the other axes, then the
+    rows along the first.  A block sums each row as the whole grid would, so
+    pointwise callables keep the bytes of scipy's trapezoid on the whole grid."""
+    inner = [len(x) for x in axes[1:]]
+    rows = max(1, _BLOCK_POINTS // int(np.prod(inner)))
+    per_row = []
+    for start in range(0, len(axes[0]), rows):
+        mesh = np.meshgrid(axes[0][start:start + rows], *axes[1:], indexing="ij")
+        pts = np.stack([m.ravel() for m in mesh], axis=1)
+        out = integrand(*(np.asarray(fn(pts), dtype=np.float64) for fn in (p, q)))
+        out = out.reshape(-1, *inner)
+        for x in reversed(axes[1:]):
+            out = _trapezoid(out, x)
+        per_row.append(out)
+    return float(_trapezoid(np.concatenate(per_row), axes[0]))
 
 
 def numeric_jsd(p, q, grid_box, resolution: int = 1001) -> float:
     """Jensen-Shannon divergence (natural log) by trapezoidal quadrature.
 
-    ``p`` and ``q`` are density callables over (n, dim) point arrays;
-    ``grid_box`` is a per-dimension sequence of (lo, hi).  The quadrature is
-    numpy-only (:func:`_integrate`), byte-equal to ``scipy.integrate.trapezoid``.
+    ``p`` and ``q`` are pointwise density callables over (n, dim) point arrays:
+    each row's value depends on that row alone, since the grid is evaluated in
+    blocks.  ``grid_box`` is a per-dimension sequence of (lo, hi).  The
+    quadrature (:func:`_grid_quadrature`) is byte-equal to scipy's trapezoid.
     """
-    box = tuple(grid_box)
-    axes, (pv, qv) = _mesh_eval((p, q), box, resolution)
-    m = 0.5 * (pv + qv)
-    integrand = 0.5 * (rel_entr(pv, m) + rel_entr(qv, m))
-    return _integrate(integrand, axes)
+    def integrand(pv, qv):
+        m = 0.5 * (pv + qv)
+        return 0.5 * (rel_entr(pv, m) + rel_entr(qv, m))
+
+    axes = [np.linspace(lo, hi, resolution) for lo, hi in grid_box]
+    return _grid_quadrature(integrand, p, q, axes)
 
 
 def numeric_fdiv(family, p, q, grid_box, resolution: int = 1001) -> float:
     """f-divergence with the convention: integrate p(x) f(q(x)/p(x)) dx.
 
-    Same grid and numpy-only quadrature as :func:`numeric_jsd`.
+    Same pointwise ``p`` and ``q``, grid and quadrature as :func:`numeric_jsd`.
     """
-    box = tuple(grid_box)
-    axes, (pv, qv) = _mesh_eval((p, q), box, resolution)
     floor = 1e-300
-    safe_p = np.maximum(pv, floor)
-    with np.errstate(all="ignore"):
-        integrand = safe_p * family.f(qv / safe_p)
-    integrand = np.where((pv <= floor) & (qv <= floor), 0.0, integrand)
-    if not np.all(np.isfinite(integrand)):
-        raise FloatingPointError("f-divergence integrand is not finite on the grid")
-    return _integrate(integrand, axes)
+
+    def integrand(pv, qv):
+        safe_p = np.maximum(pv, floor)
+        with np.errstate(all="ignore"):
+            out = safe_p * family.f(qv / safe_p)
+        out = np.where((pv <= floor) & (qv <= floor), 0.0, out)
+        if not np.all(np.isfinite(out)):  # checked per block
+            raise FloatingPointError("f-divergence integrand is not finite on the grid")
+        return out
+
+    axes = [np.linspace(lo, hi, resolution) for lo, hi in grid_box]
+    return _grid_quadrature(integrand, p, q, axes)
 
 
 def jsd_from_samples(samples_p, samples_q, bins: int, box=None) -> float:

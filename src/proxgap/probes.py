@@ -110,8 +110,8 @@ def unilateral_deviation(state, splits: DataSplits | None, steps: int, lr: float
     else:
         draw_batch, divergence = (lambda: None), (lambda g: None)
 
-    iterates = _adam_search(ops.g0, lambda g, batch: ops.v_grad_g(ops.d0, g, batch)[1],
-                            ops.project_g, draw_batch, lr, steps if eval_every else 0)
+    iterates = _adam_search(ops.g0, ops.grad_g_fn(ops.d0), ops.project_g, draw_batch, lr,
+                            steps if eval_every else 0)
     return DeviationTrace(tuple(
         TracePoint(step, ops.eval_value(ops.d0, g), divergence(g))
         for step, g in enumerate(iterates)
@@ -148,7 +148,7 @@ def _agent_grad(state, splits, agent, rng: Rng):
     agent's parameter array), from the estimators' game operations on the
     probe batch (the head of the evaluation split; none for toy games).
 
-    The generator's gradient is ``ops.v_grad_g``.  The discriminator's is the
+    The generator's gradient is ``ops.grad_g_fn``.  The discriminator's is the
     penalized step at lam = 0 (``objectives.penalized_step_fn`` for GANs), built
     once on the fixed [real; generated] rows; it checks no clip box: theta_d
     +/- h v crosses the box edge a clipped critic sits on, so the box is
@@ -163,6 +163,7 @@ def _agent_grad(state, splits, agent, rng: Rng):
         real, latent = ops.eval_batch()
         batch = real[:PROBE_BATCH], latent[:PROBE_BATCH]
     if agent == GENERATOR:
-        return (lambda g: ops.v_grad_g(ops.d0, g, batch)[1]), _param_values(ops.g0)
+        grad_g = ops.grad_g_fn(ops.d0)
+        return (lambda g: grad_g(g, batch)), _param_values(ops.g0)
     step_fn = ops.make_prox_step(ops.d0, ops.g0, batch, 0.0, None)
     return (lambda d: step_fn(d)[1]), _param_values(ops.d0)

@@ -8,6 +8,7 @@ from proxgap.distributions import (
     DataSplits,
     GaussianMixture,
     LatentSpec,
+    density,
     draw_minibatch,
     log_density,
     make_splits,
@@ -215,6 +216,24 @@ def test_log_density_keeps_numpys_pairwise_order_past_eight_terms(modes, dim):
         dists.append(ring_mixture(8, 2.0, 0.05))
     for dist in dists:
         assert log_density(dist, pts).tobytes() == _broadcast_log_density(dist, pts).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("modes, dim", [(1, 1), (2, 2), (3, 3), (8, 2), (10, 9)])
+def test_density_is_pointwise(modes, dim):
+    # the quadrature oracles evaluate their grid in blocks of rows, so a row's
+    # value must not depend on the rows evaluated with it
+    gen = np.random.default_rng(7 * modes + dim)
+    dist = _random_mixture(gen, modes, dim)
+    pts = np.vstack([gen.normal(0.0, 3.0, (1000, dim)), _hard_rows(gen, dim)])
+    for fn in (log_density, density):
+        whole = fn(dist, pts)
+        for cut in (1, 17, 333, len(pts) - 1):
+            halves = np.concatenate([fn(dist, pts[:cut]), fn(dist, pts[cut:])])
+            assert halves.tobytes() == whole.tobytes(), (fn.__name__, cut)
+        for i in (0, 1, 500, len(pts) - 3, len(pts) - 1):
+            assert np.float64(fn(dist, pts[i])).tobytes() == whole[i].tobytes(), (fn.__name__, i)
 
 
 def test_draw_minibatch_takes_rows_then_latents_from_one_stream():

@@ -346,6 +346,11 @@ def test_toy_inner_ascent_keeps_the_former_bytes(lam):
                 got = toy_value_and_grad(game, state.d, state.g, wrt)
                 want = _reference_toy_value_and_grad(game, state.d, state.g, wrt)
                 assert [_hex(v) for v in got] == [_hex(v) for v in want], (game.name, wrt)
+            search_grads = (ops.grad_d_fn(ops.g0)(ops.d0, None),
+                            ops.grad_g_fn(ops.d0)(ops.g0, None))
+            assert [_hex(v) for v in search_grads] == [
+                _hex(_reference_toy_value_and_grad(game, state.d, state.g, wrt)[1])
+                for wrt in "dg"], game.name
             step = ops.make_prox_step(ops.d0, ops.g0, None, lam, None)
             grad = ops.make_prox_grad(ops.d0, ops.g0, None, lam, None)
             want_step = _reference_toy_step(game, ops.d0, ops.g0, lam)
@@ -367,7 +372,12 @@ def test_toy_inner_ascent_keeps_the_former_bytes(lam):
             configs += 1
             got = duality_gap(state, None, cfg, Rng(configs))
             with pytest.MonkeyPatch.context() as mp:  # the former step and stencil
-                mp.setattr(gapmetrics, "toy_value_and_grad", _reference_toy_value_and_grad)
+                mp.setattr(gapmetrics._ToyOps, "grad_g_fn",
+                           lambda ops, d: lambda g, batch:
+                           _reference_toy_value_and_grad(ops.game, d, g, "g")[1])
+                mp.setattr(gapmetrics._ToyOps, "grad_d_fn",
+                           lambda ops, g: lambda d, batch:
+                           _reference_toy_value_and_grad(ops.game, d, g, "d")[1])
                 mp.setattr(gapmetrics._ToyOps, "make_prox_step",
                            lambda ops, anchor, g, batch, lam, h:
                            _reference_toy_step(ops.game, anchor, g, lam))
@@ -378,6 +388,22 @@ def test_toy_inner_ascent_keeps_the_former_bytes(lam):
             assert [float(getattr(got, f)).hex() for f in got.__dataclass_fields__] == \
                 [float(getattr(want, f)).hex() for f in want.__dataclass_fields__], game.name
     assert configs == 30
+
+
+def test_toy_searches_build_one_stencil_per_search(monkeypatch):
+    # the opponent stays fixed through the v_dw and v_gw_plain searches, so
+    # each builds its stencil once, not once per outer step
+    builds = []
+    real = gapmetrics.toy_stencil
+    monkeypatch.setattr(gapmetrics, "toy_stencil",
+                        lambda game, fixed, wrt, n: builds.append(wrt) or real(game, fixed, wrt, n))
+    state = ToyGameState(bilinear(), np.array([0.3]), np.array([-0.2]))
+    cfg = replace(TOY_CFG, worst_iters=40)
+    estimate_v_dw(state, None, cfg, Rng(1))
+    assert builds == ["d"]
+    builds.clear()
+    estimate_v_gw_plain(state, None, cfg, Rng(1))
+    assert builds == ["g"]
 
 
 def test_only_oracles_builds_the_toy_stencil():

@@ -1,10 +1,12 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import rel_entr
 
 from proxgap import oracles as oracles_module
 from proxgap.diffcore import Rng
@@ -31,7 +33,6 @@ from proxgap.oracles import (
     toy_value,
     toy_value_and_grad,
     wasserstein1_1d,
-    _integrate,
     _TOY_FD_H,
 )
 
@@ -306,9 +307,10 @@ def test_fdiv_kl_matches_gaussian_closed_form():
     assert val == pytest.approx(0.125, abs=1e-4)  # (mu difference)^2 / 2
 
 
-# -- the quadrature is scipy's trapezoid rule, bit for bit -------------------
-# scipy.integrate.trapezoid stays the reference here; the library evaluates
-# the same expression in numpy so that importing it loads no scipy.integrate.
+# -- the quadrature is scipy's trapezoid rule on the whole grid, bit for bit --
+# scipy.integrate.trapezoid over the whole grid stays the reference here; the
+# library streams the same expression in numpy over blocks of grid rows, so
+# that importing it loads no scipy.integrate and no array spans the grid.
 
 
 def _scipy_integrate(values, axes):
@@ -324,6 +326,28 @@ def _bits(x: float) -> bytes:
     return np.float64(x).tobytes()
 
 
+def _streamed(values, axes):
+    """The library's streamed quadrature of preset grid values, and the number
+    of points in each block it evaluated."""
+    blocks = []
+
+    def preset(pts):  # values[i, j, ...] at grid point (axes[0][i], axes[1][j], ...)
+        idx = tuple(np.searchsorted(x, pts[:, k]) for k, x in enumerate(axes))
+        assert all(np.array_equal(x[i], pts[:, k]) for k, (x, i) in enumerate(zip(axes, idx)))
+        blocks.append(len(pts))
+        return values[idx]
+
+    got = oracles_module._grid_quadrature(lambda pv, qv: pv, preset, preset, axes)
+    return got, blocks[::2]  # p and q each see every block
+
+
+def _axes(shape, uniform, gen):
+    if uniform:
+        return [np.linspace(-3.0, 2.5, n) for n in shape]
+    return [np.sort(np.concatenate([[-3.0, 2.5], gen.uniform(-3.0, 2.5, n - 2)]))
+            for n in shape]
+
+
 @pytest.mark.parametrize("special", [None, 0.0, np.inf, np.nan, "inf-inf"])
 @pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "nonuniform"])
 @pytest.mark.parametrize("dim,n", [(1, 3), (1, 4), (1, 801), (1, 1001),
@@ -331,11 +355,7 @@ def _bits(x: float) -> bytes:
                                    (3, 3), (3, 4), (3, 41)])
 def test_integrate_carries_scipy_trapezoids_bytes(dim, n, uniform, special):
     gen = np.random.default_rng(1000 * dim + n)
-    if uniform:
-        axes = [np.linspace(-3.0, 2.5, n) for _ in range(dim)]
-    else:
-        axes = [np.sort(np.concatenate([[-3.0, 2.5], gen.uniform(-3.0, 2.5, n - 2)]))
-                for _ in range(dim)]
+    axes = _axes((n,) * dim, uniform, gen)
     values = gen.exponential(size=(n,) * dim)
     flat = values.reshape(-1)
     cells = gen.choice(flat.size, size=max(1, flat.size // 10), replace=False)
@@ -344,9 +364,51 @@ def test_integrate_carries_scipy_trapezoids_bytes(dim, n, uniform, special):
     elif special is not None:
         flat[cells] = special
     with np.errstate(invalid="ignore"):
-        got = _integrate(values, axes)
+        got, _ = _streamed(values, axes)
         want = _scipy_integrate(values, axes)
     assert _bits(got) == _bits(want)
+
+
+def _block_cases():
+    block = oracles_module._BLOCK_POINTS
+    rows = block // 801
+    assert 801 % rows  # the last block is short
+    yield "ragged-rows", (801, 801), [rows * 801] * (801 // rows) + [801 * (801 % rows)]
+    yield "row-per-block-2d", (5, block + 5), [block + 5] * 5
+    yield "row-per-block-3d", (3, 129, 129), [129 * 129] * 3
+    yield "long-1d", (3 * block + 7,), [block] * 3 + [7]
+
+
+@pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "nonuniform"])
+@pytest.mark.parametrize("case", list(_block_cases()), ids=lambda case: case[0])
+def test_block_edges_keep_scipys_whole_grid_bytes(case, uniform):
+    _, shape, want_blocks = case
+    gen = np.random.default_rng(sum(shape))
+    axes = _axes(shape, uniform, gen)
+    values = gen.exponential(size=shape)
+    got, blocks = _streamed(values, axes)
+    assert blocks == want_blocks
+    assert _bits(got) == _bits(_scipy_integrate(values, axes))
+
+
+def _dens(mixture):
+    return lambda x: density(mixture, x)
+
+
+def test_fdiv_integrand_not_finite_in_the_last_block_raises():
+    box, resolution = ((-8.0, 8.0), (-8.0, 8.0)), 801
+    p = _dens(GaussianMixture([1.0], [[0.0, 0.0]], [[1.0, 1.0]]))
+    blocks = []
+
+    def q(pts):  # infinite at the grid's last point only
+        blocks.append(len(pts))
+        return np.where((pts[:, 0] == 8.0) & (pts[:, 1] == 8.0), np.inf, p(pts))
+
+    with pytest.raises(FloatingPointError) as err:
+        numeric_fdiv(FGAN_FAMILIES["kl"], p, q, box, resolution)
+    assert str(err.value) == "f-divergence integrand is not finite on the grid"
+    rows = oracles_module._BLOCK_POINTS // resolution
+    assert len(blocks) == -(-resolution // rows)  # every block was evaluated
 
 
 def _toy_oracles_pairs(seed):
@@ -365,26 +427,62 @@ def _toy_oracles_pairs(seed):
     return jsd_pair, (gaussian(), gaussian())
 
 
+def _whole_grid(integrand, p, q, box, resolution):
+    """The divergence quadrature as it was: p and q on every grid point at
+    once, then scipy's trapezoid rule on the whole grid."""
+    axes = [np.linspace(lo, hi, resolution) for lo, hi in box]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    pv, qv = (np.asarray(fn(pts), dtype=np.float64).reshape((resolution,) * len(box))
+              for fn in (p, q))
+    return _scipy_integrate(integrand(pv, qv), axes)
+
+
+def _jsd_integrand(pv, qv):
+    m = 0.5 * (pv + qv)
+    return 0.5 * (rel_entr(pv, m) + rel_entr(qv, m))
+
+
+def _fdiv_integrand(family):
+    def integrand(pv, qv):
+        safe_p = np.maximum(pv, 1e-300)
+        with np.errstate(all="ignore"):
+            out = safe_p * family.f(qv / safe_p)
+        return np.where((pv <= 1e-300) & (qv <= 1e-300), 0.0, out)
+
+    return integrand
+
+
 @pytest.mark.parametrize("seed", [3, 43])
-def test_divergences_keep_the_bytes_of_scipys_quadrature(seed, monkeypatch):
+def test_divergences_keep_the_bytes_of_scipys_quadrature(seed):
     box, resolution = ((-8.0, 8.0), (-8.0, 8.0)), 801
     (jp, jq), (fp, fq) = _toy_oracles_pairs(seed)
-
-    def both(fn, *args):
-        got = fn(*args)
-        with monkeypatch.context() as m:
-            m.setattr(oracles_module, "_integrate", _scipy_integrate)
-            want = fn(*args)
-        return got, want
-
-    def dens(mixture):
-        return lambda x: density(mixture, x)
-
-    got, want = both(numeric_jsd, dens(jp), dens(jq), box, resolution)
+    got = numeric_jsd(_dens(jp), _dens(jq), box, resolution)
+    want = _whole_grid(_jsd_integrand, _dens(jp), _dens(jq), box, resolution)
     assert _bits(got) == _bits(want)
     for name, family in FGAN_FAMILIES.items():
-        got, want = both(numeric_fdiv, family, dens(fp), dens(fq), box, resolution)
+        got = numeric_fdiv(family, _dens(fp), _dens(fq), box, resolution)
+        want = _whole_grid(_fdiv_integrand(family), _dens(fp), _dens(fq), box, resolution)
         assert _bits(got) == _bits(want), name
+
+
+def test_divergence_quadrature_peak_memory_stays_per_block():
+    # tracemalloc peak of one call on the toy_oracles 801^2 pair shape (seed
+    # 83, numpy 2.4): 56.5 MB for numeric_jsd and 51.3 MB for numeric_fdiv (KL)
+    # when the whole grid was evaluated at once, 1.44 MB for each streamed
+    box, resolution = ((-8.0, 8.0), (-8.0, 8.0)), 801
+    (jp, jq), (fp, fq) = _toy_oracles_pairs(83)
+    calls = ((numeric_jsd, (_dens(jp), _dens(jq))),
+             (numeric_fdiv, (FGAN_FAMILIES["kl"], _dens(fp), _dens(fq))))
+    for fn, args in calls:
+        fn(*args, box, resolution)  # caches and lazy set-up outside the measurement
+        tracemalloc.start()
+        try:
+            fn(*args, box, resolution)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6, (fn.__name__, peak)
 
 
 def test_importing_the_library_loads_no_scipy_integrate():

@@ -233,20 +233,30 @@ def test_deviation_zero_eval_interval_single_point():
 
 def test_deviation_at_zero_eval_interval_takes_no_step(monkeypatch):
     # only the start is recorded, so no generator gradient is taken; the
-    # trace keeps the former loop's bytes, which ran every step regardless
+    # trace keeps the former loop's bytes, which ran every step regardless.
+    # Toy gradients are counted as stencil calls of the game's value (rows
+    # beyond one), GAN gradients as value_and_grad_g calls.
     from proxgap import gapmetrics
     calls = []
-    for name in ("toy_value_and_grad", "value_and_grad_g"):
-        real = getattr(gapmetrics, name)
-        monkeypatch.setattr(gapmetrics, name,
-                            lambda *a, real=real, **k: calls.append(1) or real(*a, **k))
-    toy = ToyGameState(bilinear(), np.array([0.8]), np.array([0.5]))
+    real = gapmetrics.value_and_grad_g
+    monkeypatch.setattr(gapmetrics, "value_and_grad_g",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    base = bilinear()
+
+    def counting_value(d, g):
+        if max(d.shape[0], g.shape[0]) > 1:
+            calls.append(1)
+        return base.value(d, g)
+
+    counting = ToyGame("counting_bilinear", counting_value, base.d_box, base.g_box)
+    toy = ToyGameState(counting, np.array([0.8]), np.array([0.5]))
     gan, splits = _gan_setup()
     for state, data, lr in ((toy, None, 0.05), (gan, splits, 1e-3)):
         trace = unilateral_deviation(state, data, steps=200, lr=lr, eval_every=0, rng=Rng(4))
         assert not calls
         want = _reference_deviation(state, data, 200, lr, 0, Rng(4))
         assert _trace_bytes(trace) == _trace_bytes(want)
+        calls.clear()
         unilateral_deviation(state, data, steps=200, lr=lr, eval_every=50, rng=Rng(4))
         assert len(calls) == 200
         calls.clear()
