@@ -78,19 +78,19 @@ class GapReport:
 
     v_dw: float
     v_gw_lambda: float
-    dg_lambda: float
     v_gw_plain: float
-    dg_plain: float
     lam: float
     worst_iters: int
     prox_steps: int
     seed: int
 
-    def __post_init__(self):
-        if self.dg_lambda != self.v_dw - self.v_gw_lambda:
-            raise ValueError("dg_lambda must equal v_dw - v_gw_lambda")
-        if self.dg_plain != self.v_dw - self.v_gw_plain:
-            raise ValueError("dg_plain must equal v_dw - v_gw_plain")
+    @property
+    def dg_lambda(self) -> float:
+        return self.v_dw - self.v_gw_lambda
+
+    @property
+    def dg_plain(self) -> float:
+        return self.v_dw - self.v_gw_plain
 
 
 @dataclass(frozen=True)
@@ -122,18 +122,18 @@ class _GanOps:
             eval_latent = rng.child(_EVAL_TAG).normal(
                 (splits.s_c.shape[0], state.latent_dim))
         self.eval_latent = np.asarray(eval_latent, dtype=np.float64)
+        self.eval_batch = splits.s_c, self.eval_latent
         self.d0 = state.theta_d
         self.g0 = state.theta_g
+        objective = state.objective
+        self.project_d = lambda theta_d: enforce_constraint(objective, theta_d)
+        self.project_g = lambda theta_g: theta_g
 
     def draw_batch(self, size):
         return draw_minibatch(self.splits.s_b, size, self.state.latent_dim, self.rng)
 
-    def eval_batch(self):
-        return self.splits.s_c, self.eval_latent
-
     def eval_value(self, theta_d, theta_g) -> float:
-        return eval_objective(self.state.with_params(theta_d, theta_g),
-                              self.splits.s_c, self.eval_latent)
+        return eval_objective(self.state.with_params(theta_d, theta_g), *self.eval_batch)
 
     # grad_g_fn(theta_d) and grad_d_fn(theta_g): (params, batch) -> dV/dparams
     # against the fixed opponent, built once per search
@@ -143,37 +143,28 @@ class _GanOps:
 
     def grad_d_fn(self, theta_g):
         # the penalized step at lam = 0, built on each batch
-        return lambda theta_d, batch: self.make_prox_grad(
-            theta_d, theta_g, batch, 0.0, None)(theta_d)
+        return lambda theta_d, batch: self.make_prox(
+            theta_d, theta_g, batch, 0.0, None)[0](theta_d)
 
-    def make_prox_step(self, anchor, theta_g, batch, lam, h):
-        return penalized_step_fn(self.state, anchor, theta_g, *batch, lam, h)
-
-    def make_prox_grad(self, anchor, theta_g, batch, lam, h):
-        # the value stays: its finiteness check names a diverged step's op
-        step_fn = self.make_prox_step(anchor, theta_g, batch, lam, h)
-        return lambda theta_d: step_fn(theta_d)[1]
-
-    def project_d(self, theta_d):
-        return enforce_constraint(self.state.objective, theta_d)
-
-    def project_g(self, theta_g):
-        return theta_g
+    # make_prox(...) -> (gradient, value) of V - lam * dist^2(., anchor) on one
+    # batch, as functions of the discriminator
+    def make_prox(self, anchor, theta_g, batch, lam, h):
+        step_fn = penalized_step_fn(self.state, anchor, theta_g, *batch, lam, h)
+        # the gradient keeps the value: its finiteness check names a diverged step's op
+        return (lambda theta_d: step_fn(theta_d)[1]), (lambda theta_d: step_fn(theta_d)[0])
 
 
 class _ToyOps:
     def __init__(self, state: ToyGameState):
         self.game = state.game
         self.eval_latent = None
+        self.eval_batch = None
         self.d0 = state.d.copy()
         self.g0 = state.g.copy()
         self.project_d = state.game.clip_d
         self.project_g = state.game.clip_g
 
     def draw_batch(self, size):
-        return None
-
-    def eval_batch(self):
         return None
 
     def eval_value(self, d, g) -> float:
@@ -184,29 +175,22 @@ class _ToyOps:
         return lambda g, batch: stencil(g)[1]
 
     def grad_d_fn(self, g):
-        grad = self.make_prox_grad(None, g, None, 0.0, None)  # one stencil per search
+        grad = self.make_prox(None, g, None, 0.0, None)[0]  # one stencil per search
         return lambda d, batch: grad(d)
 
-    def make_prox_step(self, anchor, g, batch, lam, h):
-        stencil = toy_stencil(self.game, g, "d", self.d0.size)
-
-        def value_and_grad(d):
-            value, grad = stencil(d)
-            if lam <= 0:
-                return float(value), grad
-            diff = d - anchor
-            return float(value) - lam * float((diff * diff).sum()), grad - 2.0 * lam * diff
-
-        return value_and_grad
-
-    def make_prox_grad(self, anchor, g, batch, lam, h):
-        # the gradient of make_prox_step's objective alone: the inner ascent
-        # never reads the value
+    def make_prox(self, anchor, g, batch, lam, h):
+        # the inner ascent reads the gradient alone, so it computes no value;
+        # the value is the stencil's row 0
         stencil = toy_stencil(self.game, g, "d", self.d0.size)
         if lam <= 0:
-            return lambda d: stencil(d)[1]
+            return (lambda d: stencil(d)[1]), (lambda d: float(stencil(d)[0]))
         coef = 2.0 * lam
-        return lambda d: stencil(d)[1] - coef * (d - anchor)
+
+        def value(d):
+            diff = d - anchor
+            return float(stencil(d)[0]) - lam * float((diff * diff).sum())
+
+        return (lambda d: stencil(d)[1] - coef * (d - anchor)), value
 
 
 def _ops_for(state, splits, rng, eval_latent=None):
@@ -224,13 +208,14 @@ def _prox_step_size(prox_lr: float, lam: float) -> float:
 
 
 def _prox_loop(grad_fn, anchor, project, cfg: ProximalConfig):
-    """Penalized inner maximization: `prox_steps` projected ascent steps from
-    the anchor along `grad_fn`, the penalized objective's gradient; returns the
-    final parameters."""
+    """Penalized inner maximization: yields the projected anchor, then each of
+    `prox_steps` projected ascent iterates along `grad_fn`, the penalized
+    objective's gradient."""
     theta = project(anchor)
     lr = _prox_step_size(cfg.prox_lr, cfg.lam)
     # GAN iterates are ParamVectors of one layout, toy iterates plain arrays
     as_params = theta.with_values if isinstance(theta, ParamVector) else None
+    yield theta
     for j in range(cfg.prox_steps):
         try:
             grad = grad_fn(theta)
@@ -239,7 +224,7 @@ def _prox_loop(grad_fn, anchor, project, cfg: ProximalConfig):
                 f"penalized ascent diverged at inner step {j}: {err}") from err
         theta = project(theta + lr * grad if as_params is None
                         else as_params(theta.values + lr * grad))
-    return theta
+        yield theta
 
 
 def _adam_search(start, descent_dir, project, draw_batch, lr: float, iters: int):
@@ -254,12 +239,17 @@ def _adam_search(start, descent_dir, project, draw_batch, lr: float, iters: int)
         yield params
 
 
+def _last(iterates):
+    """The last of a search's iterates, the others dropped as they come."""
+    return deque(iterates, maxlen=1)[0]
+
+
 def _worst_case(ops, start, descent_dir, project, cfg: ProximalConfig):
     """The last iterate of the estimators' search: `worst_iters` steps at
     `worst_lr` on fresh search-split minibatches."""
-    return deque(_adam_search(start, descent_dir, project,
+    return _last(_adam_search(start, descent_dir, project,
                               lambda: ops.draw_batch(cfg.batch_size),
-                              cfg.worst_lr, cfg.worst_iters), maxlen=1)[0]
+                              cfg.worst_lr, cfg.worst_iters))
 
 
 # -- the estimators ----------------------------------------------------------
@@ -293,13 +283,13 @@ def estimate_v_gw_lambda(state, splits, cfg: ProximalConfig, rng: Rng,
     ops = _ops_for(state, splits, rng, eval_latent)
 
     def descent_dir(g, batch):
-        grad_fn = ops.make_prox_grad(ops.d0, g, batch, cfg.lam, cfg.sobolev_h)
-        d_star = _prox_loop(grad_fn, ops.d0, ops.project_d, cfg)
+        grad_fn = ops.make_prox(ops.d0, g, batch, cfg.lam, cfg.sobolev_h)[0]
+        d_star = _last(_prox_loop(grad_fn, ops.d0, ops.project_d, cfg))
         return ops.grad_g_fn(d_star)(g, batch)
 
     g = _worst_case(ops, ops.g0, descent_dir, ops.project_g, cfg)
-    step_fn = ops.make_prox_step(ops.d0, g, ops.eval_batch(), cfg.lam, cfg.sobolev_h)
-    return step_fn(_prox_loop(lambda d: step_fn(d)[1], ops.d0, ops.project_d, cfg))[0]
+    grad_fn, value_fn = ops.make_prox(ops.d0, g, ops.eval_batch, cfg.lam, cfg.sobolev_h)
+    return value_fn(_last(_prox_loop(grad_fn, ops.d0, ops.project_d, cfg)))
 
 
 def estimate_v_gw_plain(state, splits, cfg: ProximalConfig, rng: Rng,
@@ -341,9 +331,7 @@ def _gap_reports(state, splits, cfgs, rng: Rng, known: GapReport | None = None):
     return [GapReport(
         v_dw=v_dw,
         v_gw_lambda=v_gw_lambdas[cfg.lam],
-        dg_lambda=v_dw - v_gw_lambdas[cfg.lam],
         v_gw_plain=v_gw_plain,
-        dg_plain=v_dw - v_gw_plain,
         lam=cfg.lam,
         worst_iters=cfg.worst_iters,
         prox_steps=cfg.prox_steps,

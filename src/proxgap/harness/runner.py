@@ -285,8 +285,7 @@ def _stored_gap(block, cfg: ExperimentConfig, step: int, state: GanState, where)
     if block["params_sha256"] != _params_sha256(state):
         raise ValueError(f"checkpoint sidecar {where} holds gap estimates of other parameters "
                          f"(params_sha256 does not match the arrays)")
-    return GapReport(v_dw, v_gw_lambda, v_dw - v_gw_lambda, v_gw_plain, v_dw - v_gw_plain,
-                     *_gap_budget(cfg, step))
+    return GapReport(v_dw, v_gw_lambda, v_gw_plain, *_gap_budget(cfg, step))
 
 
 def save_checkpoint(base, ckpt: Checkpoint) -> Path:

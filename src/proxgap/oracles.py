@@ -327,15 +327,6 @@ def toy_value(game: ToyGame, d, g) -> float:
     return float(game.value(d[None, :], g[None, :])[0])
 
 
-def toy_value_and_grad(game: ToyGame, d, g, wrt: str):
-    """V(d, g) and its central-difference gradient in ``wrt`` ("d" or "g"): the
-    :func:`toy_stencil` against the other player, applied once."""
-    x, fixed = (d, g) if wrt == "d" else (g, d)
-    x = np.asarray(x, dtype=np.float64).ravel()
-    value, grad = toy_stencil(game, fixed, wrt, x.size)(x)
-    return float(value), grad
-
-
 def toy_stencil(game: ToyGame, fixed, wrt: str, n: int):
     """x -> (V, central-difference gradient of V in x) for the ``n``-vector
     player ``wrt`` ("d" or "g") against the ``fixed`` other player.

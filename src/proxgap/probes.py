@@ -148,11 +148,11 @@ def _agent_grad(state, splits, agent, rng: Rng):
     agent's parameter array), from the estimators' game operations on the
     probe batch (the head of the evaluation split; none for toy games).
 
-    The generator's gradient is ``ops.grad_g_fn``.  The discriminator's is the
-    penalized step at lam = 0 (``objectives.penalized_step_fn`` for GANs), built
-    once on the fixed [real; generated] rows; it checks no clip box: theta_d
-    +/- h v crosses the box edge a clipped critic sits on, so the box is
-    checked once, at the state.
+    The generator's gradient is ``ops.grad_g_fn``.  The discriminator's is
+    the gradient of ``ops.make_prox`` at lam = 0 (``objectives.penalized_step_fn``
+    for GANs), built once on the fixed [real; generated] rows; it checks no
+    clip box: theta_d +/- h v crosses the box edge a clipped critic sits on,
+    so the box is checked once, at the state.
     """
     ops = _ops_for(state, splits, rng)
     batch = None
@@ -160,10 +160,9 @@ def _agent_grad(state, splits, agent, rng: Rng):
         if state.d_spec.activation != "tanh" or state.g_spec.activation != "tanh":
             raise ValueError("spectrum probes need twice-differentiable (tanh) activations")
         check_clip_box(state.objective, state.theta_d)
-        real, latent = ops.eval_batch()
+        real, latent = ops.eval_batch
         batch = real[:PROBE_BATCH], latent[:PROBE_BATCH]
     if agent == GENERATOR:
         grad_g = ops.grad_g_fn(ops.d0)
         return (lambda g: grad_g(g, batch)), _param_values(ops.g0)
-    step_fn = ops.make_prox_step(ops.d0, ops.g0, batch, 0.0, None)
-    return (lambda d: step_fn(d)[1]), _param_values(ops.d0)
+    return ops.make_prox(ops.d0, ops.g0, batch, 0.0, None)[0], _param_values(ops.d0)

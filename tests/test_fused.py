@@ -39,6 +39,7 @@ from proxgap.gapmetrics import (
     ToyGameState,
     estimate_v_dw,
     _ops_for,
+    _last,
     _prox_loop,
     _worst_case,
 )
@@ -61,8 +62,10 @@ from proxgap.objectives import (
     value_graph,
     _sobolev_graph,
 )
-from proxgap.oracles import concave_quadratic, shipped_games, toy_value_and_grad
+from proxgap.oracles import concave_quadratic, shipped_games
 from proxgap.probes import DISCRIMINATOR, GENERATOR, _agent_grad, hessian_spectrum_probe
+
+from toy_grads import toy_value_and_grad
 
 TOL = 1e-12
 ACTIVATIONS = ("tanh", "relu", "leaky_relu")
@@ -403,8 +406,8 @@ def test_overflowing_weights_raise_prox_divergence_named_by_the_graph(lam):
     landing = iter([state.theta_d, huge])
     cfg = ProximalConfig(lam=lam, prox_steps=3)
     with pytest.raises(ProxDivergenceError, match="inner step 1") as err:
-        _prox_loop(lambda theta: step_fn(theta)[1], state.theta_d,
-                   lambda theta: next(landing), cfg)
+        _last(_prox_loop(lambda theta: step_fn(theta)[1], state.theta_d,
+                         lambda theta: next(landing), cfg))
     assert isinstance(err.value.__cause__, NonFiniteError)
     assert err.value.__cause__.op == graph_err.value.op == "matmul"
 
@@ -581,8 +584,8 @@ def test_fast_paths_name_failures_without_the_graph(monkeypatch):
     step_fn = penalized_step_fn(state, state.theta_d, state.theta_g, real, latent, 0.1, 1e-3)
     landing = iter([state.theta_d, huge])
     with pytest.raises(ProxDivergenceError, match="inner step 1") as err:
-        _prox_loop(lambda theta: step_fn(theta)[1], state.theta_d,
-                   lambda theta: next(landing), ProximalConfig(lam=0.1, prox_steps=3))
+        _last(_prox_loop(lambda theta: step_fn(theta)[1], state.theta_d,
+                         lambda theta: next(landing), ProximalConfig(lam=0.1, prox_steps=3)))
     assert err.value.__cause__.op == "matmul"
 
     kl = _kl_overflow_state()

@@ -9,6 +9,7 @@ from dataclasses import replace
 from proxgap import gapmetrics
 from proxgap.diffcore import (
     NetworkSpec,
+    NonFiniteError,
     ParamVector,
     Rng,
     Tensor,
@@ -19,6 +20,7 @@ from proxgap.diffcore import (
 from proxgap.distributions import GaussianMixture, make_splits
 from proxgap.gapmetrics import (
     GapReport,
+    ProxDivergenceError,
     ProximalConfig,
     ToyGameState,
     duality_gap,
@@ -26,6 +28,7 @@ from proxgap.gapmetrics import (
     estimate_v_gw_lambda,
     estimate_v_gw_plain,
     lambda_sweep,
+    _last,
     _prox_loop,
 )
 from proxgap.objectives import (
@@ -48,8 +51,9 @@ from proxgap.oracles import (
     grid_dg_lambda,
     grid_v_lambda,
     shipped_games,
-    toy_value_and_grad,
 )
+
+from toy_grads import toy_value_and_grad
 
 TOY_CFG = ProximalConfig(lam=0.1, prox_steps=20, prox_lr=0.5,
                          worst_iters=400, worst_lr=0.02, batch_size=1)
@@ -153,8 +157,8 @@ def _prox_opt(state, real, latent, cfg):
     """Inner ascent anchored at the state's discriminator: (final params, penalized value)."""
     step_fn = penalized_step_fn(state, state.theta_d, state.theta_g, real, latent,
                                 cfg.lam, cfg.sobolev_h)
-    theta = _prox_loop(lambda pv: step_fn(pv)[1], state.theta_d,
-                       lambda pv: enforce_constraint(state.objective, pv), cfg)
+    theta = _last(_prox_loop(lambda pv: step_fn(pv)[1], state.theta_d,
+                             lambda pv: enforce_constraint(state.objective, pv), cfg))
     return theta, step_fn(theta)[0]
 
 
@@ -212,7 +216,7 @@ def test_prox_loop_hands_the_step_only_iterates_inside_the_clip_box():
         seen.append(theta.values)
         return step_fn(theta)[1]
 
-    _prox_loop(recording, anchor, lambda pv: enforce_constraint(wgan, pv), cfg)
+    _last(_prox_loop(recording, anchor, lambda pv: enforce_constraint(wgan, pv), cfg))
     assert np.max(np.abs(anchor.values)) > 0.01
     assert len(seen) == cfg.prox_steps
     assert max(np.max(np.abs(vals)) for vals in seen) <= 0.01
@@ -236,6 +240,88 @@ def test_adam_search_yields_the_start_and_every_projected_iterate():
     assert iterates[-1] == 1.0 and iterates[1] == 1.0  # clipped on the first step
 
 
+def test_prox_loop_yields_the_projected_anchor_and_every_projected_iterate():
+    game = concave_quadratic()
+    cfg = replace(TOY_CFG, prox_steps=7)
+    lr = gapmetrics._prox_step_size(cfg.prox_lr, cfg.lam)
+    anchor = np.array([1.6])  # outside the box: the first iterate is its projection
+    iterates = list(_prox_loop(lambda d: 0.25 - d, anchor, game.clip_d, cfg))
+    assert len(iterates) == cfg.prox_steps + 1
+    assert _hex(iterates[0]) == _hex(game.clip_d(anchor))
+    for before, after in zip(iterates, iterates[1:]):
+        assert _hex(after) == _hex(game.clip_d(before + lr * (0.25 - before)))
+
+
+@pytest.mark.parametrize("j", [0, 3])
+def test_prox_loop_names_the_diverging_inner_step_when_consumed(j):
+    game = concave_quadratic()
+    calls = []
+
+    def diverging(d):
+        calls.append(d)
+        if len(calls) > j:
+            raise NonFiniteError("exp")
+        return -d
+
+    cfg = replace(TOY_CFG, prox_steps=6)
+    loop = _prox_loop(diverging, np.array([0.5]), game.clip_d, cfg)
+    assert calls == []  # nothing runs until the iterates are read
+    seen = []
+    with pytest.raises(ProxDivergenceError, match=f"inner step {j}: ") as err:
+        for d in loop:
+            seen.append(d)
+    assert len(seen) == j + 1 and len(calls) == j + 1
+    assert err.value.__cause__.op == "exp"
+
+
+def _classic_and_clipped_states():
+    wgan = WassersteinClip(0.01)
+    rng = Rng(31)
+    g_spec = NetworkSpec(2, (8,), 2)
+    for objective, head in ((Classic(), "sigmoid"), (wgan, "linear")):
+        d_spec = NetworkSpec(2, (8,), 1, output_head=head)
+        theta_d = enforce_constraint(objective, init_network(d_spec, rng.child(0)))
+        yield GanState(d_spec, g_spec, theta_d, init_network(g_spec, rng.child(1)), objective)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.1])
+def test_gan_make_prox_gives_the_penalized_steps_bytes(lam):
+    dist = GaussianMixture([1.0], [[0.0, 0.0]], [[1.0, 1.0]])
+    splits = make_splits(dist, 200, 100, 100, Rng(32))
+    for state in _classic_and_clipped_states():
+        ops = gapmetrics._ops_for(state, splits, Rng(33))
+        g = state.theta_g.with_values(state.theta_g.values + 0.1)
+        moved = ops.project_d(state.theta_d.with_values(state.theta_d.values * 1.5 + 0.003))
+        for batch in (ops.eval_batch, ops.draw_batch(32)):
+            grad_fn, value_fn = ops.make_prox(state.theta_d, g, batch, lam, 1e-3)
+            step_fn = penalized_step_fn(state, state.theta_d, g, *batch, lam, 1e-3)
+            for theta in (state.theta_d, moved):
+                value, grad = step_fn(theta)
+                assert _hex(value_fn(theta)) == _hex(value), state.objective
+                assert _hex(grad_fn(theta)) == _hex(grad), state.objective
+
+
+def test_v_gw_lambda_builds_each_penalized_step_once(monkeypatch):
+    # one build per outer step for its inner ascent, and one on the eval batch
+    # whose gradient and value both come from it
+    state = _small_classic_state()
+    dist = GaussianMixture([1.0], [[0.0, 0.0]], [[1.0, 1.0]])
+    splits = make_splits(dist, 200, 100, 100, Rng(34))
+    cfg = ProximalConfig(worst_iters=4, prox_steps=3, batch_size=32)
+    want = estimate_v_gw_lambda(state, splits, cfg, Rng(35))
+    on_eval = []
+    build = gapmetrics.penalized_step_fn
+
+    def counting(state, anchor, theta_g, real, latent, lam, h):
+        on_eval.append(real is splits.s_c)
+        return build(state, anchor, theta_g, real, latent, lam, h)
+
+    monkeypatch.setattr(gapmetrics, "penalized_step_fn", counting)
+    assert _hex(estimate_v_gw_lambda(state, splits, cfg, Rng(35))) == _hex(want)
+    assert len(on_eval) == cfg.worst_iters + 1
+    assert on_eval.count(True) == 1 and on_eval[-1]
+
+
 def test_toy_step_at_zero_lambda_is_the_toy_gradient():
     # the v_dw search ascends along this step, as it once did along the toy gradient
     rng = np.random.default_rng(7)
@@ -243,9 +329,9 @@ def test_toy_step_at_zero_lambda_is_the_toy_gradient():
         d0 = np.array([rng.uniform(lo, hi) for lo, hi in game.d_box])
         g = np.array([rng.uniform(lo, hi) for lo, hi in game.g_box])
         ops = gapmetrics._ops_for(ToyGameState(game, d0, g), None, Rng(0))
-        step = ops.make_prox_step(d0, g, None, 0.0, None)
+        grad_fn, value_fn = ops.make_prox(d0, g, None, 0.0, None)
         for d in (d0, d0 - 0.25, d0 + 0.5):
-            value, grad = step(d)
+            value, grad = value_fn(d), grad_fn(d)
             want_value, want_grad = toy_value_and_grad(game, d, g, "d")
             assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
             assert grad.tobytes() == want_grad.tobytes(), game.name
@@ -263,8 +349,28 @@ def test_gapmetrics_holds_only_the_searches_and_estimators():
               if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
     assert not banned & names
     assert not [name for name in banned if hasattr(gapmetrics, name)]
-    assert not [cls for cls in (gapmetrics._GanOps, gapmetrics._ToyOps)
-                if hasattr(cls, "v_grad_d")]
+    ops_classes = (gapmetrics._GanOps, gapmetrics._ToyOps)
+    assert not [cls for cls in ops_classes if hasattr(cls, "v_grad_d")]
+    # one penalized-objective constructor per game kind, and both searches yield
+    assert all("make_prox" in vars(cls) for cls in ops_classes)
+    assert not [(cls.__name__, name) for cls in ops_classes
+                for name in ("make_prox_step", "make_prox_grad") if hasattr(cls, name)]
+    assert inspect.isgeneratorfunction(gapmetrics._prox_loop)
+    assert inspect.isgeneratorfunction(gapmetrics._adam_search)
+    # the toy stencil is built in two places only, and the toy penalty's
+    # value and gradient each take d - anchor once
+    stencil_calls = []
+    for top in tree.body:
+        scopes = ([(f"{top.name}.{getattr(node, 'name', '')}", node) for node in top.body]
+                  if isinstance(top, ast.ClassDef) else [(getattr(top, "name", ""), top)])
+        stencil_calls += [owner for owner, scope in scopes for node in ast.walk(scope)
+                          if isinstance(node, ast.Call)
+                          and getattr(node.func, "id", None) == "toy_stencil"]
+    assert stencil_calls == ["_ToyOps.grad_g_fn", "_ToyOps.make_prox"]
+    anchor_diffs = [node for node in ast.walk(tree) if isinstance(node, ast.BinOp)
+                    and isinstance(node.op, ast.Sub) and isinstance(node.right, ast.Name)
+                    and node.right.id == "anchor"]
+    assert len(anchor_diffs) == 2
 
 
 # -- the toy inner step, pinned to its former formula ------------------------
@@ -289,7 +395,7 @@ def _reference_toy_value_and_grad(game, d, g, wrt):
 
 
 def _reference_toy_step(game, anchor, g, lam):
-    """The toy ``make_prox_step`` as it was: value and gradient on every step."""
+    """The toy penalized step as it was: value and gradient on every step."""
     if lam <= 0:
         return lambda d: _reference_toy_value_and_grad(game, d, g, "d")
 
@@ -351,24 +457,16 @@ def test_toy_inner_ascent_keeps_the_former_bytes(lam):
             assert [_hex(v) for v in search_grads] == [
                 _hex(_reference_toy_value_and_grad(game, state.d, state.g, wrt)[1])
                 for wrt in "dg"], game.name
-            step = ops.make_prox_step(ops.d0, ops.g0, None, lam, None)
-            grad = ops.make_prox_grad(ops.d0, ops.g0, None, lam, None)
+            grad, value = ops.make_prox(ops.d0, ops.g0, None, lam, None)
             want_step = _reference_toy_step(game, ops.d0, ops.g0, lam)
             for d in (game.clip_d(ops.d0), ops.d0, ops.d0 - 0.3, ops.d0 + 0.7):
-                value, want_value = step(d), want_step(d)
-                assert isinstance(value[0], float)
-                assert [_hex(v) for v in value] == [_hex(v) for v in want_value], game.name
+                got_value, want_value = value(d), want_step(d)
+                assert isinstance(got_value, float)
+                assert _hex(got_value) == _hex(want_value[0]), game.name
                 assert _hex(grad(d)) == _hex(want_value[1]), game.name
-            seen = []
-
-            def recording(d):
-                seen.append(game.clip_d(d))
-                return seen[-1]
-
-            final = gapmetrics._prox_loop(grad, ops.d0, recording, cfg)
+            iterates = list(_prox_loop(grad, ops.d0, game.clip_d, cfg))
             want = _reference_prox_iterates(want_step, ops.d0, game.clip_d, cfg)
-            assert [_hex(d) for d in seen] == [_hex(d) for d in want], game.name
-            assert final is seen[-1]
+            assert [_hex(d) for d in iterates] == [_hex(d) for d in want], game.name
             configs += 1
             got = duality_gap(state, None, cfg, Rng(configs))
             with pytest.MonkeyPatch.context() as mp:  # the former step and stencil
@@ -378,15 +476,14 @@ def test_toy_inner_ascent_keeps_the_former_bytes(lam):
                 mp.setattr(gapmetrics._ToyOps, "grad_d_fn",
                            lambda ops, g: lambda d, batch:
                            _reference_toy_value_and_grad(ops.game, d, g, "d")[1])
-                mp.setattr(gapmetrics._ToyOps, "make_prox_step",
-                           lambda ops, anchor, g, batch, lam, h:
-                           _reference_toy_step(ops.game, anchor, g, lam))
-                mp.setattr(gapmetrics._ToyOps, "make_prox_grad",
-                           lambda ops, anchor, g, batch, lam, h:
-                           lambda d: _reference_toy_step(ops.game, anchor, g, lam)(d)[1])
+                mp.setattr(gapmetrics._ToyOps, "make_prox",
+                           lambda ops, anchor, g, batch, lam, h: (
+                               lambda d: _reference_toy_step(ops.game, anchor, g, lam)(d)[1],
+                               lambda d: _reference_toy_step(ops.game, anchor, g, lam)(d)[0]))
                 want = duality_gap(state, None, cfg, Rng(configs))
-            assert [float(getattr(got, f)).hex() for f in got.__dataclass_fields__] == \
-                [float(getattr(want, f)).hex() for f in want.__dataclass_fields__], game.name
+            fields = (*got.__dataclass_fields__, "dg_lambda", "dg_plain")
+            assert [float(getattr(got, f)).hex() for f in fields] == \
+                [float(getattr(want, f)).hex() for f in fields], game.name
     assert configs == 30
 
 
@@ -536,10 +633,22 @@ def test_report_arithmetic_is_exact():
     assert rep.dg_plain == rep.v_dw - rep.v_gw_plain
 
 
-def test_report_validates_arithmetic():
-    with pytest.raises(ValueError):
+def test_report_derives_its_gaps():
+    # the gaps are the same subtractions the estimators once stored, computed
+    # on read; they cannot be passed in, so they cannot disagree
+    v_dw, v_gw_lambda, v_gw_plain = 0.1, np.float64(-0.7), -1.0 / 3.0
+    rep = GapReport(v_dw=v_dw, v_gw_lambda=v_gw_lambda, v_gw_plain=v_gw_plain, lam=0.1,
+                    worst_iters=1, prox_steps=1, seed=0)
+    assert _hex(rep.dg_lambda) == _hex(v_dw - v_gw_lambda)
+    assert _hex(rep.dg_plain) == _hex(v_dw - v_gw_plain)
+    assert type(rep.dg_lambda) is type(v_dw - v_gw_lambda)
+    assert list(GapReport.__dataclass_fields__) == [
+        "v_dw", "v_gw_lambda", "v_gw_plain", "lam", "worst_iters", "prox_steps", "seed"]
+    with pytest.raises(TypeError):
         GapReport(v_dw=1.0, v_gw_lambda=0.5, dg_lambda=0.4, v_gw_plain=0.5,
                   dg_plain=0.5, lam=0.1, worst_iters=1, prox_steps=1, seed=0)
+    with pytest.raises(AttributeError):
+        rep.dg_lambda = 0.0
 
 
 @pytest.mark.parametrize("game", shipped_games(), ids=lambda g: g.name)

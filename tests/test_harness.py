@@ -353,9 +353,10 @@ GAP_ESTIMATES = ("v_dw", "v_gw_lambda", "v_gw_plain")
 
 
 def _hexes(report):
-    """Every field of a GapReport, floats as exact hex."""
+    """Every field of a GapReport and both derived gaps, floats as exact hex."""
     return [getattr(report, f).hex() if isinstance(getattr(report, f), float)
-            else getattr(report, f) for f in report.__dataclass_fields__]
+            else getattr(report, f)
+            for f in (*report.__dataclass_fields__, "dg_lambda", "dg_plain")]
 
 
 def _fresh_gap(ckpt, lam=None):
@@ -531,8 +532,7 @@ def test_a_failed_estimate_leaves_no_gap_block(tmp_path, monkeypatch):
     fresh = _fresh_gap(ckpt)
     inf = float("inf")
     for other in (_fresh_gap(ckpt, lam=1.0), replace(fresh, seed=fresh.seed + 1),
-                  replace(fresh, v_dw=inf, dg_lambda=inf, dg_plain=inf),
-                  replace(fresh, v_gw_plain=-inf, dg_plain=inf)):
+                  replace(fresh, v_dw=inf), replace(fresh, v_gw_plain=-inf)):
         with pytest.raises(ValueError, match="only a finite gap report of its own"):
             runner.save_checkpoint(tmp_path / "checkpoint_000000", replace(ckpt, gap=other))
     assert not list(tmp_path.glob("checkpoint_000000.*"))

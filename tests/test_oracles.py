@@ -31,10 +31,11 @@ from proxgap.oracles import (
     saddle_shift,
     shipped_games,
     toy_value,
-    toy_value_and_grad,
     wasserstein1_1d,
     _TOY_FD_H,
 )
+
+from toy_grads import toy_value_and_grad
 
 GRID = GridSpec(401)
 

@@ -39,7 +39,6 @@ from proxgap.oracles import (
     jsd_from_samples,
     shipped_games,
     toy_value,
-    toy_value_and_grad,
 )
 from proxgap.probes import (
     DISCRIMINATOR,
@@ -52,6 +51,8 @@ from proxgap.probes import (
     hessian_spectrum_probe,
     unilateral_deviation,
 )
+
+from toy_grads import toy_value_and_grad
 
 
 def _quadratic_game(diag):
