@@ -74,15 +74,18 @@ class ProximalConfig:
 
 @dataclass(frozen=True)
 class GapReport:
-    """Both gap estimates for one checkpoint, with the budgets that produced them."""
+    """Both gap estimates for one checkpoint, with the config and the stream
+    seed that produced them: the two are the estimates' whole identity."""
 
     v_dw: float
     v_gw_lambda: float
     v_gw_plain: float
-    lam: float
-    worst_iters: int
-    prox_steps: int
+    cfg: ProximalConfig
     seed: int
+
+    @property
+    def lam(self) -> float:
+        return self.cfg.lam
 
     @property
     def dg_lambda(self) -> float:
@@ -301,42 +304,34 @@ def estimate_v_gw_plain(state, splits, cfg: ProximalConfig, rng: Rng,
     return ops.eval_value(ops.d0, g)
 
 
-def _gap_reports(state, splits, cfgs, rng: Rng, known: GapReport | None = None):
-    """One GapReport per config in `cfgs`, which may differ only in lam.
+def _gap_reports(state, splits, cfg: ProximalConfig, lams, rng: Rng,
+                 known: GapReport | None = None):
+    """One GapReport per lambda in `lams`, each under `cfg` at that lambda.
 
     v_dw and v_gw_plain do not depend on lam, so they are estimated once and
     shared; v_gw_lambda is estimated once per distinct lam.  Every estimate
     draws from its own child stream of `rng` and all share one evaluation
-    latent batch, so each report equals the one a single-config call would give.
+    latent batch, so each report equals the one a single-lambda call would give.
 
-    `known`, when given, was computed on the same state, splits and stream
-    under a config that differs from `cfgs` at most in lam: its v_dw and
-    v_gw_plain, and its v_gw_lambda at its own lam, are taken instead of
-    estimated again.
+    `known`, when given, was computed on the same state and splits: its v_dw
+    and v_gw_plain, and its v_gw_lambda at its own lam, are taken instead of
+    estimated again.  It must come from `rng`'s stream under `cfg` at some lam.
     """
-    cfg0 = cfgs[0]
-    if known is not None and (known.seed, known.worst_iters, known.prox_steps) != (
-            rng.seed, cfg0.worst_iters, cfg0.prox_steps):
+    if known is not None and (known.seed != rng.seed
+                              or replace(known.cfg, lam=cfg.lam) != cfg):
         raise ValueError("known gap report comes from another stream or budget")
     eval_latent = _ops_for(state, splits, rng).eval_latent
     v_dw = known.v_dw if known is not None else estimate_v_dw(
-        state, splits, cfg0, rng.child(_DW_TAG), eval_latent)
+        state, splits, cfg, rng.child(_DW_TAG), eval_latent)
     v_gw_lambdas = {known.lam: known.v_gw_lambda} if known is not None else {}
-    for cfg in cfgs:
-        if cfg.lam not in v_gw_lambdas:
-            v_gw_lambdas[cfg.lam] = estimate_v_gw_lambda(
-                state, splits, cfg, rng.child(_GW_LAMBDA_TAG), eval_latent)
+    for lam in lams:
+        if lam not in v_gw_lambdas:
+            v_gw_lambdas[lam] = estimate_v_gw_lambda(
+                state, splits, replace(cfg, lam=lam), rng.child(_GW_LAMBDA_TAG), eval_latent)
     v_gw_plain = known.v_gw_plain if known is not None else estimate_v_gw_plain(
-        state, splits, cfg0, rng.child(_GW_PLAIN_TAG), eval_latent)
-    return [GapReport(
-        v_dw=v_dw,
-        v_gw_lambda=v_gw_lambdas[cfg.lam],
-        v_gw_plain=v_gw_plain,
-        lam=cfg.lam,
-        worst_iters=cfg.worst_iters,
-        prox_steps=cfg.prox_steps,
-        seed=rng.seed,
-    ) for cfg in cfgs]
+        state, splits, cfg, rng.child(_GW_PLAIN_TAG), eval_latent)
+    return [GapReport(v_dw, v_gw_lambdas[lam], v_gw_plain, replace(cfg, lam=lam), rng.seed)
+            for lam in lams]
 
 
 def duality_gap(state, splits, cfg: ProximalConfig, rng: Rng,
@@ -345,7 +340,7 @@ def duality_gap(state, splits, cfg: ProximalConfig, rng: Rng,
 
     `known` is a report to reuse, as in `_gap_reports`.
     """
-    return _gap_reports(state, splits, [cfg], rng, known)[0]
+    return _gap_reports(state, splits, cfg, [cfg.lam], rng, known)[0]
 
 
 def lambda_sweep(state, splits, lambdas, cfg: ProximalConfig, rng: Rng,
@@ -359,6 +354,4 @@ def lambda_sweep(state, splits, lambdas, cfg: ProximalConfig, rng: Rng,
     lams = sorted(float(x) for x in lambdas)
     if not lams:
         raise ValueError("lambda list must be non-empty")
-    reports = _gap_reports(state, splits, [replace(cfg, lam=lam) for lam in lams], rng,
-                           known)
-    return list(zip(lams, reports))
+    return list(zip(lams, _gap_reports(state, splits, cfg, lams, rng, known)))

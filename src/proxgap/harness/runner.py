@@ -105,8 +105,14 @@ def _eval_latent(cfg: ExperimentConfig, splits) -> np.ndarray:
     return _stream(cfg, _TAG_EVAL).normal((splits.s_c.shape[0], cfg.latent.dim))
 
 
-def _score(state: GanState, splits, cfg: ExperimentConfig, step: int):
-    """``score_checkpoint``'s scores and the gap report behind them (None when it failed)."""
+def score_checkpoint(state: GanState, splits, cfg: ExperimentConfig, step: int):
+    """``((dg_plain, dg_lambda, hist_jsd), report)`` of one checkpoint: the scores
+    as ``metrics.csv`` logs them and the gap report behind them.
+
+    The gaps draw from the stream ``(seed, _TAG_GAP, step)``, never the training
+    stream, and are nan, with no report, when their estimate fails.  It always
+    estimates afresh.
+    """
     try:
         report = duality_gap(state, splits, cfg.prox, _stream(cfg, _TAG_GAP, step))
         gaps = report.dg_plain, report.dg_lambda
@@ -114,15 +120,6 @@ def _score(state: GanState, splits, cfg: ExperimentConfig, step: int):
         report, gaps = None, (float("nan"), float("nan"))
     fake = forward(cfg.g_spec, state.theta_g, _eval_latent(cfg, splits))
     return (*gaps, hist_jsd(splits.s_c, fake, cfg.jsd_bins)), report
-
-
-def score_checkpoint(state: GanState, splits, cfg: ExperimentConfig, step: int):
-    """``(dg_plain, dg_lambda, hist_jsd)`` of one checkpoint, as ``metrics.csv`` logs them.
-
-    The gaps draw from the stream ``(seed, _TAG_GAP, step)``, never the training
-    stream, and are nan when their estimate fails.  It always estimates afresh.
-    """
-    return _score(state, splits, cfg, step)[0]
 
 
 def train(cfg: ExperimentConfig) -> Path:
@@ -167,8 +164,6 @@ def train(cfg: ExperimentConfig) -> Path:
                                                     real, latent)
                     params, adam = adam_step(getattr(state, player.theta),
                                              player.sign * grad, player.adam)
-                    if not (np.isfinite(adam.m).all() and np.isfinite(adam.v).all()):
-                        raise NonFiniteError("adam")
                     state = state.with_params(
                         **{player.theta: player.project(state.objective, params)})
                     player.adam, player.loss = adam, player.sign * v
@@ -177,7 +172,7 @@ def train(cfg: ExperimentConfig) -> Path:
                 break
             if step % cfg.checkpoint_interval:
                 continue
-            scores, gap = _score(state, splits, cfg, step)
+            scores, gap = score_checkpoint(state, splits, cfg, step)
             wall = (time.monotonic() - t_start) * 1000.0
             writer.writerow([step] + [f"{x:.12g}" for x in (disc.loss, gen.loss, *scores)]
                             + [f"{wall:.3f}"])
@@ -236,9 +231,9 @@ def _params_sha256(state: GanState) -> str:
 
 
 def _gap_budget(cfg: ExperimentConfig, step: int):
-    """What a checkpoint's gap report is estimated under: lambda, budgets, stream seed."""
-    prox = cfg.prox
-    return prox.lam, prox.worst_iters, prox.prox_steps, _stream(cfg, _TAG_GAP, step).seed
+    """What a checkpoint's gap report is estimated under: the run's proximal
+    config and the step's stream seed."""
+    return cfg.prox, _stream(cfg, _TAG_GAP, step).seed
 
 
 def _gap_block(ckpt: Checkpoint):
@@ -249,8 +244,7 @@ def _gap_block(ckpt: Checkpoint):
     if gap is None:
         return None
     values = [float(getattr(gap, name)) for name in _GAP_ESTIMATES]
-    if ((gap.lam, gap.worst_iters, gap.prox_steps, gap.seed) != _gap_budget(ckpt.cfg, ckpt.step)
-            or not np.isfinite(values).all()):
+    if (gap.cfg, gap.seed) != _gap_budget(ckpt.cfg, ckpt.step) or not np.isfinite(values).all():
         raise ValueError("a checkpoint keeps only a finite gap report of its own config and "
                          "step's stream")
     return {"revision": ESTIMATE_REVISION, "params_sha256": _params_sha256(ckpt.state),
@@ -372,6 +366,9 @@ def load_checkpoint(path) -> Checkpoint:
         except ValueError as err:
             raise ValueError(f"checkpoint {path} holds a bad adam_{player} state: {err}") from err
     step = int(sidecar["step"])
+    if step != counters[2]:
+        raise ValueError(f"checkpoint sidecar {sidecar_path} is of step {step}, its arrays "
+                         f"{path} of step {counters[2]}")
     gap = _stored_gap(sidecar.get("gap"), cfg, step, state, sidecar_path)
     return Checkpoint(cfg, state, *adams, step, sidecar["rng_state"], gap)
 

@@ -68,19 +68,16 @@ class SpectrumReport:
 
     eigenvalues: tuple
     agent: str
-    nash_consistent: bool
-    tolerance: float
     converged: tuple
 
-    def __post_init__(self):
-        if _nash_consistent(self.agent, self.eigenvalues, self.tolerance) != self.nash_consistent:
-            raise ValueError("nash_consistent flag contradicts the eigenvalues")
+    tolerance = NASH_TOL
 
-
-def _nash_consistent(agent: str, eigenvalues, tol: float) -> bool:
-    """The local Nash sign pattern at tolerance tol: V convex in G, concave in D."""
-    lams = np.array(eigenvalues)
-    return bool(np.all(lams >= -tol) if agent == GENERATOR else np.all(lams <= tol))
+    @property
+    def nash_consistent(self) -> bool:
+        """The local Nash sign pattern at ``tolerance``: V convex in G, concave in D."""
+        lams = np.array(self.eigenvalues)
+        tol = self.tolerance
+        return bool(np.all(lams >= -tol) if self.agent == GENERATOR else np.all(lams <= tol))
 
 
 def unilateral_deviation(state, splits: DataSplits | None, steps: int, lr: float,
@@ -138,9 +135,7 @@ def hessian_spectrum_probe(state, splits: DataSplits | None, agent: str, k: int,
     result = top_k_eigenvalues(lambda v: hvp(grad_fn, theta, v, h),
                                dim=theta.size, k=k, max_iters=2000,
                                tol=100.0 * h * h, rng=rng.child(1))
-    return SpectrumReport(result.values, agent,
-                          _nash_consistent(agent, result.values, NASH_TOL),
-                          NASH_TOL, result.converged)
+    return SpectrumReport(result.values, agent, result.converged)
 
 
 def _agent_grad(state, splits, agent, rng: Rng):

@@ -17,6 +17,7 @@ from proxgap.diffcore import (
     input_grad_batch,
     top_k_eigenvalues,
 )
+from proxgap.diffcore import optim
 from proxgap.diffcore.network import ParamVector
 from proxgap.objectives import WassersteinClip, enforce_constraint
 
@@ -202,7 +203,7 @@ def test_adam_step_carries_the_textbook_formulas_bytes(kind, monkeypatch):
     got = params.values if kind == "param_vector" else params
     assert got.tobytes() == want.tobytes()
     assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
-    assert (state.t, state.lr, state.beta1, state.beta2, state.eps) == (200, 0.01, 0.8, 0.99, 1e-8)
+    assert (state.t, state.lr, state.beta1, state.beta2, optim.EPS) == (200, 0.01, 0.8, 0.99, 1e-8)
     assert checks == []  # a state adam_step derives is not checked again
 
 

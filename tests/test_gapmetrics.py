@@ -53,6 +53,7 @@ from proxgap.oracles import (
     shipped_games,
 )
 
+from proxgap.probes import unilateral_deviation
 from toy_grads import toy_value_and_grad
 
 TOY_CFG = ProximalConfig(lam=0.1, prox_steps=20, prox_lr=0.5,
@@ -481,9 +482,10 @@ def test_toy_inner_ascent_keeps_the_former_bytes(lam):
                                lambda d: _reference_toy_step(ops.game, anchor, g, lam)(d)[1],
                                lambda d: _reference_toy_step(ops.game, anchor, g, lam)(d)[0]))
                 want = duality_gap(state, None, cfg, Rng(configs))
-            fields = (*got.__dataclass_fields__, "dg_lambda", "dg_plain")
+            fields = ("v_dw", "v_gw_lambda", "v_gw_plain", "lam", "seed", "dg_lambda", "dg_plain")
             assert [float(getattr(got, f)).hex() for f in fields] == \
                 [float(getattr(want, f)).hex() for f in fields], game.name
+            assert got.cfg == want.cfg == cfg, game.name
     assert configs == 30
 
 
@@ -635,20 +637,26 @@ def test_report_arithmetic_is_exact():
 
 def test_report_derives_its_gaps():
     # the gaps are the same subtractions the estimators once stored, computed
-    # on read; they cannot be passed in, so they cannot disagree
+    # on read, and lam is read off the config; none of them can be passed in,
+    # so they cannot disagree
     v_dw, v_gw_lambda, v_gw_plain = 0.1, np.float64(-0.7), -1.0 / 3.0
-    rep = GapReport(v_dw=v_dw, v_gw_lambda=v_gw_lambda, v_gw_plain=v_gw_plain, lam=0.1,
-                    worst_iters=1, prox_steps=1, seed=0)
+    cfg = ProximalConfig(lam=0.1, worst_iters=1, prox_steps=1)
+    rep = GapReport(v_dw=v_dw, v_gw_lambda=v_gw_lambda, v_gw_plain=v_gw_plain, cfg=cfg, seed=0)
     assert _hex(rep.dg_lambda) == _hex(v_dw - v_gw_lambda)
     assert _hex(rep.dg_plain) == _hex(v_dw - v_gw_plain)
     assert type(rep.dg_lambda) is type(v_dw - v_gw_lambda)
+    assert rep.lam == cfg.lam
     assert list(GapReport.__dataclass_fields__) == [
-        "v_dw", "v_gw_lambda", "v_gw_plain", "lam", "worst_iters", "prox_steps", "seed"]
+        "v_dw", "v_gw_lambda", "v_gw_plain", "cfg", "seed"]
     with pytest.raises(TypeError):
         GapReport(v_dw=1.0, v_gw_lambda=0.5, dg_lambda=0.4, v_gw_plain=0.5,
-                  dg_plain=0.5, lam=0.1, worst_iters=1, prox_steps=1, seed=0)
+                  dg_plain=0.5, cfg=cfg, seed=0)
+    with pytest.raises(TypeError):
+        GapReport(v_dw=1.0, v_gw_lambda=0.5, v_gw_plain=0.5, cfg=cfg, seed=0, lam=0.1)
     with pytest.raises(AttributeError):
         rep.dg_lambda = 0.0
+    with pytest.raises(AttributeError):
+        rep.lam = 1.0
 
 
 @pytest.mark.parametrize("game", shipped_games(), ids=lambda g: g.name)
@@ -712,6 +720,48 @@ def test_a_known_report_gives_the_rows_of_a_recomputation():
         for other_rng, other_cfg in ((Rng(22), cfg), (Rng(21), replace(cfg, worst_iters=2))):
             with pytest.raises(ValueError, match="another stream or budget"):
                 duality_gap(state, data, other_cfg, other_rng, known)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("prox_lr", 0.1), ("worst_lr", 0.05), ("sobolev_h", 1e-2), ("batch_size", 16),
+])
+def test_a_known_report_of_another_budget_is_refused(field, value):
+    # a report's identity is its whole config but lam, and its stream: one
+    # estimated under another rate, stencil step or batch is not reused
+    toy = ToyGameState(bilinear(), np.array([0.4]), np.array([-0.3]))
+    gan, splits, gan_cfg = _small_gan_setup()
+    for state, data, cfg in ((toy, None, replace(TOY_CFG, worst_iters=20)), (gan, splits, gan_cfg)):
+        known = duality_gap(state, data, cfg, Rng(5))
+        other = replace(cfg, **{field: value})
+        with pytest.raises(ValueError, match="another stream or budget"):
+            duality_gap(state, data, other, Rng(5), known)
+        with pytest.raises(ValueError, match="another stream or budget"):
+            lambda_sweep(state, data, [0.01, cfg.lam], other, Rng(5), known)
+        # under the same config at another lambda the report is reused
+        assert duality_gap(state, data, replace(cfg, lam=1.0), Rng(5), known) == \
+            duality_gap(state, data, replace(cfg, lam=1.0), Rng(5))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_a_search_whose_gradient_overflows_adam_fails_by_name():
+    # 1e300 squares to inf in Adam's second moment, which would freeze that
+    # coordinate on every later step; the search stops with a named failure
+    steps = gapmetrics._adam_search(np.zeros(2), lambda params, batch: np.array([1e300, 1.0]),
+                                    lambda params: params, lambda: None, 0.01, 3)
+    assert np.array_equal(next(steps), np.zeros(2))
+    with pytest.raises(NonFiniteError) as err:
+        next(steps)
+    assert err.value.op == "adam"
+    # and so do the estimators' searches on a game that steep
+    steep = ToyGameState(ToyGame("steep", lambda d, g: np.sum(1e300 * d * g, axis=-1),
+                                 ((-1.0, 1.0),), ((-1.0, 1.0),)), [0.5], [0.5])
+    for estimate in (estimate_v_dw, estimate_v_gw_lambda, estimate_v_gw_plain):
+        with pytest.raises(NonFiniteError) as err:
+            estimate(steep, None, TOY_CFG, Rng(3))
+        assert err.value.op == "adam", estimate.__name__
+    with pytest.raises(NonFiniteError) as err:
+        unilateral_deviation(steep, None, steps=5, lr=0.01, eval_every=1, rng=Rng(3))
+    assert err.value.op == "adam"
 
 
 def test_lambda_sweep_estimates_lambda_independent_terms_once(monkeypatch):

@@ -216,10 +216,11 @@ def test_every_checkpoint_rescores_to_its_metrics_row(tiny_run):
         gap = gap_cmd(path)
         assert [f"{gap.dg_plain:.12g}", f"{gap.dg_lambda:.12g}"] == [row["dg_plain"],
                                                                      row["dg_lambda"]]
-        scores = runner.score_checkpoint(ckpt.state, rebuild_splits(ckpt.cfg), ckpt.cfg,
-                                         ckpt.step)
+        scores, report = runner.score_checkpoint(ckpt.state, rebuild_splits(ckpt.cfg),
+                                                 ckpt.cfg, ckpt.step)
         assert [f"{x:.12g}" for x in scores] == [row["dg_plain"], row["dg_lambda"],
                                                  row["hist_jsd"]]
+        assert report == gap == ckpt.gap
 
 
 def test_train_has_one_update_step_and_only_oracles_bins_histograms():
@@ -323,6 +324,27 @@ def test_load_checkpoint_rejects_a_sidecar_with_other_arrays(tiny_run, tmp_path,
     dst.with_suffix(".json").write_text(json.dumps(sidecar))
     with pytest.raises(ValueError, match="sidecar .* lists arrays"):
         load_checkpoint(dst.with_suffix(".npz"))
+
+
+@pytest.mark.parametrize("keep_gap", [False, True], ids=["no_gap", "gap"])
+def test_load_checkpoint_rejects_a_sidecar_of_another_step(tiny_run, tmp_path, capsys,
+                                                          keep_gap):
+    # the step is written twice, in the sidecar and in the arrays' counters;
+    # a sidecar paired with another step's arrays would estimate on that
+    # step's stream (or reuse its estimates) at the wrong parameters
+    src = tiny_run / "checkpoint_000020"
+    sidecar = json.loads(src.with_suffix(".json").read_text())
+    sidecar["step"] = 40
+    if not keep_gap:
+        del sidecar["gap"]
+    dst = tmp_path / "checkpoint_000040"
+    dst.with_suffix(".npz").write_bytes(src.with_suffix(".npz").read_bytes())
+    dst.with_suffix(".json").write_text(json.dumps(sidecar))
+    with pytest.raises(ValueError, match="of step 40, its arrays .* of step 20"):
+        load_checkpoint(dst.with_suffix(".npz"))
+    capsys.readouterr()
+    assert main(["gap", "--checkpoint", str(dst.with_suffix(".npz"))]) == 2
+    assert capsys.readouterr().err.startswith("error: checkpoint sidecar")
 
 
 @pytest.mark.parametrize("name,tamper,player", [
@@ -737,18 +759,34 @@ def test_cli_names_an_estimator_failure_without_a_traceback(tmp_path, capsys):
         assert capsys.readouterr().err == "error: non-finite values produced by op 'matmul'\n"
 
 
+def _overflowing_linear_checkpoint(tmp_path, worst_iters):
+    """A linear WGAN critic at weight 1 against a linear generator at 1e300."""
+    cfg = config_from_text(TINY + "objective.kind = wgan_clip\nobjective.clip = 1e306\n"
+                                  f"disc.hidden =\ngen.hidden =\nprox.worst_iters = {worst_iters}\n")
+    return _checkpoint_with(tmp_path, cfg, np.ones(cfg.d_spec.param_count),
+                            np.full(cfg.g_spec.param_count, 1e300))
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_cli_names_the_inner_step_of_a_diverged_ascent(tmp_path, capsys):
     # linear nets: the critic's first ascent step on 1e300-scale generated rows
-    # lands on a weight that overflows the next step's matmul
-    cfg = config_from_text(TINY + "objective.kind = wgan_clip\nobjective.clip = 1e306\n"
-                                  "disc.hidden =\ngen.hidden =\nprox.worst_iters = 2\n")
-    path = _checkpoint_with(tmp_path, cfg, np.ones(cfg.d_spec.param_count),
-                            np.full(cfg.g_spec.param_count, 1e300))
+    # lands on a weight that overflows the next step's matmul; with no search
+    # step, the inner ascent on the evaluation split is the first to run into it
+    path = _overflowing_linear_checkpoint(tmp_path, 0)
     assert main(["gap", "--checkpoint", path]) == 1
     assert capsys.readouterr().err == (
         "error: penalized ascent diverged at inner step 1: "
         "non-finite values produced by op 'matmul'\n")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_cli_names_a_search_step_whose_adam_moment_overflows(tmp_path, capsys):
+    # the v_dw search's gradient on the same rows squares to inf in Adam's
+    # second moment: the search stops there, named, instead of freezing the
+    # coordinate and going on
+    path = _overflowing_linear_checkpoint(tmp_path, 2)
+    assert main(["gap", "--checkpoint", path]) == 1
+    assert capsys.readouterr().err == "error: non-finite values produced by op 'adam'\n"
 
 
 def test_cli_missing_config_reports_error(tmp_path):

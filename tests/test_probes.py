@@ -43,6 +43,7 @@ from proxgap.oracles import (
 from proxgap.probes import (
     DISCRIMINATOR,
     GENERATOR,
+    NASH_TOL,
     PROBE_BATCH,
     DeviationTrace,
     SpectrumReport,
@@ -436,9 +437,25 @@ def test_spectrum_requires_tanh():
         hessian_spectrum_probe(state, splits, GENERATOR, k=1, rng=Rng(12))
 
 
-def test_spectrum_report_flag_validation():
-    with pytest.raises(ValueError):
+def test_spectrum_report_derives_its_flag_and_tolerance():
+    # the flag is read off the eigenvalues at the one tolerance, so neither can
+    # be passed in, and a report cannot contradict its eigenvalues
+    assert list(SpectrumReport.__dataclass_fields__) == ["eigenvalues", "agent", "converged"]
+    for agent, values, flag in [
+        (GENERATOR, (-1.0,), False), (GENERATOR, (2.0, -NASH_TOL), True),
+        (GENERATOR, (2.0, -2 * NASH_TOL), False), (DISCRIMINATOR, (-1.0, NASH_TOL), True),
+        (DISCRIMINATOR, (-1.0, 2 * NASH_TOL), False),
+    ]:
+        report = SpectrumReport(values, agent, (True,) * len(values))
+        assert report.nash_consistent is flag, (agent, values)
+        assert report.tolerance == SpectrumReport.tolerance == NASH_TOL
+    with pytest.raises(TypeError):
         SpectrumReport((-1.0,), GENERATOR, True, 1e-3, (True,))
+    for name, value in (("nash_consistent", True), ("tolerance", 1.0)):
+        with pytest.raises(TypeError):
+            SpectrumReport((-1.0,), GENERATOR, (True,), **{name: value})
+        with pytest.raises(AttributeError):
+            setattr(report, name, value)
 
 
 def test_spectrum_rejects_bad_agent():
