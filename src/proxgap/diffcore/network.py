@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,9 +70,7 @@ class ParamVector:
     layout: dict = field(compare=False)
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=np.float64).ravel()
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("parameters must be finite")
+        vals = _finite_copy(self.values)
         total = sum(length for _, length in self.layout.values())
         if total != vals.size:
             raise ValueError(f"layout covers {total} values, got {vals.size}")
@@ -84,11 +83,27 @@ class ParamVector:
         return self.values.size
 
     def with_values(self, values) -> "ParamVector":
-        return ParamVector(values, self.layout)
+        """A vector of this layout holding ``values``.  The layout was checked
+        when ``self`` was built, so only the values are, with the constructor's
+        messages."""
+        vals = _finite_copy(values)
+        if vals.size != self.values.size:
+            raise ValueError(f"layout covers {self.values.size} values, got {vals.size}")
+        vals.flags.writeable = False
+        new = object.__new__(ParamVector)
+        new.__dict__.update(values=vals, layout=self.layout)
+        return new
 
     def segment(self, name: str) -> np.ndarray:
         off, length = self.layout[name]
         return self.values[off:off + length]
+
+
+def _finite_copy(values) -> np.ndarray:
+    vals = np.array(values, dtype=np.float64).ravel()
+    if not np.isfinite(vals).all():
+        raise ValueError("parameters must be finite")
+    return vals
 
 
 def init_network(spec: NetworkSpec, rng: Rng) -> ParamVector:
@@ -154,9 +169,10 @@ class MlpWorkspace:
     """Buffers for ``mlp_forward``/``mlp_backward`` on one spec and row count.
 
     One buffer per layer pre-activation (activated in place), one boolean
-    buffer per layer for the finite check and the gates, one gate buffer per
-    hidden leaky-ReLU layer, and the backward pass's two work buffers, made
-    by the first backward pass so that forward-only calls never map them.
+    buffer per layer for the gates and the entrywise finite check, one gate
+    buffer per hidden leaky-ReLU layer, and the backward pass's two work
+    buffers and row of ones, made by the first backward pass so that
+    forward-only calls never map them.
     """
 
     def __init__(self, spec: NetworkSpec, n: int):
@@ -165,7 +181,7 @@ class MlpWorkspace:
         self.pre = [np.empty((n, fo)) for _, fo in shapes]
         self.masks = [np.empty((n, fo), dtype=bool) for _, fo in shapes]
         self.gates = [np.empty((n, fo)) if leaky else None for _, fo in shapes[:-1]]
-        self.bufs = None
+        self.bufs = self.ones = None
 
 
 def mlp_forward(spec: NetworkSpec, theta, batch, work: MlpWorkspace = None):
@@ -176,6 +192,10 @@ def mlp_forward(spec: NetworkSpec, theta, batch, work: MlpWorkspace = None):
     used.  Raises NonFiniteError when a pre-activation is non-finite, which
     also catches a matmul overflow that a saturating activation would hide,
     naming the op at which ``forward_graph`` would have stopped.
+
+    A layer's check is one reduction, the sum of its squared pre-activations
+    (a BLAS dot, which raises no floating-point warning): it is non-finite
+    whenever an entry is, and only then does the entrywise check run.
     """
     vals = _param_values(theta)
     if vals.size != spec.param_count:
@@ -198,7 +218,7 @@ def mlp_forward(spec: NetworkSpec, theta, batch, work: MlpWorkspace = None):
         z, mask = work.pre[i], work.masks[i]
         np.matmul(x, w, out=z)
         z += b
-        if not np.isfinite(z, out=mask).all():
+        if not math.isfinite(np.vdot(z, z)) and not np.isfinite(z, out=mask).all():
             raise NonFiniteError(_failed_op(spec, vals, x, w, i))
         inputs.append(x)
         if i < last:
@@ -209,12 +229,11 @@ def mlp_forward(spec: NetworkSpec, theta, batch, work: MlpWorkspace = None):
                 gates.append(np.greater(z, 0.0, out=mask))
                 x = np.maximum(z, 0.0, out=z)
             else:
-                # where(z > 0, 1, slope) as (not z > 0) * slope + (z > 0), exactly
+                # where(z > 0, 1, slope): exactly 1.0 and leaky_slope
                 gate = work.gates[i]
                 np.greater(z, 0.0, out=mask)
-                np.logical_not(mask, out=gate)
-                gate *= spec.leaky_slope
-                gate += mask
+                gate.fill(spec.leaky_slope)
+                np.putmask(gate, mask, 1.0)
                 gates.append(gate)
                 x = np.multiply(z, gate, out=z)
         elif spec.output_head == "sigmoid":
@@ -224,10 +243,12 @@ def mlp_forward(spec: NetworkSpec, theta, batch, work: MlpWorkspace = None):
     return x, (inputs, gates, x, work)
 
 
-def mlp_backward(spec: NetworkSpec, theta, cache, grad_out):
+def mlp_backward(spec: NetworkSpec, theta, cache, grad_out, input_grad: bool = True):
     """Backward pass of ``mlp_forward``: (dL/dtheta, dL/dbatch) given dL/doutputs.
 
     dL/dtheta is a fresh array; dL/dbatch aliases the forward's workspace.
+    With ``input_grad=False`` the pass stops before layer 0's input gradient
+    and returns None in its place.
     """
     vals = _param_values(theta)
     inputs, gates, out, work = cache
@@ -236,20 +257,22 @@ def mlp_backward(spec: NetworkSpec, theta, cache, grad_out):
         g = g * out * (1.0 - out)
     grad = np.empty(spec.param_count)
     n = g.shape[0]
-    ones = np.ones(n)
     shapes = spec.layer_shapes()
     # two work buffers, used in turn for the next gradient and as scratch
     if work.bufs is None:
         width = max(fi for fi, _ in shapes)
         work.bufs = (np.empty(n * width), np.empty(n * width))
+        work.ones = np.ones(n)
     bufs = work.bufs
     off = spec.param_count
     for i in range(len(shapes) - 1, -1, -1):
         fi, fo = shapes[i]
         off -= fi * fo + fo
+        np.matmul(inputs[i].T, g, out=grad[off:off + fi * fo].reshape(fi, fo))
+        np.matmul(work.ones, g, out=grad[off + fi * fo:off + fi * fo + fo])
+        if i == 0 and not input_grad:
+            return grad, None
         w = vals[off:off + fi * fo].reshape(fi, fo)
-        grad[off:off + fi * fo] = (inputs[i].T @ g).ravel()
-        grad[off + fi * fo:off + fi * fo + fo] = ones @ g
         nxt = bufs[i % 2][:n * fi].reshape(n, fi)
         if fo > 1:
             np.matmul(g, w.T, out=nxt)
@@ -283,7 +306,7 @@ def finite_value_and_grad(value, grad):
     The kernel and the objective's leaf-graph replay name the forward ops, so
     what is non-finite only here came from the backward pass.
     """
-    if not (np.isfinite(value) and np.isfinite(grad).all()):
+    if not (math.isfinite(value) and np.isfinite(grad).all()):
         raise NonFiniteError("backward")
     return value, grad
 

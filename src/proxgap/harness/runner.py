@@ -339,8 +339,13 @@ def load_checkpoint(path) -> Checkpoint:
         raise FileNotFoundError(f"missing checkpoint file or sidecar for {path}")
     with open(sidecar_path, "r", encoding="utf-8") as fh:
         sidecar = json.load(fh)
+    if not isinstance(sidecar, dict):
+        raise ValueError(f"checkpoint sidecar {sidecar_path} is not a JSON object")
     if sidecar.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"unsupported checkpoint format {sidecar.get('format')!r}")
+    for key in ("config", "step", "rng_state"):
+        if key not in sidecar:
+            raise ValueError(f"checkpoint sidecar {sidecar_path} has no {key!r} key")
     cfg = config_from_pairs(sidecar["config"])
     shapes = _checkpoint_arrays(cfg)
     if sidecar.get("arrays") != list(shapes):

@@ -14,6 +14,7 @@ proximal objective's per-step V - lam * dist^2; at lam = 0 it is V itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -189,7 +190,7 @@ def check_clip_box(objective, theta_d):
         return
     vals = theta_d.data if isinstance(theta_d, Tensor) else np.asarray(
         getattr(theta_d, "values", theta_d))
-    if np.max(np.abs(vals)) > objective.clip + 1e-12:
+    if np.abs(vals).max() > objective.clip + 1e-12:
         raise ClipBoxError("discriminator parameters outside the clip box")
 
 
@@ -225,16 +226,21 @@ def _outputs_value_and_grads(objective: ObjectiveKind, d_real, d_fake):
         hi = 1.0 - EPS_LOG
         pr = d_real.clip(EPS_LOG, hi)
         qf = 1.0 - d_fake.clip(EPS_LOG, hi)
-        value = np.log(pr).mean() + np.log(qf).mean()
+        value = _mean(np.log(pr)) + _mean(np.log(qf))
         return (value, ((1.0 / n) / pr) * ((d_real >= EPS_LOG) & (d_real <= hi)),
                 (-((1.0 / m) / qf)) * ((d_fake >= EPS_LOG) & (d_fake <= hi)))
     if isinstance(objective, WassersteinClip):
-        return d_real.mean() - d_fake.mean(), 1.0 / n, -1.0 / m
+        return _mean(d_real) - _mean(d_fake), 1.0 / n, -1.0 / m
     fam = objective.family
     t_fake = fam.output_map(d_fake)
-    value = fam.output_map(d_real).mean() - fam.f_star(t_fake).mean()
+    value = _mean(fam.output_map(d_real)) - _mean(fam.f_star(t_fake))
     return (value, fam.output_map_vjp(d_real, 1.0 / n),
             fam.output_map_vjp(d_fake, fam.f_star_vjp(t_fake, -1.0 / m)))
+
+
+def _mean(x):
+    # the value ``x.mean()`` returns, without its Python-level wrapper
+    return np.add.reduce(x, axis=None) / x.size
 
 
 def value_graph(state: GanState, theta_d, theta_g, real_batch, latent_batch):
@@ -286,7 +292,7 @@ def output_grads(objective: ObjectiveKind, outputs: np.ndarray, n_real: int):
         value, g_real, g_fake = _outputs_value_and_grads(objective, d_real, d_fake)
     grad = np.empty_like(outputs)
     grad[:n_real], grad[n_real:] = g_real, g_fake
-    if np.isfinite(value) and np.isfinite(grad).all():
+    if math.isfinite(value) and np.isfinite(grad).all():
         return float(value), grad
     d_real, d_fake = Tensor(d_real), Tensor(d_fake)
     v = objective_from_outputs(objective, d_real, d_fake)
@@ -335,7 +341,8 @@ def penalized_step_fn(state, anchor, theta_g, real, latent, lam, h):
             diff = columns[:, :, 0] - anchor_grads.T
             d_col = 2.0 * ((-lam / n) * diff) * (1.0 / (2.0 * h))
             grad_out = np.vstack([grad_out, np.stack([d_col, -d_col], axis=1).reshape(-1, 1)])
-        return finite_value_and_grad(float(value), mlp_backward(spec, theta, cache, grad_out)[0])
+        return finite_value_and_grad(
+            float(value), mlp_backward(spec, theta, cache, grad_out, input_grad=False)[0])
 
     return value_and_grad
 
@@ -375,7 +382,8 @@ def value_and_grad_g(state, theta_d: ParamVector, theta_g: ParamVector,
     v, grad_out = output_grads(state.objective, out, real.shape[0])
     grad_rows = mlp_backward(state.d_spec, theta_d, d_cache, grad_out)[1]
     return finite_value_and_grad(
-        v, mlp_backward(state.g_spec, theta_g, g_cache, grad_rows[real.shape[0]:])[0])
+        v, mlp_backward(state.g_spec, theta_g, g_cache, grad_rows[real.shape[0]:],
+                        input_grad=False)[0])
 
 
 def fenchel_identity_residual(family: FGanFamily, t: float) -> float:
@@ -392,4 +400,4 @@ def enforce_constraint(objective, theta_d: ParamVector) -> ParamVector:
     if not isinstance(objective, WassersteinClip):
         return theta_d
     c = objective.clip
-    return theta_d.with_values(np.clip(theta_d.values, -c, c))
+    return theta_d.with_values(np.minimum(np.maximum(theta_d.values, -c), c))

@@ -68,6 +68,33 @@ def test_param_vector_immutable_and_finite():
         ParamVector(np.array([np.inf]), {"w": (0, 1)})
 
 
+@pytest.mark.parametrize("values", [[1.0], [1.0, 2.0, 3.0], [np.nan, 1.0], [1.0, -np.inf]],
+                         ids=["short", "long", "nan", "inf"])
+def test_param_vector_with_values_checks_the_new_values(values):
+    # with_values reuses the checked layout and checks only the values, with
+    # the constructor's messages
+    layout = {"w": (0, 1), "b": (1, 1)}
+    pv = ParamVector(np.array([1.0, 2.0]), layout)
+    with pytest.raises(ValueError) as built:
+        ParamVector(np.array(values), layout)
+    with pytest.raises(ValueError) as swapped:
+        pv.with_values(np.array(values))
+    assert str(swapped.value) == str(built.value)
+
+
+def test_param_vector_with_values_is_a_read_only_copy():
+    pv = ParamVector(np.array([1.0, 2.0]), {"w": (0, 1), "b": (1, 1)})
+    source = np.array([[3.0], [-4.0]])
+    new = pv.with_values(source)
+    assert isinstance(new, ParamVector) and new.layout is pv.layout
+    assert new.values.shape == (2,) and new.values.tobytes() == np.array([3.0, -4.0]).tobytes()
+    with pytest.raises(ValueError):
+        new.values[0] = 5.0
+    source[0, 0] = 7.0  # the vector holds a copy
+    assert new.values[0] == 3.0 and source.flags.writeable
+    assert pv.values.tobytes() == np.array([1.0, 2.0]).tobytes()
+
+
 # -- forward -----------------------------------------------------------
 
 

@@ -32,6 +32,8 @@ from proxgap.diffcore import (
     mlp_backward,
     mlp_forward,
 )
+from proxgap.diffcore.engine import _param_values, _sigmoid
+from proxgap.diffcore.network import _failed_op
 from proxgap.distributions import GaussianMixture, make_splits
 from proxgap.gapmetrics import (
     ProxDivergenceError,
@@ -117,6 +119,131 @@ def test_kernel_rejects_what_the_graph_rejects():
         mlp_forward(spec, params.values[:-1], np.zeros((3, 2)))
     with pytest.raises(ValueError):
         mlp_forward(spec, params, np.zeros((3, 3)))
+
+
+# -- the former kernel ---------------------------------------------------------
+#
+# The kernel once checked each layer entrywise, built the leaky-ReLU gate in
+# five calls, copied each parameter gradient out of a temporary and always ran
+# layer 0's input gradient.  That code is kept here as the byte reference.
+
+
+class _ReferenceWorkspace:
+    def __init__(self, spec: NetworkSpec, n: int):
+        shapes = spec.layer_shapes()
+        leaky = spec.activation == "leaky_relu"
+        self.pre = [np.empty((n, fo)) for _, fo in shapes]
+        self.masks = [np.empty((n, fo), dtype=bool) for _, fo in shapes]
+        self.gates = [np.empty((n, fo)) if leaky else None for _, fo in shapes[:-1]]
+        self.bufs = None
+
+
+def _reference_mlp_forward(spec: NetworkSpec, theta, batch, work=None):
+    vals = _param_values(theta)
+    x = np.asarray(batch, dtype=np.float64)
+    if work is None:
+        work = _ReferenceWorkspace(spec, x.shape[0])
+    shapes = spec.layer_shapes()
+    last = len(shapes) - 1
+    inputs, gates = [], []
+    off = 0
+    for i, (fi, fo) in enumerate(shapes):
+        w = vals[off:off + fi * fo].reshape(fi, fo)
+        b = vals[off + fi * fo:off + fi * fo + fo]
+        off += fi * fo + fo
+        z, mask = work.pre[i], work.masks[i]
+        np.matmul(x, w, out=z)
+        z += b
+        if not np.isfinite(z, out=mask).all():
+            raise NonFiniteError(_failed_op(spec, vals, x, w, i))
+        inputs.append(x)
+        if i < last:
+            if spec.activation == "tanh":
+                gates.append(None)
+                x = np.tanh(z, out=z)
+            elif spec.activation == "relu":
+                gates.append(np.greater(z, 0.0, out=mask))
+                x = np.maximum(z, 0.0, out=z)
+            else:
+                gate = work.gates[i]
+                np.greater(z, 0.0, out=mask)
+                np.logical_not(mask, out=gate)
+                gate *= spec.leaky_slope
+                gate += mask
+                gates.append(gate)
+                x = np.multiply(z, gate, out=z)
+        elif spec.output_head == "sigmoid":
+            x = _sigmoid(z)
+        else:
+            x = z
+    return x, (inputs, gates, x, work)
+
+
+def _reference_mlp_backward(spec: NetworkSpec, theta, cache, grad_out):
+    vals = _param_values(theta)
+    inputs, gates, out, work = cache
+    g = np.asarray(grad_out, dtype=np.float64)
+    if spec.output_head == "sigmoid":
+        g = g * out * (1.0 - out)
+    grad = np.empty(spec.param_count)
+    n = g.shape[0]
+    ones = np.ones(n)
+    shapes = spec.layer_shapes()
+    if work.bufs is None:
+        width = max(fi for fi, _ in shapes)
+        work.bufs = (np.empty(n * width), np.empty(n * width))
+    bufs = work.bufs
+    off = spec.param_count
+    for i in range(len(shapes) - 1, -1, -1):
+        fi, fo = shapes[i]
+        off -= fi * fo + fo
+        w = vals[off:off + fi * fo].reshape(fi, fo)
+        grad[off:off + fi * fo] = (inputs[i].T @ g).ravel()
+        grad[off + fi * fo:off + fi * fo + fo] = ones @ g
+        nxt = bufs[i % 2][:n * fi].reshape(n, fi)
+        if fo > 1:
+            np.matmul(g, w.T, out=nxt)
+        else:
+            np.multiply(g, w.T, out=nxt)
+        g = nxt
+        if i > 0:
+            if gates[i - 1] is None:
+                scratch = bufs[(i + 1) % 2][:n * fi].reshape(n, fi)
+                np.multiply(inputs[i], inputs[i], out=scratch)
+                g *= np.subtract(1.0, scratch, out=scratch)
+            else:
+                g *= gates[i - 1]
+    return grad, g
+
+
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+@pytest.mark.parametrize("head", HEADS)
+@pytest.mark.parametrize("rows", [1, 64, 768])
+def test_kernel_keeps_the_former_kernels_bytes(activation, head, rows):
+    rng = Rng(1000 * rows + 10 * ACTIVATIONS.index(activation) + HEADS.index(head))
+    # a critic-like net with one output and a generator-like one with two
+    specs = (NetworkSpec(2, (32, 32), 1, activation=activation, output_head=head),
+             NetworkSpec(3, (32, 16), 2, activation=activation, output_head=head,
+                         leaky_slope=0.3))
+    for k, spec in enumerate(specs):
+        work = MlpWorkspace(spec, rows)
+        for trial in range(3):
+            theta = init_network(spec, rng.child(k, trial, 0))
+            batch = rng.child(k, trial, 1).normal((rows, spec.input_dim))
+            weights = rng.child(k, trial, 2).normal((rows, spec.output_dim))
+            want_out, want_cache = _reference_mlp_forward(spec, theta, batch)
+            want_grad, want_grad_x = _reference_mlp_backward(spec, theta, want_cache, weights)
+            # fresh buffers, then one workspace reused across the trials
+            for buffers in (None, work):
+                out, cache = mlp_forward(spec, theta, batch, buffers)
+                assert out.tobytes() == want_out.tobytes()
+                grad, grad_x = mlp_backward(spec, theta, cache, weights)
+                assert grad.tobytes() == want_grad.tobytes()
+                assert grad_x.tobytes() == want_grad_x.tobytes()
+                # the call that stops before layer 0's input gradient
+                out, cache = mlp_forward(spec, theta, batch, buffers)
+                grad, grad_x = mlp_backward(spec, theta, cache, weights, input_grad=False)
+                assert grad_x is None and grad.tobytes() == want_grad.tobytes()
 
 
 # -- objectives: value_and_grad_d/g and eval_objective -------------------------
@@ -392,6 +519,23 @@ def test_kernel_catches_an_overflow_that_tanh_hides():
     with pytest.raises(NonFiniteError) as err:
         forward(state.d_spec, huge, real)
     assert err.value.op == "matmul"
+    # finite pre-activations whose sum, and sum of squares, overflow pass the
+    # layer's check: a linear output layer of +-1e308 entries, and a tanh
+    # layer of 1e308 entries that a finite output layer follows
+    linear = NetworkSpec(1, (), 1)
+    tanh = NetworkSpec(1, (2,), 1)
+    for spec, theta, batch in (
+            (linear, np.array([1e308, 0.0]), np.array([[1.0], [1.0], [-1.0], [1.0]])),
+            (tanh, np.array([1e308, 1e308, 0.0, 0.0, 0.5, -0.25, 0.0]), np.ones((3, 1)))):
+        fo = spec.layer_shapes()[0][1]
+        pre = batch * theta[:fo] + theta[fo:2 * fo]  # layer 0 of a one-input net
+        with np.errstate(over="ignore"):
+            assert np.isfinite(pre).all() and np.isinf(pre.sum())
+        want = _reference_mlp_forward(spec, theta, batch)[0]
+        for work in (None, MlpWorkspace(spec, batch.shape[0])):
+            out = mlp_forward(spec, theta, batch, work)[0]
+            assert out.tobytes() == want.tobytes()
+            np.testing.assert_array_equal(out, forward_graph(spec, theta, batch).data)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -435,36 +579,56 @@ def test_nonfinite_objective_value_is_named_by_the_graph():
 
 
 def _failure_cases():
-    """(spec, theta values, batch) whose forward pass fails at each op the kernel names."""
+    """Case -> (op, spec, theta values, batch) whose forward pass fails at that op.
+
+    The cases named after an op alone fail across a row or a layer; the others
+    hold one non-finite entry, or an inf/-inf pair whose plain sum is nan, in
+    the pre-activation the kernel checks."""
     tanh = NetworkSpec(2, (4,), 1)
     theta = init_network(tanh, Rng(0)).values
     ones = np.ones((3, 2))
     nan_theta = theta.copy()
     nan_theta[-1] = np.nan  # the output bias: layer 0 still runs
     linear = NetworkSpec(1, (), 1)  # one layer: W0 then b0
+    wide = NetworkSpec(1, (), 2)
     # a slope above 1 takes a finite -1e308 pre-activation to -inf
     steep = NetworkSpec(1, (1,), 1, activation="leaky_relu", leaky_slope=10.0)
     return {
-        "leaf": (tanh, theta, np.array([[0.0, 1.0], [np.nan, 0.0], [1.0, 1.0]])),
-        "matmul": (tanh, np.full(theta.size, 1e308), ones + 1.0),
-        "add": (linear, np.array([1.5e308, 1.5e308]), np.ones((3, 1))),
-        "theta": (tanh, nan_theta, ones),
-        "leaky_relu": (steep, np.array([-1e308, 0.0, 1.0, 0.0]), np.ones((3, 1))),
+        "leaf": ("leaf", tanh, theta, np.array([[0.0, 1.0], [np.nan, 0.0], [1.0, 1.0]])),
+        "matmul": ("matmul", tanh, np.full(theta.size, 1e308), ones + 1.0),
+        "add": ("add", linear, np.array([1.5e308, 1.5e308]), np.ones((3, 1))),
+        "theta": ("theta", tanh, nan_theta, ones),
+        "leaky_relu": ("leaky_relu", steep, np.array([-1e308, 0.0, 1.0, 0.0]), np.ones((3, 1))),
+        # [1, nan, 2]
+        "leaf_lone_nan": ("leaf", linear, np.array([1.0, 0.0]), np.array([[1.0], [np.nan], [2.0]])),
+        # [1e308, inf, -1e308]
+        "matmul_lone_inf": ("matmul", linear, np.array([1e308, 0.0]),
+                            np.array([[1.0], [10.0], [-1.0]])),
+        # [inf, -inf]
+        "matmul_inf_pair": ("matmul", linear, np.array([1e308, 0.0]), np.array([[10.0], [-10.0]])),
+        # [inf, 1.5e308, 0]
+        "add_lone_inf": ("add", linear, np.array([1.5e308, 1.5e308]),
+                         np.array([[1.0], [0.0], [-1.0]])),
+        # [[inf, -inf]]
+        "add_inf_pair": ("add", wide, np.array([1.5e308, -1.5e308, 1.5e308, -1.5e308]),
+                         np.ones((1, 1))),
     }
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-@pytest.mark.parametrize("op", sorted(_failure_cases()))
-def test_kernel_names_the_op_that_forward_graph_names(op):
-    spec, theta, batch = _failure_cases()[op]
+@pytest.mark.parametrize("case", sorted(_failure_cases()))
+def test_kernel_names_the_op_that_forward_graph_names(case):
+    op, spec, theta, batch = _failure_cases()[case]
     with pytest.raises(NonFiniteError) as graph_err:
         forward_graph(spec, theta, batch)
+    with pytest.raises(NonFiniteError) as former_err:
+        _reference_mlp_forward(spec, theta, batch)
     with pytest.raises(NonFiniteError) as err:
         mlp_forward(spec, theta, batch)
     with pytest.raises(NonFiniteError) as work_err:
         mlp_forward(spec, theta, batch, MlpWorkspace(spec, batch.shape[0]))
-    assert err.value.op == work_err.value.op == graph_err.value.op == op
+    assert err.value.op == work_err.value.op == graph_err.value.op == former_err.value.op == op
     if op != "theta":  # a ParamVector cannot hold a non-finite value
         with pytest.raises(NonFiniteError) as err:
             forward(spec, ParamVector(theta, spec.layout()), batch)

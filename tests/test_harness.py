@@ -347,6 +347,30 @@ def test_load_checkpoint_rejects_a_sidecar_of_another_step(tiny_run, tmp_path, c
     assert capsys.readouterr().err.startswith("error: checkpoint sidecar")
 
 
+@pytest.mark.parametrize("tamper,message", [
+    (lambda sidecar: sidecar.pop("config"), "has no 'config' key"),
+    (lambda sidecar: sidecar.pop("step"), "has no 'step' key"),
+    (lambda sidecar: sidecar.pop("rng_state"), "has no 'rng_state' key"),
+    (lambda sidecar: sidecar.clear() or sidecar.update(items=[1, 2]), "is not a JSON object"),
+], ids=["no_config", "no_step", "no_rng_state", "list"])
+def test_load_checkpoint_names_what_a_sidecar_lacks(tiny_run, tmp_path, capsys, tamper,
+                                                    message):
+    src = tiny_run / "checkpoint_000020"
+    sidecar = json.loads(src.with_suffix(".json").read_text())
+    tamper(sidecar)
+    dst = tmp_path / "checkpoint_000020"
+    dst.with_suffix(".npz").write_bytes(src.with_suffix(".npz").read_bytes())
+    # a list-valued sidecar is written as the JSON list itself
+    dst.with_suffix(".json").write_text(json.dumps(sidecar.get("items", sidecar)))
+    with pytest.raises(ValueError, match=f"checkpoint sidecar .* {message}"):
+        load_checkpoint(dst.with_suffix(".npz"))
+    capsys.readouterr()
+    assert main(["gap", "--checkpoint", str(dst.with_suffix(".npz"))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: checkpoint sidecar") and message in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("name,tamper,player", [
     ("adam_d_v", lambda a: a - 1.0, "adam_d"),
     ("adam_g_m", lambda a: np.where(np.arange(a.size) == 2, np.nan, a), "adam_g"),
