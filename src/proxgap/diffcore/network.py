@@ -146,9 +146,10 @@ def forward_graph(spec: NetworkSpec, theta, batch) -> Tensor:
     return x
 
 
-def forward(spec: NetworkSpec, params: ParamVector, batch) -> np.ndarray:
-    """Plain forward evaluation, returning an n x output_dim array."""
-    return mlp_forward(spec, params, batch)[0]
+def forward(spec: NetworkSpec, params: ParamVector, batch, work=None) -> np.ndarray:
+    """Plain forward evaluation, returning an n x output_dim array; with an
+    ``MlpWorkspace`` it aliases the workspace, as ``mlp_forward``'s outputs do."""
+    return mlp_forward(spec, params, batch, work)[0]
 
 
 # -- the fused kernel ----------------------------------------------------------
@@ -173,6 +174,10 @@ class MlpWorkspace:
     buffer per hidden leaky-ReLU layer, and the backward pass's two work
     buffers and row of ones, made by the first backward pass so that
     forward-only calls never map them.
+
+    A workspace belongs to one loop (a training run, an estimator search)
+    and dies with it; the outputs of a call alias it until the next call
+    on it, so two results that must stay live need two workspaces.
     """
 
     def __init__(self, spec: NetworkSpec, n: int):
@@ -229,11 +234,7 @@ def mlp_forward(spec: NetworkSpec, theta, batch, work: MlpWorkspace = None):
                 gates.append(np.greater(z, 0.0, out=mask))
                 x = np.maximum(z, 0.0, out=z)
             else:
-                # where(z > 0, 1, slope): exactly 1.0 and leaky_slope
-                gate = work.gates[i]
-                np.greater(z, 0.0, out=mask)
-                gate.fill(spec.leaky_slope)
-                np.putmask(gate, mask, 1.0)
+                gate = _leaky_gate(z, spec.leaky_slope, mask, work.gates[i])
                 gates.append(gate)
                 x = np.multiply(z, gate, out=z)
         elif spec.output_head == "sigmoid":
@@ -241,6 +242,18 @@ def mlp_forward(spec: NetworkSpec, theta, batch, work: MlpWorkspace = None):
         else:
             x = z
     return x, (inputs, gates, x, work)
+
+
+def _leaky_gate(z, slope: float, mask, gate):
+    """where(z > 0, 1, slope) written into ``gate``, with ``mask`` left holding
+    z > 0: exactly 1.0 and ``slope`` for every finite slope but -0.0 (whose
+    gate entries are +0.0).  Arithmetic on the mask builds it without a
+    per-entry branch, which random sign patterns would mispredict."""
+    np.greater(z, 0.0, out=mask)
+    np.logical_not(mask, out=gate)
+    gate *= slope
+    gate += mask
+    return gate
 
 
 def mlp_backward(spec: NetworkSpec, theta, cache, grad_out, input_grad: bool = True):

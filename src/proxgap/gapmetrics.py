@@ -20,6 +20,7 @@ import numpy as np
 from .diffcore import NonFiniteError, ParamVector, Rng, adam_init, adam_step
 from .distributions import DataSplits, draw_minibatch
 from .objectives import (
+    GanBuffers,
     GanState,
     enforce_constraint,
     eval_objective,
@@ -131,6 +132,9 @@ class _GanOps:
         objective = state.objective
         self.project_d = lambda theta_d: enforce_constraint(objective, theta_d)
         self.project_g = lambda theta_g: theta_g
+        # the searches' kernel buffers: every step of a search reuses them,
+        # and they are dropped when it ends
+        self.buffers = GanBuffers(state)
 
     def draw_batch(self, size):
         return draw_minibatch(self.splits.s_b, size, self.state.latent_dim, self.rng)
@@ -142,19 +146,24 @@ class _GanOps:
     # against the fixed opponent, built once per search
     def grad_g_fn(self, theta_d):
         return lambda theta_g, batch: value_and_grad_g(
-            self.state, theta_d, theta_g, *batch)[1]
+            self.state, theta_d, theta_g, *batch, self.buffers)[1]
 
     def grad_d_fn(self, theta_g):
         # the penalized step at lam = 0, built on each batch
         return lambda theta_d, batch: self.make_prox(
             theta_d, theta_g, batch, 0.0, None)[0](theta_d)
 
+    def end_search(self):
+        self.buffers.clear()
+
     # make_prox(...) -> (gradient, value) of V - lam * dist^2(., anchor) on one
     # batch, as functions of the discriminator
     def make_prox(self, anchor, theta_g, batch, lam, h):
-        step_fn = penalized_step_fn(self.state, anchor, theta_g, *batch, lam, h)
-        # the gradient keeps the value: its finiteness check names a diverged step's op
-        return (lambda theta_d: step_fn(theta_d)[1]), (lambda theta_d: step_fn(theta_d)[0])
+        step_fn = penalized_step_fn(self.state, anchor, theta_g, *batch, lam, h, self.buffers)
+        # the gradient keeps the value: its finiteness check names a diverged
+        # step's op; the value alone stops before the backward pass
+        return ((lambda theta_d: step_fn(theta_d)[1]),
+                (lambda theta_d: step_fn(theta_d, backward=False)[0]))
 
 
 class _ToyOps:
@@ -169,6 +178,9 @@ class _ToyOps:
 
     def draw_batch(self, size):
         return None
+
+    def end_search(self):
+        pass  # toy games run no kernel, so there are no buffers to drop
 
     def eval_value(self, d, g) -> float:
         return toy_value(self.game, d, g)
@@ -249,10 +261,13 @@ def _last(iterates):
 
 def _worst_case(ops, start, descent_dir, project, cfg: ProximalConfig):
     """The last iterate of the estimators' search: `worst_iters` steps at
-    `worst_lr` on fresh search-split minibatches."""
-    return _last(_adam_search(start, descent_dir, project,
+    `worst_lr` on fresh search-split minibatches.  The search's kernel
+    buffers are dropped when it ends, before the held-out evaluation."""
+    last = _last(_adam_search(start, descent_dir, project,
                               lambda: ops.draw_batch(cfg.batch_size),
                               cfg.worst_lr, cfg.worst_iters))
+    ops.end_search()
+    return last
 
 
 # -- the estimators ----------------------------------------------------------

@@ -26,6 +26,7 @@ from ..gapmetrics import (
     lambda_sweep,
 )
 from ..objectives import (
+    GanBuffers,
     enforce_constraint,
     eval_objective,
     value_and_grad_d,
@@ -146,6 +147,7 @@ def train(cfg: ExperimentConfig) -> Path:
                   adam_init(len(state.theta_g), cfg.lr_g, cfg.beta1, cfg.beta2), v0)
     n = cfg.update_ratio
     cycle = [disc] * n + [gen] if n > 0 else [disc] + [gen] * -n
+    buffers = GanBuffers(state)  # the run's kernel buffers, reused by every update
 
     t_start = time.monotonic()
     started = time.time()
@@ -161,7 +163,7 @@ def train(cfg: ExperimentConfig) -> Path:
                     real, latent = draw_minibatch(splits.s_a, cfg.train_batch,
                                                   cfg.latent.dim, train_rng)
                     v, grad = player.value_and_grad(state, state.theta_d, state.theta_g,
-                                                    real, latent)
+                                                    real, latent, buffers)
                     params, adam = adam_step(getattr(state, player.theta),
                                              player.sign * grad, player.adam)
                     state = state.with_params(
@@ -172,6 +174,9 @@ def train(cfg: ExperimentConfig) -> Path:
                 break
             if step % cfg.checkpoint_interval:
                 continue
+            # the scoring searches own their buffers, so the run's are dropped
+            # first and add nothing to the scoring's peak
+            buffers.clear()
             scores, gap = score_checkpoint(state, splits, cfg, step)
             wall = (time.monotonic() - t_start) * 1000.0
             writer.writerow([step] + [f"{x:.12g}" for x in (disc.loss, gen.loss, *scores)]
@@ -370,12 +375,33 @@ def load_checkpoint(path) -> Checkpoint:
                                    int(t), lr, cfg.beta1, cfg.beta2))
         except ValueError as err:
             raise ValueError(f"checkpoint {path} holds a bad adam_{player} state: {err}") from err
-    step = int(sidecar["step"])
+    step = sidecar["step"]
+    if type(step) is not int:
+        raise ValueError(f"checkpoint sidecar {sidecar_path} has a step {step!r} that is not "
+                         f"an integer")
+    _check_rng_state(sidecar["rng_state"], sidecar_path)
     if step != counters[2]:
         raise ValueError(f"checkpoint sidecar {sidecar_path} is of step {step}, its arrays "
                          f"{path} of step {counters[2]}")
     gap = _stored_gap(sidecar.get("gap"), cfg, step, state, sidecar_path)
     return Checkpoint(cfg, state, *adams, step, sidecar["rng_state"], gap)
+
+
+def _is_uint(value, bits: int) -> bool:
+    return type(value) is int and 0 <= value < 2 ** bits
+
+
+def _check_rng_state(state, where) -> None:
+    """ValueError unless ``state`` is a PCG64 bit-generator state, as
+    ``Rng.state`` gives it: the two 128-bit words and the cached 32-bit draw."""
+    inner = state.get("state") if isinstance(state, dict) else None
+    if not (isinstance(inner, dict)
+            and sorted(state) == ["bit_generator", "has_uint32", "state", "uinteger"]
+            and state["bit_generator"] == "PCG64" and sorted(inner) == ["inc", "state"]
+            and _is_uint(inner["state"], 128) and _is_uint(inner["inc"], 128)
+            and _is_uint(state["has_uint32"], 1) and _is_uint(state["uinteger"], 32)):
+        raise ValueError(f"checkpoint sidecar {where} has an rng_state that is not a PCG64 "
+                         f"state: {state!r}")
 
 
 # -- gap, sweeps, probes -----------------------------------------------------

@@ -300,7 +300,39 @@ def output_grads(objective: ObjectiveKind, outputs: np.ndarray, n_real: int):
     return v.item(), np.vstack([d_real.grad, d_fake.grad])
 
 
-def penalized_step_fn(state, anchor, theta_g, real, latent, lam, h):
+class GanBuffers:
+    """The kernel buffers that one loop, a training run or an estimator search,
+    owns over a game's two networks.
+
+    It holds one ``MlpWorkspace`` per network and row count, built on the
+    first call that needs it and reused by every later one, and dies with
+    the loop.  A call's outputs alias its workspaces until the next call on
+    them, so a loop hands its buffers to one live step function at a time.
+    Building a workspace on more rows than any held drops those held: a
+    loop's row counts grow only when a phase ends (a search's last ascent
+    runs on the evaluation split), so a finished phase's buffers add nothing
+    to the next one's peak.
+    """
+
+    def __init__(self, state: GanState):
+        self._specs = {"g": state.g_spec, "d": state.d_spec}
+        self._works = {}
+
+    def work(self, net: str, n: int) -> MlpWorkspace:
+        """The workspace of network ``net`` ('g' or 'd') on n rows."""
+        work = self._works.get((net, n))
+        if work is None:
+            if all(held < n for _, held in self._works):
+                self._works.clear()
+            work = self._works[net, n] = MlpWorkspace(self._specs[net], n)
+        return work
+
+    def clear(self):
+        """Drop every workspace; the next calls build theirs afresh."""
+        self._works.clear()
+
+
+def penalized_step_fn(state, anchor, theta_g, real, latent, lam, h, buffers=None):
     """(value, gradient) of V(theta, theta_g) - lam * dist^2(theta, anchor) on one
     batch as a function of the discriminator copy theta, dist^2 being the mean
     squared input-gradient difference over the real rows (Sobolev distance).
@@ -310,10 +342,17 @@ def penalized_step_fn(state, anchor, theta_g, real, latent, lam, h):
     stencil rows stacked.  ``objective_from_outputs`` minus ``_sobolev_graph``
     is its graph oracle, whose op names its failures carry.  At lam = 0 it is
     V, and ``anchor`` and ``h`` are unused.  Callers check the clip box.
+
+    The kernel runs on ``buffers`` (a ``GanBuffers`` of this game), or on
+    fresh buffers without; the step function is the one user of those
+    buffers until its last call.  A call with ``backward=False`` stops
+    before the backward pass and returns (value, None).
     """
     real, latent = _batches(real, latent)
+    if buffers is None:  # fresh buffers for a one-shot caller
+        buffers = GanBuffers(state)
     spec = state.d_spec
-    fake = forward(state.g_spec, theta_g, latent)
+    fake = forward(state.g_spec, theta_g, latent, buffers.work("g", len(latent)))
     n, n_obj = real.shape[0], real.shape[0] + fake.shape[0]
     rows = [real, fake]
     if lam > 0:
@@ -321,9 +360,9 @@ def penalized_step_fn(state, anchor, theta_g, real, latent, lam, h):
         rows.append(stencil_rows(spec, real, h))
     rows = np.vstack(rows)
     # the stacked row count is fixed, so every call reuses one workspace
-    work = MlpWorkspace(spec, rows.shape[0])
+    work = buffers.work("d", len(rows))
 
-    def value_and_grad(theta):
+    def value_and_grad(theta, backward=True):
         out, cache = mlp_forward(spec, theta, rows, work)
         value, grad_out = output_grads(state.objective, out[:n_obj], n)
         if lam > 0:
@@ -336,6 +375,9 @@ def penalized_step_fn(state, anchor, theta_g, real, latent, lam, h):
                                                                Tensor(down[:, None]), h)
                                             for up, down in stencil], anchor_grads)
             value = penalized
+        if not backward:
+            return float(value), None
+        if lam > 0:
             # d/dcolumn_j of -lam * mean_i (column_j - anchor_j)^2, through the
             # stencil scaling to the + and - outputs
             diff = columns[:, :, 0] - anchor_grads.T
@@ -359,26 +401,32 @@ def _sobolev_sum(columns, anchor_grads):
 
 
 def value_and_grad_d(state, theta_d: ParamVector, theta_g: ParamVector,
-                     real_batch, latent_batch):
+                     real_batch, latent_batch, buffers=None):
     """(V, dV/dtheta_d); the generator side is treated as a constant.
 
-    The penalized step at lam = 0; the clip box is checked after the generator runs."""
-    step = penalized_step_fn(state, theta_d, theta_g, real_batch, latent_batch, 0.0, None)
+    The penalized step at lam = 0, on ``buffers`` as there; the clip box is
+    checked after the generator runs."""
+    step = penalized_step_fn(state, theta_d, theta_g, real_batch, latent_batch, 0.0, None,
+                             buffers)
     check_clip_box(state.objective, theta_d)
     return step(theta_d)
 
 
 def value_and_grad_g(state, theta_d: ParamVector, theta_g: ParamVector,
-                     real_batch, latent_batch):
+                     real_batch, latent_batch, buffers=None):
     """(V, dV/dtheta_g); the discriminator side is treated as a constant.
 
     The gradient reaches the generator through the discriminator's input
-    gradient on the generated rows.
+    gradient on the generated rows.  The kernel runs on ``buffers`` (a
+    ``GanBuffers`` of this game), or on fresh buffers without.
     """
     real, latent = _batches(real_batch, latent_batch)
     check_clip_box(state.objective, theta_d)
-    fake, g_cache = mlp_forward(state.g_spec, theta_g, latent)
-    out, d_cache = mlp_forward(state.d_spec, theta_d, np.vstack([real, fake]))
+    if buffers is None:  # fresh buffers for a one-shot caller
+        buffers = GanBuffers(state)
+    fake, g_cache = mlp_forward(state.g_spec, theta_g, latent, buffers.work("g", len(latent)))
+    rows = np.vstack([real, fake])
+    out, d_cache = mlp_forward(state.d_spec, theta_d, rows, buffers.work("d", len(rows)))
     v, grad_out = output_grads(state.objective, out, real.shape[0])
     grad_rows = mlp_backward(state.d_spec, theta_d, d_cache, grad_out)[1]
     return finite_value_and_grad(

@@ -5,7 +5,8 @@ The quadrature (:func:`_grid_quadrature`) is numpy's own trapezoid
 arithmetic, streamed over blocks of grid rows so that no array spans the
 whole grid; importing this module loads no ``scipy.integrate``.
 ``scipy.special`` stays for ``rel_entr``, whose log1p branch numpy's ``log``
-does not reproduce.
+does not reproduce; it is imported by the functions that call it, so that
+importing the library loads no scipy at all.
 
 Toy games use the squared parameter distance as the discriminator function
 distance, which is exact for linear discriminators under the gradient-based
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import rel_entr
 
 LABEL_NASH = "nash"
 LABEL_PROXIMAL_ONLY = "proximal_only"
@@ -232,6 +232,8 @@ def numeric_jsd(p, q, grid_box, resolution: int = 1001) -> float:
     blocks.  ``grid_box`` is a per-dimension sequence of (lo, hi).  The
     quadrature (:func:`_grid_quadrature`) is byte-equal to scipy's trapezoid.
     """
+    from scipy.special import rel_entr
+
     def integrand(pv, qv):
         m = 0.5 * (pv + qv)
         return 0.5 * (rel_entr(pv, m) + rel_entr(qv, m))
@@ -266,6 +268,8 @@ def jsd_from_samples(samples_p, samples_q, bins: int, box=None) -> float:
     The binning box is shared; when not given it is the joint extent of both
     sample sets.  The result lies in [0, log 2].
     """
+    from scipy.special import rel_entr
+
     sp = _as_points(samples_p)
     sq = _as_points(samples_q)
     if sp.shape[0] == 0 or sq.shape[0] == 0:

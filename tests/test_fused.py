@@ -33,7 +33,7 @@ from proxgap.diffcore import (
     mlp_forward,
 )
 from proxgap.diffcore.engine import _param_values, _sigmoid
-from proxgap.diffcore.network import _failed_op
+from proxgap.diffcore.network import _failed_op, _leaky_gate
 from proxgap.distributions import GaussianMixture, make_splits
 from proxgap.gapmetrics import (
     ProxDivergenceError,
@@ -123,9 +123,11 @@ def test_kernel_rejects_what_the_graph_rejects():
 
 # -- the former kernel ---------------------------------------------------------
 #
-# The kernel once checked each layer entrywise, built the leaky-ReLU gate in
-# five calls, copied each parameter gradient out of a temporary and always ran
-# layer 0's input gradient.  That code is kept here as the byte reference.
+# The kernel once checked each layer entrywise, built the leaky-ReLU gate by
+# filling it with the slope and setting 1.0 where the pre-activation is
+# positive (a per-entry branch), copied each parameter gradient out of a
+# temporary and always ran layer 0's input gradient.  That code is kept here
+# as the byte reference.
 
 
 class _ReferenceWorkspace:
@@ -167,9 +169,8 @@ def _reference_mlp_forward(spec: NetworkSpec, theta, batch, work=None):
             else:
                 gate = work.gates[i]
                 np.greater(z, 0.0, out=mask)
-                np.logical_not(mask, out=gate)
-                gate *= spec.leaky_slope
-                gate += mask
+                gate.fill(spec.leaky_slope)
+                np.putmask(gate, mask, 1.0)
                 gates.append(gate)
                 x = np.multiply(z, gate, out=z)
         elif spec.output_head == "sigmoid":
@@ -216,34 +217,77 @@ def _reference_mlp_backward(spec: NetworkSpec, theta, cache, grad_out):
     return grad, g
 
 
+# leaky slopes, and the special pre-activations: the kernel's layer sums
+# start from +0.0, so a zero row gives +0.0 and a row of +/-1e-310 gives
+# subnormals of both signs; -0.0 reaches the gate only when handed to it
+SLOPES = (0.2, 0.0, 1.0, 1.5, -0.3)
+SPECIAL_ROWS = (0.0, 1e-310, -1e-310)
+SPECIAL_PRE = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308,
+               -2.2250738585072014e-308, 1.0, -1.0)
+
+
+def _with_special_rows(batch, trial):
+    """`batch` with its first rows set to the special rows; a one-row batch
+    takes the trial's special row, and keeps its random row on the last trial."""
+    batch = batch.copy()
+    if batch.shape[0] > 1:
+        batch[:len(SPECIAL_ROWS)] = np.array(SPECIAL_ROWS)[:, None]
+    elif trial < len(SPECIAL_ROWS):
+        batch[:] = SPECIAL_ROWS[trial]
+    return batch
+
+
 @pytest.mark.parametrize("activation", ACTIVATIONS)
 @pytest.mark.parametrize("head", HEADS)
-@pytest.mark.parametrize("rows", [1, 64, 768])
+@pytest.mark.parametrize("rows", [1, 64, 128, 768, 3000])
 def test_kernel_keeps_the_former_kernels_bytes(activation, head, rows):
     rng = Rng(1000 * rows + 10 * ACTIVATIONS.index(activation) + HEADS.index(head))
-    # a critic-like net with one output and a generator-like one with two
-    specs = (NetworkSpec(2, (32, 32), 1, activation=activation, output_head=head),
-             NetworkSpec(3, (32, 16), 2, activation=activation, output_head=head,
-                         leaky_slope=0.3))
-    for k, spec in enumerate(specs):
-        work = MlpWorkspace(spec, rows)
-        for trial in range(3):
-            theta = init_network(spec, rng.child(k, trial, 0))
-            batch = rng.child(k, trial, 1).normal((rows, spec.input_dim))
-            weights = rng.child(k, trial, 2).normal((rows, spec.output_dim))
-            want_out, want_cache = _reference_mlp_forward(spec, theta, batch)
-            want_grad, want_grad_x = _reference_mlp_backward(spec, theta, want_cache, weights)
-            # fresh buffers, then one workspace reused across the trials
-            for buffers in (None, work):
-                out, cache = mlp_forward(spec, theta, batch, buffers)
-                assert out.tobytes() == want_out.tobytes()
-                grad, grad_x = mlp_backward(spec, theta, cache, weights)
-                assert grad.tobytes() == want_grad.tobytes()
-                assert grad_x.tobytes() == want_grad_x.tobytes()
-                # the call that stops before layer 0's input gradient
-                out, cache = mlp_forward(spec, theta, batch, buffers)
-                grad, grad_x = mlp_backward(spec, theta, cache, weights, input_grad=False)
-                assert grad_x is None and grad.tobytes() == want_grad.tobytes()
+    slopes = SLOPES if activation == "leaky_relu" else (0.2,)
+    for slope in slopes:
+        # a critic-like net with one output and a generator-like one with two
+        specs = (NetworkSpec(2, (32, 32), 1, activation=activation, output_head=head,
+                             leaky_slope=slope),
+                 NetworkSpec(3, (32, 16), 2, activation=activation, output_head=head,
+                             leaky_slope=slope + 0.1))
+        for k, spec in enumerate(specs):
+            work = MlpWorkspace(spec, rows)
+            for trial in range(4 if rows == 1 else 3):
+                theta = init_network(spec, rng.child(k, trial, 0))
+                batch = _with_special_rows(rng.child(k, trial, 1).normal((rows, spec.input_dim)),
+                                           trial)
+                weights = rng.child(k, trial, 2).normal((rows, spec.output_dim))
+                want_out, want_cache = _reference_mlp_forward(spec, theta, batch)
+                want_grad, want_grad_x = _reference_mlp_backward(spec, theta, want_cache,
+                                                                 weights)
+                # fresh buffers, then one workspace reused across the trials
+                for buffers in (None, work):
+                    out, cache = mlp_forward(spec, theta, batch, buffers)
+                    assert out.tobytes() == want_out.tobytes()
+                    for gate, want_gate in zip(cache[1], want_cache[1]):
+                        assert (gate is None) == (want_gate is None)
+                        assert gate is None or gate.tobytes() == want_gate.tobytes()
+                    grad, grad_x = mlp_backward(spec, theta, cache, weights)
+                    assert grad.tobytes() == want_grad.tobytes()
+                    assert grad_x.tobytes() == want_grad_x.tobytes()
+                    # the call that stops before layer 0's input gradient
+                    out, cache = mlp_forward(spec, theta, batch, buffers)
+                    grad, grad_x = mlp_backward(spec, theta, cache, weights, input_grad=False)
+                    assert grad_x is None and grad.tobytes() == want_grad.tobytes()
+        if activation == "leaky_relu":
+            # the gate alone on +/-0, +/-subnormals and the normals next to them
+            z = np.resize(np.array(SPECIAL_PRE), (rows, 32))
+            mask, gate = np.empty(z.shape, dtype=bool), np.empty(z.shape)
+            want = np.where(z > 0.0, 1.0, slope)
+            assert _leaky_gate(z, slope, mask, gate).tobytes() == want.tobytes()
+            assert mask.tobytes() == (z > 0.0).tobytes()
+
+
+def test_leaky_gate_of_a_negative_zero_slope_is_positive_zero():
+    # the one finite slope whose gate differs from where(z > 0, 1, slope):
+    # the gate is (z <= 0) * slope + (z > 0), and -0.0 + 0.0 is +0.0
+    z = np.array([[-1.0, 0.0, 2.0]])
+    gate = _leaky_gate(z, -0.0, np.empty(z.shape, dtype=bool), np.empty(z.shape))
+    assert gate.tobytes() == np.array([[0.0, 0.0, 1.0]]).tobytes()
 
 
 # -- objectives: value_and_grad_d/g and eval_objective -------------------------
@@ -408,6 +452,28 @@ def test_prox_step_matches_graph_objective_minus_sobolev_graph(name, objective, 
     assert _rel(grad, grad_params(penalized, theta)) <= TOL
 
 
+@pytest.mark.parametrize("name,objective", OBJECTIVES, ids=[n for n, _ in OBJECTIVES])
+@pytest.mark.parametrize("lam", [0.0, 0.1])
+def test_a_value_only_step_keeps_the_values_bytes_without_a_backward_pass(monkeypatch, name,
+                                                                         objective, lam):
+    state = _state(objective, "leaky_relu", seed=3 + len(name))
+    rng = Rng(36)
+    real, latent = rng.normal((40, 2)), rng.normal((40, 3))
+    step_fn = penalized_step_fn(state, state.theta_d, state.theta_g, real, latent, lam, 1e-3)
+    thetas = [enforce_constraint(objective, state.theta_d.with_values(
+        state.theta_d.values + 0.01 * rng.child(k).normal(len(state.theta_d))))
+        for k in range(3)]
+    want = [step_fn(theta)[0] for theta in thetas]
+
+    def no_backward(*args, **kwargs):
+        raise AssertionError("a value-only call ran the backward pass")
+
+    monkeypatch.setattr(sys.modules["proxgap.objectives"], "mlp_backward", no_backward)
+    for theta, value in zip(thetas, want):
+        got, grad = step_fn(theta, backward=False)
+        assert grad is None and np.float64(got).tobytes() == np.float64(value).tobytes()
+
+
 # -- one discriminator step -----------------------------------------------------
 #
 # value_and_grad_d once ran its own kernel pass, and the estimators' v_dw search
@@ -554,6 +620,10 @@ def test_overflowing_weights_raise_prox_divergence_named_by_the_graph(lam):
                          lambda theta: next(landing), cfg))
     assert isinstance(err.value.__cause__, NonFiniteError)
     assert err.value.__cause__.op == graph_err.value.op == "matmul"
+    # the value alone names the forward's failure as the full step does
+    with pytest.raises(NonFiniteError) as err:
+        step_fn(huge, backward=False)
+    assert err.value.op == "matmul"
 
 
 def _kl_overflow_state():
@@ -576,6 +646,13 @@ def test_nonfinite_objective_value_is_named_by_the_graph():
     with pytest.raises(NonFiniteError) as err:
         eval_objective(state, real, latent)
     assert err.value.op == "exp"
+    for lam in (0.0, 0.1):
+        step_fn = penalized_step_fn(state, state.theta_d, state.theta_g, real, latent, lam,
+                                    1e-3)
+        for backward in (True, False):
+            with pytest.raises(NonFiniteError) as err:
+                step_fn(state.theta_d, backward=backward)
+            assert err.value.op == "exp"
 
 
 def _failure_cases():
@@ -651,6 +728,9 @@ def test_a_nonfinite_gradient_past_a_finite_forward_is_named_backward():
         with pytest.raises(NonFiniteError) as err:
             fused(state, theta_d, theta_g, real, latent)
         assert err.value.op == "backward"
+    # a value-only step stops before the backward pass, so it names nothing
+    step_fn = penalized_step_fn(state, theta_d, theta_g, real, latent, 0.0, None)
+    assert np.isfinite(step_fn(theta_d, backward=False)[0])
 
 
 def _sobolev_overflow_case():
@@ -678,9 +758,10 @@ def test_a_sobolev_penalty_overflow_is_named_by_the_graph():
     assert np.isfinite(eval_objective(state.with_params(theta), real, latent))
     with pytest.raises(NonFiniteError) as graph_err:
         grad_params(penalized, theta)
-    with pytest.raises(NonFiniteError) as err:
-        step_fn(theta)
-    assert err.value.op == graph_err.value.op == "mul"
+    for backward in (True, False):
+        with pytest.raises(NonFiniteError) as err:
+            step_fn(theta, backward=backward)
+        assert err.value.op == graph_err.value.op == "mul"
 
 
 # -- no graph replay -------------------------------------------------------------

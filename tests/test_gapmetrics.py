@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from proxgap import gapmetrics
+from proxgap import gapmetrics, objectives
 from proxgap.diffcore import (
     NetworkSpec,
     NonFiniteError,
@@ -313,14 +313,34 @@ def test_v_gw_lambda_builds_each_penalized_step_once(monkeypatch):
     on_eval = []
     build = gapmetrics.penalized_step_fn
 
-    def counting(state, anchor, theta_g, real, latent, lam, h):
+    def counting(state, anchor, theta_g, real, latent, lam, h, buffers=None):
         on_eval.append(real is splits.s_c)
-        return build(state, anchor, theta_g, real, latent, lam, h)
+        return build(state, anchor, theta_g, real, latent, lam, h, buffers)
 
     monkeypatch.setattr(gapmetrics, "penalized_step_fn", counting)
     assert _hex(estimate_v_gw_lambda(state, splits, cfg, Rng(35))) == _hex(want)
     assert len(on_eval) == cfg.worst_iters + 1
     assert on_eval.count(True) == 1 and on_eval[-1]
+
+
+def test_v_gw_lambda_final_value_runs_no_backward_pass(monkeypatch):
+    # the inner ascent on the eval batch takes prox_steps gradients; the value
+    # at its last iterate stops before the backward pass
+    state = _small_classic_state()
+    dist = GaussianMixture([1.0], [[0.0, 0.0]], [[1.0, 1.0]])
+    splits = make_splits(dist, 200, 100, 100, Rng(34))
+    cfg = ProximalConfig(worst_iters=4, prox_steps=3, batch_size=32)
+    want = estimate_v_gw_lambda(state, splits, cfg, Rng(35))
+    rows, backward = [], objectives.mlp_backward
+
+    def counting(spec, theta, cache, grad_out, input_grad=True):
+        rows.append(len(grad_out))
+        return backward(spec, theta, cache, grad_out, input_grad)
+
+    monkeypatch.setattr(objectives, "mlp_backward", counting)
+    assert _hex(estimate_v_gw_lambda(state, splits, cfg, Rng(35))) == _hex(want)
+    n_c = splits.s_c.shape[0]
+    assert rows.count((2 + 2 * state.d_spec.input_dim) * n_c) == cfg.prox_steps
 
 
 def test_toy_step_at_zero_lambda_is_the_toy_gradient():

@@ -1,16 +1,19 @@
 import ast
+import collections
 import csv
+import gc
 import hashlib
 import inspect
 import json
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from proxgap import gapmetrics
-from proxgap.diffcore import Rng
+from proxgap import gapmetrics, objectives
+from proxgap.diffcore import MlpWorkspace, Rng, network
 from proxgap.gapmetrics import ESTIMATE_REVISION, ProximalConfig, duality_gap
 from proxgap.harness import (
     ConfigError,
@@ -203,6 +206,138 @@ def test_an_overflowing_adam_moment_fails_the_run_before_its_checkpoint(tmp_path
     assert [r.step for r in read_metrics(run_dir / "metrics.csv")] == [0.0, 2.0]
 
 
+LEAKY_WGAN = {"objective.kind": "wgan_clip", "objective.clip": "0.01",
+              "disc.activation": "leaky_relu", "gen.activation": "leaky_relu"}
+
+
+def _metrics_but_wallclock(run_dir):
+    with open(run_dir / "metrics.csv", encoding="utf-8") as fh:
+        return [row[:-1] for row in csv.reader(fh)]
+
+
+@pytest.mark.parametrize("overrides", [LEAKY_WGAN, {}], ids=["leaky_wgan_clip", "tanh_classic"])
+def test_run_owned_buffers_give_the_bytes_of_per_update_buffers(tmp_path, monkeypatch,
+                                                                overrides):
+    cfg = tiny_cfg(tmp_path / "owned", **overrides)
+    owned = train(cfg)
+    # each update on fresh kernel buffers, as before a run owned them
+    for name in ("value_and_grad_d", "value_and_grad_g"):
+        monkeypatch.setattr(runner, name,
+                            lambda *args, update=getattr(runner, name): update(*args[:5]))
+    fresh = train(with_overrides(cfg, out=str(tmp_path / "fresh")))
+    assert _metrics_but_wallclock(owned) == _metrics_but_wallclock(fresh)
+    npz = sorted(path.name for path in owned.glob("*.npz"))
+    assert len(npz) == 3 and npz == sorted(path.name for path in fresh.glob("*.npz"))
+    assert all((owned / name).read_bytes() == (fresh / name).read_bytes() for name in npz)
+
+
+def _record_kernel_buffers(monkeypatch):
+    """Record, for one run, the workspaces built and each kernel call's
+    workspace with the step function or ``value_and_grad_g`` call it ran for."""
+    log = {"built": [], "uses": [], "refs": []}
+    serials, owner = {}, [None]
+    init = MlpWorkspace.__init__
+
+    def building(work, spec, n):
+        init(work, spec, n)
+        log["built"].append((spec, n))
+
+    def serial(work):
+        entry = serials.get(id(work))
+        if entry is None or entry[1]() is not work:
+            entry = serials[id(work)] = (len(log["refs"]), weakref.ref(work))
+            log["refs"].append(entry[1])
+        return entry[0]
+
+    def owned_by(fn):
+        def run(*args, **kwargs):
+            outer, owner[0] = owner[0], object()
+            try:
+                return fn(*args, **kwargs), owner[0]
+            finally:
+                owner[0] = outer
+        return run
+
+    forward = network.mlp_forward
+
+    def recording(spec, theta, batch, work=None):
+        if work is not None:
+            log["uses"].append((owner[0], serial(work)))
+        return forward(spec, theta, batch, work)
+
+    build, grad_g = objectives.penalized_step_fn, objectives.value_and_grad_g
+
+    def building_step(*args):
+        step, me = owned_by(build)(*args)
+
+        def calling(*call_args, **kwargs):
+            outer, owner[0] = owner[0], me
+            try:
+                return step(*call_args, **kwargs)
+            finally:
+                owner[0] = outer
+        return calling
+
+    def calling_grad_g(*args):
+        return owned_by(grad_g)(*args)[0]
+
+    monkeypatch.setattr(MlpWorkspace, "__init__", building)
+    for module in (network, objectives):
+        monkeypatch.setattr(module, "mlp_forward", recording)
+    for module in (objectives, gapmetrics):
+        monkeypatch.setattr(module, "penalized_step_fn", building_step)
+    for module in (objectives, gapmetrics, runner):
+        monkeypatch.setattr(module, "value_and_grad_g", calling_grad_g)
+    return log
+
+
+def test_a_run_builds_its_kernel_buffers_once(tmp_path, monkeypatch):
+    # the training updates build their workspaces once per run, whatever its
+    # length: the generator's, the discriminator's on more rows, which drops
+    # it, and the generator's again; with the checkpoints' scoring, the count
+    # follows the number of checkpoints, not of steps
+    cfg = tiny_cfg(tmp_path / "x")
+    batch = cfg.train_batch
+    counts = {}
+    for scored in (False, True):
+        for steps in (10, 20):
+            with monkeypatch.context() as patch:
+                log = _record_kernel_buffers(patch)
+                if not scored:
+                    patch.setattr(runner, "score_checkpoint",
+                                  lambda *args: ((np.nan,) * 3, None))
+                train(with_overrides(cfg, out=str(tmp_path / f"{scored}_{steps}"),
+                                     **{"train.steps": steps,
+                                        "train.checkpoint_every": steps}))
+            counts[scored, steps] = len(log["built"])
+            if not scored:
+                # the initial V's one-shot pair on the evaluation split, then the run's
+                assert log["built"] == [(cfg.g_spec, cfg.n_c), (cfg.d_spec, 2 * cfg.n_c),
+                                        (cfg.g_spec, batch), (cfg.d_spec, 2 * batch),
+                                        (cfg.g_spec, batch)]
+    assert counts[True, 10] == counts[True, 20]
+
+
+def test_no_two_live_step_functions_share_a_workspace(tmp_path, monkeypatch):
+    # a step function is live from its build to its last call, and a
+    # generator gradient for its call; the spans of those that use one
+    # workspace never overlap, and every workspace dies with its loop
+    log = _record_kernel_buffers(monkeypatch)
+    train(tiny_cfg(tmp_path / "run", **LEAKY_WGAN))
+    spans, works = {}, collections.defaultdict(set)
+    for clock, (owner, work) in enumerate(log["uses"]):
+        first, _ = spans.get(owner, (clock, clock))
+        spans[owner] = first, clock
+        works[work].add(owner)
+    assert None not in spans and len(works) == len(log["refs"]) > 2
+    for owners in works.values():
+        ordered = sorted(spans[owner] for owner in owners)
+        assert all(end < start for (_, end), (start, _) in zip(ordered, ordered[1:]))
+    monkeypatch.undo()
+    gc.collect()
+    assert not [ref for ref in log["refs"] if ref() is not None]
+
+
 def test_every_checkpoint_rescores_to_its_metrics_row(tiny_run):
     # a checkpoint holds everything its scores need: re-scored from disk, each
     # one reproduces the cells train logged for it
@@ -363,6 +498,52 @@ def test_load_checkpoint_names_what_a_sidecar_lacks(tiny_run, tmp_path, capsys, 
     # a list-valued sidecar is written as the JSON list itself
     dst.with_suffix(".json").write_text(json.dumps(sidecar.get("items", sidecar)))
     with pytest.raises(ValueError, match=f"checkpoint sidecar .* {message}"):
+        load_checkpoint(dst.with_suffix(".npz"))
+    capsys.readouterr()
+    assert main(["gap", "--checkpoint", str(dst.with_suffix(".npz"))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: checkpoint sidecar") and message in err
+    assert err.count("\n") == 1
+
+
+def _rng_edit(**edits):
+    def tamper(sidecar):
+        state = sidecar["rng_state"]
+        for key, value in edits.items():
+            if key in ("state", "inc"):
+                state["state"][key] = value
+            else:
+                state[key] = value
+    return tamper
+
+
+@pytest.mark.parametrize("tamper,message", [
+    (lambda sidecar: sidecar.update(step=None), "step None"),
+    (lambda sidecar: sidecar.update(step="20"), "step '20'"),
+    (lambda sidecar: sidecar.update(step=20.0), "step 20.0"),
+    (lambda sidecar: sidecar.update(step=True), "step True"),
+    (lambda sidecar: sidecar.update(rng_state=5), "rng_state"),
+    (lambda sidecar: sidecar.update(rng_state=None), "rng_state"),
+    (_rng_edit(bit_generator="MT19937"), "rng_state"),
+    (_rng_edit(state=-1), "rng_state"),
+    (_rng_edit(inc=2 ** 128), "rng_state"),
+    (_rng_edit(inc=1.0), "rng_state"),
+    (_rng_edit(has_uint32=2), "rng_state"),
+    (_rng_edit(uinteger="0"), "rng_state"),
+    (lambda sidecar: sidecar["rng_state"].pop("uinteger"), "rng_state"),
+    (lambda sidecar: sidecar["rng_state"].update(extra=0), "rng_state"),
+], ids=["step_null", "step_string", "step_float", "step_bool", "rng_int", "rng_null",
+        "rng_other_generator", "rng_negative_state", "rng_wide_inc", "rng_float_inc",
+        "rng_has_uint32", "rng_string_uinteger", "rng_missing_key", "rng_extra_key"])
+def test_load_checkpoint_takes_only_an_integer_step_and_a_pcg64_state(tiny_run, tmp_path,
+                                                                      capsys, tamper, message):
+    src = tiny_run / "checkpoint_000020"
+    sidecar = json.loads(src.with_suffix(".json").read_text())
+    tamper(sidecar)
+    dst = tmp_path / "checkpoint_000020"
+    dst.with_suffix(".npz").write_bytes(src.with_suffix(".npz").read_bytes())
+    dst.with_suffix(".json").write_text(json.dumps(sidecar))
+    with pytest.raises(ValueError, match="checkpoint sidecar"):
         load_checkpoint(dst.with_suffix(".npz"))
     capsys.readouterr()
     assert main(["gap", "--checkpoint", str(dst.with_suffix(".npz"))]) == 2

@@ -491,7 +491,7 @@ def test_importing_the_library_loads_no_scipy_integrate():
             "import proxgap.harness.cli, proxgap.probes, proxgap.oracles, proxgap.gapmetrics\n"
             "print(sorted(m for m in sys.modules\n"
             "             if m.split('.')[:2] in (['scipy', 'integrate'], ['scipy', 'optimize'],\n"
-            "                                     ['scipy', 'sparse'])))\n")
+            "                                     ['scipy', 'sparse'], ['scipy', 'special'])))\n")
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)

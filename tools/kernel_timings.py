@@ -1,0 +1,118 @@
+#!/usr/bin/env python3
+"""Micro-timings of the fused MLP kernel: forward, backward and the leaky-ReLU gate.
+
+    python3 tools/kernel_timings.py [--cycle K] [--passes P]
+
+At 128, 768 and 3000 rows it builds a critic-shaped network (2 inputs,
+hidden layers 32-32, one linear output) with leaky-ReLU and with tanh
+activations, K distinct batches and K distinct parameter vectors, and times
+``mlp_forward`` on a reused workspace, ``mlp_backward`` on its cache, and the
+gate alone on the first layer's pre-activations: the kernel's ``_leaky_gate``
+and, beside it, the former gate (filled with the slope, then set to 1.0 by
+``np.putmask``).  Each call takes the next input of the cycle, so neither a
+learned branch nor a cache warmed on one input flatters a variant.
+
+It prints one JSON line: per activation, row count and timed call, the
+median and the best of P passes over the cycle, in microseconds per call.
+It imports numpy and the library in ``src/`` only, and runs with one BLAS
+thread.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np  # noqa: E402
+
+from proxgap.diffcore import MlpWorkspace, NetworkSpec, Rng, init_network  # noqa: E402
+from proxgap.diffcore.network import _leaky_gate, mlp_backward, mlp_forward  # noqa: E402
+
+ROWS = (128, 768, 3000)
+ACTIVATIONS = ("leaky_relu", "tanh")
+
+
+def _former_gate(z, slope, mask, gate):
+    np.greater(z, 0.0, out=mask)
+    gate.fill(slope)
+    np.putmask(gate, mask, 1.0)
+    return gate
+
+
+def _time(call, cycle: int, passes: int, prepare=None) -> dict:
+    """Median and best microseconds per call over `passes` passes of the cycle;
+    `prepare(k)`, when given, runs untimed before each `call(k)`."""
+    if prepare is not None:
+        prepare(0)
+    call(0)  # maps the buffers
+    per_call = []
+    for _ in range(passes):
+        total = 0.0
+        for k in range(cycle):
+            if prepare is not None:
+                prepare(k)
+            start = time.perf_counter()
+            call(k)
+            total += time.perf_counter() - start
+        per_call.append(total / cycle * 1e6)
+    return {"median_us": round(statistics.median(per_call), 2),
+            "best_us": round(min(per_call), 2)}
+
+
+def timings(cycle: int, passes: int) -> dict:
+    out = {}
+    for activation in ACTIVATIONS:
+        spec = NetworkSpec(2, (32, 32), 1, activation=activation)
+        (fi, fo), slope = spec.layer_shapes()[0], spec.leaky_slope
+        for rows in ROWS:
+            rng = Rng(rows)
+            thetas = [init_network(spec, rng.child(k, 0)) for k in range(cycle)]
+            batches = [rng.child(k, 1).normal((rows, spec.input_dim)) for k in range(cycle)]
+            weights = [rng.child(k, 2).normal((rows, 1)) for k in range(cycle)]
+            work = MlpWorkspace(spec, rows)
+            caches = [None] * cycle
+
+            def fwd(k):
+                caches[k] = mlp_forward(spec, thetas[k], batches[k], work)[1]
+
+            def bwd(k):
+                mlp_backward(spec, thetas[k], caches[k], weights[k], input_grad=False)
+
+            # each backward runs on the cache of its own input's forward, run untimed
+            entry = {"forward": _time(fwd, cycle, passes),
+                     "backward": _time(bwd, cycle, passes, prepare=fwd)}
+            if activation == "leaky_relu":
+                pre = [b @ t.values[:fi * fo].reshape(fi, fo) + t.values[fi * fo:fi * fo + fo]
+                       for b, t in zip(batches, thetas)]
+                mask, gate = np.empty((rows, fo), dtype=bool), np.empty((rows, fo))
+                entry["gate"] = _time(lambda k: _leaky_gate(pre[k], slope, mask, gate),
+                                      cycle, passes)
+                entry["former_gate"] = _time(lambda k: _former_gate(pre[k], slope, mask, gate),
+                                             cycle, passes)
+            out[f"{activation}/{rows}"] = entry
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--cycle", type=int, default=16, help="distinct inputs per cycle")
+    parser.add_argument("--passes", type=int, default=20, help="passes over the cycle")
+    args = parser.parse_args(argv)
+    if args.cycle < 1 or args.passes < 1:
+        parser.error("--cycle and --passes must be positive")
+    print(json.dumps({"cycle": args.cycle, "passes": args.passes,
+                      "numpy": np.__version__, "timings": timings(args.cycle, args.passes)}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
