@@ -167,35 +167,47 @@ def forward(spec: NetworkSpec, params: ParamVector, batch, work=None) -> np.ndar
 
 
 class MlpWorkspace:
-    """Buffers for ``mlp_forward``/``mlp_backward`` on one spec and row count.
+    """Buffers for ``mlp_forward``/``mlp_backward`` on one spec.
 
     One buffer per layer pre-activation (activated in place), one boolean
     buffer per layer for the gates and the entrywise finite check, one gate
     buffer per hidden leaky-ReLU layer, and the backward pass's two work
     buffers and row of ones, made by the first backward pass so that
-    forward-only calls never map them.
+    forward-only calls never map them.  The buffers hold ``rows`` rows: a
+    call on fewer runs on their leading rows, and a call on more replaces
+    them all by buffers of its size.
 
     A workspace belongs to one loop (a training run, an estimator search)
     and dies with it; the outputs of a call alias it until the next call
     on it, so two results that must stay live need two workspaces.
     """
 
-    def __init__(self, spec: NetworkSpec, n: int):
-        shapes = spec.layer_shapes()
-        leaky = spec.activation == "leaky_relu"
+    def __init__(self, spec: NetworkSpec):
+        self.spec = spec
+        self.rows = -1  # no buffers yet, not even for an empty batch
+        self.pre = self.masks = self.gates = self.bufs = self.ones = None
+
+    def fit(self, n: int):
+        """Make room for n rows, building the buffers when they hold fewer."""
+        if n <= self.rows:
+            return
+        # the held buffers go first, so the new ones do not add to them
+        self.pre = self.masks = self.gates = self.bufs = self.ones = None
+        shapes = self.spec.layer_shapes()
+        leaky = self.spec.activation == "leaky_relu"
         self.pre = [np.empty((n, fo)) for _, fo in shapes]
         self.masks = [np.empty((n, fo), dtype=bool) for _, fo in shapes]
         self.gates = [np.empty((n, fo)) if leaky else None for _, fo in shapes[:-1]]
-        self.bufs = self.ones = None
+        self.rows = n
 
 
 def mlp_forward(spec: NetworkSpec, theta, batch, work: MlpWorkspace = None):
     """Forward pass on plain arrays: (n x output_dim outputs, cache for ``mlp_backward``).
 
-    With ``work`` (built for this spec and n rows) the outputs and the cache
-    alias its buffers until the next call on it; without, fresh buffers are
-    used.  Raises NonFiniteError when a pre-activation is non-finite, which
-    also catches a matmul overflow that a saturating activation would hide,
+    With ``work`` (a workspace of this spec) the outputs and the cache alias
+    its buffers until the next call on it; without, fresh buffers are used.
+    Raises NonFiniteError when a pre-activation is non-finite, which also
+    catches a matmul overflow that a saturating activation would hide,
     naming the op at which ``forward_graph`` would have stopped.
 
     A layer's check is one reduction, the sum of its squared pre-activations
@@ -208,8 +220,10 @@ def mlp_forward(spec: NetworkSpec, theta, batch, work: MlpWorkspace = None):
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != spec.input_dim:
         raise ValueError(f"batch must be n x {spec.input_dim}, got {x.shape}")
+    n = x.shape[0]
     if work is None:
-        work = MlpWorkspace(spec, x.shape[0])
+        work = MlpWorkspace(spec)
+    work.fit(n)
     shapes = spec.layer_shapes()
     last = len(shapes) - 1
     inputs, gates = [], []
@@ -220,7 +234,7 @@ def mlp_forward(spec: NetworkSpec, theta, batch, work: MlpWorkspace = None):
         w = vals[off:off + fi * fo].reshape(fi, fo)
         b = vals[off + fi * fo:off + fi * fo + fo]
         off += fi * fo + fo
-        z, mask = work.pre[i], work.masks[i]
+        z, mask = work.pre[i][:n], work.masks[i][:n]
         np.matmul(x, w, out=z)
         z += b
         if not math.isfinite(np.vdot(z, z)) and not np.isfinite(z, out=mask).all():
@@ -234,7 +248,7 @@ def mlp_forward(spec: NetworkSpec, theta, batch, work: MlpWorkspace = None):
                 gates.append(np.greater(z, 0.0, out=mask))
                 x = np.maximum(z, 0.0, out=z)
             else:
-                gate = _leaky_gate(z, spec.leaky_slope, mask, work.gates[i])
+                gate = _leaky_gate(z, spec.leaky_slope, mask, work.gates[i][:n])
                 gates.append(gate)
                 x = np.multiply(z, gate, out=z)
         elif spec.output_head == "sigmoid":
@@ -271,18 +285,19 @@ def mlp_backward(spec: NetworkSpec, theta, cache, grad_out, input_grad: bool = T
     grad = np.empty(spec.param_count)
     n = g.shape[0]
     shapes = spec.layer_shapes()
-    # two work buffers, used in turn for the next gradient and as scratch
+    # two work buffers, used in turn for the next gradient and as scratch, on
+    # as many rows as the forward's
     if work.bufs is None:
-        width = max(fi for fi, _ in shapes)
-        work.bufs = (np.empty(n * width), np.empty(n * width))
-        work.ones = np.ones(n)
-    bufs = work.bufs
+        size = work.rows * max(fi for fi, _ in shapes)
+        work.bufs = (np.empty(size), np.empty(size))
+        work.ones = np.ones(work.rows)
+    bufs, ones = work.bufs, work.ones[:n]
     off = spec.param_count
     for i in range(len(shapes) - 1, -1, -1):
         fi, fo = shapes[i]
         off -= fi * fo + fo
         np.matmul(inputs[i].T, g, out=grad[off:off + fi * fo].reshape(fi, fo))
-        np.matmul(work.ones, g, out=grad[off + fi * fo:off + fi * fo + fo])
+        np.matmul(ones, g, out=grad[off + fi * fo:off + fi * fo + fo])
         if i == 0 and not input_grad:
             return grad, None
         w = vals[off:off + fi * fo].reshape(fi, fo)
@@ -327,11 +342,13 @@ def finite_value_and_grad(value, grad):
 # -- input gradients -----------------------------------------------------------
 
 
-def input_grad_batch(spec: NetworkSpec, params: ParamVector, batch, h: float) -> np.ndarray:
+def input_grad_batch(spec: NetworkSpec, params: ParamVector, batch, h: float,
+                     work=None) -> np.ndarray:
     """Gradient of the scalar network output w.r.t. its input, by central
-    differences, for every row of a batch (n x input_dim array)."""
+    differences, for every row of a batch (n x input_dim array); a fresh
+    array, whether or not its forward pass runs on the ``MlpWorkspace`` ``work``."""
     rows = stencil_rows(spec, batch, h)
-    out = forward(spec, params, rows).reshape(spec.input_dim, 2, -1)
+    out = forward(spec, params, rows, work).reshape(spec.input_dim, 2, -1)
     return central_difference(out[:, 0], out[:, 1], h).T
 
 

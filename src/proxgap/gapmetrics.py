@@ -132,15 +132,16 @@ class _GanOps:
         objective = state.objective
         self.project_d = lambda theta_d: enforce_constraint(objective, theta_d)
         self.project_g = lambda theta_g: theta_g
-        # the searches' kernel buffers: every step of a search reuses them,
-        # and they are dropped when it ends
+        # the estimate's kernel buffers: every step of its search and its
+        # held-out values reuse them
         self.buffers = GanBuffers(state)
 
     def draw_batch(self, size):
         return draw_minibatch(self.splits.s_b, size, self.state.latent_dim, self.rng)
 
     def eval_value(self, theta_d, theta_g) -> float:
-        return eval_objective(self.state.with_params(theta_d, theta_g), *self.eval_batch)
+        return eval_objective(self.state.with_params(theta_d, theta_g), *self.eval_batch,
+                              self.buffers)
 
     # grad_g_fn(theta_d) and grad_d_fn(theta_g): (params, batch) -> dV/dparams
     # against the fixed opponent, built once per search
@@ -152,9 +153,6 @@ class _GanOps:
         # the penalized step at lam = 0, built on each batch
         return lambda theta_d, batch: self.make_prox(
             theta_d, theta_g, batch, 0.0, None)[0](theta_d)
-
-    def end_search(self):
-        self.buffers.clear()
 
     # make_prox(...) -> (gradient, value) of V - lam * dist^2(., anchor) on one
     # batch, as functions of the discriminator
@@ -178,9 +176,6 @@ class _ToyOps:
 
     def draw_batch(self, size):
         return None
-
-    def end_search(self):
-        pass  # toy games run no kernel, so there are no buffers to drop
 
     def eval_value(self, d, g) -> float:
         return toy_value(self.game, d, g)
@@ -261,13 +256,10 @@ def _last(iterates):
 
 def _worst_case(ops, start, descent_dir, project, cfg: ProximalConfig):
     """The last iterate of the estimators' search: `worst_iters` steps at
-    `worst_lr` on fresh search-split minibatches.  The search's kernel
-    buffers are dropped when it ends, before the held-out evaluation."""
-    last = _last(_adam_search(start, descent_dir, project,
+    `worst_lr` on fresh search-split minibatches."""
+    return _last(_adam_search(start, descent_dir, project,
                               lambda: ops.draw_batch(cfg.batch_size),
                               cfg.worst_lr, cfg.worst_iters))
-    ops.end_search()
-    return last
 
 
 # -- the estimators ----------------------------------------------------------

@@ -102,21 +102,27 @@ class ExperimentConfig:
             raise ConfigError("checkpoint interval must be positive")
         if self.jsd_bins < 1:
             raise ConfigError(f"jsd.bins must be positive, got {self.jsd_bins}")
+        for key, size in (("train", self.n_a), ("search", self.n_b), ("eval", self.n_c)):
+            if size < 1:
+                raise ConfigError(f"splits.{key} must be positive, got {size}")
         if self.total_steps > 0 and self.total_steps % self.checkpoint_interval != 0:
             raise ConfigError("checkpoint interval must divide total steps")
 
 
 def parse_pairs(text: str) -> dict:
-    """Raw `key = value` lines; '#' starts a comment, blank lines are skipped."""
-    pairs = {}
+    """Raw `key = value` lines; '#' starts a comment, blank lines are skipped,
+    and a key may be set once."""
+    pairs, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        pairs[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in lines:
+            raise ConfigError(f"line {lineno}: key {key!r} is already set on line {lines[key]}")
+        pairs[key], lines[key] = value, lineno
     return pairs
 
 

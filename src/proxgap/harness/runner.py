@@ -8,6 +8,8 @@ import hashlib
 import json
 import os
 import time
+import zipfile
+import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -147,7 +149,6 @@ def train(cfg: ExperimentConfig) -> Path:
                   adam_init(len(state.theta_g), cfg.lr_g, cfg.beta1, cfg.beta2), v0)
     n = cfg.update_ratio
     cycle = [disc] * n + [gen] if n > 0 else [disc] + [gen] * -n
-    buffers = GanBuffers(state)  # the run's kernel buffers, reused by every update
 
     t_start = time.monotonic()
     started = time.time()
@@ -174,9 +175,10 @@ def train(cfg: ExperimentConfig) -> Path:
                 break
             if step % cfg.checkpoint_interval:
                 continue
-            # the scoring searches own their buffers, so the run's are dropped
-            # first and add nothing to the scoring's peak
-            buffers.clear()
+            # fresh kernel buffers for the updates up to the next checkpoint
+            # (step 0 is one); bound before the scoring, whose searches own
+            # theirs, so the last updates' buffers add nothing to its peak
+            buffers = GanBuffers(state)
             scores, gap = score_checkpoint(state, splits, cfg, step)
             wall = (time.monotonic() - t_start) * 1000.0
             writer.writerow([step] + [f"{x:.12g}" for x in (disc.loss, gen.loss, *scores)]
@@ -356,15 +358,18 @@ def load_checkpoint(path) -> Checkpoint:
     if sidecar.get("arrays") != list(shapes):
         raise ValueError(f"checkpoint sidecar {sidecar_path} lists arrays "
                          f"{sidecar.get('arrays')!r}, expected {list(shapes)!r}")
-    with np.load(path) as blobs:
-        arrays = {}
-        for name, shape in shapes.items():
-            if name not in blobs.files:
-                raise ValueError(f"checkpoint {path} has no array {name!r} (expected shape {shape})")
-            arrays[name] = blobs[name]
-            if arrays[name].shape != shape:
-                raise ValueError(f"checkpoint array {name!r} has shape {arrays[name].shape}, "
-                                 f"expected {shape}")
+    try:
+        with np.load(path) as blobs:
+            arrays = {name: blobs[name] for name in shapes if name in blobs.files}
+    except (OSError, EOFError, ValueError, TypeError, NotImplementedError, zipfile.BadZipFile,
+            zlib.error) as err:  # an empty, cut, corrupt or non-zip file
+        raise ValueError(f"checkpoint {path} cannot be read: {err}") from err
+    for name, shape in shapes.items():
+        if name not in arrays:
+            raise ValueError(f"checkpoint {path} has no array {name!r} (expected shape {shape})")
+        if arrays[name].shape != shape:
+            raise ValueError(f"checkpoint array {name!r} has shape {arrays[name].shape}, "
+                             f"expected {shape}")
     state = GanState(cfg.d_spec, cfg.g_spec, ParamVector(arrays["theta_d"], cfg.d_spec.layout()),
                      ParamVector(arrays["theta_g"], cfg.g_spec.layout()), cfg.objective)
     counters = arrays["counters"]

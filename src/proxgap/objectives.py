@@ -8,8 +8,9 @@ plain numpy (``output_grads``), written op for op as the graph engine's
 backward pass over that formula, so the two agree bit for bit.  The leaf
 graph runs only to name a failure.
 
-The discriminator's gradient has one source, ``penalized_step_fn``, the
-proximal objective's per-step V - lam * dist^2; at lam = 0 it is V itself.
+Every kernel value of V and every dV/dtheta_d has one source,
+``penalized_step_fn``, the proximal objective's per-step V - lam * dist^2;
+at lam = 0 it is V itself.
 """
 
 from __future__ import annotations
@@ -269,13 +270,14 @@ def _batches(real_batch, latent_batch):
     return real_batch, latent_batch
 
 
-def eval_objective(state: GanState, real_batch, latent_batch) -> float:
-    """Monte-Carlo estimate of V at the state's current parameters."""
-    real, latent = _batches(real_batch, latent_batch)
+def eval_objective(state: GanState, real_batch, latent_batch, buffers=None) -> float:
+    """Monte-Carlo estimate of V at the state's current parameters: the clip
+    box checked, then the value of the penalized step at lam = 0, on
+    ``buffers`` as there."""
     check_clip_box(state.objective, state.theta_d)
-    fake = forward(state.g_spec, state.theta_g, latent)
-    out = forward(state.d_spec, state.theta_d, np.vstack([real, fake]))
-    return output_grads(state.objective, out, real.shape[0])[0]
+    step = penalized_step_fn(state, state.theta_d, state.theta_g, real_batch, latent_batch,
+                             0.0, None, buffers)
+    return step(state.theta_d, backward=False)[0]
 
 
 def output_grads(objective: ObjectiveKind, outputs: np.ndarray, n_real: int):
@@ -302,34 +304,15 @@ def output_grads(objective: ObjectiveKind, outputs: np.ndarray, n_real: int):
 
 class GanBuffers:
     """The kernel buffers that one loop, a training run or an estimator search,
-    owns over a game's two networks.
-
-    It holds one ``MlpWorkspace`` per network and row count, built on the
-    first call that needs it and reused by every later one, and dies with
-    the loop.  A call's outputs alias its workspaces until the next call on
-    them, so a loop hands its buffers to one live step function at a time.
-    Building a workspace on more rows than any held drops those held: a
-    loop's row counts grow only when a phase ends (a search's last ascent
-    runs on the evaluation split), so a finished phase's buffers add nothing
-    to the next one's peak.
+    owns over a game's two networks: one ``MlpWorkspace`` each, ``g`` and
+    ``d``, grown to the loop's largest batch and dying with the loop.  A
+    call's outputs alias its workspaces until the next call on them, so a
+    loop hands its buffers to one live step function at a time.
     """
 
     def __init__(self, state: GanState):
-        self._specs = {"g": state.g_spec, "d": state.d_spec}
-        self._works = {}
-
-    def work(self, net: str, n: int) -> MlpWorkspace:
-        """The workspace of network ``net`` ('g' or 'd') on n rows."""
-        work = self._works.get((net, n))
-        if work is None:
-            if all(held < n for _, held in self._works):
-                self._works.clear()
-            work = self._works[net, n] = MlpWorkspace(self._specs[net], n)
-        return work
-
-    def clear(self):
-        """Drop every workspace; the next calls build theirs afresh."""
-        self._works.clear()
+        self.g = MlpWorkspace(state.g_spec)
+        self.d = MlpWorkspace(state.d_spec)
 
 
 def penalized_step_fn(state, anchor, theta_g, real, latent, lam, h, buffers=None):
@@ -352,18 +335,16 @@ def penalized_step_fn(state, anchor, theta_g, real, latent, lam, h, buffers=None
     if buffers is None:  # fresh buffers for a one-shot caller
         buffers = GanBuffers(state)
     spec = state.d_spec
-    fake = forward(state.g_spec, theta_g, latent, buffers.work("g", len(latent)))
+    fake = forward(state.g_spec, theta_g, latent, buffers.g)
     n, n_obj = real.shape[0], real.shape[0] + fake.shape[0]
     rows = [real, fake]
     if lam > 0:
-        anchor_grads = input_grad_batch(spec, anchor, real, h)
+        anchor_grads = input_grad_batch(spec, anchor, real, h, buffers.d)
         rows.append(stencil_rows(spec, real, h))
     rows = np.vstack(rows)
-    # the stacked row count is fixed, so every call reuses one workspace
-    work = buffers.work("d", len(rows))
 
     def value_and_grad(theta, backward=True):
-        out, cache = mlp_forward(spec, theta, rows, work)
+        out, cache = mlp_forward(spec, theta, rows, buffers.d)
         value, grad_out = output_grads(state.objective, out[:n_obj], n)
         if lam > 0:
             # the stencil outputs as (coordinate, +/- shift, row)
@@ -424,9 +405,8 @@ def value_and_grad_g(state, theta_d: ParamVector, theta_g: ParamVector,
     check_clip_box(state.objective, theta_d)
     if buffers is None:  # fresh buffers for a one-shot caller
         buffers = GanBuffers(state)
-    fake, g_cache = mlp_forward(state.g_spec, theta_g, latent, buffers.work("g", len(latent)))
-    rows = np.vstack([real, fake])
-    out, d_cache = mlp_forward(state.d_spec, theta_d, rows, buffers.work("d", len(rows)))
+    fake, g_cache = mlp_forward(state.g_spec, theta_g, latent, buffers.g)
+    out, d_cache = mlp_forward(state.d_spec, theta_d, np.vstack([real, fake]), buffers.d)
     v, grad_out = output_grads(state.objective, out, real.shape[0])
     grad_rows = mlp_backward(state.d_spec, theta_d, d_cache, grad_out)[1]
     return finite_value_and_grad(

@@ -250,7 +250,7 @@ def test_kernel_keeps_the_former_kernels_bytes(activation, head, rows):
                  NetworkSpec(3, (32, 16), 2, activation=activation, output_head=head,
                              leaky_slope=slope + 0.1))
         for k, spec in enumerate(specs):
-            work = MlpWorkspace(spec, rows)
+            work = MlpWorkspace(spec)
             for trial in range(4 if rows == 1 else 3):
                 theta = init_network(spec, rng.child(k, trial, 0))
                 batch = _with_special_rows(rng.child(k, trial, 1).normal((rows, spec.input_dim)),
@@ -598,7 +598,7 @@ def test_kernel_catches_an_overflow_that_tanh_hides():
         with np.errstate(over="ignore"):
             assert np.isfinite(pre).all() and np.isinf(pre.sum())
         want = _reference_mlp_forward(spec, theta, batch)[0]
-        for work in (None, MlpWorkspace(spec, batch.shape[0])):
+        for work in (None, MlpWorkspace(spec)):
             out = mlp_forward(spec, theta, batch, work)[0]
             assert out.tobytes() == want.tobytes()
             np.testing.assert_array_equal(out, forward_graph(spec, theta, batch).data)
@@ -704,7 +704,7 @@ def test_kernel_names_the_op_that_forward_graph_names(case):
     with pytest.raises(NonFiniteError) as err:
         mlp_forward(spec, theta, batch)
     with pytest.raises(NonFiniteError) as work_err:
-        mlp_forward(spec, theta, batch, MlpWorkspace(spec, batch.shape[0]))
+        mlp_forward(spec, theta, batch, MlpWorkspace(spec))
     assert err.value.op == work_err.value.op == graph_err.value.op == former_err.value.op == op
     if op != "theta":  # a ParamVector cannot hold a non-finite value
         with pytest.raises(NonFiniteError) as err:
@@ -917,7 +917,7 @@ def test_reused_workspace_matches_fresh_allocation_bit_for_bit(activation, objec
     step_fn = penalized_step_fn(state, state.theta_d, state.theta_g, real, latent, 0.1, 1e-3)
     rows = rng.normal((3 * n, 2))
     weights = rng.normal((3 * n, 1))
-    work = MlpWorkspace(state.d_spec, 3 * n)
+    work = MlpWorkspace(state.d_spec)
     for theta in _thetas(state, rng.child(1), 20):
         # the step function's own workspace against a fresh step function
         value, grad = step_fn(theta)
@@ -935,12 +935,27 @@ def test_reused_workspace_matches_fresh_allocation_bit_for_bit(activation, objec
         np.testing.assert_array_equal(grads[1], fresh[1])
 
 
-def test_workspace_rejects_another_row_count():
-    spec = NetworkSpec(2, (4,), 1)
-    params = init_network(spec, Rng(0))
-    for rows in (3, 5):
-        with pytest.raises(ValueError):
-            mlp_forward(spec, params, np.zeros((rows, 2)), MlpWorkspace(spec, 4))
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+@pytest.mark.parametrize("head", HEADS)
+def test_one_workspace_on_changing_row_counts_keeps_the_bytes_of_fresh_ones(activation, head):
+    # one workspace grows to its largest batch and serves smaller ones from
+    # its leading rows, its backward buffers and row of ones included; a
+    # forward-only call opens the run, so those follow the forward's rows
+    spec = NetworkSpec(2, (32, 16), 1, activation=activation, output_head=head)
+    rng = Rng(38)
+    work = MlpWorkspace(spec)
+    mlp_forward(spec, init_network(spec, rng), rng.normal((50, 2)), work)
+    for k, rows in enumerate((7, 40, 7, 3000, 40)):
+        theta = init_network(spec, rng.child(k, 0))
+        batch = rng.child(k, 1).normal((rows, 2))
+        weights = rng.child(k, 2).normal((rows, 1))
+        got, want = [], []
+        for buffers, results in ((work, got), (MlpWorkspace(spec), want)):
+            out, cache = mlp_forward(spec, theta, batch, buffers)
+            results.append(out.tobytes())
+            results.extend(g.tobytes() for g in mlp_backward(spec, theta, cache, weights))
+        assert got == want
+        assert work.rows == max((50, 7, 40, 7, 3000, 40)[:k + 2])
 
 
 def test_returned_gradients_survive_later_steps():

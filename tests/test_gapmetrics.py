@@ -8,6 +8,7 @@ from dataclasses import replace
 
 from proxgap import gapmetrics, objectives
 from proxgap.diffcore import (
+    MlpWorkspace,
     NetworkSpec,
     NonFiniteError,
     ParamVector,
@@ -33,6 +34,7 @@ from proxgap.gapmetrics import (
 )
 from proxgap.objectives import (
     Classic,
+    ClipBoxError,
     GanState,
     WassersteinClip,
     enforce_constraint,
@@ -341,6 +343,58 @@ def test_v_gw_lambda_final_value_runs_no_backward_pass(monkeypatch):
     assert _hex(estimate_v_gw_lambda(state, splits, cfg, Rng(35))) == _hex(want)
     n_c = splits.s_c.shape[0]
     assert rows.count((2 + 2 * state.d_spec.input_dim) * n_c) == cfg.prox_steps
+
+
+def test_each_gan_estimate_builds_two_workspaces_and_its_held_out_values_none(monkeypatch):
+    # an estimate's search, its final ascent and its held-out values all run
+    # on one workspace per network, grown to the evaluation split
+    state, splits, cfg = _small_gan_setup()
+    want = duality_gap(state, splits, cfg, Rng(36))
+    built, phase, held_out = [], [None], []
+    init = MlpWorkspace.__init__
+
+    def building(work, spec):
+        init(work, spec)
+        built.append((phase[0], spec))
+
+    def scoped(name, fn):
+        def run(*args, **kwargs):
+            outer, phase[0] = phase[0], name
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                phase[0] = outer
+        return run
+
+    monkeypatch.setattr(MlpWorkspace, "__init__", building)
+    names = ("estimate_v_dw", "estimate_v_gw_lambda", "estimate_v_gw_plain")
+    for name in names:
+        monkeypatch.setattr(gapmetrics, name, scoped(name, getattr(gapmetrics, name)))
+    eval_value = gapmetrics._GanOps.eval_value
+    monkeypatch.setattr(gapmetrics._GanOps, "eval_value",
+                        lambda ops, *args: held_out.append(phase[0])
+                        or scoped("held_out", eval_value)(ops, *args))
+    assert duality_gap(state, splits, cfg, Rng(36)) == want
+    assert held_out == ["estimate_v_dw", "estimate_v_dw", "estimate_v_gw_plain"]
+    for name in names:
+        specs = [spec for where, spec in built if where == name]
+        assert sorted(specs, key=repr) == sorted([state.g_spec, state.d_spec], key=repr)
+    assert "held_out" not in [where for where, _ in built]
+
+
+def test_v_gw_plain_without_search_steps_still_checks_the_clip_box():
+    # with no search step no generator gradient checks the critic, so the
+    # held-out value is the one to refuse a critic outside the weight box
+    state = next(state for state in _classic_and_clipped_states()
+                 if isinstance(state.objective, WassersteinClip))
+    outside = state.with_params(theta_d=state.theta_d.with_values(
+        state.theta_d.values + 2 * state.objective.clip))
+    dist = GaussianMixture([1.0], [[0.0, 0.0]], [[1.0, 1.0]])
+    splits = make_splits(dist, 200, 100, 100, Rng(37))
+    cfg = ProximalConfig(worst_iters=0, batch_size=32)
+    estimate_v_gw_plain(state, splits, cfg, Rng(38))
+    with pytest.raises(ClipBoxError):
+        estimate_v_gw_plain(outside, splits, cfg, Rng(38))
 
 
 def test_toy_step_at_zero_lambda_is_the_toy_gradient():

@@ -5,6 +5,7 @@ import gc
 import hashlib
 import inspect
 import json
+import re
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -23,6 +24,7 @@ from proxgap.harness import (
     gap_cmd,
     lambda_sweep_cmd,
     load_checkpoint,
+    load_config,
     pearson_r,
     ratio_sweep_cmd,
     read_metrics,
@@ -232,15 +234,18 @@ def test_run_owned_buffers_give_the_bytes_of_per_update_buffers(tmp_path, monkey
 
 
 def _record_kernel_buffers(monkeypatch):
-    """Record, for one run, the workspaces built and each kernel call's
-    workspace with the step function or ``value_and_grad_g`` call it ran for."""
+    """Record, for one run, the buffers built, as (spec, rows) whenever a
+    workspace builds them, and each kernel call's workspace with the step
+    function or ``value_and_grad_g`` call it ran for."""
     log = {"built": [], "uses": [], "refs": []}
     serials, owner = {}, [None]
-    init = MlpWorkspace.__init__
+    fit = MlpWorkspace.fit
 
-    def building(work, spec, n):
-        init(work, spec, n)
-        log["built"].append((spec, n))
+    def building(work, n):
+        rows = work.rows
+        fit(work, n)
+        if work.rows != rows:
+            log["built"].append((work.spec, work.rows))
 
     def serial(work):
         entry = serials.get(id(work))
@@ -281,7 +286,7 @@ def _record_kernel_buffers(monkeypatch):
     def calling_grad_g(*args):
         return owned_by(grad_g)(*args)[0]
 
-    monkeypatch.setattr(MlpWorkspace, "__init__", building)
+    monkeypatch.setattr(MlpWorkspace, "fit", building)
     for module in (network, objectives):
         monkeypatch.setattr(module, "mlp_forward", recording)
     for module in (objectives, gapmetrics):
@@ -292,10 +297,9 @@ def _record_kernel_buffers(monkeypatch):
 
 
 def test_a_run_builds_its_kernel_buffers_once(tmp_path, monkeypatch):
-    # the training updates build their workspaces once per run, whatever its
-    # length: the generator's, the discriminator's on more rows, which drops
-    # it, and the generator's again; with the checkpoints' scoring, the count
-    # follows the number of checkpoints, not of steps
+    # the training updates build one workspace per network once per run,
+    # whatever its length; with the checkpoints' scoring, the count follows
+    # the number of checkpoints, not of steps
     cfg = tiny_cfg(tmp_path / "x")
     batch = cfg.train_batch
     counts = {}
@@ -313,8 +317,7 @@ def test_a_run_builds_its_kernel_buffers_once(tmp_path, monkeypatch):
             if not scored:
                 # the initial V's one-shot pair on the evaluation split, then the run's
                 assert log["built"] == [(cfg.g_spec, cfg.n_c), (cfg.d_spec, 2 * cfg.n_c),
-                                        (cfg.g_spec, batch), (cfg.d_spec, 2 * batch),
-                                        (cfg.g_spec, batch)]
+                                        (cfg.g_spec, batch), (cfg.d_spec, 2 * batch)]
     assert counts[True, 10] == counts[True, 20]
 
 
@@ -966,8 +969,9 @@ def test_cli_names_an_estimator_failure_without_a_traceback(tmp_path, capsys):
 
 def _overflowing_linear_checkpoint(tmp_path, worst_iters):
     """A linear WGAN critic at weight 1 against a linear generator at 1e300."""
-    cfg = config_from_text(TINY + "objective.kind = wgan_clip\nobjective.clip = 1e306\n"
-                                  f"disc.hidden =\ngen.hidden =\nprox.worst_iters = {worst_iters}\n")
+    cfg = with_overrides(config_from_text(TINY), **{
+        "objective.kind": "wgan_clip", "objective.clip": "1e306", "disc.hidden": "",
+        "gen.hidden": "", "prox.worst_iters": worst_iters})
     return _checkpoint_with(tmp_path, cfg, np.ones(cfg.d_spec.param_count),
                             np.full(cfg.g_spec.param_count, 1e300))
 
@@ -996,6 +1000,76 @@ def test_cli_names_a_search_step_whose_adam_moment_overflows(tmp_path, capsys):
 
 def test_cli_missing_config_reports_error(tmp_path):
     assert main(["train", "--config", str(tmp_path / "absent.txt")]) == 2
+
+
+def test_cli_train_into_an_existing_directory_is_one_error_line(tmp_path, tiny_run, capsys):
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(TINY)
+    before = sorted(tiny_run.iterdir())
+    assert main(["train", "--config", str(cfg_path), "--out", str(tiny_run)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tiny_run) in err and err.count("\n") == 1
+    assert sorted(tiny_run.iterdir()) == before
+
+
+@pytest.mark.parametrize("key", ["splits.train", "splits.search", "splits.eval"])
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_an_empty_split_is_refused_before_the_run_directory_is_made(tmp_path, capsys, key, size):
+    text = "\n".join(f"{key} = {size}" if line.startswith(key) else line
+                     for line in TINY.splitlines())
+    with pytest.raises(ConfigError, match=f"{key} must be positive, got {size}"):
+        config_from_text(text)
+    cfg_path, out = tmp_path / "cfg.txt", tmp_path / "run"
+    cfg_path.write_text(text)
+    assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {key} must be positive, got {size}\n"
+    assert not out.exists()
+
+
+def test_a_config_file_that_sets_a_key_twice_is_refused(tmp_path, capsys):
+    cfg_path, out = tmp_path / "cfg.txt", tmp_path / "run"
+    cfg_path.write_text("seed = 3\ntrain.steps = 0\n\n# again\n seed=4 # last\n")
+    message = "line 5: key 'seed' is already set on line 1"
+    with pytest.raises(ConfigError, match=message):
+        load_config(cfg_path)
+    assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def _flip_a_byte_of(data: bytes, member: str) -> bytes:
+    """``data``, an uncompressed .npz, with the last byte of ``member``'s data flipped."""
+    import io
+    import zipfile
+    with zipfile.ZipFile(io.BytesIO(data)) as archive:
+        info = archive.getinfo(member)
+    name_len, extra_len = np.frombuffer(data, "<u2", 2, info.header_offset + 26)
+    at = info.header_offset + 30 + int(name_len) + int(extra_len) + info.compress_size - 1
+    return data[:at] + bytes([data[at] ^ 0xFF]) + data[at + 1:]
+
+
+@pytest.mark.parametrize("damage,cause", [
+    (lambda data: b"", "No data left in file"),
+    (lambda data: data[:len(data) // 2], "File is not a zip file"),
+    (lambda data: _flip_a_byte_of(data, "theta_d.npy"), "Bad CRC-32 for file 'theta_d.npy'"),
+], ids=["empty", "truncated", "flipped_byte"])
+def test_an_unreadable_checkpoint_is_one_error_line(tiny_run, tmp_path, capsys, damage, cause):
+    src = tiny_run / "checkpoint_000020"
+    dst = tmp_path / "checkpoint_000020"
+    dst.with_suffix(".npz").write_bytes(damage(src.with_suffix(".npz").read_bytes()))
+    dst.with_suffix(".json").write_bytes(src.with_suffix(".json").read_bytes())
+    path = str(dst.with_suffix(".npz"))
+    message = f"checkpoint {path} cannot be read: {cause}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_checkpoint(path)
+    capsys.readouterr()
+    for argv in (["gap", "--checkpoint", path],
+                 ["lambda-sweep", "--checkpoint", path, "--lambda", "0.1"],
+                 ["probe", "--checkpoint", path, "--kind", "deviation", "--steps", "0"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [dst.with_suffix(".json").name,
+                                                         dst.with_suffix(".npz").name]
 
 
 def test_cli_empty_lambda_list_is_usage_error(tiny_run):

@@ -158,7 +158,7 @@ def _reference_agent_grad(state, splits, agent, rng):
         return lambda theta_g: value_and_grad_g(state, state.theta_d, theta_g,
                                                 real, latent)[1]
     rows = np.vstack([real, forward(state.g_spec, state.theta_g, latent)])
-    work = MlpWorkspace(state.d_spec, rows.shape[0])
+    work = MlpWorkspace(state.d_spec)
 
     def grad_d(theta_d):
         out, cache = mlp_forward(state.d_spec, theta_d, rows, work)

@@ -78,7 +78,7 @@ def timings(cycle: int, passes: int) -> dict:
             thetas = [init_network(spec, rng.child(k, 0)) for k in range(cycle)]
             batches = [rng.child(k, 1).normal((rows, spec.input_dim)) for k in range(cycle)]
             weights = [rng.child(k, 2).normal((rows, 1)) for k in range(cycle)]
-            work = MlpWorkspace(spec, rows)
+            work = MlpWorkspace(spec)
             caches = [None] * cycle
 
             def fwd(k):
