@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,19 +35,23 @@ class NetworkSpec:
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.output_head not in _HEADS:
             raise ValueError(f"unknown output head {self.output_head!r}")
-        # the derived shapes, once per spec; plain attributes rather than
+        # the parameter layout, once per spec; plain attributes rather than
         # dataclass fields, so equality, hashing and repr ignore them
         dims = (self.input_dim, *self.hidden_widths, self.output_dim)
-        shapes = tuple((dims[i], dims[i + 1]) for i in range(len(dims) - 1))
-        layout, offset = {}, 0
-        for i, (fi, fo) in enumerate(shapes):
-            layout[f"W{i}"] = (offset, fi * fo)
-            offset += fi * fo
-            layout[f"b{i}"] = (offset, fo)
-            offset += fo
-        object.__setattr__(self, "_shapes", shapes)
-        object.__setattr__(self, "_layout", layout)
+        layers, offset = [], 0
+        for fi, fo in zip(dims, dims[1:]):
+            bias = offset + fi * fo
+            layers.append((fi, fo, slice(offset, bias), slice(bias, bias + fo)))
+            offset = bias + fo
+        object.__setattr__(self, "_layers", tuple(layers))
+        object.__setattr__(self, "_shapes", tuple((fi, fo) for fi, fo, _, _ in layers))
         object.__setattr__(self, "_param_count", offset)
+
+    def layers(self) -> tuple:
+        """(fan_in, fan_out, weight slice, bias slice) per layer, input to
+        output: the one layout of the flat parameter vector, W0, b0, W1, ...
+        in turn, each W row-major fan_in x fan_out."""
+        return self._layers
 
     def layer_shapes(self) -> tuple:
         """(fan_in, fan_out) per layer, input to output."""
@@ -57,25 +61,16 @@ class NetworkSpec:
     def param_count(self) -> int:
         return self._param_count
 
-    def layout(self) -> dict:
-        """Segment name -> (offset, length) for the flat parameter vector."""
-        return dict(self._layout)
-
 
 @dataclass(frozen=True)
 class ParamVector:
-    """Immutable flat parameter store with a named segment layout."""
+    """Immutable flat parameter store: a finite, read-only copy of its values,
+    laid out as its network's ``NetworkSpec.layers()`` says."""
 
     values: np.ndarray
-    layout: dict = field(compare=False)
 
     def __post_init__(self):
         vals = _finite_copy(self.values)
-        total = sum(length for _, length in self.layout.values())
-        if total != vals.size:
-            raise ValueError(f"layout covers {total} values, got {vals.size}")
-        if any(off + length > vals.size for off, length in self.layout.values()):
-            raise ValueError("layout segment exceeds parameter vector")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
@@ -83,20 +78,14 @@ class ParamVector:
         return self.values.size
 
     def with_values(self, values) -> "ParamVector":
-        """A vector of this layout holding ``values``.  The layout was checked
-        when ``self`` was built, so only the values are, with the constructor's
-        messages."""
+        """A vector of this length holding ``values``, checked and copied once."""
         vals = _finite_copy(values)
         if vals.size != self.values.size:
-            raise ValueError(f"layout covers {self.values.size} values, got {vals.size}")
+            raise ValueError(f"expected {self.values.size} values, got {vals.size}")
         vals.flags.writeable = False
         new = object.__new__(ParamVector)
-        new.__dict__.update(values=vals, layout=self.layout)
+        new.__dict__["values"] = vals
         return new
-
-    def segment(self, name: str) -> np.ndarray:
-        off, length = self.layout[name]
-        return self.values[off:off + length]
 
 
 def _finite_copy(values) -> np.ndarray:
@@ -109,12 +98,10 @@ def _finite_copy(values) -> np.ndarray:
 def init_network(spec: NetworkSpec, rng: Rng) -> ParamVector:
     """Uniform Glorot-style init: W ~ U(-a, a) with a = sqrt(6/(fan_in+fan_out)); zero biases."""
     vals = np.zeros(spec.param_count)
-    layout = spec.layout()
-    for i, (fi, fo) in enumerate(spec.layer_shapes()):
+    for fi, fo, weight, _ in spec.layers():
         a = np.sqrt(6.0 / (fi + fo))
-        off, length = layout[f"W{i}"]
-        vals[off:off + length] = rng.uniform(-a, a, length)
-    return ParamVector(vals, layout)
+        vals[weight] = rng.uniform(-a, a, fi * fo)
+    return ParamVector(vals)
 
 
 def forward_graph(spec: NetworkSpec, theta, batch) -> Tensor:
@@ -125,14 +112,11 @@ def forward_graph(spec: NetworkSpec, theta, batch) -> Tensor:
     x = as_tensor(batch)
     if x.data.ndim != 2 or x.data.shape[1] != spec.input_dim:
         raise ValueError(f"batch must be n x {spec.input_dim}, got {x.data.shape}")
-    layout = spec.layout()
-    shapes = spec.layer_shapes()
-    last = len(shapes) - 1
-    for i, (fi, fo) in enumerate(shapes):
-        off_w, len_w = layout[f"W{i}"]
-        off_b, len_b = layout[f"b{i}"]
-        w = t.segment(off_w, len_w).reshape(fi, fo)
-        b = t.segment(off_b, len_b)
+    layers = spec.layers()
+    last = len(layers) - 1
+    for i, (fi, fo, weight, bias) in enumerate(layers):
+        w = t.segment(weight.start, fi * fo).reshape(fi, fo)
+        b = t.segment(bias.start, fo)
         x = x @ w + b
         if i < last:
             if spec.activation == "tanh":
@@ -224,16 +208,13 @@ def mlp_forward(spec: NetworkSpec, theta, batch, work: MlpWorkspace = None):
     if work is None:
         work = MlpWorkspace(spec)
     work.fit(n)
-    shapes = spec.layer_shapes()
-    last = len(shapes) - 1
+    layers = spec.layers()
+    last = len(layers) - 1
     inputs, gates = [], []
-    off = 0
     # every large array lives in the workspace, so a reused one allocates, and
     # page-faults, nothing of the batch's size; the arithmetic is the graph's
-    for i, (fi, fo) in enumerate(shapes):
-        w = vals[off:off + fi * fo].reshape(fi, fo)
-        b = vals[off + fi * fo:off + fi * fo + fo]
-        off += fi * fo + fo
+    for i, (fi, fo, weight, bias) in enumerate(layers):
+        w, b = vals[weight].reshape(fi, fo), vals[bias]
         z, mask = work.pre[i][:n], work.masks[i][:n]
         np.matmul(x, w, out=z)
         z += b
@@ -284,23 +265,21 @@ def mlp_backward(spec: NetworkSpec, theta, cache, grad_out, input_grad: bool = T
         g = g * out * (1.0 - out)
     grad = np.empty(spec.param_count)
     n = g.shape[0]
-    shapes = spec.layer_shapes()
+    layers = spec.layers()
     # two work buffers, used in turn for the next gradient and as scratch, on
     # as many rows as the forward's
     if work.bufs is None:
-        size = work.rows * max(fi for fi, _ in shapes)
+        size = work.rows * max(fi for fi, _ in spec.layer_shapes())
         work.bufs = (np.empty(size), np.empty(size))
         work.ones = np.ones(work.rows)
     bufs, ones = work.bufs, work.ones[:n]
-    off = spec.param_count
-    for i in range(len(shapes) - 1, -1, -1):
-        fi, fo = shapes[i]
-        off -= fi * fo + fo
-        np.matmul(inputs[i].T, g, out=grad[off:off + fi * fo].reshape(fi, fo))
-        np.matmul(ones, g, out=grad[off + fi * fo:off + fi * fo + fo])
+    for i in range(len(layers) - 1, -1, -1):
+        fi, fo, weight, bias = layers[i]
+        np.matmul(inputs[i].T, g, out=grad[weight].reshape(fi, fo))
+        np.matmul(ones, g, out=grad[bias])
         if i == 0 and not input_grad:
             return grad, None
-        w = vals[off:off + fi * fo].reshape(fi, fo)
+        w = vals[weight].reshape(fi, fo)
         nxt = bufs[i % 2][:n * fi].reshape(n, fi)
         if fo > 1:
             np.matmul(g, w.T, out=nxt)

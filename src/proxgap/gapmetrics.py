@@ -123,8 +123,7 @@ class _GanOps:
         self.splits = splits
         self.rng = rng
         if eval_latent is None:
-            eval_latent = rng.child(_EVAL_TAG).normal(
-                (splits.s_c.shape[0], state.latent_dim))
+            eval_latent = _eval_latent(state, splits, rng)
         self.eval_latent = np.asarray(eval_latent, dtype=np.float64)
         self.eval_batch = splits.s_c, self.eval_latent
         self.d0 = state.theta_d
@@ -203,6 +202,16 @@ class _ToyOps:
         return (lambda d: stencil(d)[1] - coef * (d - anchor)), value
 
 
+def _eval_latent(state, splits, rng: Rng):
+    """The held-out latent batch that every estimate on a GAN state shares,
+    drawn from `rng`'s evaluation child; None for a toy game."""
+    if not isinstance(state, GanState):
+        return None
+    if splits is None:
+        raise ValueError("GAN states require data splits")
+    return rng.child(_EVAL_TAG).normal((splits.s_c.shape[0], state.latent_dim))
+
+
 def _ops_for(state, splits, rng, eval_latent=None):
     if isinstance(state, GanState):
         return _GanOps(state, splits, rng, eval_latent)
@@ -223,7 +232,7 @@ def _prox_loop(grad_fn, anchor, project, cfg: ProximalConfig):
     objective's gradient."""
     theta = project(anchor)
     lr = _prox_step_size(cfg.prox_lr, cfg.lam)
-    # GAN iterates are ParamVectors of one layout, toy iterates plain arrays
+    # GAN iterates are ParamVectors of the anchor's length, toy iterates plain arrays
     as_params = theta.with_values if isinstance(theta, ParamVector) else None
     yield theta
     for j in range(cfg.prox_steps):
@@ -327,7 +336,7 @@ def _gap_reports(state, splits, cfg: ProximalConfig, lams, rng: Rng,
     if known is not None and (known.seed != rng.seed
                               or replace(known.cfg, lam=cfg.lam) != cfg):
         raise ValueError("known gap report comes from another stream or budget")
-    eval_latent = _ops_for(state, splits, rng).eval_latent
+    eval_latent = _eval_latent(state, splits, rng)
     v_dw = known.v_dw if known is not None else estimate_v_dw(
         state, splits, cfg, rng.child(_DW_TAG), eval_latent)
     v_gw_lambdas = {known.lam: known.v_gw_lambda} if known is not None else {}

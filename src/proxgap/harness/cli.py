@@ -175,7 +175,7 @@ def main(argv=None) -> int:
                     "--" + name.replace("_", "-") for name in foreign))
             out = probe_cmd(args.checkpoint, args.kind, out=args.out, **given)
             print(f"wrote {out}")
-    except (ConfigError, FileNotFoundError, FileExistsError, ValueError) as err:
+    except (ConfigError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (NonFiniteError, ProxDivergenceError) as err:  # names the inner step and op

@@ -370,8 +370,8 @@ def load_checkpoint(path) -> Checkpoint:
         if arrays[name].shape != shape:
             raise ValueError(f"checkpoint array {name!r} has shape {arrays[name].shape}, "
                              f"expected {shape}")
-    state = GanState(cfg.d_spec, cfg.g_spec, ParamVector(arrays["theta_d"], cfg.d_spec.layout()),
-                     ParamVector(arrays["theta_g"], cfg.g_spec.layout()), cfg.objective)
+    state = GanState(cfg.d_spec, cfg.g_spec, ParamVector(arrays["theta_d"]),
+                     ParamVector(arrays["theta_g"]), cfg.objective)
     counters = arrays["counters"]
     adams = []
     for player, t, lr in (("d", counters[0], cfg.lr_d), ("g", counters[1], cfg.lr_g)):
@@ -515,13 +515,22 @@ def probe_cmd(checkpoint_path, kind: str, out=None, k: int = 5, steps: int = 200
 
 
 def read_metrics(path):
-    """Rows of a metrics CSV as MetricsRow tuples (schema-checked)."""
+    """Rows of a metrics CSV as MetricsRow tuples (schema-checked); a
+    ValueError names the file and line of the first malformed one."""
     with open(path, "r", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = tuple(next(reader))
+        header = tuple(next(reader, ()))
         if header != METRICS_COLUMNS:
-            raise ValueError(f"unexpected metrics schema {header}")
-        return [MetricsRow(*(float(tok) for tok in row)) for row in reader]
+            raise ValueError(f"{path} line 1: unexpected metrics schema {header}")
+        rows = []
+        for row in reader:
+            try:
+                if len(row) != len(METRICS_COLUMNS):
+                    raise ValueError(f"{len(row)} fields, expected {len(METRICS_COLUMNS)}")
+                rows.append(MetricsRow(*(float(tok) for tok in row)))
+            except ValueError as err:
+                raise ValueError(f"{path} line {reader.line_num}: {err}") from err
+        return rows
 
 
 def pearson_r(x, y) -> float:
@@ -570,8 +579,7 @@ def compare_metrics_csv(path_a, path_b, tol: float = 1e-9) -> bool:
     for ra, rb in zip(rows_a, rows_b):
         for key in METRICS_COLUMNS[:-1]:  # all but wallclock_ms
             va, vb = getattr(ra, key), getattr(rb, key)
-            if np.isnan(va) and np.isnan(vb):
-                continue
-            if abs(va - vb) > tol:
+            # nan matches only nan; abs(nan - x) > tol alone is never true
+            if np.isnan(va) != np.isnan(vb) or abs(va - vb) > tol:
                 return False
     return True

@@ -29,7 +29,7 @@ def test_zero_hidden_linear_has_three_params_and_zero_bias():
     spec = NetworkSpec(2, (), 1)
     assert spec.param_count == 3
     params = init_network(spec, Rng(0))
-    assert params.segment("b0") == pytest.approx([0.0])
+    assert params.values[spec.layers()[0][3]] == pytest.approx([0.0])
 
 
 def test_param_count_2_16_16_1():
@@ -47,8 +47,50 @@ def test_same_seed_same_params():
 def test_init_bounds_follow_fan_in_out():
     spec = NetworkSpec(2, (16,), 1)
     params = init_network(spec, Rng(3))
-    w0 = params.segment("W0")
+    w0 = params.values[spec.layers()[0][2]]
     assert np.max(np.abs(w0)) <= np.sqrt(6.0 / 18.0)
+
+
+@pytest.mark.parametrize("hidden", [(), (3,), (4, 5)], ids=["0", "1", "2"])
+@pytest.mark.parametrize("out", [1, 2])
+def test_layers_tile_the_parameter_vector_in_order(hidden, out):
+    spec = NetworkSpec(2, hidden, out)
+    dims = (2, *hidden, out)
+    assert len(spec.layers()) == len(dims) - 1
+    positions, covered = range(spec.param_count), []
+    for (fi, fo, weight, bias), shape in zip(spec.layers(), zip(dims, dims[1:])):
+        assert (fi, fo) == shape
+        assert len(positions[weight]) == fi * fo and len(positions[bias]) == fo
+        covered += [*positions[weight], *positions[bias]]  # W0, b0, W1, ...
+    assert covered == list(positions)
+    assert spec.layer_shapes() == tuple((fi, fo) for fi, fo, _, _ in spec.layers())
+
+
+def _former_init(spec, rng):
+    """The former init_network recipe: Glorot weights at offsets looked up by
+    name in a W{i}/b{i} -> (offset, length) layout, zero biases."""
+    layout, offset = {}, 0
+    for i, (fi, fo) in enumerate(spec.layer_shapes()):
+        layout[f"W{i}"] = (offset, fi * fo)
+        offset += fi * fo
+        layout[f"b{i}"] = (offset, fo)
+        offset += fo
+    vals = np.zeros(spec.param_count)
+    for i, (fi, fo) in enumerate(spec.layer_shapes()):
+        a = np.sqrt(6.0 / (fi + fo))
+        off, length = layout[f"W{i}"]
+        vals[off:off + length] = rng.uniform(-a, a, length)
+    return vals
+
+
+@pytest.mark.parametrize("spec", [NetworkSpec(2, (), 1), NetworkSpec(3, (5,), 2),
+                                  NetworkSpec(2, (16, 16), 1, activation="leaky_relu"),
+                                  NetworkSpec(4, (7, 3, 6), 2, output_head="sigmoid")],
+                         ids=lambda spec: "-".join(map(str, (spec.input_dim, *spec.hidden_widths,
+                                                             spec.output_dim))))
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 40 + 3])
+def test_init_network_keeps_the_former_recipes_bytes(spec, seed):
+    assert init_network(spec, Rng(seed)).values.tobytes() == _former_init(spec, Rng(seed)).tobytes()
 
 
 def test_invalid_specs_rejected():
@@ -61,32 +103,34 @@ def test_invalid_specs_rejected():
 
 
 def test_param_vector_immutable_and_finite():
-    pv = ParamVector(np.array([1.0, 2.0]), {"w": (0, 2)})
+    pv = ParamVector(np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         pv.values[0] = 5.0
     with pytest.raises(ValueError):
-        ParamVector(np.array([np.inf]), {"w": (0, 1)})
+        ParamVector(np.array([np.inf]))
 
 
 @pytest.mark.parametrize("values", [[1.0], [1.0, 2.0, 3.0], [np.nan, 1.0], [1.0, -np.inf]],
                          ids=["short", "long", "nan", "inf"])
 def test_param_vector_with_values_checks_the_new_values(values):
-    # with_values reuses the checked layout and checks only the values, with
-    # the constructor's messages
-    layout = {"w": (0, 1), "b": (1, 1)}
-    pv = ParamVector(np.array([1.0, 2.0]), layout)
-    with pytest.raises(ValueError) as built:
-        ParamVector(np.array(values), layout)
+    # with_values checks the new values' length against its own, and their
+    # finiteness with the constructor's message
+    pv = ParamVector(np.array([1.0, 2.0]))
     with pytest.raises(ValueError) as swapped:
         pv.with_values(np.array(values))
-    assert str(swapped.value) == str(built.value)
+    if len(values) != 2:
+        assert str(swapped.value) == f"expected 2 values, got {len(values)}"
+    else:
+        with pytest.raises(ValueError) as built:
+            ParamVector(np.array(values))
+        assert str(swapped.value) == str(built.value)
 
 
 def test_param_vector_with_values_is_a_read_only_copy():
-    pv = ParamVector(np.array([1.0, 2.0]), {"w": (0, 1), "b": (1, 1)})
+    pv = ParamVector(np.array([1.0, 2.0]))
     source = np.array([[3.0], [-4.0]])
     new = pv.with_values(source)
-    assert isinstance(new, ParamVector) and new.layout is pv.layout
+    assert isinstance(new, ParamVector)
     assert new.values.shape == (2,) and new.values.tobytes() == np.array([3.0, -4.0]).tobytes()
     with pytest.raises(ValueError):
         new.values[0] = 5.0
@@ -100,21 +144,21 @@ def test_param_vector_with_values_is_a_read_only_copy():
 
 def test_forward_linear_dot_product():
     spec = NetworkSpec(2, (), 1)
-    pv = ParamVector(np.array([1.0, 2.0, 0.0]), spec.layout())
+    pv = ParamVector(np.array([1.0, 2.0, 0.0]))
     out = forward(spec, pv, np.array([[3.0, 4.0]]))
     assert out[0, 0] == pytest.approx(11.0)
 
 
 def test_forward_sigmoid_zero_params_is_half():
     spec = NetworkSpec(3, (4,), 1, output_head="sigmoid")
-    pv = ParamVector(np.zeros(spec.param_count), spec.layout())
+    pv = ParamVector(np.zeros(spec.param_count))
     out = forward(spec, pv, np.array([[1.0, -2.0, 0.5], [0.0, 0.0, 0.0]]))
     assert np.allclose(out, 0.5)
 
 
 def test_forward_shape_mismatch_errors():
     spec = NetworkSpec(2, (), 1)
-    pv = ParamVector(np.zeros(3), spec.layout())
+    pv = ParamVector(np.zeros(3))
     with pytest.raises(ValueError):
         forward(spec, pv, np.ones((4, 3)))
 
@@ -138,14 +182,14 @@ def test_forward_rows_independent(seed):
 def test_input_grad_linear_returns_weights():
     spec = NetworkSpec(3, (), 1)
     w = np.array([0.5, -1.5, 2.0])
-    pv = ParamVector(np.append(w, 0.3), spec.layout())
+    pv = ParamVector(np.append(w, 0.3))
     g = input_grad_batch(spec, pv, np.array([[0.1, 0.2, 0.3]]), h=1e-4)[0]
     assert np.allclose(g, w, atol=1e-9)
 
 
 def test_input_grad_constant_network_is_zero():
     spec = NetworkSpec(2, (), 1)
-    pv = ParamVector(np.array([0.0, 0.0, 4.2]), spec.layout())
+    pv = ParamVector(np.array([0.0, 0.0, 4.2]))
     g = input_grad_batch(spec, pv, np.array([[1.0, -1.0]]), h=1e-4)[0]
     assert np.allclose(g, 0.0)
 
@@ -153,7 +197,7 @@ def test_input_grad_constant_network_is_zero():
 def test_input_grad_sigmoid_head_quarter_slope():
     # D(x) = sigmoid(x1): weight (1, 0), zero bias, sigmoid head
     spec = NetworkSpec(2, (), 1, output_head="sigmoid")
-    pv = ParamVector(np.array([1.0, 0.0, 0.0]), spec.layout())
+    pv = ParamVector(np.array([1.0, 0.0, 0.0]))
     g = input_grad_batch(spec, pv, np.array([[0.0, 0.7]]), h=1e-4)[0]
     assert g[0] == pytest.approx(0.25, abs=1e-6)
     assert g[1] == pytest.approx(0.0, abs=1e-9)
@@ -161,7 +205,7 @@ def test_input_grad_sigmoid_head_quarter_slope():
 
 def test_input_grad_rejects_bad_step_and_vector_output():
     spec = NetworkSpec(2, (), 1)
-    pv = ParamVector(np.array([1.0, 0.0, 0.0]), spec.layout())
+    pv = ParamVector(np.array([1.0, 0.0, 0.0]))
     with pytest.raises(ValueError):
         input_grad_batch(spec, pv, np.zeros((1, 2)), h=0.0)
     wide = NetworkSpec(2, (), 2)
@@ -173,7 +217,7 @@ def test_input_grad_rejects_bad_step_and_vector_output():
 
 
 def test_adam_first_step_moves_by_lr():
-    pv = ParamVector(np.array([1.0]), {"w": (0, 1)})
+    pv = ParamVector(np.array([1.0]))
     state = adam_init(1, lr=0.1)
     new, state = adam_step(pv, np.array([2.0]), state)
     assert new.values[0] == pytest.approx(0.9, abs=1e-6)
@@ -181,7 +225,7 @@ def test_adam_first_step_moves_by_lr():
 
 
 def test_adam_zero_gradient_never_moves():
-    pv = ParamVector(np.array([0.3, -0.7]), {"w": (0, 2)})
+    pv = ParamVector(np.array([0.3, -0.7]))
     state = adam_init(2, lr=0.5)
     for _ in range(10):
         pv, state = adam_step(pv, np.zeros(2), state)
@@ -190,7 +234,7 @@ def test_adam_zero_gradient_never_moves():
 
 def test_adam_deterministic_trajectories():
     def run():
-        pv = ParamVector(np.array([1.0]), {"w": (0, 1)})
+        pv = ParamVector(np.array([1.0]))
         state = adam_init(1, lr=0.05)
         trace = []
         for _ in range(20):
@@ -219,7 +263,7 @@ def test_adam_step_carries_the_textbook_formulas_bytes(kind, monkeypatch):
     gen = np.random.default_rng(7)
     theta0 = gen.normal(0.0, 1.0, 5)
     grads = gen.normal(0.0, 1.0, (200, 5)) * 10.0 ** gen.integers(-6, 4, (200, 5))
-    params = ParamVector(theta0.copy(), {"w": (0, 5)}) if kind == "param_vector" else theta0
+    params = ParamVector(theta0.copy()) if kind == "param_vector" else theta0
     state = adam_init(5, lr=0.01, beta1=0.8, beta2=0.99)
     checks = []
     monkeypatch.setattr(AdamState, "__post_init__", lambda self: checks.append(self))
@@ -252,7 +296,7 @@ def test_adam_state_built_by_a_caller_is_checked(fields, match):
 
 
 def test_clip_values_from_protocol():
-    pv = ParamVector(np.array([0.05, -0.005]), {"w": (0, 2)})
+    pv = ParamVector(np.array([0.05, -0.005]))
     clipped = enforce_constraint(WassersteinClip(0.01), pv)
     assert clipped.values[0] == pytest.approx(0.01)
     assert clipped.values[1] == pytest.approx(-0.005)
@@ -262,7 +306,7 @@ def test_clip_values_from_protocol():
 @given(st.lists(st.floats(-10, 10), min_size=1, max_size=8),
        st.floats(0.001, 5.0))
 def test_clip_idempotent_and_projection(vals, c):
-    pv = ParamVector(np.array(vals), {"w": (0, len(vals))})
+    pv = ParamVector(np.array(vals))
     once = enforce_constraint(WassersteinClip(c), pv)
     twice = enforce_constraint(WassersteinClip(c), once)
     assert np.array_equal(once.values, twice.values)
@@ -290,14 +334,14 @@ def _quadratic_loss(a):
 
 
 def test_hvp_diagonal_quadratic():
-    pv = ParamVector(np.array([0.3, -0.2]), {"w": (0, 2)})
+    pv = ParamVector(np.array([0.3, -0.2]))
     loss = _quadratic_loss([2.0, -1.0])
     out = hvp(lambda th: grad_params(loss, th), pv, np.array([1.0, 1.0]), h=1e-4)
     assert np.allclose(out, [2.0, -1.0], atol=1e-8)
 
 
 def test_hvp_rejects_tiny_direction():
-    pv = ParamVector(np.array([0.0]), {"w": (0, 1)})
+    pv = ParamVector(np.array([0.0]))
     with pytest.raises(ValueError):
         hvp(lambda th: grad_params(_quadratic_loss([1.0]), th), pv, np.array([1e-12]), h=1e-4)
 

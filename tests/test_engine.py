@@ -67,23 +67,23 @@ def test_clamp_blocks_gradient_outside():
 
 
 def test_grad_params_quadratic():
-    pv = ParamVector(np.array([3.0]), {"w": (0, 1)})
+    pv = ParamVector(np.array([3.0]))
     grad = grad_params(lambda t: (t * t).sum(), pv)
     assert grad == pytest.approx([6.0])
 
 
 def test_grad_params_constant_loss_is_zero():
-    pv = ParamVector(np.array([1.0, -2.0]), {"w": (0, 2)})
+    pv = ParamVector(np.array([1.0, -2.0]))
     grad = grad_params(lambda t: Tensor(5.0) + t.sum() * 0.0, pv)
     assert np.allclose(grad, 0.0)
 
 
 def test_finite_diff_quadratic_and_linear():
-    pv = ParamVector(np.array([3.0]), {"w": (0, 1)})
+    pv = ParamVector(np.array([3.0]))
     g = finite_diff_grad(lambda t: (t * t).sum(), pv, h=1e-5)
     assert g == pytest.approx([6.0], abs=1e-8)
     a = np.array([2.0, -1.0, 0.5])
-    pv3 = ParamVector(np.zeros(3), {"w": (0, 3)})
+    pv3 = ParamVector(np.zeros(3))
     g3 = finite_diff_grad(lambda t: (t * a).sum(), pv3, h=1e-5)
     assert np.allclose(g3, a)
 

@@ -708,7 +708,7 @@ def test_kernel_names_the_op_that_forward_graph_names(case):
     assert err.value.op == work_err.value.op == graph_err.value.op == former_err.value.op == op
     if op != "theta":  # a ParamVector cannot hold a non-finite value
         with pytest.raises(NonFiniteError) as err:
-            forward(spec, ParamVector(theta, spec.layout()), batch)
+            forward(spec, ParamVector(theta), batch)
         assert err.value.op == op
 
 
@@ -719,8 +719,8 @@ def test_a_nonfinite_gradient_past_a_finite_forward_is_named_backward():
     # multiplies 1e10 inputs by a 1e308 output weight
     d_spec = NetworkSpec(1, (1,), 1)
     g_spec = NetworkSpec(1, (), 1)
-    theta_d = ParamVector(np.array([1e-300, 0.0, 1e308, 0.0]), d_spec.layout())
-    theta_g = ParamVector(np.array([1.0, 0.0]), g_spec.layout())
+    theta_d = ParamVector(np.array([1e-300, 0.0, 1e308, 0.0]))
+    theta_g = ParamVector(np.array([1.0, 0.0]))
     state = GanState(d_spec, g_spec, theta_d, theta_g, FGan(FGAN_FAMILIES["pearson_chi2"]))
     real, latent = np.full((4, 1), 1e10), np.full((4, 1), 1e10)
     assert np.isfinite(eval_objective(state, real, latent))
@@ -737,8 +737,8 @@ def _sobolev_overflow_case():
     """A linear critic whose objective stays finite at weight 1e305 while the
     Sobolev penalty against a zero-weight anchor squares 1e305."""
     spec = NetworkSpec(1, (), 1)
-    state = GanState(spec, NetworkSpec(1, (), 1), ParamVector([0.0, 0.0], spec.layout()),
-                     ParamVector([1.0, 0.0], spec.layout()), WassersteinClip(1e306))
+    state = GanState(spec, NetworkSpec(1, (), 1), ParamVector([0.0, 0.0]),
+                     ParamVector([1.0, 0.0]), WassersteinClip(1e306))
     real, latent = np.linspace(-1.0, 1.0, 8)[:, None], np.linspace(0.0, 1.0, 8)[:, None]
     step_fn = penalized_step_fn(state, state.theta_d, state.theta_g, real, latent, 0.1, 1e-3)
     return state, real, latent, step_fn, state.theta_d.with_values([1e305, 0.0])

@@ -68,8 +68,7 @@ def _perfect_fit_setup(seed=42):
     sigma = 0.8
     dist = GaussianMixture([1.0], [mu], [[sigma ** 2, sigma ** 2]])
     g_spec = NetworkSpec(2, (), 2)
-    theta_g = ParamVector(np.array([sigma, 0.0, 0.0, sigma, mu[0], mu[1]]),
-                          g_spec.layout())
+    theta_g = ParamVector(np.array([sigma, 0.0, 0.0, sigma, mu[0], mu[1]]))
     rng = Rng(seed)
     splits = make_splits(dist, 2000, 500, 500, rng.child(1))
     return g_spec, theta_g, splits, rng
@@ -100,8 +99,8 @@ def test_sobolev_zero_for_identical_parameters():
 def test_sobolev_linear_closed_form():
     spec = NetworkSpec(2, (), 1)
     w1, w2 = np.array([0.7, -0.4]), np.array([-0.1, 0.9])
-    p1 = ParamVector(np.append(w1, 0.3), spec.layout())
-    p2 = ParamVector(np.append(w2, -1.0), spec.layout())
+    p1 = ParamVector(np.append(w1, 0.3))
+    p2 = ParamVector(np.append(w2, -1.0))
     batch = Rng(2).normal((8, 2))
     val = sobolev_dist_sq(spec, p1, p2, batch, 1e-3)
     assert val == pytest.approx(float(np.sum((w1 - w2) ** 2)), abs=1e-9)
@@ -380,6 +379,26 @@ def test_each_gan_estimate_builds_two_workspaces_and_its_held_out_values_none(mo
         specs = [spec for where, spec in built if where == name]
         assert sorted(specs, key=repr) == sorted([state.g_spec, state.d_spec], key=repr)
     assert "held_out" not in [where for where, _ in built]
+
+
+def test_a_gap_report_builds_workspaces_only_for_the_estimates_it_runs(monkeypatch):
+    # the shared evaluation latent is drawn without building an estimate's ops,
+    # so only the estimates run build workspaces: two each, one per network
+    state, splits, cfg = _small_gan_setup()
+    want = duality_gap(state, splits, cfg, Rng(36))
+    sweep = lambda_sweep(state, splits, [0.0, 0.1, 10.0], cfg, Rng(36))
+    built = []
+    init = MlpWorkspace.__init__
+    monkeypatch.setattr(MlpWorkspace, "__init__",
+                        lambda work, spec: built.append(spec) or init(work, spec))
+    assert duality_gap(state, splits, cfg, Rng(36)) == want and len(built) == 6
+    built.clear()
+    assert duality_gap(state, splits, cfg, Rng(36), known=want) == want and built == []
+    built.clear()
+    assert lambda_sweep(state, splits, [0.0, 0.1, 10.0], cfg, Rng(36)) == sweep
+    assert len(built) == 10
+    with pytest.raises(ValueError, match="require data splits"):
+        duality_gap(state, None, cfg, Rng(36), known=want)
 
 
 def test_v_gw_plain_without_search_steps_still_checks_the_clip_box():

@@ -1086,3 +1086,52 @@ def test_cli_ratio_sweep_accepts_negative_ratios(tmp_path):
                  "--out", str(out_dir)]) == 0
     lines = (out_dir / "ratio_sweep.csv").read_text().splitlines()
     assert [line.split(",")[0] for line in lines[1:]] == ["-1", "1"]
+
+
+def test_a_nan_cell_matches_only_nan(tmp_path, tiny_run):
+    # a run whose gap estimate failed logs nan, which must not match a number
+    with open(tiny_run / "metrics.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    col = rows[0].index("dg_lambda")
+    assert np.isfinite(float(rows[-1][col]))
+
+    def with_last(name, value):
+        path = tmp_path / name
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows[:-1] + [rows[-1][:col] + [value] + rows[-1][col + 1:]])
+        return path
+
+    same, failed, also_failed = (with_last("same.csv", rows[-1][col]),
+                                 with_last("failed.csv", "nan"), with_last("also.csv", "nan"))
+    assert compare_metrics_csv(tiny_run / "metrics.csv", same)
+    assert not compare_metrics_csv(tiny_run / "metrics.csv", failed)
+    assert not compare_metrics_csv(failed, tiny_run / "metrics.csv")
+    assert compare_metrics_csv(failed, also_failed)
+
+
+@pytest.mark.parametrize("case", ["empty", "short_row", "long_row", "bad_number"])
+def test_a_malformed_metrics_file_is_one_error_line(tmp_path, tiny_run, capsys, case):
+    header, first, *rest = (tiny_run / "metrics.csv").read_text().splitlines()
+    second = {"short_row": rest[0].rsplit(",", 1)[0], "long_row": rest[0] + ",0",
+              "bad_number": "x" + rest[0]}.get(case)
+    lines = [] if case == "empty" else [header, first, second, *rest[1:]]
+    path = tmp_path / "metrics.csv"
+    path.write_text("".join(line + "\n" for line in lines))
+    where = f"{path} line {1 if case == 'empty' else 3}: "
+    with pytest.raises(ValueError) as err:
+        read_metrics(path)
+    assert str(err.value).startswith(where)
+    assert main(["correlate", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {err.value}\n"
+
+
+def test_a_directory_for_a_file_is_one_error_line(tmp_path, capsys):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    for argv in (["correlate", str(folder)], ["train", "--config", str(folder),
+                                             "--out", str(tmp_path / "run")]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(folder) in err and err.count("\n") == 1
+    assert not (tmp_path / "run").exists()

@@ -21,7 +21,7 @@ from proxgap.oracles import numeric_jsd
 
 
 def _zero_params(spec):
-    return ParamVector(np.zeros(spec.param_count), spec.layout())
+    return ParamVector(np.zeros(spec.param_count))
 
 
 def _state(objective, d_head="linear", d_params=None, g_params=None, seed=0):
@@ -48,9 +48,8 @@ def test_classic_constant_half_discriminator():
 def test_wasserstein_constant_discriminator_cancels():
     d_spec = NetworkSpec(2, (4,), 1)
     vals = np.zeros(d_spec.param_count)
-    off, length = d_spec.layout()["b1"]
-    vals[off:off + length] = 0.005  # constant output inside the clip box
-    state = _state(WassersteinClip(0.01), d_params=ParamVector(vals, d_spec.layout()))
+    vals[d_spec.layers()[1][3]] = 0.005  # constant output inside the clip box
+    state = _state(WassersteinClip(0.01), d_params=ParamVector(vals))
     real, latent = _batches()
     assert eval_objective(state, real, latent) == pytest.approx(0.0, abs=1e-12)
 

@@ -1,0 +1,47 @@
+"""The scripts under tools/, each run as a command in its own process."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run(script: str, *args: str):
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / script), *args],
+                          capture_output=True, text=True, timeout=300, check=True)
+    return done.stdout
+
+
+def test_src_lines_total_is_the_sum_of_its_modules():
+    out = _run("src_lines.py")
+    assert out.count("\n") == 1
+    counts = json.loads(out)
+    total, physical = counts.pop("total"), counts.pop("physical")
+    assert counts and all(name.endswith(".py") for name in counts)
+    assert "proxgap/diffcore/network.py" in counts
+    assert total == sum(counts.values()) and 0 < total < physical
+
+
+def test_kernel_timings_prints_one_line_per_activation_and_row_count():
+    out = _run("kernel_timings.py", "--cycle", "1", "--passes", "1")
+    assert out.count("\n") == 1
+    report = json.loads(out)
+    assert (report["cycle"], report["passes"]) == (1, 1)
+    assert sorted(report["timings"]) == sorted(
+        f"{activation}/{rows}" for activation in ("leaky_relu", "tanh")
+        for rows in (128, 768, 3000))
+    for key, entry in report["timings"].items():
+        want = {"forward", "backward"} | ({"gate", "former_gate"} if "leaky" in key else set())
+        assert set(entry) == want
+        for timing in entry.values():
+            assert 0 < timing["best_us"] <= timing["median_us"]
+
+
+def test_fingerprints_of_every_workload_operation_without_an_error():
+    prints = json.loads(_run("fingerprints.py", str(ROOT), "5"))
+    assert len(prints) == 27
+    assert {key.split("/")[0] for key in prints} == {"desk_session", "critic_train",
+                                                    "toy_oracles"}
+    assert not [key for key, value in prints.items() if value.startswith("error")]

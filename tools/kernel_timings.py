@@ -72,7 +72,7 @@ def timings(cycle: int, passes: int) -> dict:
     out = {}
     for activation in ACTIVATIONS:
         spec = NetworkSpec(2, (32, 32), 1, activation=activation)
-        (fi, fo), slope = spec.layer_shapes()[0], spec.leaky_slope
+        (fi, fo, weight, bias), slope = spec.layers()[0], spec.leaky_slope
         for rows in ROWS:
             rng = Rng(rows)
             thetas = [init_network(spec, rng.child(k, 0)) for k in range(cycle)]
@@ -91,7 +91,7 @@ def timings(cycle: int, passes: int) -> dict:
             entry = {"forward": _time(fwd, cycle, passes),
                      "backward": _time(bwd, cycle, passes, prepare=fwd)}
             if activation == "leaky_relu":
-                pre = [b @ t.values[:fi * fo].reshape(fi, fo) + t.values[fi * fo:fi * fo + fo]
+                pre = [b @ t.values[weight].reshape(fi, fo) + t.values[bias]
                        for b, t in zip(batches, thetas)]
                 mask, gate = np.empty((rows, fo), dtype=bool), np.empty((rows, fo))
                 entry["gate"] = _time(lambda k: _leaky_gate(pre[k], slope, mask, gate),
