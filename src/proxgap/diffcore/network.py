@@ -62,10 +62,11 @@ class NetworkSpec:
         return self._param_count
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParamVector:
     """Immutable flat parameter store: a finite, read-only copy of its values,
-    laid out as its network's ``NetworkSpec.layers()`` says."""
+    laid out as its network's ``NetworkSpec.layers()`` says.  Two vectors are
+    equal when their values are, and equal vectors hash alike."""
 
     values: np.ndarray
 
@@ -76,6 +77,16 @@ class ParamVector:
 
     def __len__(self):
         return self.values.size
+
+    def __eq__(self, other):
+        if not isinstance(other, ParamVector):
+            return NotImplemented
+        return np.array_equal(self.values, other.values)
+
+    def __hash__(self):
+        # the values are finite, so equal ones have equal bytes but for the
+        # sign of a zero, which adding +0.0 clears
+        return hash((self.values + 0.0).tobytes())
 
     def with_values(self, values) -> "ParamVector":
         """A vector of this length holding ``values``, checked and copied once."""
@@ -153,36 +164,50 @@ def forward(spec: NetworkSpec, params: ParamVector, batch, work=None) -> np.ndar
 class MlpWorkspace:
     """Buffers for ``mlp_forward``/``mlp_backward`` on one spec.
 
-    One buffer per layer pre-activation (activated in place), one boolean
-    buffer per layer for the gates and the entrywise finite check, one gate
-    buffer per hidden leaky-ReLU layer, and the backward pass's two work
-    buffers and row of ones, made by the first backward pass so that
-    forward-only calls never map them.  The buffers hold ``rows`` rows: a
-    call on fewer runs on their leading rows, and a call on more replaces
-    them all by buffers of its size.
+    One buffer per layer pre-activation, activated in place; a boolean mask
+    per hidden layer whose activation gates through one (ReLU, leaky ReLU)
+    and a float gate per hidden leaky-ReLU layer; and the backward pass's
+    one work buffer, of rows x the widest fan-in, and row of ones, made by
+    the first backward pass so that forward-only calls never map them.  The
+    backward pass writes each hidden layer's gradient into that layer's
+    spent activation buffer, so it needs no buffer per layer of its own.
+    The buffers hold ``rows`` rows: a call on fewer runs on their leading
+    rows, and a call on more replaces them all by buffers of its size.
 
     A workspace belongs to one loop (a training run, an estimator search)
     and dies with it; the outputs of a call alias it until the next call
-    on it, so two results that must stay live need two workspaces.
+    on it, so two results that must stay live need two workspaces.  A
+    forward pass's cache serves one backward pass, run before the next
+    forward pass on the workspace; ``live`` is the token of the one cache
+    that may still serve it.
     """
 
     def __init__(self, spec: NetworkSpec):
         self.spec = spec
         self.rows = -1  # no buffers yet, not even for an empty batch
-        self.pre = self.masks = self.gates = self.bufs = self.ones = None
+        self.pre = self.masks = self.gates = self.buf = self.ones = None
+        self.live = None
 
     def fit(self, n: int):
         """Make room for n rows, building the buffers when they hold fewer."""
         if n <= self.rows:
             return
         # the held buffers go first, so the new ones do not add to them
-        self.pre = self.masks = self.gates = self.bufs = self.ones = None
-        shapes = self.spec.layer_shapes()
-        leaky = self.spec.activation == "leaky_relu"
-        self.pre = [np.empty((n, fo)) for _, fo in shapes]
-        self.masks = [np.empty((n, fo), dtype=bool) for _, fo in shapes]
-        self.gates = [np.empty((n, fo)) if leaky else None for _, fo in shapes[:-1]]
+        self.pre = self.masks = self.gates = self.buf = self.ones = None
+        activation = self.spec.activation
+        widths = [fo for _, fo in self.spec.layer_shapes()]
+        self.pre = [np.empty((n, fo)) for fo in widths]
+        self.masks = [None if activation == "tanh" else np.empty((n, fo), dtype=bool)
+                      for fo in widths[:-1]]
+        self.gates = [np.empty((n, fo)) if activation == "leaky_relu" else None
+                      for fo in widths[:-1]]
         self.rows = n
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the buffers held."""
+        held = [*(self.pre or ()), *(self.masks or ()), *(self.gates or ()), self.buf, self.ones]
+        return sum(a.nbytes for a in held if a is not None)
 
 
 def mlp_forward(spec: NetworkSpec, theta, batch, work: MlpWorkspace = None):
@@ -190,6 +215,7 @@ def mlp_forward(spec: NetworkSpec, theta, batch, work: MlpWorkspace = None):
 
     With ``work`` (a workspace of this spec) the outputs and the cache alias
     its buffers until the next call on it; without, fresh buffers are used.
+    The cache serves one backward pass.
     Raises NonFiniteError when a pre-activation is non-finite, which also
     catches a matmul overflow that a saturating activation would hide,
     naming the op at which ``forward_graph`` would have stopped.
@@ -208,6 +234,8 @@ def mlp_forward(spec: NetworkSpec, theta, batch, work: MlpWorkspace = None):
     if work is None:
         work = MlpWorkspace(spec)
     work.fit(n)
+    # this pass overwrites the activations that an earlier cache holds
+    work.live = token = object()
     layers = spec.layers()
     last = len(layers) - 1
     inputs, gates = [], []
@@ -215,10 +243,10 @@ def mlp_forward(spec: NetworkSpec, theta, batch, work: MlpWorkspace = None):
     # page-faults, nothing of the batch's size; the arithmetic is the graph's
     for i, (fi, fo, weight, bias) in enumerate(layers):
         w, b = vals[weight].reshape(fi, fo), vals[bias]
-        z, mask = work.pre[i][:n], work.masks[i][:n]
+        z = work.pre[i][:n]
         np.matmul(x, w, out=z)
         z += b
-        if not math.isfinite(np.vdot(z, z)) and not np.isfinite(z, out=mask).all():
+        if not math.isfinite(np.vdot(z, z)) and not np.isfinite(z).all():
             raise NonFiniteError(_failed_op(spec, vals, x, w, i))
         inputs.append(x)
         if i < last:
@@ -226,17 +254,17 @@ def mlp_forward(spec: NetworkSpec, theta, batch, work: MlpWorkspace = None):
                 gates.append(None)  # the backward pass uses 1 - tanh^2 of the output
                 x = np.tanh(z, out=z)
             elif spec.activation == "relu":
-                gates.append(np.greater(z, 0.0, out=mask))
+                gates.append(np.greater(z, 0.0, out=work.masks[i][:n]))
                 x = np.maximum(z, 0.0, out=z)
             else:
-                gate = _leaky_gate(z, spec.leaky_slope, mask, work.gates[i][:n])
+                gate = _leaky_gate(z, spec.leaky_slope, work.masks[i][:n], work.gates[i][:n])
                 gates.append(gate)
                 x = np.multiply(z, gate, out=z)
         elif spec.output_head == "sigmoid":
             x = _sigmoid(z)
         else:
             x = z
-    return x, (inputs, gates, x, work)
+    return x, (inputs, gates, x, work, token)
 
 
 def _leaky_gate(z, slope: float, mask, gate):
@@ -257,22 +285,29 @@ def mlp_backward(spec: NetworkSpec, theta, cache, grad_out, input_grad: bool = T
     dL/dtheta is a fresh array; dL/dbatch aliases the forward's workspace.
     With ``input_grad=False`` the pass stops before layer 0's input gradient
     and returns None in its place.
+
+    The pass consumes its cache: once a hidden layer's weight gradient has
+    read that layer's input activations, their buffer takes the gradient
+    the pass carries on with, so only the outputs stay intact.  A cache that
+    a backward pass already consumed, or that a later forward pass on its
+    workspace replaced, raises ValueError.
     """
     vals = _param_values(theta)
-    inputs, gates, out, work = cache
+    inputs, gates, out, work, token = cache
+    if token is not work.live:
+        raise ValueError("this cache was consumed by a backward pass or replaced by a "
+                         "later forward pass on its workspace")
+    work.live = None
     g = np.asarray(grad_out, dtype=np.float64)
     if spec.output_head == "sigmoid":
         g = g * out * (1.0 - out)
     grad = np.empty(spec.param_count)
     n = g.shape[0]
     layers = spec.layers()
-    # two work buffers, used in turn for the next gradient and as scratch, on
-    # as many rows as the forward's
-    if work.bufs is None:
-        size = work.rows * max(fi for fi, _ in spec.layer_shapes())
-        work.bufs = (np.empty(size), np.empty(size))
+    if work.buf is None:
+        work.buf = np.empty(work.rows * max(fi for fi, _ in spec.layer_shapes()))
         work.ones = np.ones(work.rows)
-    bufs, ones = work.bufs, work.ones[:n]
+    ones = work.ones[:n]
     for i in range(len(layers) - 1, -1, -1):
         fi, fo, weight, bias = layers[i]
         np.matmul(inputs[i].T, g, out=grad[weight].reshape(fi, fo))
@@ -280,21 +315,28 @@ def mlp_backward(spec: NetworkSpec, theta, cache, grad_out, input_grad: bool = T
         if i == 0 and not input_grad:
             return grad, None
         w = vals[weight].reshape(fi, fo)
-        nxt = bufs[i % 2][:n * fi].reshape(n, fi)
+        # g @ w.T goes into the spent activations when a gate follows, and
+        # into the work buffer for layer 0 and for tanh, whose derivative
+        # 1 - x^2 is built in the activations' own buffer
+        gated = i > 0 and gates[i - 1] is not None
+        nxt = inputs[i] if gated else work.buf[:n * fi].reshape(n, fi)
         if fo > 1:
             np.matmul(g, w.T, out=nxt)
         else:
             # one output unit: an outer product, faster by broadcasting
             np.multiply(g, w.T, out=nxt)
-        g = nxt
-        if i > 0:
-            if gates[i - 1] is None:
-                scratch = bufs[(i + 1) % 2][:n * fi].reshape(n, fi)
-                np.multiply(inputs[i], inputs[i], out=scratch)
-                g *= np.subtract(1.0, scratch, out=scratch)
-            else:
-                g *= gates[i - 1]
-    return grad, g
+        if i == 0:
+            return grad, nxt
+        if gated:
+            g = nxt
+            g *= gates[i - 1]
+        else:
+            # (1 - x^2) * nxt: IEEE products commute, so these are the bytes
+            # of nxt * (1 - x^2)
+            g = inputs[i]
+            np.multiply(g, g, out=g)
+            np.subtract(1.0, g, out=g)
+            g *= nxt
 
 
 def _failed_op(spec: NetworkSpec, vals, x, w, i: int) -> str:

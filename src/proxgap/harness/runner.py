@@ -344,8 +344,11 @@ def load_checkpoint(path) -> Checkpoint:
     sidecar_path = path.with_suffix(".json")
     if not path.exists() or not sidecar_path.exists():
         raise FileNotFoundError(f"missing checkpoint file or sidecar for {path}")
-    with open(sidecar_path, "r", encoding="utf-8") as fh:
-        sidecar = json.load(fh)
+    try:
+        with open(sidecar_path, "r", encoding="utf-8") as fh:
+            sidecar = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise ValueError(f"checkpoint sidecar {sidecar_path} is not UTF-8 JSON: {err}") from err
     if not isinstance(sidecar, dict):
         raise ValueError(f"checkpoint sidecar {sidecar_path} is not a JSON object")
     if sidecar.get("format") != CHECKPOINT_FORMAT:

@@ -19,7 +19,7 @@ from proxgap.diffcore import (
 )
 from proxgap.diffcore import optim
 from proxgap.diffcore.network import ParamVector
-from proxgap.objectives import WassersteinClip, enforce_constraint
+from proxgap.objectives import GanState, WassersteinClip, enforce_constraint
 
 
 # -- NetworkSpec / init ------------------------------------------------
@@ -137,6 +137,28 @@ def test_param_vector_with_values_is_a_read_only_copy():
     source[0, 0] = 7.0  # the vector holds a copy
     assert new.values[0] == 3.0 and source.flags.writeable
     assert pv.values.tobytes() == np.array([1.0, 2.0]).tobytes()
+
+
+def test_param_vectors_and_gan_states_compare_by_value():
+    a, b = ParamVector(np.array([1.0, 2.0])), ParamVector([1.0, 2.0])
+    assert a == b and not a != b and hash(a) == hash(b)
+    assert a.with_values([1.0, 2.0]) == a and hash(a.with_values([1.0, 2.0])) == hash(a)
+    # equal values, zeros of either sign included, give equal vectors and hashes
+    zeros, signed = ParamVector([0.0, -0.0]), ParamVector([-0.0, 0.0])
+    assert zeros == signed and hash(zeros) == hash(signed)
+    for other in (ParamVector([1.0, 3.0]), ParamVector([1.0]), ParamVector([1.0, 2.0, 0.0])):
+        assert a != other and not a == other
+    assert a != [1.0, 2.0] and a != (1.0, 2.0)
+    assert len({a, b, ParamVector([2.0, 1.0])}) == 2
+    # a GanState compares and hashes through its parameter vectors
+    d_spec, g_spec = NetworkSpec(2, (3,), 1), NetworkSpec(1, (), 2)
+    theta_d, theta_g = init_network(d_spec, Rng(0)), init_network(g_spec, Rng(1))
+    state = GanState(d_spec, g_spec, theta_d, theta_g, WassersteinClip(0.5))
+    same = GanState(d_spec, g_spec, ParamVector(theta_d.values.copy()),
+                    ParamVector(theta_g.values.copy()), WassersteinClip(0.5))
+    assert state == same and hash(state) == hash(same)
+    moved = state.with_params(theta_g=theta_g.with_values(theta_g.values + 1.0))
+    assert state != moved and state != state.with_params(theta_d=init_network(d_spec, Rng(2)))
 
 
 # -- forward -----------------------------------------------------------

@@ -290,6 +290,92 @@ def test_leaky_gate_of_a_negative_zero_slope_is_positive_zero():
     assert gate.tobytes() == np.array([[0.0, 0.0, 1.0]]).tobytes()
 
 
+def _held_arrays(work: MlpWorkspace) -> list:
+    """Every array a workspace holds, found by walking its attributes."""
+    found = []
+    for value in vars(work).values():
+        for item in (value if isinstance(value, (list, tuple)) else (value,)):
+            if isinstance(item, np.ndarray):
+                found.append(item)
+    return found
+
+
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+@pytest.mark.parametrize("rows", [1, 128, 3000])
+def test_a_workspace_holds_its_pre_activations_one_work_buffer_and_its_ones(activation, rows):
+    # tanh: the pre-activations, one work buffer of rows x the widest fan-in
+    # and the row of ones; ReLU and leaky ReLU also a mask per hidden layer,
+    # leaky ReLU a float gate per hidden layer too
+    spec = NetworkSpec(3, (32, 16), 1, activation=activation)
+    widths, hidden = 32 + 16 + 1, 32 + 16
+    rng = Rng(rows)
+    work = MlpWorkspace(spec)
+    cache = mlp_forward(spec, init_network(spec, rng), rng.normal((rows, 3)), work)[1]
+    forward_bytes = (8 * rows * widths
+                     + (0 if activation == "tanh" else rows * hidden)
+                     + (8 * rows * hidden if activation == "leaky_relu" else 0))
+    assert sum(a.nbytes for a in _held_arrays(work)) == work.nbytes == forward_bytes
+    mlp_backward(spec, init_network(spec, rng), cache, rng.normal((rows, 1)))
+    held = _held_arrays(work)
+    assert sum(a.nbytes for a in held) == work.nbytes == forward_bytes + 8 * rows * (32 + 1)
+    assert sorted(a.shape for a in held if a.dtype == bool) == (
+        [] if activation == "tanh" else [(rows, 16), (rows, 32)])
+    assert [a.shape for a in held if a.ndim == 1] == [(rows * 32,), (rows,)]
+
+
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+@pytest.mark.parametrize("head", HEADS)
+@pytest.mark.parametrize("input_grad", [True, False])
+def test_a_backward_pass_leaves_the_outputs_intact(activation, head, input_grad):
+    spec = NetworkSpec(2, (32, 32), 2, activation=activation, output_head=head)
+    rng = Rng(39)
+    theta, batch = init_network(spec, rng), rng.normal((64, 2))
+    work = MlpWorkspace(spec)
+    out, cache = mlp_forward(spec, theta, batch, work)
+    want = out.tobytes()
+    assert want == _reference_mlp_forward(spec, theta, batch)[0].tobytes()
+    mlp_backward(spec, theta, cache, rng.normal((64, 2)), input_grad=input_grad)
+    assert out.tobytes() == want
+
+
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+def test_a_cache_serves_one_backward_pass(activation):
+    # a backward pass writes its gradients into the cache's activations, so a
+    # cache it consumed, or that a later forward pass on its workspace
+    # replaced, is refused rather than giving wrong gradients
+    spec = NetworkSpec(2, (8, 8), 1, activation=activation)
+    rng = Rng(40)
+    theta, batch, weights = init_network(spec, rng), rng.normal((10, 2)), rng.normal((10, 1))
+    want = _reference_mlp_backward(spec, theta, _reference_mlp_forward(spec, theta, batch)[1],
+                                   weights)[0]
+    message = "consumed by a backward pass or replaced by a later forward pass"
+    for buffers in (None, MlpWorkspace(spec)):
+        for input_grad in (True, False):
+            cache = mlp_forward(spec, theta, batch, buffers)[1]
+            mlp_backward(spec, theta, cache, weights, input_grad=input_grad)
+            with pytest.raises(ValueError, match=message):
+                mlp_backward(spec, theta, cache, weights)
+    work = MlpWorkspace(spec)
+    stale = mlp_forward(spec, theta, batch, work)[1]
+    fresh = mlp_forward(spec, theta, 2.0 * batch, work)[1]
+    with pytest.raises(ValueError, match=message):
+        mlp_backward(spec, theta, stale, weights)
+    mlp_backward(spec, theta, fresh, weights)
+    # a forward-only call, and a forward pass that fails part way, replace it too
+    cache = mlp_forward(spec, theta, batch, work)[1]
+    forward(spec, theta, batch, work)
+    with pytest.raises(ValueError, match=message):
+        mlp_backward(spec, theta, cache, weights)
+    cache = mlp_forward(spec, theta, batch, work)[1]
+    with pytest.raises(NonFiniteError):
+        mlp_forward(spec, theta, np.vstack([batch[:9], [np.nan, 0.0]]), work)
+    with pytest.raises(ValueError, match=message):
+        mlp_backward(spec, theta, cache, weights)
+    # the workspace serves the next forward and backward pass as a fresh one
+    cache = mlp_forward(spec, theta, batch, work)[1]
+    assert mlp_backward(spec, theta, cache, weights)[0].tobytes() == want.tobytes()
+
+
 # -- objectives: value_and_grad_d/g and eval_objective -------------------------
 
 
@@ -689,6 +775,12 @@ def _failure_cases():
         # [[inf, -inf]]
         "add_inf_pair": ("add", wide, np.array([1.5e308, -1.5e308, 1.5e308, -1.5e308]),
                          np.ones((1, 1))),
+        # a tanh net's output layer, which has no mask: four tanh(2) times 1e308
+        "matmul_after_tanh": ("matmul", tanh, np.r_[np.ones(8), np.zeros(4), np.full(4, 1e308),
+                                                    0.0], ones),
+        # tanh(2) * 1e308 + 1e308
+        "add_after_tanh": ("add", tanh, np.r_[np.ones(8), np.zeros(4), 1e308, np.zeros(3),
+                                              1e308], ones),
     }
 
 

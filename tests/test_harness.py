@@ -1072,6 +1072,29 @@ def test_an_unreadable_checkpoint_is_one_error_line(tiny_run, tmp_path, capsys, 
                                                          dst.with_suffix(".npz").name]
 
 
+@pytest.mark.parametrize("damage,cause", [
+    (lambda data: b"", "Expecting value: line 1 column 1 (char 0)"),
+    (lambda data: data[:len(data) // 2], None),
+    (lambda data: b"\xff" + data, "'utf-8' codec can't decode byte 0xff in position 0"),
+], ids=["blank", "truncated", "not_utf8"])
+def test_an_unreadable_sidecar_is_one_error_line(tiny_run, tmp_path, capsys, damage, cause):
+    src = tiny_run / "checkpoint_000020"
+    dst = tmp_path / "checkpoint_000020"
+    dst.with_suffix(".npz").write_bytes(src.with_suffix(".npz").read_bytes())
+    dst.with_suffix(".json").write_bytes(damage(src.with_suffix(".json").read_bytes()))
+    path = str(dst.with_suffix(".npz"))
+    message = f"checkpoint sidecar {dst.with_suffix('.json')} is not UTF-8 JSON: "
+    with pytest.raises(ValueError, match=re.escape(message + (cause or ""))):
+        load_checkpoint(path)
+    capsys.readouterr()
+    for argv in (["gap", "--checkpoint", path],
+                 ["lambda-sweep", "--checkpoint", path, "--lambda", "0.1"],
+                 ["probe", "--checkpoint", path, "--kind", "deviation", "--steps", "0"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
 def test_cli_empty_lambda_list_is_usage_error(tiny_run):
     with pytest.raises(SystemExit):
         main(["lambda-sweep", "--checkpoint",

@@ -34,9 +34,14 @@ def test_kernel_timings_prints_one_line_per_activation_and_row_count():
         for rows in (128, 768, 3000))
     for key, entry in report["timings"].items():
         want = {"forward", "backward"} | ({"gate", "former_gate"} if "leaky" in key else set())
-        assert set(entry) == want
-        for timing in entry.values():
-            assert 0 < timing["best_us"] <= timing["median_us"]
+        assert set(entry) == want | {"workspace_bytes"}
+        for name in want:
+            assert 0 < entry[name]["best_us"] <= entry[name]["median_us"]
+        # the 32-32 critic: its pre-activations, one work buffer and its ones,
+        # and for leaky ReLU the hidden masks and gates
+        rows = int(key.split("/")[1])
+        gated = 9 * rows * 64 if "leaky" in key else 0
+        assert entry["workspace_bytes"] == 8 * rows * (65 + 32 + 1) + gated
 
 
 def test_fingerprints_of_every_workload_operation_without_an_error():

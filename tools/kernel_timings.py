@@ -13,7 +13,9 @@ and, beside it, the former gate (filled with the slope, then set to 1.0 by
 learned branch nor a cache warmed on one input flatters a variant.
 
 It prints one JSON line: per activation, row count and timed call, the
-median and the best of P passes over the cycle, in microseconds per call.
+median and the best of P passes over the cycle, in microseconds per call,
+and beside them ``workspace_bytes``, the bytes of the buffers the
+workspace holds once its backward pass has run (``MlpWorkspace.nbytes``).
 It imports numpy and the library in ``src/`` only, and runs with one BLAS
 thread.
 """
@@ -89,7 +91,8 @@ def timings(cycle: int, passes: int) -> dict:
 
             # each backward runs on the cache of its own input's forward, run untimed
             entry = {"forward": _time(fwd, cycle, passes),
-                     "backward": _time(bwd, cycle, passes, prepare=fwd)}
+                     "backward": _time(bwd, cycle, passes, prepare=fwd),
+                     "workspace_bytes": work.nbytes}
             if activation == "leaky_relu":
                 pre = [b @ t.values[weight].reshape(fi, fo) + t.values[bias]
                        for b, t in zip(batches, thetas)]
