@@ -1,9 +1,16 @@
 """Brute-force ground truth: grid-search gaps on low-dimensional toy games,
 quadrature divergences, and equilibrium classification.
 
-The quadrature (:func:`_grid_quadrature`) is numpy's own trapezoid
-arithmetic, streamed over blocks of grid rows so that no array spans the
-whole grid; importing this module loads no ``scipy.integrate``.
+The grid search and the quadrature walk their grids in blocks of about
+``_BLOCK_POINTS`` points, and both keep the bytes of the whole-grid formulas.
+The grid search (:func:`grid_dg`, :func:`grid_v_lambda`,
+:func:`grid_dg_lambda`, :func:`classify_equilibrium`) builds the Nd x Ng value
+table a block of g columns at a time, so no table spans both grids; it keeps
+one reduced value per grid point and reduces those once with ``np.min`` or
+``np.max``, as the whole table was reduced.  So ``game.value`` must be
+pointwise.  The quadrature (:func:`_grid_quadrature`) is numpy's own
+trapezoid arithmetic over blocks of grid rows, so no array spans its grid;
+importing this module loads no ``scipy.integrate``.
 ``scipy.special`` stays for ``rel_entr``, whose log1p branch numpy's ``log``
 does not reproduce; it is imported by the functions that call it, so that
 importing the library loads no scipy at all.
@@ -36,7 +43,8 @@ class ToyGame:
     """A two-player zero-sum game small enough for exhaustive search.
 
     ``value(d, g)`` must broadcast over leading axes of ``d`` (..., d_dim)
-    and ``g`` (..., g_dim).
+    and ``g`` (..., g_dim), and be pointwise: each entry depends on its own
+    ``d`` and ``g`` rows alone, since the grid oracles evaluate it in blocks.
     """
 
     name: str
@@ -98,8 +106,17 @@ class GridSpec:
     points_per_dim: int = 401
 
     def __post_init__(self):
+        if not isinstance(self.points_per_dim, (int, np.integer)):
+            raise ValueError(f"points_per_dim must be an integer, got {self.points_per_dim!r}")
         if self.points_per_dim < 3:
             raise ValueError("need at least 3 grid points per dimension")
+
+
+# Grid points per quadrature block and value-table entries per grid-search
+# block: no quadrature array spans its grid, and no value table spans both
+# grids.  Set on whole toy_oracles rounds: at 16,384 their quadrature ran about
+# a quarter slower than at 12,288, and at 8,192 it ran no faster.
+_BLOCK_POINTS = 12288
 
 
 def _box_grid(box, n: int) -> np.ndarray:
@@ -108,44 +125,100 @@ def _box_grid(box, n: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def _point(point):
+def _blocks(total: int, width: int):
+    """Slices of ``range(total)`` in consecutive blocks of ``width``; the last
+    block takes the rest, two to ``width + 1`` entries, so none is a lone one."""
+    for start in range(0, max(total - 1, 1), width):
+        yield slice(start, start + width if start + width < total - 1 else total)
+
+
+def _grid_values(points, fn) -> np.ndarray:
+    """``fn(points)``, one value per point, evaluated over blocks of
+    ``_BLOCK_POINTS`` points."""
+    out = np.empty(len(points))
+    for block in _blocks(len(points), _BLOCK_POINTS):
+        out[block] = fn(points[block])
+    return out
+
+
+def _vector(x, size: int, what: str) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64).ravel()
+    if x.size != size:
+        raise ValueError(f"{what} has {x.size} entries, the game has dimension {size}")
+    return x
+
+
+def _point(game: ToyGame, point):
     d, g = point
-    return (np.asarray(d, dtype=np.float64).ravel(),
-            np.asarray(g, dtype=np.float64).ravel())
+    return _vector(d, game.d_dim, "d"), _vector(g, game.g_dim, "g")
+
+
+def _penalty(lam) -> float:
+    lam = float(lam)
+    if not (np.isfinite(lam) and lam >= 0.0):
+        raise ValueError(f"lambda must be finite and non-negative, got {lam!r}")
+    return lam
+
+
+def _v_dw(game: ToyGame, g, n: int) -> float:
+    # max over the d grid of V(d, g)
+    dd = _box_grid(game.d_box, n)
+    return float(np.max(_grid_values(dd, lambda block: game.value(block, g[None, :]))))
+
+
+def _v_gw(game: ToyGame, d, n: int) -> float:
+    # min over the g grid of V(d, g)
+    gg = _box_grid(game.g_box, n)
+    return float(np.min(_grid_values(gg, lambda block: game.value(d[None, :], block))))
+
+
+def _v_gw_lambda(game: ToyGame, anchor, lambdas, n: int) -> list:
+    """min over the g grid of the penalized inner max over the d grid, per lambda.
+
+    The g grid is walked in blocks of about ``_BLOCK_POINTS`` table entries;
+    each block's (Nd, block) value table is built once and reduced over d for
+    every lambda.  A column's max over d runs down the rows in the whole
+    table's order, and no block is a single column (numpy reduces that one in
+    another order), so the per-g maxima keep the whole table's bytes, signed
+    zeros and nan included; each lambda's are then reduced once with np.min.
+    """
+    dd, gg = _box_grid(game.d_box, n), _box_grid(game.g_box, n)
+    pen = np.sum((dd - anchor[None, :]) ** 2, axis=1)
+    lam_pens = [lam * pen[:, None] for lam in lambdas]
+    per_g = np.empty((len(lambdas), len(gg)))
+    for block in _blocks(len(gg), max(2, _BLOCK_POINTS // len(dd))):
+        vals = game.value(dd[:, None, :], gg[None, block, :])  # (Nd, block)
+        for row, lam_pen in zip(per_g, lam_pens):
+            row[block] = np.max(vals - lam_pen, axis=0)
+    return [float(np.min(row)) for row in per_g]
 
 
 def grid_dg(game: ToyGame, point, grid: GridSpec = GridSpec()) -> float:
     """Plain duality gap at a configuration: grid max over d minus grid min over g."""
-    d0, g0 = _point(point)
-    dd = _box_grid(game.d_box, grid.points_per_dim)
-    gg = _box_grid(game.g_box, grid.points_per_dim)
-    v_dw = float(np.max(game.value(dd, g0[None, :])))
-    v_gw = float(np.min(game.value(d0[None, :], gg)))
-    return v_dw - v_gw
+    d0, g0 = _point(game, point)
+    n = grid.points_per_dim
+    return _v_dw(game, g0, n) - _v_gw(game, d0, n)
 
 
 def grid_v_lambda(game: ToyGame, anchor_d, g, lam: float,
                   grid: GridSpec = GridSpec()) -> float:
     """Penalized inner maximum: max over the d grid of V minus lam * ||d - anchor||^2."""
-    anchor = np.asarray(anchor_d, dtype=np.float64).ravel()
-    g = np.asarray(g, dtype=np.float64).ravel()
-    dd = _box_grid(game.d_box, grid.points_per_dim)
-    pen = np.sum((dd - anchor[None, :]) ** 2, axis=1)
-    return float(np.max(game.value(dd, g[None, :]) - lam * pen))
+    anchor, g = _point(game, (anchor_d, g))
+    lam = _penalty(lam)
+
+    def penalized(dd):
+        return game.value(dd, g[None, :]) - lam * np.sum((dd - anchor[None, :]) ** 2, axis=1)
+
+    return float(np.max(_grid_values(_box_grid(game.d_box, grid.points_per_dim), penalized)))
 
 
 def grid_dg_lambda(game: ToyGame, point, lam: float,
                    grid: GridSpec = GridSpec()) -> float:
     """Proximal duality gap by exhaustive search, anchored at the point's d."""
-    d0, g0 = _point(point)
-    dd = _box_grid(game.d_box, grid.points_per_dim)
-    gg = _box_grid(game.g_box, grid.points_per_dim)
-    v_dw = float(np.max(game.value(dd, g0[None, :])))
-    vals = game.value(dd[:, None, :], gg[None, :, :])  # (Nd, Ng)
-    pen = np.sum((dd - d0[None, :]) ** 2, axis=1)
-    v_lambda_per_g = np.max(vals - lam * pen[:, None], axis=0)
-    v_gw_lambda = float(np.min(v_lambda_per_g))
-    return v_dw - v_gw_lambda
+    d0, g0 = _point(game, point)
+    lam = _penalty(lam)
+    n = grid.points_per_dim
+    return _v_dw(game, g0, n) - _v_gw_lambda(game, d0, [lam], n)[0]
 
 
 @dataclass(frozen=True)
@@ -167,11 +240,16 @@ def classify_equilibrium(game: ToyGame, point, lambda_list, grid: GridSpec,
     (zero gap at a larger lambda implies zero gap at every smaller one) is
     asserted; a violation raises :class:`HierarchyError`.
     """
-    lambdas = [float(x) for x in lambda_list]
+    d0, g0 = _point(game, point)
+    lambdas = [_penalty(x) for x in lambda_list]
     if lambdas != sorted(lambdas) or 0.0 not in lambdas:
         raise ValueError("lambda_list must be ascending and include 0")
-    dg = grid_dg(game, point, grid)
-    gaps = [(lam, grid_dg_lambda(game, point, lam, grid)) for lam in lambdas]
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    n = grid.points_per_dim
+    v_dw = _v_dw(game, g0, n)
+    dg = v_dw - _v_gw(game, d0, n)
+    gaps = [(lam, v_dw - v) for lam, v in zip(lambdas, _v_gw_lambda(game, d0, lambdas, n))]
     qualifies = [val < tol for _, val in gaps]
     for i in range(len(gaps) - 1):
         if not qualifies[i] and any(qualifies[i + 1:]):
@@ -193,11 +271,6 @@ def classify_equilibrium(game: ToyGame, point, lambda_list, grid: GridSpec,
 # -- divergence oracles --------------------------------------------------
 
 
-# Grid points per block of the streamed quadrature: a block's few float64
-# arrays stay in cache, and no array spans the whole grid.
-_BLOCK_POINTS = 16384
-
-
 def _trapezoid(y, x):
     # numpy's pairwise sum of diff(x) * (y[1:] + y[:-1]) / 2 along the last
     # axis: the expression scipy.integrate.trapezoid evaluates
@@ -211,17 +284,34 @@ def _grid_quadrature(integrand, p, q, axes) -> float:
     rows along the first.  A block sums each row as the whole grid would, so
     pointwise callables keep the bytes of scipy's trapezoid on the whole grid."""
     inner = [len(x) for x in axes[1:]]
-    rows = max(1, _BLOCK_POINTS // int(np.prod(inner)))
+    rows = min(len(axes[0]), max(1, _BLOCK_POINTS // int(np.prod(inner))))
     per_row = []
+    buf = np.empty((rows, *inner, len(axes)))  # every block's points, in turn
     for start in range(0, len(axes[0]), rows):
-        mesh = np.meshgrid(axes[0][start:start + rows], *axes[1:], indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
+        first = axes[0][start:start + rows]
+        block = buf[:len(first)]
+        for k, m in enumerate(np.meshgrid(first, *axes[1:], indexing="ij", sparse=True)):
+            block[..., k] = m
+        pts = block.reshape(-1, len(axes))
         out = integrand(*(np.asarray(fn(pts), dtype=np.float64) for fn in (p, q)))
         out = out.reshape(-1, *inner)
         for x in reversed(axes[1:]):
             out = _trapezoid(out, x)
         per_row.append(out)
     return float(_trapezoid(np.concatenate(per_row), axes[0]))
+
+
+def _quadrature_axes(grid_box, resolution) -> list:
+    if not isinstance(resolution, (int, np.integer)) or resolution < 2:
+        raise ValueError(f"resolution must be an integer of at least 2, got {resolution!r}")
+    if len(grid_box) == 0:
+        raise ValueError("grid_box needs at least one axis")
+    axes = []
+    for lo, hi in grid_box:
+        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+            raise ValueError(f"each grid_box axis needs finite lo < hi, got ({lo!r}, {hi!r})")
+        axes.append(np.linspace(lo, hi, resolution))
+    return axes
 
 
 def numeric_jsd(p, q, grid_box, resolution: int = 1001) -> float:
@@ -238,8 +328,7 @@ def numeric_jsd(p, q, grid_box, resolution: int = 1001) -> float:
         m = 0.5 * (pv + qv)
         return 0.5 * (rel_entr(pv, m) + rel_entr(qv, m))
 
-    axes = [np.linspace(lo, hi, resolution) for lo, hi in grid_box]
-    return _grid_quadrature(integrand, p, q, axes)
+    return _grid_quadrature(integrand, p, q, _quadrature_axes(grid_box, resolution))
 
 
 def numeric_fdiv(family, p, q, grid_box, resolution: int = 1001) -> float:
@@ -258,8 +347,7 @@ def numeric_fdiv(family, p, q, grid_box, resolution: int = 1001) -> float:
             raise FloatingPointError("f-divergence integrand is not finite on the grid")
         return out
 
-    axes = [np.linspace(lo, hi, resolution) for lo, hi in grid_box]
-    return _grid_quadrature(integrand, p, q, axes)
+    return _grid_quadrature(integrand, p, q, _quadrature_axes(grid_box, resolution))
 
 
 def jsd_from_samples(samples_p, samples_q, bins: int, box=None) -> float:
@@ -326,8 +414,7 @@ _TOY_FD_H = 1e-6
 
 
 def toy_value(game: ToyGame, d, g) -> float:
-    d = np.asarray(d, dtype=np.float64).ravel()
-    g = np.asarray(g, dtype=np.float64).ravel()
+    d, g = _point(game, (d, g))
     return float(game.value(d[None, :], g[None, :])[0])
 
 

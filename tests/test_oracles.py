@@ -46,6 +46,13 @@ def _random_point(game, rng):
     return d, g
 
 
+def _coupled_2d():
+    """V = sum_j d_j^2 g_j + d_0 g_1 on [-1, 1]^2 x [-2, 2]^2."""
+    return ToyGame("coupled_2d",
+                   lambda d, g: np.sum(d * d * g, axis=-1) + d[..., 0] * g[..., 1],
+                   ((-1.0, 1.0),) * 2, ((-2.0, 2.0),) * 2)
+
+
 # -- plain duality gap ---------------------------------------------------
 
 
@@ -256,6 +263,257 @@ def test_small_neighbourhood_bound():
     assert checked > 0
 
 
+# -- the grid search walks its grids in blocks, with the whole table's bytes --
+# The formulas below are the grid oracles as they were, each on the whole grid
+# and the whole (Nd, Ng) value table at once; they stay as the byte oracle.
+
+
+def _whole_box_grid(box, n):
+    axes = [np.linspace(lo, hi, n) for lo, hi in box]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
+
+
+def _whole_table_dg(game, point, n):
+    d0, g0 = (np.asarray(x, dtype=np.float64).ravel() for x in point)
+    dd, gg = _whole_box_grid(game.d_box, n), _whole_box_grid(game.g_box, n)
+    return float(np.max(game.value(dd, g0[None, :]))) - float(np.min(game.value(d0[None, :], gg)))
+
+
+def _whole_table_v_lambda(game, anchor, g, lam, n):
+    anchor, g = (np.asarray(x, dtype=np.float64).ravel() for x in (anchor, g))
+    dd = _whole_box_grid(game.d_box, n)
+    pen = np.sum((dd - anchor[None, :]) ** 2, axis=1)
+    return float(np.max(game.value(dd, g[None, :]) - lam * pen))
+
+
+def _whole_table_dg_lambda(game, point, lam, n):
+    d0, g0 = (np.asarray(x, dtype=np.float64).ravel() for x in point)
+    dd, gg = _whole_box_grid(game.d_box, n), _whole_box_grid(game.g_box, n)
+    v_dw = float(np.max(game.value(dd, g0[None, :])))
+    vals = game.value(dd[:, None, :], gg[None, :, :])  # (Nd, Ng)
+    pen = np.sum((dd - d0[None, :]) ** 2, axis=1)
+    return v_dw - float(np.min(np.max(vals - lam * pen[:, None], axis=0)))
+
+
+def _singular():
+    """V = d g / (d + g): nan at d = g = 0 and +-inf elsewhere on d = -g, both
+    grid nodes of the symmetric box."""
+    return ToyGame("singular", lambda d, g: (d * g / (d + g)).sum(axis=-1),
+                   ((-1.0, 1.0),), ((-1.0, 1.0),))
+
+
+def _pole():
+    """V = 2 d g - d^2 - 1 / (g - 0.5): -inf on the g = 0.5 column only, so
+    every proximal gap off that column is +inf."""
+    return ToyGame("pole", lambda d, g: (2.0 * d * g - d * d - 1.0 / (g - 0.5)).sum(axis=-1),
+                   ((-1.0, 1.0),), ((-1.0, 1.0),))
+
+
+def _signed_zeros():
+    """V = +-0 by the sign of sin(37 d + 11 g): every max and min is a signed
+    zero, and which one depends on the order of the reduction."""
+    return ToyGame("signed_zeros",
+                   lambda d, g: np.copysign(0.0, np.sin(37.0 * d[..., 0] + 11.0 * g[..., 0])),
+                   ((-1.0, 1.0),), ((-1.0, 1.0),))
+
+
+def _grid_cases():
+    # (game, grid points per axis, configurations): random points, grid nodes
+    # (signed zeros on the bilinear axes) and the corners
+    rng = np.random.default_rng(2405)
+    for game, n in ([(g, 401) for g in shipped_games()] + [(g, 41) for g in shipped_games()]
+                    + [(_coupled_2d(), 21), (_singular(), 41), (_pole(), 41),
+                       (_signed_zeros(), 41), (_signed_zeros(), 401)]):
+        nodes = [np.linspace(lo, hi, n) for lo, hi in game.d_box + game.g_box]
+        points = [_random_point(game, rng) for _ in range(3)]
+        for _ in range(3):
+            pick = np.array([x[rng.integers(0, n)] for x in nodes])
+            points.append((pick[:game.d_dim], pick[game.d_dim:]))
+        points.append((np.zeros(game.d_dim), np.zeros(game.g_dim)))
+        points.append((np.array([hi for _, hi in game.d_box]),
+                       np.array([lo for lo, _ in game.g_box])))
+        yield game, n, points
+
+
+# _BLOCK_POINTS per case: the shipped size, then sizes that give every table a
+# ragged last block, two-column blocks and many blocks on the d walks
+_BLOCK_SIZES = (None, 401 * 7, 29, 2)
+
+
+@pytest.mark.parametrize("block", _BLOCK_SIZES, ids=lambda b: f"block-{b or 'shipped'}")
+def test_streamed_grid_oracles_keep_the_whole_tables_bytes(block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(oracles_module, "_BLOCK_POINTS", block)
+    for game, n, points in _grid_cases():
+        grid = GridSpec(n)
+        with np.errstate(all="ignore"):
+            for point in points:
+                assert _bits(grid_dg(game, point, grid)) == \
+                    _bits(_whole_table_dg(game, point, n)), (game.name, n, point)
+                for lam in (0.0, 0.1, 10.0):
+                    want = _whole_table_dg_lambda(game, point, lam, n)
+                    assert _bits(grid_dg_lambda(game, point, lam, grid)) == _bits(want), \
+                        (game.name, n, point, lam)
+                    assert _bits(grid_v_lambda(game, point[0], point[1], lam, grid)) == \
+                        _bits(_whole_table_v_lambda(game, point[0], point[1], lam, n))
+
+
+def test_the_byte_cases_reach_signed_zeros_non_finite_values_and_ragged_blocks():
+    # what the byte test above relies on its cases to exercise
+    with np.errstate(all="ignore"):
+        saddle = (np.zeros(1), np.zeros(1))
+        signs = {np.signbit(_whole_table_dg_lambda(_signed_zeros(), point, 0.0, n))
+                 for game, n, points in _grid_cases() if game.name == "signed_zeros"
+                 for point in points}
+        assert signs == {True, False}
+        assert np.isnan(_whole_table_dg_lambda(_singular(), saddle, 0.1, 41))
+        assert np.isnan(_whole_table_dg(_singular(), saddle, 41))
+        assert _whole_table_dg_lambda(_pole(), (np.array([0.3]), np.array([0.2])), 0.1, 41) \
+            == np.inf
+    lasts, widths = set(), set()
+    for block in _BLOCK_SIZES:
+        for game, n, _ in _grid_cases():
+            width = max(2, (block or oracles_module._BLOCK_POINTS) // n ** game.d_dim)
+            sizes = [b.stop - b.start for b in oracles_module._blocks(n ** game.g_dim, width)]
+            lasts.add("short" if sizes[-1] < width else "long" if sizes[-1] > width else "even")
+            widths.add(width)
+    assert {"short", "long"} <= lasts  # ragged last blocks, one of them a lone point merged
+    assert 2 in widths and len(widths) > 4
+
+
+def _blocks_walked(call, monkeypatch):
+    # the sizes of the blocks the grid oracles evaluate, in call order
+    walked = []
+    blocks = oracles_module._blocks
+
+    def recording(total, width):
+        for block in blocks(total, width):
+            walked.append(block.stop - block.start)
+            yield block
+
+    monkeypatch.setattr(oracles_module, "_blocks", recording)
+    call()
+    return walked
+
+
+def test_grid_dg_lambda_walks_g_in_tables_of_about_the_block_size(monkeypatch):
+    game = bilinear()
+    point = (np.array([0.3]), np.array([-0.2]))
+    walked = _blocks_walked(lambda: grid_dg_lambda(game, point, 0.1, GRID), monkeypatch)
+    width = oracles_module._BLOCK_POINTS // 401
+    assert walked[0] == 401  # the v_dw walk over d: one block
+    tables = walked[1:]
+    assert tables == [width] * (len(tables) - 1) + [401 - width * (len(tables) - 1)]
+    assert 2 <= tables[-1] <= width + 1
+    assert max(tables) * 401 <= oracles_module._BLOCK_POINTS + 401
+
+
+def test_classify_builds_each_table_once_for_its_whole_ladder(monkeypatch):
+    calls = []
+
+    def value(d, g):
+        calls.append(np.broadcast_shapes(d.shape[:-1], g.shape[:-1]))
+        return (2.0 * d * g - d * d).sum(axis=-1)
+
+    game = ToyGame("counted", value, ((-1.0, 1.0),), ((-1.0, 1.0),))
+    classify_equilibrium(game, (np.array([0.005]), np.array([0.0])), LADDER, GRID, tol=1e-6)
+    tables = [shape for shape in calls if len(shape) == 2]
+    assert sum(shape[1] for shape in tables) == 401  # every g column once, for 7 lambdas
+    assert len(calls) - len(tables) == 2  # v_dw over d and v_gw over g, once each
+
+
+@pytest.mark.parametrize("game,n", [(g, 401) for g in shipped_games()]
+                         + [(_coupled_2d(), 11), (_singular(), 41), (_pole(), 41),
+                            (_signed_zeros(), 41)],
+                         ids=lambda x: getattr(x, "name", str(x)))
+def test_classify_scores_its_ladder_as_one_grid_call_per_lambda(game, n):
+    rng = np.random.default_rng(77)
+    grid = GridSpec(n)
+    points = [_random_point(game, rng) for _ in range(2)] + \
+        [(np.zeros(game.d_dim), np.zeros(game.g_dim))]
+    for point in points:
+        with np.errstate(all="ignore"):
+            out = classify_equilibrium(game, point, LADDER, grid, tol=1e-6)
+            assert _bits(out.dg) == _bits(grid_dg(game, point, grid))
+            assert [lam for lam, _ in out.dg_by_lambda] == LADDER
+            for lam, gap in out.dg_by_lambda:
+                assert _bits(gap) == _bits(grid_dg_lambda(game, point, lam, grid))
+                assert _bits(gap) == _bits(_whole_table_dg_lambda(game, point, lam, n))
+
+
+def test_grid_dg_lambda_peak_memory_stays_per_block():
+    # tracemalloc peak of one call at 401 points per axis (numpy 2.4): 2.65 MB
+    # when the whole 401 x 401 value table was built at once, 0.38 MB streamed
+    # in tables of 12,288 entries
+    game = concave_quadratic()
+    point = (np.array([0.3]), np.array([-0.2]))
+    grid_dg_lambda(game, point, 0.1, GRID)  # lazy set-up outside the measurement
+    tracemalloc.start()
+    try:
+        grid_dg_lambda(game, point, 0.1, GRID)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1e6, peak
+
+
+# -- grid oracles refuse what they cannot search ----------------------------
+
+
+def _refuse_grids(monkeypatch):
+    def built(*args):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(oracles_module, "_box_grid", built)
+
+
+_OK_D, _OK_G = np.array([0.1]), np.array([0.2])
+_BAD_POINTS = [((np.array([0.1, 0.3]), _OK_G), "d"), ((_OK_D, np.array([0.2, 0.4])), "g"),
+               ((np.array([]), _OK_G), "d"), ((_OK_D, np.zeros((2, 2))), "g")]
+
+
+@pytest.mark.parametrize("point,which", _BAD_POINTS, ids=["d2", "g2", "d0", "g4"])
+def test_grid_oracles_refuse_a_point_of_another_dimension(point, which, monkeypatch):
+    _refuse_grids(monkeypatch)
+    game = bilinear()
+    calls = [lambda: grid_dg(game, point, GRID),
+             lambda: grid_v_lambda(game, point[0], point[1], 0.1, GRID),
+             lambda: grid_dg_lambda(game, point, 0.1, GRID),
+             lambda: classify_equilibrium(game, point, LADDER, GRID, tol=1e-6),
+             lambda: toy_value(game, *point)]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^{which} has"):
+            call()
+
+
+@pytest.mark.parametrize("lam", [-1.0, -1e-300, np.nan, np.inf, -np.inf])
+def test_grid_oracles_refuse_a_negative_or_non_finite_lambda(lam, monkeypatch):
+    _refuse_grids(monkeypatch)
+    game = bilinear()
+    point = (_OK_D, _OK_G)
+    calls = [lambda: grid_v_lambda(game, _OK_D, _OK_G, lam, GRID),
+             lambda: grid_dg_lambda(game, point, lam, GRID),
+             lambda: classify_equilibrium(game, point, [0.0, 0.1, lam], GRID, tol=1e-6)]
+    for call in calls:
+        with pytest.raises(ValueError, match="^lambda must be finite and non-negative"):
+            call()
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-6])
+def test_classify_refuses_a_tolerance_that_is_not_finite_and_positive(tol, monkeypatch):
+    _refuse_grids(monkeypatch)
+    with pytest.raises(ValueError, match="^tol must be finite and positive"):
+        classify_equilibrium(bilinear(), (_OK_D, _OK_G), LADDER, GRID, tol=tol)
+
+
+@pytest.mark.parametrize("count", [11.5, 11.0, "11", None])
+def test_grid_spec_refuses_a_count_that_is_not_an_integer(count):
+    with pytest.raises(ValueError, match="^points_per_dim must be an integer"):
+        GridSpec(count)
+    assert GridSpec(np.int64(11)).points_per_dim == 11
+
+
 # -- divergence oracles -----------------------------------------------------
 
 
@@ -306,6 +564,47 @@ def test_fdiv_kl_matches_gaussian_closed_form():
     q = _gauss1d(0.5, 1.0)
     val = numeric_fdiv(FGAN_FAMILIES["kl"], p, q, [(-7.0, 7.5)], 4001)
     assert val == pytest.approx(0.125, abs=1e-4)  # (mu difference)^2 / 2
+
+
+def _both_divergences(box, resolution):
+    p, q = _gauss1d(0.0, 1.0), _gauss1d(0.5, 1.0)
+    return [lambda: numeric_jsd(p, q, box, resolution),
+            lambda: numeric_fdiv(FGAN_FAMILIES["kl"], p, q, box, resolution)]
+
+
+@pytest.mark.parametrize("resolution", [1, 0, -3, 2.5])
+def test_quadrature_refuses_fewer_than_two_points_per_axis(resolution):
+    # at 1 point the trapezoid rule read 0.0; at 0 a 2-D box raised
+    # ZeroDivisionError and a 1-D box failed inside np.concatenate
+    for box in ([(-6.0, 6.0)], [(-6.0, 6.0), (-6.0, 6.0)]):
+        for call in _both_divergences(box, resolution):
+            with pytest.raises(ValueError, match="^resolution must be an integer of at least 2"):
+                call()
+    assert numeric_jsd(_gauss1d(0.0, 1.0), _gauss1d(0.5, 1.0), [(-6.0, 6.0)], 2) >= 0.0
+
+
+@pytest.mark.parametrize("box", [[(6.0, -6.0)], [(-6.0, 6.0), (1.0, 1.0)]],
+                         ids=["inverted", "empty-second-axis"])
+def test_quadrature_refuses_an_axis_with_lo_not_below_hi(box):
+    # an inverted box read a negative JSD: the trapezoid rule integrated backwards
+    for call in _both_divergences(box, 101):
+        with pytest.raises(ValueError, match="^each grid_box axis needs finite lo < hi"):
+            call()
+
+
+@pytest.mark.parametrize("box", [[(-np.inf, 6.0)], [(-6.0, np.nan)], [(-6.0, 6.0), (0.0, np.inf)]],
+                         ids=["-inf", "nan", "inf-second-axis"])
+def test_quadrature_refuses_a_non_finite_axis(box):
+    for call in _both_divergences(box, 101):
+        with pytest.raises(ValueError, match="^each grid_box axis needs finite lo < hi"):
+            call()
+
+
+def test_quadrature_refuses_a_box_without_axes():
+    # it raised IndexError from inside the quadrature loop
+    for call in _both_divergences([], 101):
+        with pytest.raises(ValueError, match="^grid_box needs at least one axis"):
+            call()
 
 
 # -- the quadrature is scipy's trapezoid rule on the whole grid, bit for bit --
@@ -470,7 +769,8 @@ def test_divergences_keep_the_bytes_of_scipys_quadrature(seed):
 def test_divergence_quadrature_peak_memory_stays_per_block():
     # tracemalloc peak of one call on the toy_oracles 801^2 pair shape (seed
     # 83, numpy 2.4): 56.5 MB for numeric_jsd and 51.3 MB for numeric_fdiv (KL)
-    # when the whole grid was evaluated at once, 1.44 MB for each streamed
+    # when the whole grid was evaluated at once, 1.44 MB for each streamed in
+    # blocks of 16,384 points, 0.91 MB in blocks of 12,288 on one point buffer
     box, resolution = ((-8.0, 8.0), (-8.0, 8.0)), 801
     (jp, jq), (fp, fq) = _toy_oracles_pairs(83)
     calls = ((numeric_jsd, (_dens(jp), _dens(jq))),
@@ -569,13 +869,6 @@ def test_toy_grads_exact_for_polynomials():
     d, g = np.array([0.5]), np.array([-0.2])
     assert toy_value_and_grad(game, d, g, "d")[1][0] == pytest.approx(g[0] + 0.4, abs=1e-9)
     assert toy_value_and_grad(game, d, g, "g")[1][0] == pytest.approx(d[0] - 0.3, abs=1e-9)
-
-
-def _coupled_2d():
-    """V = sum_j d_j^2 g_j + d_0 g_1 on [-1, 1]^2 x [-2, 2]^2."""
-    return ToyGame("coupled_2d",
-                   lambda d, g: np.sum(d * d * g, axis=-1) + d[..., 0] * g[..., 1],
-                   ((-1.0, 1.0),) * 2, ((-2.0, 2.0),) * 2)
 
 
 # game -> (dV/dd, dV/dg) in closed form
