@@ -25,7 +25,7 @@ print("1. reverse-mode gradients vs central differences")
 print("=" * 60)
 spec = NetworkSpec(2, (16, 16), 1, activation="tanh")
 print(f"network 2-16-16-1 (tanh): {spec.param_count} parameters")
-params = init_network(spec, rng.child(1))
+params = init_network(spec, rng.child(1)).values  # a flat float64 array
 batch = rng.normal((8, 2))
 target = rng.normal((8, 1))
 
@@ -57,7 +57,7 @@ print()
 print("=" * 60)
 print("3. leading Hessian eigenvalues without forming the Hessian")
 print("=" * 60)
-h = 1e-4 * (1.0 + np.linalg.norm(theta.values))
+h = 1e-4 * (1.0 + np.linalg.norm(theta))
 result = top_k_eigenvalues(lambda v: hvp(lambda th: grad_params(mse, th), theta, v, h),
                            dim=spec.param_count, k=4, rng=rng.child(2))
 print("block Lanczos    :", [f"{v:+.4f}" for v in result.values])

@@ -66,12 +66,18 @@ class NetworkSpec:
 class ParamVector:
     """Immutable flat parameter store: a finite, read-only copy of its values,
     laid out as its network's ``NetworkSpec.layers()`` says.  Two vectors are
-    equal when their values are, and equal vectors hash alike."""
+    equal when their values are, and equal vectors hash alike.
+
+    It is what a ``GanState``, and so a checkpoint, holds; the loops that move
+    parameters (training updates, searches, inner ascents) move plain arrays.
+    """
 
     values: np.ndarray
 
     def __post_init__(self):
-        vals = _finite_copy(self.values)
+        vals = np.array(self.values, dtype=np.float64).ravel()
+        if not np.isfinite(vals).all():
+            raise ValueError("parameters must be finite")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
@@ -87,23 +93,6 @@ class ParamVector:
         # the values are finite, so equal ones have equal bytes but for the
         # sign of a zero, which adding +0.0 clears
         return hash((self.values + 0.0).tobytes())
-
-    def with_values(self, values) -> "ParamVector":
-        """A vector of this length holding ``values``, checked and copied once."""
-        vals = _finite_copy(values)
-        if vals.size != self.values.size:
-            raise ValueError(f"expected {self.values.size} values, got {vals.size}")
-        vals.flags.writeable = False
-        new = object.__new__(ParamVector)
-        new.__dict__["values"] = vals
-        return new
-
-
-def _finite_copy(values) -> np.ndarray:
-    vals = np.array(values, dtype=np.float64).ravel()
-    if not np.isfinite(vals).all():
-        raise ValueError("parameters must be finite")
-    return vals
 
 
 def init_network(spec: NetworkSpec, rng: Rng) -> ParamVector:
@@ -141,7 +130,7 @@ def forward_graph(spec: NetworkSpec, theta, batch) -> Tensor:
     return x
 
 
-def forward(spec: NetworkSpec, params: ParamVector, batch, work=None) -> np.ndarray:
+def forward(spec: NetworkSpec, params, batch, work=None) -> np.ndarray:
     """Plain forward evaluation, returning an n x output_dim array; with an
     ``MlpWorkspace`` it aliases the workspace, as ``mlp_forward``'s outputs do."""
     return mlp_forward(spec, params, batch, work)[0]
@@ -363,8 +352,7 @@ def finite_value_and_grad(value, grad):
 # -- input gradients -----------------------------------------------------------
 
 
-def input_grad_batch(spec: NetworkSpec, params: ParamVector, batch, h: float,
-                     work=None) -> np.ndarray:
+def input_grad_batch(spec: NetworkSpec, params, batch, h: float, work=None) -> np.ndarray:
     """Gradient of the scalar network output w.r.t. its input, by central
     differences, for every row of a batch (n x input_dim array); a fresh
     array, whether or not its forward pass runs on the ``MlpWorkspace`` ``work``."""

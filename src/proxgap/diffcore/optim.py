@@ -1,4 +1,4 @@
-"""Adam updates for parameter vectors."""
+"""Adam updates for flat parameter arrays."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import NonFiniteError
-from .network import ParamVector
 
 # The denominator's floor, one value for every Adam state.
 EPS = 1e-8
@@ -42,12 +41,12 @@ def adam_init(n_params: int, lr: float, beta1: float = 0.9, beta2: float = 0.999
 def adam_step(params, grad, state: AdamState):
     """One bias-corrected Adam step in the direction that reduces the loss.
 
-    Returns ``(new_params, new_state)``; accepts a ParamVector or a plain
-    array and returns the same kind.  Raises ``NonFiniteError('adam')`` when the
+    Takes a flat parameter array and returns ``(new_params, new_state)``,
+    the new parameters a fresh array.  Raises ``NonFiniteError('adam')`` when the
     new second moment is not finite: a gradient beyond about 1e154 squares to
     inf there, which would freeze its coordinate on this and every later step.
     """
-    vals = params.values if isinstance(params, ParamVector) else np.asarray(params, dtype=np.float64)
+    vals = np.asarray(params, dtype=np.float64)
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != vals.shape:
         raise ValueError("gradient length does not match parameters")
@@ -66,7 +65,5 @@ def adam_step(params, grad, state: AdamState):
     # [0, 1); t >= 1; finiteness, checked above); the next state skips the check
     new_state = object.__new__(AdamState)
     new_state.__dict__.update(state.__dict__, m=m, v=v, t=t)
-    if isinstance(params, ParamVector):
-        return params.with_values(new_vals), new_state
     return new_vals, new_state
 

@@ -126,8 +126,9 @@ class _GanOps:
             eval_latent = _eval_latent(state, splits, rng)
         self.eval_latent = np.asarray(eval_latent, dtype=np.float64)
         self.eval_batch = splits.s_c, self.eval_latent
-        self.d0 = state.theta_d
-        self.g0 = state.theta_g
+        # the state's read-only arrays: every iterate is a plain array
+        self.d0 = state.theta_d.values
+        self.g0 = state.theta_g.values
         objective = state.objective
         self.project_d = lambda theta_d: enforce_constraint(objective, theta_d)
         self.project_g = lambda theta_g: theta_g
@@ -139,8 +140,8 @@ class _GanOps:
         return draw_minibatch(self.splits.s_b, size, self.state.latent_dim, self.rng)
 
     def eval_value(self, theta_d, theta_g) -> float:
-        return eval_objective(self.state.with_params(theta_d, theta_g), *self.eval_batch,
-                              self.buffers)
+        held_out = self.state.with_params(ParamVector(theta_d), ParamVector(theta_g))
+        return eval_objective(held_out, *self.eval_batch, self.buffers)
 
     # grad_g_fn(theta_d) and grad_d_fn(theta_g): (params, batch) -> dV/dparams
     # against the fixed opponent, built once per search
@@ -227,13 +228,12 @@ def _prox_step_size(prox_lr: float, lam: float) -> float:
 
 
 def _prox_loop(grad_fn, anchor, project, cfg: ProximalConfig):
-    """Penalized inner maximization: yields the projected anchor, then each of
-    `prox_steps` projected ascent iterates along `grad_fn`, the penalized
-    objective's gradient."""
+    """Penalized inner maximization from the array `anchor`: yields the
+    projected anchor, then each of `prox_steps` projected ascent iterates
+    along `grad_fn`, the penalized objective's gradient."""
     theta = project(anchor)
     lr = _prox_step_size(cfg.prox_lr, cfg.lam)
-    # GAN iterates are ParamVectors of the anchor's length, toy iterates plain arrays
-    as_params = theta.with_values if isinstance(theta, ParamVector) else None
+    # GAN and toy iterates alike are plain arrays of the anchor's length
     yield theta
     for j in range(cfg.prox_steps):
         try:
@@ -241,14 +241,14 @@ def _prox_loop(grad_fn, anchor, project, cfg: ProximalConfig):
         except NonFiniteError as err:
             raise ProxDivergenceError(
                 f"penalized ascent diverged at inner step {j}: {err}") from err
-        theta = project(theta + lr * grad if as_params is None
-                        else as_params(theta.values + lr * grad))
+        theta = project(theta + lr * grad)
         yield theta
 
 
 def _adam_search(start, descent_dir, project, draw_batch, lr: float, iters: int):
-    """The one Adam search: yields `start`, then each of `iters` projected Adam
-    iterates, each step along `descent_dir(params, draw_batch())`."""
+    """The one Adam search from the array `start`: yields it, then each of
+    `iters` projected Adam iterates, fresh arrays, each step along
+    `descent_dir(params, draw_batch())`."""
     params = start
     adam = adam_init(len(start), lr)
     yield params

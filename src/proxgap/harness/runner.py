@@ -80,8 +80,8 @@ def rebuild_splits(cfg: ExperimentConfig):
 def build_state(cfg: ExperimentConfig, root: Rng):
     """Deterministically build the initial game state (networks drawn from
     ``root``) and the run's data splits (``rebuild_splits(cfg)``)."""
-    theta_d = enforce_constraint(cfg.objective,
-                                 init_network(cfg.d_spec, root.child(_TAG_INIT_D)))
+    theta_d = ParamVector(enforce_constraint(
+        cfg.objective, init_network(cfg.d_spec, root.child(_TAG_INIT_D)).values))
     theta_g = init_network(cfg.g_spec, root.child(_TAG_INIT_G))
     state = GanState(cfg.d_spec, cfg.g_spec, theta_d, theta_g, cfg.objective)
     return state, rebuild_splits(cfg)
@@ -91,10 +91,10 @@ def build_state(cfg: ExperimentConfig, root: Rng):
 class _Player:
     """One side of the game in the training loop."""
 
-    theta: str  # its parameters' field on GanState
+    theta: np.ndarray  # its parameter array, replaced by each of its updates
     value_and_grad: Callable
     sign: float  # of its Adam step's gradient: -1 ascends V (D), +1 descends it (G)
-    project: Callable  # (objective, params) -> params
+    project: Callable  # (objective, array) -> array
     adam: AdamState
     loss: float  # sign * V on its last minibatch
 
@@ -143,9 +143,9 @@ def train(cfg: ExperimentConfig) -> Path:
     state, splits = build_state(cfg, root)
     train_rng = root.child(_TAG_TRAIN)
     v0 = eval_objective(state, splits.s_c, _eval_latent(cfg, splits))
-    disc = _Player("theta_d", value_and_grad_d, -1.0, enforce_constraint,
+    disc = _Player(state.theta_d.values, value_and_grad_d, -1.0, enforce_constraint,
                    adam_init(len(state.theta_d), cfg.lr_d, cfg.beta1, cfg.beta2), -v0)
-    gen = _Player("theta_g", value_and_grad_g, 1.0, _unprojected,
+    gen = _Player(state.theta_g.values, value_and_grad_g, 1.0, _unprojected,
                   adam_init(len(state.theta_g), cfg.lr_g, cfg.beta1, cfg.beta2), v0)
     n = cfg.update_ratio
     cycle = [disc] * n + [gen] if n > 0 else [disc] + [gen] * -n
@@ -163,18 +163,21 @@ def train(cfg: ExperimentConfig) -> Path:
                 for player in (cycle if step else ()):  # step 0 is the initial state
                     real, latent = draw_minibatch(splits.s_a, cfg.train_batch,
                                                   cfg.latent.dim, train_rng)
-                    v, grad = player.value_and_grad(state, state.theta_d, state.theta_g,
+                    # the state gives the specs and the objective; the
+                    # parameters are the players' own arrays
+                    v, grad = player.value_and_grad(state, disc.theta, gen.theta,
                                                     real, latent, buffers)
-                    params, adam = adam_step(getattr(state, player.theta),
-                                             player.sign * grad, player.adam)
-                    state = state.with_params(
-                        **{player.theta: player.project(state.objective, params)})
-                    player.adam, player.loss = adam, player.sign * v
+                    params, player.adam = adam_step(player.theta, player.sign * grad,
+                                                    player.adam)
+                    player.theta = player.project(state.objective, params)
+                    player.loss = player.sign * v
             except NonFiniteError:
                 failed_at = step
                 break
             if step % cfg.checkpoint_interval:
                 continue
+            # the one state of this checkpoint, scored and saved
+            state = state.with_params(ParamVector(disc.theta), ParamVector(gen.theta))
             # fresh kernel buffers for the updates up to the next checkpoint
             # (step 0 is one); bound before the scoring, whose searches own
             # theirs, so the last updates' buffers add nothing to its peak
@@ -290,19 +293,23 @@ def _stored_gap(block, cfg: ExperimentConfig, step: int, state: GanState, where)
 
 
 def save_checkpoint(base, ckpt: Checkpoint) -> Path:
-    """Write ``ckpt`` as ``base``.npz and its ``base``.json sidecar; returns the .npz path."""
+    """Write ``ckpt`` as ``base``.npz and its ``base``.json sidecar; returns the .npz path.
+
+    The training stream's state and the gap report are checked as
+    ``load_checkpoint`` checks them, before anything is written."""
+    base = Path(base)
+    _check_rng_state(ckpt.rng_state, base.with_suffix(".json"))
     sidecar = {
         "format": CHECKPOINT_FORMAT,
         "step": ckpt.step,
         "seed": ckpt.cfg.seed,
         "config": ckpt.cfg.pairs,
-        "rng_state": _jsonable(ckpt.rng_state),
+        "rng_state": ckpt.rng_state,
         "arrays": list(_checkpoint_arrays(ckpt.cfg)),
     }
-    gap = _gap_block(ckpt)  # checked before anything is written
+    gap = _gap_block(ckpt)
     if gap is not None:
         sidecar["gap"] = gap
-    base = Path(base)
     npz = base.with_suffix(".npz")
     _write_atomically(npz, lambda fh: np.savez(
         fh,
@@ -329,14 +336,6 @@ def _write_atomically(path: Path, write) -> None:
     finally:
         if tmp.exists():
             tmp.unlink()
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, np.integer):
-        return int(obj)
-    return obj
 
 
 def load_checkpoint(path) -> Checkpoint:

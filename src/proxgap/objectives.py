@@ -381,9 +381,10 @@ def _sobolev_sum(columns, anchor_grads):
     return total
 
 
-def value_and_grad_d(state, theta_d: ParamVector, theta_g: ParamVector,
-                     real_batch, latent_batch, buffers=None):
-    """(V, dV/dtheta_d); the generator side is treated as a constant.
+def value_and_grad_d(state, theta_d, theta_g, real_batch, latent_batch, buffers=None):
+    """(V, dV/dtheta_d); the generator side is treated as a constant.  ``state``
+    gives the networks and the objective; the parameters are arrays (or a
+    state's ``ParamVector``s).
 
     The penalized step at lam = 0, on ``buffers`` as there; the clip box is
     checked after the generator runs."""
@@ -393,9 +394,9 @@ def value_and_grad_d(state, theta_d: ParamVector, theta_g: ParamVector,
     return step(theta_d)
 
 
-def value_and_grad_g(state, theta_d: ParamVector, theta_g: ParamVector,
-                     real_batch, latent_batch, buffers=None):
-    """(V, dV/dtheta_g); the discriminator side is treated as a constant.
+def value_and_grad_g(state, theta_d, theta_g, real_batch, latent_batch, buffers=None):
+    """(V, dV/dtheta_g); the discriminator side is treated as a constant, and
+    ``state`` and the parameters are as in ``value_and_grad_d``.
 
     The gradient reaches the generator through the discriminator's input
     gradient on the generated rows.  The kernel runs on ``buffers`` (a
@@ -423,9 +424,10 @@ def fenchel_identity_residual(family: FGanFamily, t: float) -> float:
     return abs(float(family.f_star(slope)) - (t * slope - family.f(t)))
 
 
-def enforce_constraint(objective, theta_d: ParamVector) -> ParamVector:
-    """Project the discriminator into the weight box when the objective demands one."""
+def enforce_constraint(objective, theta_d: np.ndarray) -> np.ndarray:
+    """Project a discriminator parameter array into the weight box when the
+    objective demands one: a fresh array then, ``theta_d`` itself otherwise."""
     if not isinstance(objective, WassersteinClip):
         return theta_d
     c = objective.clip
-    return theta_d.with_values(np.minimum(np.maximum(theta_d.values, -c), c))
+    return np.minimum(np.maximum(theta_d, -c), c)

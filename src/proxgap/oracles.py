@@ -119,10 +119,23 @@ class GridSpec:
 _BLOCK_POINTS = 12288
 
 
-def _box_grid(box, n: int) -> np.ndarray:
+def _box_grid(box, n: int, what: str) -> np.ndarray:
+    """The n-points-per-axis grid of the ``what`` box ("d" or "g"), one point
+    per row; ValueError for an axis with a bound that is not finite, whose
+    ``linspace`` would hold nans."""
+    for axis, (lo, hi) in enumerate(box):
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise ValueError(f"the {what} box's axis {axis} has a bound that is not finite, "
+                             f"({lo!r}, {hi!r}): a grid oracle searches finite boxes only")
     axes = [np.linspace(lo, hi, n) for lo, hi in box]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
+
+
+def _grids(game: ToyGame, grid: GridSpec):
+    """The game's d and g grids, both built, so checked, before any value is."""
+    n = grid.points_per_dim
+    return _box_grid(game.d_box, n, "d"), _box_grid(game.g_box, n, "g")
 
 
 def _blocks(total: int, width: int):
@@ -160,19 +173,17 @@ def _penalty(lam) -> float:
     return lam
 
 
-def _v_dw(game: ToyGame, g, n: int) -> float:
+def _v_dw(game: ToyGame, dd, g) -> float:
     # max over the d grid of V(d, g)
-    dd = _box_grid(game.d_box, n)
     return float(np.max(_grid_values(dd, lambda block: game.value(block, g[None, :]))))
 
 
-def _v_gw(game: ToyGame, d, n: int) -> float:
+def _v_gw(game: ToyGame, gg, d) -> float:
     # min over the g grid of V(d, g)
-    gg = _box_grid(game.g_box, n)
     return float(np.min(_grid_values(gg, lambda block: game.value(d[None, :], block))))
 
 
-def _v_gw_lambda(game: ToyGame, anchor, lambdas, n: int) -> list:
+def _v_gw_lambda(game: ToyGame, dd, gg, anchor, lambdas) -> list:
     """min over the g grid of the penalized inner max over the d grid, per lambda.
 
     The g grid is walked in blocks of about ``_BLOCK_POINTS`` table entries;
@@ -182,7 +193,6 @@ def _v_gw_lambda(game: ToyGame, anchor, lambdas, n: int) -> list:
     another order), so the per-g maxima keep the whole table's bytes, signed
     zeros and nan included; each lambda's are then reduced once with np.min.
     """
-    dd, gg = _box_grid(game.d_box, n), _box_grid(game.g_box, n)
     pen = np.sum((dd - anchor[None, :]) ** 2, axis=1)
     lam_pens = [lam * pen[:, None] for lam in lambdas]
     per_g = np.empty((len(lambdas), len(gg)))
@@ -196,8 +206,8 @@ def _v_gw_lambda(game: ToyGame, anchor, lambdas, n: int) -> list:
 def grid_dg(game: ToyGame, point, grid: GridSpec = GridSpec()) -> float:
     """Plain duality gap at a configuration: grid max over d minus grid min over g."""
     d0, g0 = _point(game, point)
-    n = grid.points_per_dim
-    return _v_dw(game, g0, n) - _v_gw(game, d0, n)
+    dd, gg = _grids(game, grid)
+    return _v_dw(game, dd, g0) - _v_gw(game, gg, d0)
 
 
 def grid_v_lambda(game: ToyGame, anchor_d, g, lam: float,
@@ -209,7 +219,8 @@ def grid_v_lambda(game: ToyGame, anchor_d, g, lam: float,
     def penalized(dd):
         return game.value(dd, g[None, :]) - lam * np.sum((dd - anchor[None, :]) ** 2, axis=1)
 
-    return float(np.max(_grid_values(_box_grid(game.d_box, grid.points_per_dim), penalized)))
+    return float(np.max(_grid_values(_box_grid(game.d_box, grid.points_per_dim, "d"),
+                                     penalized)))
 
 
 def grid_dg_lambda(game: ToyGame, point, lam: float,
@@ -217,8 +228,8 @@ def grid_dg_lambda(game: ToyGame, point, lam: float,
     """Proximal duality gap by exhaustive search, anchored at the point's d."""
     d0, g0 = _point(game, point)
     lam = _penalty(lam)
-    n = grid.points_per_dim
-    return _v_dw(game, g0, n) - _v_gw_lambda(game, d0, [lam], n)[0]
+    dd, gg = _grids(game, grid)
+    return _v_dw(game, dd, g0) - _v_gw_lambda(game, dd, gg, d0, [lam])[0]
 
 
 @dataclass(frozen=True)
@@ -246,10 +257,10 @@ def classify_equilibrium(game: ToyGame, point, lambda_list, grid: GridSpec,
         raise ValueError("lambda_list must be ascending and include 0")
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    n = grid.points_per_dim
-    v_dw = _v_dw(game, g0, n)
-    dg = v_dw - _v_gw(game, d0, n)
-    gaps = [(lam, v_dw - v) for lam, v in zip(lambdas, _v_gw_lambda(game, d0, lambdas, n))]
+    dd, gg = _grids(game, grid)
+    v_dw = _v_dw(game, dd, g0)
+    dg = v_dw - _v_gw(game, gg, d0)
+    gaps = [(lam, v_dw - v) for lam, v in zip(lambdas, _v_gw_lambda(game, dd, gg, d0, lambdas))]
     qualifies = [val < tol for _, val in gaps]
     for i in range(len(gaps) - 1):
         if not qualifies[i] and any(qualifies[i + 1:]):

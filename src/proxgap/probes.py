@@ -17,7 +17,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .diffcore import Rng, forward, hvp, top_k_eigenvalues
-from .diffcore.engine import _param_values
 from .distributions import DataSplits, draw_minibatch
 from .gapmetrics import _adam_search, _ops_for
 from .objectives import GanState, check_clip_box
@@ -159,5 +158,5 @@ def _agent_grad(state, splits, agent, rng: Rng):
         batch = real[:PROBE_BATCH], latent[:PROBE_BATCH]
     if agent == GENERATOR:
         grad_g = ops.grad_g_fn(ops.d0)
-        return (lambda g: grad_g(g, batch)), _param_values(ops.g0)
-    return ops.make_prox(ops.d0, ops.g0, batch, 0.0, None)[0], _param_values(ops.d0)
+        return (lambda g: grad_g(g, batch)), ops.g0
+    return ops.make_prox(ops.d0, ops.g0, batch, 0.0, None)[0], ops.d0

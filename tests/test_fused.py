@@ -384,7 +384,8 @@ def _state(objective, activation: str, seed: int) -> GanState:
     d_spec = NetworkSpec(2, (7, 5), 1, activation=activation, output_head=head)
     g_spec = NetworkSpec(3, (6,), 2, activation=activation)
     rng = Rng(seed)
-    theta_d = enforce_constraint(objective, init_network(d_spec, rng.child(0)))
+    theta_d = ParamVector(enforce_constraint(objective,
+                                             init_network(d_spec, rng.child(0)).values))
     return GanState(d_spec, g_spec, theta_d, init_network(g_spec, rng.child(1)), objective)
 
 
@@ -518,8 +519,8 @@ def test_prox_step_matches_graph_objective_minus_sobolev_graph(name, objective, 
     real, latent = rng.normal((50, 2)), rng.normal((50, 3))
     h = 1e-3
     # evaluate away from the anchor so the penalty and its gradient are nonzero
-    theta = enforce_constraint(objective, state.theta_d.with_values(
-        state.theta_d.values + 0.01 * rng.normal(len(state.theta_d))))
+    theta = enforce_constraint(objective,
+                               state.theta_d.values + 0.01 * rng.normal(len(state.theta_d)))
     step_fn = penalized_step_fn(state, state.theta_d, state.theta_g, real, latent, lam, h)
     value, grad = step_fn(theta)
 
@@ -533,7 +534,7 @@ def test_prox_step_matches_graph_objective_minus_sobolev_graph(name, objective, 
             total = total - lam * _sobolev_graph(state.d_spec, t, anchor_grads, real, h)
         return total
 
-    ref = penalized(Tensor(theta.values)).item()
+    ref = penalized(Tensor(theta)).item()
     assert abs(value - ref) <= TOL * max(abs(ref), 1e-300)
     assert _rel(grad, grad_params(penalized, theta)) <= TOL
 
@@ -546,8 +547,8 @@ def test_a_value_only_step_keeps_the_values_bytes_without_a_backward_pass(monkey
     rng = Rng(36)
     real, latent = rng.normal((40, 2)), rng.normal((40, 3))
     step_fn = penalized_step_fn(state, state.theta_d, state.theta_g, real, latent, lam, 1e-3)
-    thetas = [enforce_constraint(objective, state.theta_d.with_values(
-        state.theta_d.values + 0.01 * rng.child(k).normal(len(state.theta_d))))
+    thetas = [enforce_constraint(
+        objective, state.theta_d.values + 0.01 * rng.child(k).normal(len(state.theta_d)))
         for k in range(3)]
     want = [step_fn(theta)[0] for theta in thetas]
 
@@ -641,11 +642,11 @@ def test_value_and_grad_d_checks_the_box_after_the_generator():
     state = _state(WassersteinClip(0.01), "tanh", seed=60)
     rng = Rng(61)
     real, latent = rng.normal((10, 2)), rng.normal((10, 3))
-    outside = state.theta_d.with_values(state.theta_d.values * 2.0)
+    outside = ParamVector(state.theta_d.values * 2.0)
     with pytest.raises(ClipBoxError):
         value_and_grad_d(state, outside, state.theta_g, real, latent)
     # a generator whose first matmul overflows is named before the box is checked
-    huge_g = state.theta_g.with_values(np.full(len(state.theta_g), 1e308))
+    huge_g = ParamVector(np.full(len(state.theta_g), 1e308))
     with pytest.raises(NonFiniteError, match="matmul"):
         value_and_grad_d(state, outside, huge_g, np.abs(real), np.abs(latent) + 1.0)
 
@@ -659,7 +660,7 @@ def _overflow_setup():
     # positive inputs against all-1e308 weights overflow the first matmul;
     # tanh would saturate the inf to a finite 1 if nothing checked it
     real, latent = np.abs(rng.normal((16, 2))) + 1.0, rng.normal((16, 3))
-    huge = state.theta_d.with_values(np.full(len(state.theta_d), 1e308))
+    huge = ParamVector(np.full(len(state.theta_d), 1e308))
     return state, real, latent, huge
 
 
@@ -699,10 +700,10 @@ def test_overflowing_weights_raise_prox_divergence_named_by_the_graph(lam):
 
     step_fn = penalized_step_fn(state, state.theta_d, state.theta_g, real, latent, lam, 1e-3)
     # the first projection keeps the anchor, the second lands on the huge weights
-    landing = iter([state.theta_d, huge])
+    landing = iter([state.theta_d.values, huge.values])
     cfg = ProximalConfig(lam=lam, prox_steps=3)
     with pytest.raises(ProxDivergenceError, match="inner step 1") as err:
-        _last(_prox_loop(lambda theta: step_fn(theta)[1], state.theta_d,
+        _last(_prox_loop(lambda theta: step_fn(theta)[1], state.theta_d.values,
                          lambda theta: next(landing), cfg))
     assert isinstance(err.value.__cause__, NonFiniteError)
     assert err.value.__cause__.op == graph_err.value.op == "matmul"
@@ -714,8 +715,8 @@ def test_overflowing_weights_raise_prox_divergence_named_by_the_graph(lam):
 
 def _kl_overflow_state():
     state = _state(FGan(FGAN_FAMILIES["kl"]), "relu", seed=11)
-    return state.with_params(state.theta_d.with_values(np.full(len(state.theta_d), 10.0)),
-                             state.theta_g.with_values(np.ones(len(state.theta_g))))
+    return state.with_params(ParamVector(np.full(len(state.theta_d), 10.0)),
+                             ParamVector(np.ones(len(state.theta_g))))
 
 
 def test_nonfinite_objective_value_is_named_by_the_graph():
@@ -833,7 +834,7 @@ def _sobolev_overflow_case():
                      ParamVector([1.0, 0.0]), WassersteinClip(1e306))
     real, latent = np.linspace(-1.0, 1.0, 8)[:, None], np.linspace(0.0, 1.0, 8)[:, None]
     step_fn = penalized_step_fn(state, state.theta_d, state.theta_g, real, latent, 0.1, 1e-3)
-    return state, real, latent, step_fn, state.theta_d.with_values([1e305, 0.0])
+    return state, real, latent, step_fn, ParamVector([1e305, 0.0])
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -919,9 +920,9 @@ def test_fast_paths_name_failures_without_the_graph(monkeypatch):
             call()
         assert err.value.op == "matmul", name
     step_fn = penalized_step_fn(state, state.theta_d, state.theta_g, real, latent, 0.1, 1e-3)
-    landing = iter([state.theta_d, huge])
+    landing = iter([state.theta_d.values, huge.values])
     with pytest.raises(ProxDivergenceError, match="inner step 1") as err:
-        _last(_prox_loop(lambda theta: step_fn(theta)[1], state.theta_d,
+        _last(_prox_loop(lambda theta: step_fn(theta)[1], state.theta_d.values,
                          lambda theta: next(landing), ProximalConfig(lam=0.1, prox_steps=3)))
     assert err.value.__cause__.op == "matmul"
 
@@ -994,8 +995,8 @@ def test_healthy_paths_build_no_tensor(monkeypatch, name, objective):
 
 def _thetas(state, rng: Rng, count: int):
     for j in range(count):
-        yield enforce_constraint(state.objective, state.theta_d.with_values(
-            state.theta_d.values + 0.05 * rng.child(j).normal(len(state.theta_d))))
+        yield enforce_constraint(
+            state.objective, state.theta_d.values + 0.05 * rng.child(j).normal(len(state.theta_d)))
 
 
 @pytest.mark.parametrize("activation", ACTIVATIONS)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from proxgap import gapmetrics, objectives
+from proxgap import gapmetrics, objectives, probes
 from proxgap.diffcore import (
     MlpWorkspace,
     NetworkSpec,
@@ -159,8 +159,8 @@ def _prox_opt(state, real, latent, cfg):
     """Inner ascent anchored at the state's discriminator: (final params, penalized value)."""
     step_fn = penalized_step_fn(state, state.theta_d, state.theta_g, real, latent,
                                 cfg.lam, cfg.sobolev_h)
-    theta = _last(_prox_loop(lambda pv: step_fn(pv)[1], state.theta_d,
-                             lambda pv: enforce_constraint(state.objective, pv), cfg))
+    theta = _last(_prox_loop(lambda theta: step_fn(theta)[1], state.theta_d.values,
+                             lambda theta: enforce_constraint(state.objective, theta), cfg))
     return theta, step_fn(theta)[0]
 
 
@@ -171,7 +171,7 @@ def test_prox_opt_huge_lambda_pins_anchor():
     v_anchor = eval_objective(state, real, latent)
     cfg = ProximalConfig(lam=1e9, prox_steps=20, prox_lr=0.05)
     theta, v_lam = _prox_opt(state, real, latent, cfg)
-    assert np.max(np.abs(theta.values - state.theta_d.values)) < 1e-4
+    assert np.max(np.abs(theta - state.theta_d.values)) < 1e-4
     assert v_lam == pytest.approx(v_anchor, abs=1e-4)
 
 
@@ -190,12 +190,12 @@ def test_prox_opt_reclips_wasserstein():
     g_spec = NetworkSpec(2, (8,), 2)
     rng = Rng(10)
     wgan = WassersteinClip(0.01)
-    state = GanState(d_spec, g_spec, enforce_constraint(wgan, init_network(d_spec, rng.child(0))),
-                     init_network(g_spec, rng.child(1)), wgan)
+    theta_d = ParamVector(enforce_constraint(wgan, init_network(d_spec, rng.child(0)).values))
+    state = GanState(d_spec, g_spec, theta_d, init_network(g_spec, rng.child(1)), wgan)
     real, latent = rng.normal((32, 2)), rng.normal((32, 2))
     cfg = ProximalConfig(lam=0.0, prox_steps=30, prox_lr=0.5)
     theta, _ = _prox_opt(state, real, latent, cfg)
-    assert np.max(np.abs(theta.values)) <= 0.01 + 1e-15
+    assert np.max(np.abs(theta)) <= 0.01 + 1e-15
 
 
 def test_prox_loop_hands_the_step_only_iterates_inside_the_clip_box():
@@ -205,8 +205,8 @@ def test_prox_loop_hands_the_step_only_iterates_inside_the_clip_box():
     g_spec = NetworkSpec(2, (8,), 2)
     rng = Rng(16)
     wgan = WassersteinClip(0.01)
-    anchor = init_network(d_spec, rng.child(0))
-    state = GanState(d_spec, g_spec, enforce_constraint(wgan, anchor),
+    anchor = init_network(d_spec, rng.child(0)).values
+    state = GanState(d_spec, g_spec, ParamVector(enforce_constraint(wgan, anchor)),
                      init_network(g_spec, rng.child(1)), wgan)
     real, latent = rng.normal((32, 2)), rng.normal((32, 2))
     cfg = ProximalConfig(lam=0.1, prox_steps=25, prox_lr=0.5)
@@ -215,15 +215,49 @@ def test_prox_loop_hands_the_step_only_iterates_inside_the_clip_box():
     seen = []
 
     def recording(theta):
-        seen.append(theta.values)
+        seen.append(theta)
         return step_fn(theta)[1]
 
-    _last(_prox_loop(recording, anchor, lambda pv: enforce_constraint(wgan, pv), cfg))
-    assert np.max(np.abs(anchor.values)) > 0.01
+    _last(_prox_loop(recording, anchor, lambda theta: enforce_constraint(wgan, theta), cfg))
+    assert np.max(np.abs(anchor)) > 0.01
     assert len(seen) == cfg.prox_steps
     assert max(np.max(np.abs(vals)) for vals in seen) <= 0.01
     # the steps do push against the box: later iterates sit on its edge
     assert np.mean(np.abs(seen[-1]) == 0.01) > 0.25
+
+
+def test_gan_searches_move_plain_float64_arrays(monkeypatch):
+    # the inner ascent, the Adam search and the deviation probe's search all
+    # move float64 arrays on a GAN state, clipped critic or not
+    dist = GaussianMixture([1.0], [[0.0, 0.0]], [[1.0, 1.0]])
+    splits = make_splits(dist, 200, 100, 100, Rng(17))
+    cfg = ProximalConfig(lam=0.1, prox_steps=4)
+    seen = []
+    adam_search = gapmetrics._adam_search
+
+    def recording(*args):
+        for params in adam_search(*args):
+            seen.append(("deviation", params))
+            yield params
+
+    monkeypatch.setattr(probes, "_adam_search", recording)
+    for state in _classic_and_clipped_states():
+        ops = gapmetrics._ops_for(state, splits, Rng(18))
+        batch = ops.draw_batch(32)
+        grad_fn = ops.make_prox(ops.d0, ops.g0, batch, cfg.lam, cfg.sobolev_h)[0]
+        seen += [("prox", d) for d in _prox_loop(grad_fn, ops.d0, ops.project_d, cfg)]
+        seen += [("adam", g) for g in gapmetrics._adam_search(
+            ops.g0, ops.grad_g_fn(ops.d0), ops.project_g, lambda: batch, 0.01, 3)]
+        unilateral_deviation(state, splits, steps=3, lr=0.01, eval_every=1, rng=Rng(19))
+        for kind, size, count in (("prox", len(state.theta_d), cfg.prox_steps + 1),
+                                  ("adam", len(state.theta_g), 4),
+                                  ("deviation", len(state.theta_g), 4)):
+            iterates = [params for name, params in seen if name == kind]
+            assert len(iterates) == count, kind
+            for params in iterates:
+                assert type(params) is np.ndarray and params.dtype == np.float64, kind
+                assert params.shape == (size,), kind
+        seen.clear()
 
 
 def test_adam_search_yields_the_start_and_every_projected_iterate():
@@ -282,7 +316,8 @@ def _classic_and_clipped_states():
     g_spec = NetworkSpec(2, (8,), 2)
     for objective, head in ((Classic(), "sigmoid"), (wgan, "linear")):
         d_spec = NetworkSpec(2, (8,), 1, output_head=head)
-        theta_d = enforce_constraint(objective, init_network(d_spec, rng.child(0)))
+        theta_d = ParamVector(enforce_constraint(objective,
+                                                 init_network(d_spec, rng.child(0)).values))
         yield GanState(d_spec, g_spec, theta_d, init_network(g_spec, rng.child(1)), objective)
 
 
@@ -292,8 +327,8 @@ def test_gan_make_prox_gives_the_penalized_steps_bytes(lam):
     splits = make_splits(dist, 200, 100, 100, Rng(32))
     for state in _classic_and_clipped_states():
         ops = gapmetrics._ops_for(state, splits, Rng(33))
-        g = state.theta_g.with_values(state.theta_g.values + 0.1)
-        moved = ops.project_d(state.theta_d.with_values(state.theta_d.values * 1.5 + 0.003))
+        g = state.theta_g.values + 0.1
+        moved = ops.project_d(state.theta_d.values * 1.5 + 0.003)
         for batch in (ops.eval_batch, ops.draw_batch(32)):
             grad_fn, value_fn = ops.make_prox(state.theta_d, g, batch, lam, 1e-3)
             step_fn = penalized_step_fn(state, state.theta_d, g, *batch, lam, 1e-3)
@@ -406,7 +441,7 @@ def test_v_gw_plain_without_search_steps_still_checks_the_clip_box():
     # held-out value is the one to refuse a critic outside the weight box
     state = next(state for state in _classic_and_clipped_states()
                  if isinstance(state.objective, WassersteinClip))
-    outside = state.with_params(theta_d=state.theta_d.with_values(
+    outside = state.with_params(theta_d=ParamVector(
         state.theta_d.values + 2 * state.objective.clip))
     dist = GaussianMixture([1.0], [[0.0, 0.0]], [[1.0, 1.0]])
     splits = make_splits(dist, 200, 100, 100, Rng(37))
@@ -644,8 +679,8 @@ def test_v_dw_wasserstein_floor():
     g_spec, theta_g, splits, rng = _perfect_fit_setup()
     d_spec = NetworkSpec(2, (16,), 1)
     wgan = WassersteinClip(0.01)
-    state = GanState(d_spec, g_spec, enforce_constraint(wgan, init_network(d_spec, rng.child(3))),
-                     theta_g, wgan)
+    theta_d = ParamVector(enforce_constraint(wgan, init_network(d_spec, rng.child(3)).values))
+    state = GanState(d_spec, g_spec, theta_d, theta_g, wgan)
     cfg = ProximalConfig(worst_iters=150, worst_lr=5e-3, batch_size=128)
     v = estimate_v_dw(state, splits, cfg, rng.child(4))
     assert v >= -0.05

@@ -183,6 +183,25 @@ def test_train_reproducible(tmp_path, tiny_run):
     assert np.array_equal(a["theta_d"], b["theta_d"])
 
 
+def test_training_builds_its_game_states_per_checkpoint_not_per_update(tmp_path, monkeypatch):
+    # two runs with the same checkpoints (steps 0 and n) build equally many
+    # GanStates, whether n is 2 or 20: the updates move the players' arrays
+    built = collections.Counter()
+    post_init = objectives.GanState.__post_init__
+
+    def counting(self):
+        built[current] += 1
+        post_init(self)
+
+    monkeypatch.setattr(objectives.GanState, "__post_init__", counting)
+    for current in (2, 20):
+        run_dir = train(tiny_cfg(tmp_path / f"n{current}", **{
+            "train.steps": current, "train.checkpoint_every": current}))
+        assert [r.step for r in read_metrics(run_dir / "metrics.csv")] == [0.0, current]
+        assert json.loads((run_dir / "report.json").read_text())["d_updates"] == current
+    assert built[2] == built[20] > 0
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_an_overflowing_adam_moment_fails_the_run_before_its_checkpoint(tmp_path,
                                                                        monkeypatch):
@@ -418,6 +437,22 @@ def test_checkpoint_writes_leave_no_temp_files(tiny_run, tmp_path, monkeypatch):
         runner.save_checkpoint(tmp_path / "checkpoint_000040", ckpt)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint_000020.json",
                                                           "checkpoint_000020.npz"]
+
+
+@pytest.mark.parametrize("rng_state", [
+    {"state": 1}, 5, None,
+    {"bit_generator": "PCG64", "state": {"state": 1, "inc": 3}, "has_uint32": 0,
+     "uinteger": np.uint32(0)},
+], ids=["partial", "int", "null", "numpy_int"])
+def test_save_checkpoint_writes_only_an_rng_state_load_checkpoint_reads(tiny_run, tmp_path,
+                                                                      rng_state):
+    ckpt = load_checkpoint(tiny_run / "checkpoint_000020.npz")
+    with pytest.raises(ValueError, match="rng_state that is not a PCG64 state"):
+        runner.save_checkpoint(tmp_path / "checkpoint_000020", replace(ckpt, rng_state=rng_state))
+    assert list(tmp_path.iterdir()) == []
+    # the run's own stream state saves and loads back
+    path = runner.save_checkpoint(tmp_path / "checkpoint_000020", ckpt)
+    assert load_checkpoint(path).rng_state == ckpt.rng_state
 
 
 @pytest.mark.parametrize("name,tamper,expected", [
@@ -943,11 +978,10 @@ def test_cli_probe_rejects_the_other_kinds_flags(tmp_path, tiny_run, capsys, kin
 
 def _checkpoint_with(tmp_path, cfg, theta_d, theta_g):
     """A step-0 checkpoint of ``cfg`` holding the given parameter values."""
-    from proxgap.diffcore import Rng, adam_init
+    from proxgap.diffcore import ParamVector, Rng, adam_init
     from proxgap.harness import runner
     state, _ = runner.build_state(cfg, Rng(cfg.seed))
-    state = state.with_params(state.theta_d.with_values(theta_d),
-                              state.theta_g.with_values(theta_g))
+    state = state.with_params(ParamVector(theta_d), ParamVector(theta_g))
     return str(runner.save_checkpoint(tmp_path / "checkpoint_000000", runner.Checkpoint(
         cfg, state, adam_init(len(theta_d), cfg.lr_d), adam_init(len(theta_g), cfg.lr_g),
         0, Rng(0).state)))

@@ -79,8 +79,8 @@ def test_one_adam_ascent_step_increases_classic_value(seed):
     real, latent = _batches(seed + 100)
     v0, grad = value_and_grad_d(state, state.theta_d, state.theta_g, real, latent)
     adam = adam_init(len(state.theta_d), lr=1e-3)
-    new_d, _ = adam_step(state.theta_d, -grad, adam)
-    v1 = eval_objective(state.with_params(theta_d=new_d), real, latent)
+    new_d, _ = adam_step(state.theta_d.values, -grad, adam)
+    v1 = eval_objective(state.with_params(theta_d=ParamVector(new_d)), real, latent)
     assert v1 > v0
 
 
@@ -154,15 +154,15 @@ def test_classic_is_fgan_special_case():
 
 def test_enforce_constraint_behaviour():
     wgan = WassersteinClip(0.01)
-    theta_d = _state(wgan).theta_d
+    theta_d = _state(wgan).theta_d.values
     clipped = enforce_constraint(wgan, theta_d)
-    assert np.max(np.abs(clipped.values)) <= 0.01
+    assert np.max(np.abs(clipped)) <= 0.01
     again = enforce_constraint(wgan, clipped)
-    assert np.array_equal(clipped.values, again.values)
+    assert np.array_equal(clipped, again)
     in_box = enforce_constraint(wgan, clipped)
-    assert np.array_equal(in_box.values, clipped.values)
-    classic = _state(Classic(), d_head="sigmoid")
-    assert enforce_constraint(classic.objective, classic.theta_d) is classic.theta_d
+    assert np.array_equal(in_box, clipped)
+    classic = _state(Classic(), d_head="sigmoid").theta_d.values
+    assert enforce_constraint(Classic(), classic) is classic
 
 
 def test_state_head_validation():

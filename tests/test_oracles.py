@@ -507,6 +507,35 @@ def test_classify_refuses_a_tolerance_that_is_not_finite_and_positive(tol, monke
         classify_equilibrium(bilinear(), (_OK_D, _OK_G), LADDER, GRID, tol=tol)
 
 
+_INFINITE_BOXES = [("d", ((-np.inf, 0.5),), ((-1.0, 1.0),)),
+                   ("d", ((-1.0, 1.0), (0.0, np.inf)), ((-1.0, 1.0),)),
+                   ("g", ((-1.0, 1.0),), ((-np.inf, np.inf),)),
+                   ("g", ((-1.0, 1.0),), ((-1.0, 1.0), (-1.0, np.inf)))]
+
+
+@pytest.mark.parametrize("which,d_box,g_box", _INFINITE_BOXES,
+                         ids=["d_lo", "d_axis1_hi", "g_both", "g_axis1_hi"])
+def test_grid_oracles_refuse_a_box_with_a_bound_that_is_not_finite(which, d_box, g_box):
+    # ToyGame takes such a box (clipping works with it), but a grid over it
+    # would hold nans; the oracle refuses it before any value is computed
+    def value(d, g):
+        raise AssertionError("a value was computed")
+
+    game = ToyGame("unbounded", value, d_box, g_box)
+    d, g = np.zeros(game.d_dim), np.zeros(game.g_dim)
+    calls = [lambda: grid_dg(game, (d, g), GridSpec(11)),
+             lambda: grid_dg_lambda(game, (d, g), 0.1, GridSpec(11)),
+             lambda: classify_equilibrium(game, (d, g), LADDER, GridSpec(11), tol=1e-6)]
+    if which == "d":  # grid_v_lambda searches the d grid alone
+        calls.append(lambda: grid_v_lambda(game, d, g, 0.1, GridSpec(11)))
+    axis = 1 if len(d_box if which == "d" else g_box) == 2 else 0
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^the {which} box's axis {axis} has a bound "
+                                             f"that is not finite"):
+            call()
+    assert game.clip_d(np.full(game.d_dim, 2.0)).shape == (game.d_dim,)
+
+
 @pytest.mark.parametrize("count", [11.5, 11.0, "11", None])
 def test_grid_spec_refuses_a_count_that_is_not_an_integer(count):
     with pytest.raises(ValueError, match="^points_per_dim must be an integer"):

@@ -8,6 +8,7 @@ from proxgap import probes
 from proxgap.diffcore import (
     MlpWorkspace,
     NetworkSpec,
+    ParamVector,
     Rng,
     adam_init,
     adam_step,
@@ -82,7 +83,7 @@ def _clipped_setup(seed=14, n_eval=200):
     g_spec = NetworkSpec(2, (8,), 2, activation="tanh")
     rng = Rng(seed)
     objective = WassersteinClip(0.05)
-    theta_d = enforce_constraint(objective, init_network(d_spec, rng.child(0)))
+    theta_d = ParamVector(enforce_constraint(objective, init_network(d_spec, rng.child(0)).values))
     state = GanState(d_spec, g_spec, theta_d, init_network(g_spec, rng.child(1)), objective)
     dist = GaussianMixture([1.0], [[0.0, 0.0]], [[1.0, 1.0]])
     splits = make_splits(dist, 400, 200, n_eval, rng.child(2))
@@ -116,11 +117,12 @@ def _reference_deviation(state, splits, steps, lr, eval_every, rng, bins=16):
                for j in range(eval_real.shape[1])]
 
         def eval_point(theta_g):
-            v = eval_objective(state.with_params(theta_g=theta_g), eval_real, eval_latent)
+            v = eval_objective(state.with_params(theta_g=ParamVector(theta_g)), eval_real,
+                               eval_latent)
             fake = forward(state.g_spec, theta_g, eval_latent)
             return v, jsd_from_samples(eval_real, fake, bins=bins, box=box)
 
-        g = state.theta_g
+        g = state.theta_g.values
     else:
         def eval_point(g_vec):
             return toy_value(state.game, state.d, g_vec), None
