@@ -9,14 +9,13 @@ from proxgap.diffcore import (
     Rng,
     adam_init,
     adam_step,
-    finite_diff_grad,
     forward,
-    forward_graph,
-    grad_params,
     hvp,
     init_network,
     top_k_eigenvalues,
 )
+from proxgap.diffcore.engine import finite_diff_grad, grad_params
+from proxgap.diffcore.network import forward_graph
 
 rng = Rng(0)
 

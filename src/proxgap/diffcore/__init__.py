@@ -1,25 +1,23 @@
-"""Differentiable computation core: networks, gradients, Adam, eigen probes."""
+"""Differentiable computation core: networks, gradients, Adam, eigen probes.
 
-from .engine import (
-    NonFiniteError,
-    Tensor,
-    exp,
-    finite_diff_grad,
-    grad_params,
-    log,
-    softplus,
-)
+The package exports the path that runs: the fused kernel and its workspace,
+Adam, the Lanczos probe and the random stream.  The graph engine, the kernel's
+reference oracle, is not imported here: ``Tensor``, ``grad_params`` and
+``finite_diff_grad`` live in ``proxgap.diffcore.engine``, and the graph
+versions of the kernel, ``forward_graph`` and ``input_grad_columns``, in
+``proxgap.diffcore.network``.
+"""
+
 from .eigen import EigenResult, hvp, top_k_eigenvalues
 from .network import (
     MlpWorkspace,
     NetworkSpec,
+    NonFiniteError,
     ParamVector,
     finite_value_and_grad,
     forward,
-    forward_graph,
     init_network,
     input_grad_batch,
-    input_grad_columns,
     mlp_backward,
     mlp_forward,
 )
@@ -34,22 +32,14 @@ __all__ = [
     "NonFiniteError",
     "ParamVector",
     "Rng",
-    "Tensor",
     "adam_init",
     "adam_step",
-    "exp",
-    "finite_diff_grad",
     "finite_value_and_grad",
     "forward",
-    "forward_graph",
-    "grad_params",
     "hvp",
     "init_network",
     "input_grad_batch",
-    "input_grad_columns",
-    "log",
     "mlp_backward",
     "mlp_forward",
-    "softplus",
     "top_k_eigenvalues",
 ]

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import _param_values
+from .network import _param_values
 from .rng import Rng
 
 

@@ -5,19 +5,20 @@ so a scalar result can be differentiated w.r.t. any leaf by one backward
 sweep in topological order.  Every operation checks its output for nan/inf
 and raises :class:`NonFiniteError` naming the offending op, so divergence is
 caught at the node that produced it rather than at the end of a run.
+
+The engine is the reference oracle of the fused kernel in ``network``, not
+part of the path that runs: no module imports it at import time.  It loads
+when a graph oracle (``forward_graph``, ``value_graph``) is called, or when
+``objectives`` replays a non-finite objective or Sobolev term on leaf
+Tensors to name the op that failed.  ``NonFiniteError``, ``_param_values``
+and ``_sigmoid`` live in ``network`` and are imported from there.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-
-class NonFiniteError(FloatingPointError):
-    """An operation produced nan or inf values."""
-
-    def __init__(self, op: str):
-        super().__init__(f"non-finite values produced by op '{op}'")
-        self.op = op
+from .network import NonFiniteError, _param_values, _sigmoid
 
 
 def _asarray(x) -> np.ndarray:
@@ -196,33 +197,6 @@ class Tensor:
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # numerically stable logistic on plain arrays: exp(-|x|) never overflows,
-    # and each branch computes what the masked two-sided formula would;
-    # min(x, -x) is -|x| that keeps the sign bit of a nan, as that formula does
-    ex = np.exp(np.minimum(x, -x))
-    return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
-
-
-# Dispatching helpers so the same formula can be written once and used on
-# Tensors (graph-building) and on plain arrays (oracles, plotting).
-def exp(x):
-    return x.exp() if isinstance(x, Tensor) else np.exp(x)
-
-
-def log(x):
-    return x.log() if isinstance(x, Tensor) else np.log(x)
-
-
-def softplus(x):
-    return x.softplus() if isinstance(x, Tensor) else np.logaddexp(0.0, x)
-
-
-def _param_values(params) -> np.ndarray:
-    vals = getattr(params, "values", params)
-    return np.asarray(vals, dtype=np.float64)
 
 
 def grad_params(loss, params) -> np.ndarray:

@@ -7,11 +7,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import NonFiniteError, Tensor, _param_values, _sigmoid, as_tensor
 from .rng import Rng
 
 _ACTIVATIONS = ("tanh", "relu", "leaky_relu")
 _HEADS = ("linear", "sigmoid")
+
+
+class NonFiniteError(FloatingPointError):
+    """An operation produced nan or inf values."""
+
+    def __init__(self, op: str):
+        super().__init__(f"non-finite values produced by op '{op}'")
+        self.op = op
+
+
+def _param_values(params) -> np.ndarray:
+    vals = getattr(params, "values", params)
+    return np.asarray(vals, dtype=np.float64)
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    # numerically stable logistic on plain arrays: exp(-|x|) never overflows,
+    # and each branch computes what the masked two-sided formula would;
+    # min(x, -x) is -|x| that keeps the sign bit of a nan, as that formula does
+    ex = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
 
 
 @dataclass(frozen=True)
@@ -104,8 +124,12 @@ def init_network(spec: NetworkSpec, rng: Rng) -> ParamVector:
     return ParamVector(vals)
 
 
-def forward_graph(spec: NetworkSpec, theta, batch) -> Tensor:
-    """Differentiable forward pass; `theta` and `batch` may be Tensors or arrays."""
+def forward_graph(spec: NetworkSpec, theta, batch):
+    """Differentiable forward pass, a ``Tensor``; `theta` and `batch` may be
+    Tensors or arrays.  The reference oracle of ``mlp_forward``; the engine
+    loads on its first call."""
+    from .engine import Tensor, as_tensor
+
     t = theta if isinstance(theta, Tensor) else Tensor(_param_values(theta), op="theta")
     if t.data.size != spec.param_count:
         raise ValueError(f"expected {spec.param_count} parameters, got {t.data.size}")
@@ -142,12 +166,13 @@ def forward(spec: NetworkSpec, params, batch, work=None) -> np.ndarray:
 # with plain numpy and no per-op graph, so a value and gradient cost a few
 # matrix products; ``objectives.output_grads`` gives dV/d(outputs) in closed
 # form, so a healthy step builds no Tensor at all.  The graph path is their
-# reference oracle only, never run in their place.  Failures keep the graph's
-# names all the same: the kernel checks every pre-activation and names a failed
-# check by the op the graph would have stopped at, ``output_grads`` runs the
-# objective on leaf Tensors once its closed form is non-finite (and only then)
-# so the objective's own op names the failure, and ``finite_value_and_grad``
-# names whatever else is non-finite in a value and gradient 'backward'.
+# reference oracle only, never run in their place, and the engine it builds on
+# is not loaded until one is called.  Failures keep the graph's names all the
+# same: the kernel checks every pre-activation and names a failed check by the
+# op the graph would have stopped at, ``output_grads`` runs the objective on
+# leaf Tensors once its closed form is non-finite (and only then) so the
+# objective's own op names the failure, and ``finite_value_and_grad`` names
+# whatever else is non-finite in a value and gradient 'backward'.
 
 
 class MlpWorkspace:

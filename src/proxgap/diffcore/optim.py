@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import NonFiniteError
+from .network import NonFiniteError
 
 # The denominator's floor, one value for every Adam state.
 EPS = 1e-8

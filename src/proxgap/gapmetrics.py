@@ -65,6 +65,10 @@ class ProximalConfig:
     def __post_init__(self):
         if not np.isfinite([self.lam, self.prox_lr, self.worst_lr, self.sobolev_h]).all():
             raise ValueError("lam, prox_lr, worst_lr and sobolev_h must be finite")
+        for name in ("prox_steps", "worst_iters", "batch_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.lam < 0:
             raise ValueError("lam must be nonnegative")
         if self.prox_steps < 1 or self.worst_iters < 0 or self.batch_size < 1:

@@ -25,13 +25,6 @@ DEFAULT_RATIOS = ",".join(str(n) for n in range(-10, 11) if n != 0)
 PROBE_FLAGS = {"deviation": ("steps", "lr", "eval_every"), "spectrum": ("k", "agent")}
 
 
-def _seed_u64(text: str) -> int:
-    value = int(text)
-    if value < 0 or value >= 2 ** 64:
-        raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit integer")
-    return value
-
-
 def _csv_floats(text: str):
     toks = [t for t in text.split(",") if t.strip()]
     if not toks:
@@ -55,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="run the alternating training loop")
     p_train.add_argument("--config", required=True, help="flat key=value config file")
-    p_train.add_argument("--seed", type=_seed_u64, help="override the config seed")
+    p_train.add_argument("--seed", type=int, help="override the config seed")
     p_train.add_argument("--out", help="override the output run directory")
 
     p_gap = sub.add_parser("gap", help="estimate both duality gaps at a checkpoint")
@@ -78,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ratio.add_argument("--ratios", type=_csv_ints,
                          default=_csv_ints(DEFAULT_RATIOS),
                          help="comma-separated nonzero ratios (default -10..10)")
-    p_ratio.add_argument("--seed", type=_seed_u64)
+    p_ratio.add_argument("--seed", type=int)
     p_ratio.add_argument("--out", required=True, help="sweep output directory")
 
     p_corr = sub.add_parser("correlate",

@@ -107,6 +107,8 @@ class ExperimentConfig:
                 raise ConfigError(f"splits.{key} must be positive, got {size}")
         if self.total_steps > 0 and self.total_steps % self.checkpoint_interval != 0:
             raise ConfigError("checkpoint interval must divide total steps")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
 def parse_pairs(text: str) -> dict:
@@ -147,6 +149,12 @@ def _finite(pairs: dict, key: str, parse=float):
 
 
 def config_from_pairs(pairs: dict) -> ExperimentConfig:
+    if not isinstance(pairs, dict):
+        raise ConfigError(f"a config maps keys to values, got {type(pairs).__name__}")
+    for key, value in pairs.items():
+        if not (isinstance(key, str) and isinstance(value, str)):
+            raise ConfigError(f"config key {key!r} must be a string with a string value, "
+                              f"got {value!r}")
     unknown = set(pairs) - set(DEFAULTS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")

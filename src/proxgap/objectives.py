@@ -6,7 +6,7 @@ Each objective has one formula, ``objective_from_outputs``, and next to it
 its value and its derivative with respect to the discriminator's outputs in
 plain numpy (``output_grads``), written op for op as the graph engine's
 backward pass over that formula, so the two agree bit for bit.  The leaf
-graph runs only to name a failure.
+graph runs only to name a failure, and only then is the engine imported.
 
 Every kernel value of V and every dV/dtheta_d has one source,
 ``penalized_step_fn``, the proximal objective's per-step V - lam * dist^2;
@@ -25,24 +25,31 @@ from .diffcore import (
     MlpWorkspace,
     NetworkSpec,
     ParamVector,
-    Tensor,
-    exp,
     finite_value_and_grad,
     forward,
-    forward_graph,
     input_grad_batch,
-    input_grad_columns,
-    log,
     mlp_backward,
     mlp_forward,
-    softplus,
 )
-from .diffcore.engine import _sigmoid
-from .diffcore.network import central_difference, stencil_rows
+from .diffcore.network import _sigmoid, central_difference, forward_graph, stencil_rows
 
 # D outputs are clamped into [EPS_LOG, 1 - EPS_LOG] before logs so a saturated
 # discriminator yields a large-but-finite value instead of -inf.
 EPS_LOG = 1e-7
+
+
+# Dispatching helpers so the same formula can be written once and used on
+# Tensors (graph-building) and on plain arrays (oracles, plotting).
+def exp(x):
+    return x.exp() if hasattr(x, "exp") else np.exp(x)
+
+
+def log(x):
+    return x.log() if hasattr(x, "log") else np.log(x)
+
+
+def softplus(x):
+    return x.softplus() if hasattr(x, "softplus") else np.logaddexp(0.0, x)
 
 
 @dataclass(frozen=True)
@@ -189,13 +196,12 @@ class GanState:
 def check_clip_box(objective, theta_d):
     if not isinstance(objective, WassersteinClip):
         return
-    vals = theta_d.data if isinstance(theta_d, Tensor) else np.asarray(
-        getattr(theta_d, "values", theta_d))
+    vals = np.asarray(getattr(theta_d, "values", theta_d))
     if np.abs(vals).max() > objective.clip + 1e-12:
         raise ClipBoxError("discriminator parameters outside the clip box")
 
 
-def objective_from_outputs(objective: ObjectiveKind, d_real: Tensor, d_fake: Tensor) -> Tensor:
+def objective_from_outputs(objective: ObjectiveKind, d_real, d_fake):
     """V as a scalar Tensor from the discriminator's outputs on real and generated
     points: leaf Tensors over kernel outputs, or the oracle's ``forward_graph`` nodes.
 
@@ -249,17 +255,14 @@ def value_graph(state: GanState, theta_d, theta_g, real_batch, latent_batch):
 
     The reference oracle for ``eval_objective`` and ``value_and_grad_d/g``.
     """
+    from .diffcore.engine import Tensor
+
     real_batch, latent_batch = _batches(real_batch, latent_batch)
-    check_clip_box(state.objective, theta_d)
+    check_clip_box(state.objective, theta_d.data if isinstance(theta_d, Tensor) else theta_d)
     fake = forward_graph(state.g_spec, theta_g, latent_batch)
     d_real = forward_graph(state.d_spec, theta_d, real_batch)
     d_fake = forward_graph(state.d_spec, theta_d, fake)
     return objective_from_outputs(state.objective, d_real, d_fake)
-
-
-def _sobolev_graph(d_spec, theta: Tensor, anchor_grads: np.ndarray, x_batch, h: float):
-    """Graph version of the Sobolev distance with the anchor side precomputed."""
-    return _sobolev_sum(input_grad_columns(d_spec, theta, x_batch, h), anchor_grads)
 
 
 def _batches(real_batch, latent_batch):
@@ -285,9 +288,10 @@ def output_grads(objective: ObjectiveKind, outputs: np.ndarray, n_real: int):
 
     Closed form on plain arrays (``_outputs_value_and_grads``).  Only when the
     value or a gradient entry is non-finite does ``objective_from_outputs``
-    run on two leaf Tensors: it raises NonFiniteError naming the objective's
-    failed op, or hands on its own non-finite gradient for the caller's
-    ``finite_value_and_grad`` to name 'backward'.
+    run on two leaf Tensors, the one place this function imports the engine:
+    it raises NonFiniteError naming the objective's failed op, or hands on
+    its own non-finite gradient for the caller's ``finite_value_and_grad``
+    to name 'backward'.
     """
     d_real, d_fake = outputs[:n_real], outputs[n_real:]
     with np.errstate(all="ignore"):
@@ -296,6 +300,8 @@ def output_grads(objective: ObjectiveKind, outputs: np.ndarray, n_real: int):
     grad[:n_real], grad[n_real:] = g_real, g_fake
     if math.isfinite(value) and np.isfinite(grad).all():
         return float(value), grad
+    from .diffcore.engine import Tensor
+
     d_real, d_fake = Tensor(d_real), Tensor(d_fake)
     v = objective_from_outputs(objective, d_real, d_fake)
     v.backward()
@@ -322,9 +328,12 @@ def penalized_step_fn(state, anchor, theta_g, real, latent, lam, h, buffers=None
 
     The generator runs once, here; each call runs one fused forward and one
     backward over the real, the generated and, when lam > 0, the 2 * dim
-    stencil rows stacked.  ``objective_from_outputs`` minus ``_sobolev_graph``
-    is its graph oracle, whose op names its failures carry.  At lam = 0 it is
-    V, and ``anchor`` and ``h`` are unused.  Callers check the clip box.
+    stencil rows stacked.  Its graph oracle is ``objective_from_outputs`` minus
+    lam times ``_sobolev_sum`` over ``input_grad_columns``, and its failures
+    carry that oracle's op names: a non-finite objective or Sobolev term is
+    replayed on leaf Tensors, and only such a replay imports the engine.  At
+    lam = 0 it is V, and ``anchor`` and ``h`` are unused.  Callers check the
+    clip box.
 
     The kernel runs on ``buffers`` (a ``GanBuffers`` of this game), or on
     fresh buffers without; the step function is the one user of those
@@ -352,6 +361,8 @@ def penalized_step_fn(state, anchor, theta_g, real, latent, lam, h, buffers=None
             columns = central_difference(stencil[:, 0], stencil[:, 1], h)[:, :, None]
             penalized = value - lam * _sobolev_sum(columns, anchor_grads)
             if not np.isfinite(penalized):  # a leaf-Tensor replay raises the oracle's op
+                from .diffcore.engine import Tensor
+
                 value - lam * _sobolev_sum([central_difference(Tensor(up[:, None]),
                                                                Tensor(down[:, None]), h)
                                             for up, down in stencil], anchor_grads)

@@ -12,14 +12,9 @@ import time
 import numpy as np
 import pytest
 
-from proxgap.diffcore import (
-    NetworkSpec,
-    Rng,
-    finite_diff_grad,
-    forward_graph,
-    grad_params,
-    init_network,
-)
+from proxgap.diffcore import NetworkSpec, Rng, init_network
+from proxgap.diffcore.engine import finite_diff_grad, grad_params
+from proxgap.diffcore.network import forward_graph
 from proxgap.distributions import GaussianMixture, density
 from proxgap.gapmetrics import ESTIMATE_REVISION, ProximalConfig, ToyGameState, duality_gap
 from proxgap.harness import (

@@ -10,15 +10,14 @@ from proxgap.diffcore import (
     adam_init,
     adam_step,
     forward,
-    forward_graph,
-    grad_params,
     hvp,
     init_network,
     input_grad_batch,
     top_k_eigenvalues,
 )
 from proxgap.diffcore import optim
-from proxgap.diffcore.network import ParamVector
+from proxgap.diffcore.engine import grad_params
+from proxgap.diffcore.network import ParamVector, forward_graph
 from proxgap.objectives import GanState, WassersteinClip, enforce_constraint
 
 

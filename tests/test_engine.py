@@ -1,18 +1,9 @@
 import numpy as np
 import pytest
 
-from proxgap.diffcore import (
-    NetworkSpec,
-    NonFiniteError,
-    ParamVector,
-    Rng,
-    Tensor,
-    finite_diff_grad,
-    forward_graph,
-    grad_params,
-    init_network,
-)
-from proxgap.diffcore.engine import _sigmoid
+from proxgap.diffcore import NetworkSpec, NonFiniteError, ParamVector, Rng, init_network
+from proxgap.diffcore.engine import Tensor, _sigmoid, finite_diff_grad, grad_params
+from proxgap.diffcore.network import forward_graph
 
 
 def test_add_mul_backward():

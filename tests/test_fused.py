@@ -6,8 +6,10 @@ graph engine's value and reverse-mode gradient to 1e-12 relative, and the
 kernel on a reused workspace to the kernel on fresh buffers bit for bit.  The
 closed-form objective derivative (``output_grads``) is pinned to the
 objective's leaf graph byte for byte.  The fast paths and the spectrum probe
-never call a graph oracle, not even to name a failure, and on healthy inputs
-they build no Tensor at all.
+never call a graph oracle (``forward_graph``, ``value_graph``,
+``input_grad_columns``, ``grad_params``), and on healthy inputs they build no
+Tensor at all.  To name a failure of the objective or of the Sobolev term they
+replay only that term on leaf Tensors built from the kernel's outputs.
 """
 
 import sys
@@ -22,18 +24,15 @@ from proxgap.diffcore import (
     NonFiniteError,
     ParamVector,
     Rng,
-    Tensor,
     finite_value_and_grad,
     forward,
-    forward_graph,
-    grad_params,
     init_network,
     input_grad_batch,
     mlp_backward,
     mlp_forward,
 )
-from proxgap.diffcore.engine import _param_values, _sigmoid
-from proxgap.diffcore.network import _failed_op, _leaky_gate
+from proxgap.diffcore.engine import Tensor, _param_values, _sigmoid, grad_params
+from proxgap.diffcore.network import _failed_op, _leaky_gate, forward_graph, input_grad_columns
 from proxgap.distributions import GaussianMixture, make_splits
 from proxgap.gapmetrics import (
     ProxDivergenceError,
@@ -62,7 +61,7 @@ from proxgap.objectives import (
     value_and_grad_d,
     value_and_grad_g,
     value_graph,
-    _sobolev_graph,
+    _sobolev_sum,
 )
 from proxgap.oracles import concave_quadratic, shipped_games
 from proxgap.probes import DISCRIMINATOR, GENERATOR, _agent_grad, hessian_spectrum_probe
@@ -531,7 +530,8 @@ def test_prox_step_matches_graph_objective_minus_sobolev_graph(name, objective, 
         total = objective_from_outputs(objective, forward_graph(state.d_spec, t, real),
                                        forward_graph(state.d_spec, t, fake))
         if lam > 0:
-            total = total - lam * _sobolev_graph(state.d_spec, t, anchor_grads, real, h)
+            total = total - lam * _sobolev_sum(input_grad_columns(state.d_spec, t, real, h),
+                                               anchor_grads)
         return total
 
     ref = penalized(Tensor(theta)).item()
@@ -846,7 +846,8 @@ def test_a_sobolev_penalty_overflow_is_named_by_the_graph():
     def penalized(t):
         value = objective_from_outputs(state.objective, forward_graph(state.d_spec, t, real),
                                        forward_graph(state.d_spec, t, fake))
-        return value - 0.1 * _sobolev_graph(state.d_spec, t, anchor_grads, real, 1e-3)
+        return value - 0.1 * _sobolev_sum(input_grad_columns(state.d_spec, t, real, 1e-3),
+                                          anchor_grads)
 
     assert np.isfinite(eval_objective(state.with_params(theta), real, latent))
     with pytest.raises(NonFiniteError) as graph_err:
@@ -857,10 +858,31 @@ def test_a_sobolev_penalty_overflow_is_named_by_the_graph():
         assert err.value.op == graph_err.value.op == "mul"
 
 
+def test_value_graph_checks_the_box_of_a_tensor_discriminator():
+    state = _state(WassersteinClip(0.01), "tanh", seed=60)
+    rng = Rng(61)
+    real, latent = rng.normal((10, 2)), rng.normal((10, 3))
+    inside = Tensor(state.theta_d.values)
+    assert value_graph(state, inside, state.theta_g, real, latent).item() == pytest.approx(
+        eval_objective(state, real, latent), rel=TOL)
+    for outside in (state.theta_d.values * 2.0, Tensor(state.theta_d.values * 2.0)):
+        with pytest.raises(ClipBoxError):
+            value_graph(state, outside, state.theta_g, real, latent)
+
+
 # -- no graph replay -------------------------------------------------------------
 
-GRAPH_ORACLES = ("forward_graph", "value_graph", "input_grad_columns", "_sobolev_graph",
-                 "grad_params")
+
+def test_the_diffcore_package_exports_no_graph_oracle():
+    import proxgap.diffcore as diffcore
+    from proxgap import objectives
+
+    oracle = {"Tensor", "grad_params", "finite_diff_grad", "exp", "log", "softplus",
+              "forward_graph", "input_grad_columns"}
+    assert not oracle & (set(diffcore.__all__) | set(vars(diffcore)))
+    assert not hasattr(objectives, "_sobolev_graph")
+
+GRAPH_ORACLES = ("forward_graph", "value_graph", "input_grad_columns", "grad_params")
 
 
 def _forbid_graph_oracles(monkeypatch):

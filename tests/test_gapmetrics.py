@@ -13,11 +13,11 @@ from proxgap.diffcore import (
     NonFiniteError,
     ParamVector,
     Rng,
-    Tensor,
     init_network,
     input_grad_batch,
-    input_grad_columns,
 )
+from proxgap.diffcore.engine import Tensor
+from proxgap.diffcore.network import input_grad_columns
 from proxgap.distributions import GaussianMixture, make_splits
 from proxgap.gapmetrics import (
     GapReport,
@@ -40,7 +40,6 @@ from proxgap.objectives import (
     enforce_constraint,
     eval_objective,
     penalized_step_fn,
-    _sobolev_graph,
     _sobolev_sum,
 )
 from proxgap.oracles import (
@@ -140,7 +139,8 @@ def test_sobolev_graph_matches_sobolev_dist_sq():
     p2 = init_network(spec, Rng(4))
     batch = Rng(5).normal((12, 2))
     anchor_grads = input_grad_batch(spec, p2, batch, 1e-3)
-    graph = _sobolev_graph(spec, Tensor(p1.values), anchor_grads, batch, 1e-3).item()
+    graph = _sobolev_sum(input_grad_columns(spec, Tensor(p1.values), batch, 1e-3),
+                         anchor_grads).item()
     assert graph == pytest.approx(sobolev_dist_sq(spec, p1, p2, batch, 1e-3), abs=1e-14)
 
 
@@ -930,3 +930,11 @@ def test_config_validation():
         ProximalConfig(prox_steps=0)
     with pytest.raises(ValueError):
         ProximalConfig(prox_lr=0.0)
+    # budgets are integers: a float or a bool is refused, a numpy integer taken
+    for field, value in (("prox_steps", 2.5), ("worst_iters", 3.5), ("batch_size", 32.0),
+                         ("prox_steps", True), ("worst_iters", False), ("batch_size", "32")):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ProximalConfig(**{field: value})
+    cfg = ProximalConfig(prox_steps=np.int64(3), worst_iters=np.int32(0),
+                         batch_size=np.uint8(16))
+    assert (cfg.prox_steps, cfg.worst_iters, cfg.batch_size) == (3, 0, 16)

@@ -5,7 +5,10 @@ import gc
 import hashlib
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -117,6 +120,8 @@ def test_config_wgan_gets_linear_head():
     ("optim.beta2 = 1.5", "optim.beta2"),
     ("optim.beta1 = -0.1", "optim.beta1"),
     ("jsd.bins = 0", "jsd.bins"),
+    ("seed = -1", "seed"),
+    ("seed = 18446744073709551616", "seed"),
 ])
 def test_config_rejects_nonfinite_and_out_of_range_floats(text, key):
     with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
@@ -544,6 +549,29 @@ def test_load_checkpoint_names_what_a_sidecar_lacks(tiny_run, tmp_path, capsys, 
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("tamper,message", [
+    (lambda sidecar: sidecar["config"].update({"train.checkpoint_every": 2}),
+     "'train.checkpoint_every'"),
+    (lambda sidecar: sidecar["config"].update(seed=None), "'seed'"),
+    (lambda sidecar: sidecar["config"].update({"disc.hidden": [8]}), "'disc.hidden'"),
+    (lambda sidecar: sidecar.update(config=[["seed", "11"]]), "got list"),
+], ids=["int_value", "null_value", "list_value", "list_config"])
+def test_load_checkpoint_takes_a_config_of_strings_only(tiny_run, tmp_path, capsys, tamper,
+                                                        message):
+    src = tiny_run / "checkpoint_000020"
+    sidecar = json.loads(src.with_suffix(".json").read_text())
+    tamper(sidecar)
+    dst = tmp_path / "checkpoint_000020"
+    dst.with_suffix(".npz").write_bytes(src.with_suffix(".npz").read_bytes())
+    dst.with_suffix(".json").write_text(json.dumps(sidecar))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_checkpoint(dst.with_suffix(".npz"))
+    capsys.readouterr()
+    assert main(["gap", "--checkpoint", str(dst.with_suffix(".npz"))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
 def _rng_edit(**edits):
     def tamper(sidecar):
         state = sidecar["rng_state"]
@@ -921,6 +949,26 @@ def test_cli_train_and_gap(tmp_path):
     assert isinstance(payload["nash_consistent"], bool)
 
 
+def test_cli_train_and_gap_never_load_the_graph_engine(tmp_path):
+    # the engine is the kernel's reference oracle; a run that does not fail
+    # never replays through it, so it never loads
+    cfg_path, out_dir = tmp_path / "cfg.txt", tmp_path / "cli_run"
+    cfg_path.write_text(TINY)
+    code = ("import sys\n"
+            "from proxgap.harness import cli\n"
+            f"assert cli.main(['train', '--config', {str(cfg_path)!r}, "
+            f"'--out', {str(out_dir)!r}]) == 0\n"
+            f"assert cli.main(['gap', '--checkpoint', "
+            f"{str(out_dir / 'checkpoint_000040.npz')!r}, '--lambda', '0.5']) == 0\n"
+            "print('proxgap.diffcore.engine' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+    assert '"lambda": 0.5' in proc.stdout
+
+
 def test_cli_deviation_zero_steps(tmp_path, tiny_run):
     out = tmp_path / "dev.csv"
     assert main(["probe", "--checkpoint", str(tiny_run / "checkpoint_000040.npz"),
@@ -1057,6 +1105,22 @@ def test_an_empty_split_is_refused_before_the_run_directory_is_made(tmp_path, ca
     cfg_path.write_text(text)
     assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {key} must be positive, got {size}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+def test_a_seed_outside_64_bits_is_refused_before_the_run_directory_is_made(tmp_path, capsys,
+                                                                            seed):
+    message = f"error: seed must lie in [0, 2**64), got {seed}\n"
+    cfg_path, out = tmp_path / "cfg.txt", tmp_path / "run"
+    cfg_path.write_text(TINY.replace("seed = 11", f"seed = {seed}"))
+    assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+    # the flag is checked where the file is
+    cfg_path.write_text(TINY)
+    assert main(["train", "--config", str(cfg_path), "--seed", seed, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == message
     assert not out.exists()
 
 

@@ -815,12 +815,14 @@ def test_divergence_quadrature_peak_memory_stays_per_block():
         assert peak <= 8e6, (fn.__name__, peak)
 
 
-def test_importing_the_library_loads_no_scipy_integrate():
+def test_importing_the_library_loads_neither_scipy_integrate_nor_the_graph_engine():
+    # the graph engine is the kernel's reference oracle, loaded only when called
     code = ("import sys\n"
             "import proxgap.harness.cli, proxgap.probes, proxgap.oracles, proxgap.gapmetrics\n"
             "print(sorted(m for m in sys.modules\n"
             "             if m.split('.')[:2] in (['scipy', 'integrate'], ['scipy', 'optimize'],\n"
-            "                                     ['scipy', 'sparse'], ['scipy', 'special'])))\n")
+            "                                     ['scipy', 'sparse'], ['scipy', 'special'])\n"
+            "             or m == 'proxgap.diffcore.engine'))\n")
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)

@@ -14,13 +14,13 @@ from proxgap.diffcore import (
     adam_step,
     finite_value_and_grad,
     forward,
-    forward_graph,
-    grad_params,
     hvp,
     init_network,
     mlp_backward,
     mlp_forward,
 )
+from proxgap.diffcore.engine import grad_params
+from proxgap.diffcore.network import forward_graph
 from proxgap.distributions import GaussianMixture, make_splits
 from proxgap.gapmetrics import ToyGameState
 from proxgap.objectives import (

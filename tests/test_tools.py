@@ -1,5 +1,6 @@
 """The scripts under tools/, each run as a command in its own process."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -19,9 +20,19 @@ def test_src_lines_total_is_the_sum_of_its_modules():
     assert out.count("\n") == 1
     counts = json.loads(out)
     total, physical = counts.pop("total"), counts.pop("physical")
+    runtime = counts.pop("runtime")
     assert counts and all(name.endswith(".py") for name in counts)
     assert "proxgap/diffcore/network.py" in counts
     assert total == sum(counts.values()) and 0 < total < physical
+    # the runtime is the command-line interface's imports, which leave out
+    # the graph engine
+    spec = importlib.util.spec_from_file_location("src_lines", ROOT / "tools" / "src_lines.py")
+    src_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(src_lines)
+    loaded = src_lines.runtime_modules(ROOT / "src")
+    assert "proxgap/harness/cli.py" in loaded and "proxgap/diffcore/network.py" in loaded
+    assert set(loaded) < set(counts) and "proxgap/diffcore/engine.py" not in loaded
+    assert runtime == sum(counts[name] for name in loaded) < total
 
 
 def test_kernel_timings_prints_one_line_per_activation_and_row_count():

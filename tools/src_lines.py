@@ -4,8 +4,10 @@
     python3 tools/src_lines.py [ROOT]
 
 It prints one JSON object mapping each module's path (relative to
-``ROOT/src``) to its code lines, with their sum under ``"total"`` and the
-physical line count under ``"physical"``.  A code line holds a token other
+``ROOT/src``) to its code lines, with their sum under ``"total"``, the sum
+over the modules that a fresh ``import proxgap.harness.cli`` loads (found by
+importing it in a subprocess) under ``"runtime"``, and the physical line
+count under ``"physical"``.  A code line holds a token other
 than a comment, a line break or indentation, and is not part of a docstring
 (the string that opens a module, class or function body).  ``ROOT`` defaults
 to the checkout this script lives in.
@@ -15,6 +17,7 @@ import argparse
 import ast
 import io
 import json
+import subprocess
 import sys
 import tokenize
 from pathlib import Path
@@ -51,8 +54,25 @@ def count(root: Path) -> dict:
         out[path.relative_to(src).as_posix()] = code_lines(source)
         physical += len(source.splitlines())
     out["total"] = sum(out.values())
+    out["runtime"] = sum(out[name] for name in runtime_modules(src))
     out["physical"] = physical
     return out
+
+
+def runtime_modules(src: Path) -> list:
+    """Paths, relative to ``src``, of the modules that a fresh interpreter
+    loads from ``src`` when it imports the command-line interface."""
+    code = ("import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import proxgap.harness.cli\n"
+            "print('\\n'.join(m.__file__ for m in list(sys.modules.values())\n"
+            "                 if getattr(m, '__file__', None)))\n")
+    src = src.resolve()
+    done = subprocess.run([sys.executable, "-I", "-c", code, str(src)], capture_output=True,
+                          text=True, check=True)
+    files = (Path(line).resolve() for line in done.stdout.splitlines())
+    return sorted(path.relative_to(src).as_posix() for path in files
+                  if path.is_relative_to(src))
 
 
 def main(argv=None) -> int:
