@@ -1,5 +1,6 @@
-"""Synthetic data distributions with closed-form densities, and the
-three-way train / worst-case-search / evaluation split protocol."""
+"""Synthetic data distributions with closed-form densities, standard-normal
+generator inputs of a given width, and the three-way train /
+worst-case-search / evaluation split protocol."""
 
 from __future__ import annotations
 
@@ -54,17 +55,6 @@ def ring_mixture(mode_count: int, radius: float, sigma: float) -> GaussianMixtur
     variances = np.full((mode_count, 2), sigma ** 2)
     weights = np.full(mode_count, 1.0 / mode_count)
     return GaussianMixture(weights, means, variances)
-
-
-@dataclass(frozen=True)
-class LatentSpec:
-    """Generator input noise space; the law is fixed to a standard normal."""
-
-    dim: int
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("latent dimension must be positive")
 
 
 @dataclass(frozen=True)
@@ -158,10 +148,11 @@ def density(dist: GaussianMixture, x):
     return np.exp(log_density(dist, x))
 
 
-def sample_latent(spec: LatentSpec, n: int, rng: Rng) -> np.ndarray:
+def sample_latent(dim: int, n: int, rng: Rng) -> np.ndarray:
+    """n standard-normal generator inputs of width dim."""
     if n < 1:
         raise ValueError("sample count must be at least 1")
-    return rng.normal((n, spec.dim))
+    return rng.normal((n, dim))
 
 
 def draw_minibatch(rows: np.ndarray, n: int, latent_dim: int, rng: Rng):

@@ -52,7 +52,8 @@ class ProxDivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class ProximalConfig:
-    """Budgets and rates for gap estimation (lam=0.1, 20 inner steps by default)."""
+    """Budgets and rates for gap estimation (lam=0.1, 20 inner steps by default).
+    A refused value raises ``ValueError`` naming its field and the value."""
 
     lam: float = 0.1
     prox_steps: int = 20
@@ -63,18 +64,19 @@ class ProximalConfig:
     batch_size: int = 128
 
     def __post_init__(self):
-        if not np.isfinite([self.lam, self.prox_lr, self.worst_lr, self.sobolev_h]).all():
-            raise ValueError("lam, prox_lr, worst_lr and sobolev_h must be finite")
-        for name in ("prox_steps", "worst_iters", "batch_size"):
+        for name, sign in (("lam", "nonnegative"), ("prox_lr", "positive"),
+                           ("worst_lr", "positive"), ("sobolev_h", "positive")):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if value < 0 or (value == 0 and sign == "positive"):
+                raise ValueError(f"{name} must be {sign}, got {value}")
+        for name, least in (("prox_steps", 1), ("worst_iters", 0), ("batch_size", 1)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
-        if self.prox_steps < 1 or self.worst_iters < 0 or self.batch_size < 1:
-            raise ValueError("iteration budgets must be positive")
-        if self.prox_lr <= 0 or self.worst_lr <= 0 or self.sobolev_h <= 0:
-            raise ValueError("rates and steps must be positive")
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
 @dataclass(frozen=True)

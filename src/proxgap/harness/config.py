@@ -4,16 +4,25 @@ Every key has a default tuned for desk scale; the penalized-estimation keys
 default to the published protocol (lambda 0.1, 20 inner steps, clip 0.01).
 The same flat representation round-trips through config files, checkpoint
 sidecars and the report echo.
+
+``config_from_pairs`` reads each key once, through ``_read``: the value is
+parsed, every number in it must be finite and inside the key's range, and a
+refusal reads ``KEY <rule>, got VALUE``.  Keys of a section the config does
+not use (``ring.*`` beside a Gaussian mixture, ``objective.clip`` beside a
+classic objective) are not read.  The generator's input width is
+``latent.dim``; an ``ExperimentConfig`` holds it as ``g_spec.input_dim``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..diffcore import NetworkSpec
-from ..distributions import GaussianMixture, LatentSpec, ring_mixture
+from ..diffcore.network import _ACTIVATIONS
+from ..distributions import GaussianMixture, ring_mixture
 from ..gapmetrics import ProximalConfig
 from ..objectives import FGAN_FAMILIES, Classic, FGan, ObjectiveKind, WassersteinClip
 
@@ -65,10 +74,12 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A read config; only ``config_from_pairs`` builds one, so every value
+    in it has passed its key's rule."""
+
     dist: GaussianMixture
-    latent: LatentSpec
     d_spec: NetworkSpec
-    g_spec: NetworkSpec
+    g_spec: NetworkSpec  # g_spec.input_dim is the latent width
     objective: ObjectiveKind
     lr_d: float
     lr_g: float
@@ -86,29 +97,6 @@ class ExperimentConfig:
     seed: int
     out_dir: str
     pairs: dict  # canonical flat form, for echoes and sidecars
-
-    def __post_init__(self):
-        if self.update_ratio == 0:
-            raise ConfigError("update ratio must be nonzero")
-        for name in ("lr_d", "lr_g"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ConfigError(f"optim.{name} must lie in [0, 1)")
-        if self.total_steps < 0 or self.train_batch < 1:
-            raise ConfigError("steps must be nonnegative and batch positive")
-        if self.checkpoint_interval < 1:
-            raise ConfigError("checkpoint interval must be positive")
-        if self.jsd_bins < 1:
-            raise ConfigError(f"jsd.bins must be positive, got {self.jsd_bins}")
-        for key, size in (("train", self.n_a), ("search", self.n_b), ("eval", self.n_c)):
-            if size < 1:
-                raise ConfigError(f"splits.{key} must be positive, got {size}")
-        if self.total_steps > 0 and self.total_steps % self.checkpoint_interval != 0:
-            raise ConfigError("checkpoint interval must divide total steps")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
 def parse_pairs(text: str) -> dict:
@@ -140,11 +128,31 @@ def _rows(s: str) -> np.ndarray:
     return np.array([_floats(part) for part in s.split(";") if part.strip()])
 
 
-def _finite(pairs: dict, key: str, parse=float):
-    """``pairs[key]`` read by ``parse``; every number in it must be finite."""
-    value = parse(pairs[key])
-    if not np.isfinite(value).all():
-        raise ConfigError(f"{key} must be finite, got {pairs[key]!r}")
+# what each parser reads, and the rules a key's numbers may have to pass
+_FORMS = {float: "a number", int: "an integer", _floats: "numbers", _ints: "integers",
+          _rows: "rows of numbers"}
+_FINITE = ("must be finite", lambda v: v == v and v not in (math.inf, -math.inf))
+_POSITIVE = ("must be positive", lambda v: v > 0)
+_NONNEGATIVE = ("must be nonnegative", lambda v: v >= 0)
+
+
+def _one_of(*choices):
+    return f"must be one of {', '.join(choices)}", choices.__contains__
+
+
+def _read(pairs: dict, key: str, parse=float, rule=_FINITE):
+    """``pairs[key]`` read by ``parse``.  Every entry of it must be finite (if
+    a number) and pass ``rule``, a ``(words, test)`` pair; otherwise
+    ``ConfigError`` says ``KEY words, got VALUE``, as it does for a value
+    that ``parse`` cannot read."""
+    text = pairs[key]
+    try:
+        value = parse(text)
+    except ValueError:
+        raise ConfigError(f"{key} must be {_FORMS[parse]}, got {text}") from None
+    for words, test in (_FINITE, rule):
+        if not all(map(test, np.ravel(value).tolist())):
+            raise ConfigError(f"{key} {words}, got {text}")
     return value
 
 
@@ -161,91 +169,88 @@ def config_from_pairs(pairs: dict) -> ExperimentConfig:
     merged = dict(DEFAULTS)
     merged.update(pairs)
 
-    kind = merged["distribution.kind"]
-    if kind == "gmm":
-        dist = GaussianMixture(_finite(merged, "distribution.weights", _floats),
-                               _finite(merged, "distribution.means", _rows),
-                               _finite(merged, "distribution.variances", _rows))
-    elif kind == "ring":
-        dist = ring_mixture(int(merged["ring.modes"]), _finite(merged, "ring.radius"),
-                            _finite(merged, "ring.sigma"))
+    if _read(merged, "distribution.kind", str, _one_of("gmm", "ring")) == "gmm":
+        dist = GaussianMixture(_read(merged, "distribution.weights", _floats, _POSITIVE),
+                               _read(merged, "distribution.means", _rows),
+                               _read(merged, "distribution.variances", _rows, _POSITIVE))
     else:
-        raise ConfigError(f"unknown distribution kind {kind!r}")
+        dist = ring_mixture(_read(merged, "ring.modes", int, _POSITIVE),
+                            _read(merged, "ring.radius", rule=_POSITIVE),
+                            _read(merged, "ring.sigma", rule=_POSITIVE))
 
-    obj_kind = merged["objective.kind"]
+    obj_kind = _read(merged, "objective.kind", str, _one_of("classic", "wgan_clip", "fgan"))
     if obj_kind == "classic":
         objective: ObjectiveKind = Classic()
     elif obj_kind == "wgan_clip":
-        objective = WassersteinClip(_finite(merged, "objective.clip"))
-    elif obj_kind == "fgan":
-        family = merged["objective.family"]
-        if family not in FGAN_FAMILIES:
-            raise ConfigError(f"unknown f-divergence family {family!r}")
-        objective = FGan(FGAN_FAMILIES[family])
+        objective = WassersteinClip(_read(merged, "objective.clip", rule=_POSITIVE))
     else:
-        raise ConfigError(f"unknown objective kind {obj_kind!r}")
+        objective = FGan(FGAN_FAMILIES[_read(merged, "objective.family", str,
+                                             _one_of(*FGAN_FAMILIES))])
 
-    latent = LatentSpec(int(merged["latent.dim"]))
-    d_spec = NetworkSpec(dist.dimension, _ints(merged["disc.hidden"]), 1,
-                         activation=merged["disc.activation"],
+    activations = _one_of(*_ACTIVATIONS)
+    d_spec = NetworkSpec(dist.dimension, _read(merged, "disc.hidden", _ints, _POSITIVE), 1,
+                         activation=_read(merged, "disc.activation", str, activations),
                          output_head="sigmoid" if obj_kind == "classic" else "linear",
-                         leaky_slope=_finite(merged, "disc.leaky_slope"))
-    g_spec = NetworkSpec(latent.dim, _ints(merged["gen.hidden"]), dist.dimension,
-                         activation=merged["gen.activation"],
-                         leaky_slope=_finite(merged, "gen.leaky_slope"))
+                         leaky_slope=_read(merged, "disc.leaky_slope"))
+    g_spec = NetworkSpec(_read(merged, "latent.dim", int, _POSITIVE),
+                         _read(merged, "gen.hidden", _ints, _POSITIVE), dist.dimension,
+                         activation=_read(merged, "gen.activation", str, activations),
+                         leaky_slope=_read(merged, "gen.leaky_slope"))
 
-    total_steps = int(merged["train.steps"])
-    interval_raw = merged["train.checkpoint_every"].strip()
-    if interval_raw:
-        interval = int(interval_raw)
+    total_steps = _read(merged, "train.steps", int, _NONNEGATIVE)
+    if merged["train.checkpoint_every"].strip():
+        interval = _read(merged, "train.checkpoint_every", int, _POSITIVE)
     elif total_steps >= 50 and total_steps % 50 == 0:
         interval = total_steps // 50  # default cadence: every 2% of the run
     else:
         interval = 1
+    if total_steps % interval:
+        raise ConfigError(f"train.checkpoint_every must divide train.steps ({total_steps}), "
+                          f"got {interval}")
     merged["train.checkpoint_every"] = str(interval)
 
     prox = ProximalConfig(
-        lam=_finite(merged, "prox.lambda"),
-        prox_steps=int(merged["prox.steps"]),
-        prox_lr=_finite(merged, "prox.lr"),
-        worst_iters=int(merged["prox.worst_iters"]),
-        worst_lr=_finite(merged, "prox.worst_lr"),
-        sobolev_h=_finite(merged, "prox.sobolev_h"),
-        batch_size=int(merged["prox.batch"]),
+        lam=_read(merged, "prox.lambda", rule=_NONNEGATIVE),
+        prox_steps=_read(merged, "prox.steps", int, _POSITIVE),
+        prox_lr=_read(merged, "prox.lr", rule=_POSITIVE),
+        worst_iters=_read(merged, "prox.worst_iters", int, _NONNEGATIVE),
+        worst_lr=_read(merged, "prox.worst_lr", rule=_POSITIVE),
+        sobolev_h=_read(merged, "prox.sobolev_h", rule=_POSITIVE),
+        batch_size=_read(merged, "prox.batch", int, _POSITIVE),
     )
 
+    unit = ("must lie in [0, 1)", lambda v: 0 <= v < 1)
     return ExperimentConfig(
         dist=dist,
-        latent=latent,
         d_spec=d_spec,
         g_spec=g_spec,
         objective=objective,
-        lr_d=_finite(merged, "optim.lr_d"),
-        lr_g=_finite(merged, "optim.lr_g"),
-        beta1=_finite(merged, "optim.beta1"),
-        beta2=_finite(merged, "optim.beta2"),
-        update_ratio=int(merged["train.ratio"]),
+        lr_d=_read(merged, "optim.lr_d", rule=_POSITIVE),
+        lr_g=_read(merged, "optim.lr_g", rule=_POSITIVE),
+        beta1=_read(merged, "optim.beta1", rule=unit),
+        beta2=_read(merged, "optim.beta2", rule=unit),
+        update_ratio=_read(merged, "train.ratio", int, ("must be nonzero", bool)),
         total_steps=total_steps,
         checkpoint_interval=interval,
-        train_batch=int(merged["train.batch"]),
+        train_batch=_read(merged, "train.batch", int, _POSITIVE),
         prox=prox,
-        n_a=int(merged["splits.train"]),
-        n_b=int(merged["splits.search"]),
-        n_c=int(merged["splits.eval"]),
-        jsd_bins=int(merged["jsd.bins"]),
-        seed=int(merged["seed"]),
+        n_a=_read(merged, "splits.train", int, _POSITIVE),
+        n_b=_read(merged, "splits.search", int, _POSITIVE),
+        n_c=_read(merged, "splits.eval", int, _POSITIVE),
+        jsd_bins=_read(merged, "jsd.bins", int, _POSITIVE),
+        seed=_read(merged, "seed", int, ("must lie in [0, 2**64)", lambda v: 0 <= v < 2 ** 64)),
         out_dir=merged["out"],
         pairs=merged,
     )
 
 
-def load_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return config_from_pairs(parse_pairs(fh.read()))
-
-
 def config_from_text(text: str) -> ExperimentConfig:
     return config_from_pairs(parse_pairs(text))
+
+
+def load_config(path) -> ExperimentConfig:
+    with open(path, "r", encoding="utf-8") as fh:
+        return config_from_text(fh.read())
 
 
 def with_overrides(cfg: ExperimentConfig, **overrides) -> ExperimentConfig:

@@ -105,7 +105,7 @@ def _unprojected(objective, params):
 
 def _eval_latent(cfg: ExperimentConfig, splits) -> np.ndarray:
     """The fixed generator input paired with the evaluation split."""
-    return _stream(cfg, _TAG_EVAL).normal((splits.s_c.shape[0], cfg.latent.dim))
+    return _stream(cfg, _TAG_EVAL).normal((splits.s_c.shape[0], cfg.g_spec.input_dim))
 
 
 def score_checkpoint(state: GanState, splits, cfg: ExperimentConfig, step: int):
@@ -162,7 +162,7 @@ def train(cfg: ExperimentConfig) -> Path:
             try:
                 for player in (cycle if step else ()):  # step 0 is the initial state
                     real, latent = draw_minibatch(splits.s_a, cfg.train_batch,
-                                                  cfg.latent.dim, train_rng)
+                                                  cfg.g_spec.input_dim, train_rng)
                     # the state gives the specs and the objective; the
                     # parameters are the players' own arrays
                     v, grad = player.value_and_grad(state, disc.theta, gen.theta,
@@ -355,7 +355,10 @@ def load_checkpoint(path) -> Checkpoint:
     for key in ("config", "step", "rng_state"):
         if key not in sidecar:
             raise ValueError(f"checkpoint sidecar {sidecar_path} has no {key!r} key")
-    cfg = config_from_pairs(sidecar["config"])
+    try:
+        cfg = config_from_pairs(sidecar["config"])
+    except ValueError as err:  # a ConfigError, or GaussianMixture refusing the mixture
+        raise ValueError(f"checkpoint sidecar {sidecar_path} has a bad config: {err}") from err
     shapes = _checkpoint_arrays(cfg)
     if sidecar.get("arrays") != list(shapes):
         raise ValueError(f"checkpoint sidecar {sidecar_path} lists arrays "

@@ -7,7 +7,6 @@ from proxgap.diffcore import Rng
 from proxgap.distributions import (
     DataSplits,
     GaussianMixture,
-    LatentSpec,
     density,
     draw_minibatch,
     log_density,
@@ -123,11 +122,11 @@ def test_ring_equals_equivalent_mixture_exactly():
 
 
 def test_latent_moments_and_determinism():
-    spec = LatentSpec(3)
-    z = sample_latent(spec, 10_000, Rng(4))
+    z = sample_latent(3, 10_000, Rng(4))
+    assert z.shape == (10_000, 3)
     assert np.all(np.abs(z.mean(axis=0)) < 3.0 / np.sqrt(10_000))
     assert np.all(np.abs(z.var(axis=0) - 1.0) < 0.05)
-    assert np.array_equal(z, sample_latent(spec, 10_000, Rng(4)))
+    assert np.array_equal(z, sample_latent(3, 10_000, Rng(4)))
 
 
 def test_splits_sizes_and_disjoint():

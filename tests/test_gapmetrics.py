@@ -938,3 +938,15 @@ def test_config_validation():
     cfg = ProximalConfig(prox_steps=np.int64(3), worst_iters=np.int32(0),
                          batch_size=np.uint8(16))
     assert (cfg.prox_steps, cfg.worst_iters, cfg.batch_size) == (3, 0, 16)
+    # each refusal names its field and value
+    for field, value, message in (("prox_steps", 0, "prox_steps must be at least 1, got 0"),
+                                  ("worst_iters", -1, "worst_iters must be at least 0, got -1"),
+                                  ("batch_size", 0, "batch_size must be at least 1, got 0"),
+                                  ("lam", -0.1, "lam must be nonnegative, got -0.1"),
+                                  ("prox_lr", 0.0, "prox_lr must be positive, got 0.0"),
+                                  ("worst_lr", -1.0, "worst_lr must be positive, got -1.0"),
+                                  ("sobolev_h", 0.0, "sobolev_h must be positive, got 0.0"),
+                                  ("sobolev_h", np.inf, "sobolev_h must be finite, got inf")):
+        with pytest.raises(ValueError) as info:
+            ProximalConfig(**{field: value})
+        assert str(info.value) == message

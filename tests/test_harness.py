@@ -141,6 +141,42 @@ def test_config_ring_distribution():
     assert cfg.dist.dimension == 2
 
 
+def test_latent_dim_is_the_generators_input_width():
+    cfg = config_from_text("latent.dim = 3")
+    assert cfg.g_spec.input_dim == 3 and cfg.pairs["latent.dim"] == "3"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("train.steps = 2.5", "train.steps must be an integer, got 2.5"),
+    ("seed = x", "seed must be an integer, got x"),
+    ("distribution.kind = ring\nring.modes = 1.5", "ring.modes must be an integer, got 1.5"),
+    ("disc.hidden = 16 x", "disc.hidden must be integers, got 16 x"),
+    ("gen.hidden = 0", "gen.hidden must be positive, got 0"),
+    ("distribution.means = 1 x; 2 3", "distribution.means must be rows of numbers, got 1 x; 2 3"),
+    ("latent.dim = 0", "latent.dim must be positive, got 0"),
+    ("train.batch = 0", "train.batch must be positive, got 0"),
+    ("train.checkpoint_every = 0", "train.checkpoint_every must be positive, got 0"),
+    ("optim.lr_d = abc", "optim.lr_d must be a number, got abc"),
+    ("optim.lr_d = -1", "optim.lr_d must be positive, got -1"),
+    ("train.ratio = 0", "train.ratio must be nonzero, got 0"),
+    ("prox.steps = 0", "prox.steps must be positive, got 0"),
+    ("objective.kind = gan", "objective.kind must be one of classic, wgan_clip, fgan, got gan"),
+])
+def test_a_bad_value_is_refused_by_its_key_before_the_run_directory_is_made(tmp_path, capsys,
+                                                                            text, message):
+    with pytest.raises(ConfigError) as info:
+        config_from_text(text)
+    assert str(info.value) == message
+    # in a file, each key of the text replaces the tiny config's own line
+    keys = {line.split("=")[0].strip() for line in text.splitlines()}
+    kept = [line for line in TINY.splitlines() if line.split("=")[0].strip() not in keys]
+    cfg_path, out = tmp_path / "cfg.txt", tmp_path / "run"
+    cfg_path.write_text("\n".join(kept + [text]) + "\n")
+    assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 # -- train -------------------------------------------------------------
 
 
@@ -555,7 +591,12 @@ def test_load_checkpoint_names_what_a_sidecar_lacks(tiny_run, tmp_path, capsys, 
     (lambda sidecar: sidecar["config"].update(seed=None), "'seed'"),
     (lambda sidecar: sidecar["config"].update({"disc.hidden": [8]}), "'disc.hidden'"),
     (lambda sidecar: sidecar.update(config=[["seed", "11"]]), "got list"),
-], ids=["int_value", "null_value", "list_value", "list_config"])
+    (lambda sidecar: sidecar["config"].update({"bogus.key": "1"}), "'bogus.key'"),
+    (lambda sidecar: sidecar["config"].update(seed="-1"), "seed must lie in [0, 2**64), got -1"),
+    (lambda sidecar: sidecar["config"].update({"distribution.weights": "0.3 0.3"}),
+     "weights must be positive and sum to 1"),
+], ids=["int_value", "null_value", "list_value", "list_config", "unknown_key", "seed_range",
+        "weights_sum"])
 def test_load_checkpoint_takes_a_config_of_strings_only(tiny_run, tmp_path, capsys, tamper,
                                                         message):
     src = tiny_run / "checkpoint_000020"
@@ -564,12 +605,14 @@ def test_load_checkpoint_takes_a_config_of_strings_only(tiny_run, tmp_path, caps
     dst = tmp_path / "checkpoint_000020"
     dst.with_suffix(".npz").write_bytes(src.with_suffix(".npz").read_bytes())
     dst.with_suffix(".json").write_text(json.dumps(sidecar))
-    with pytest.raises(ValueError, match=re.escape(message)):
+    # the error names the sidecar, then what its config holds
+    named = f"checkpoint sidecar {dst.with_suffix('.json')} has a bad config: "
+    with pytest.raises(ValueError, match=re.escape(named) + ".*" + re.escape(message)):
         load_checkpoint(dst.with_suffix(".npz"))
     capsys.readouterr()
     assert main(["gap", "--checkpoint", str(dst.with_suffix(".npz"))]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert err.startswith("error: " + named) and message in err and err.count("\n") == 1
 
 
 def _rng_edit(**edits):

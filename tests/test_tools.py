@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -33,6 +34,14 @@ def test_src_lines_total_is_the_sum_of_its_modules():
     assert "proxgap/harness/cli.py" in loaded and "proxgap/diffcore/network.py" in loaded
     assert set(loaded) < set(counts) and "proxgap/diffcore/engine.py" not in loaded
     assert runtime == sum(counts[name] for name in loaded) < total
+
+
+def test_the_workflow_runs_the_roadmaps_tier1_command():
+    # read as plain text: the workflow must hold the command verbatim as a run: line
+    roadmap = (ROOT / "ROADMAP.md").read_text(encoding="utf-8")
+    command = re.search(r"^\*\*Tier-1 verify:\*\* `([^`]+)`", roadmap, re.M).group(1)
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    assert f"run: {command}" in [line.strip() for line in workflow.splitlines()]
 
 
 def test_kernel_timings_prints_one_line_per_activation_and_row_count():
