@@ -187,8 +187,8 @@ class _ToyOps:
         return toy_value(self.game, d, g)
 
     def grad_g_fn(self, d):
-        stencil = toy_stencil(self.game, d, "g", self.g0.size)
-        return lambda g, batch: stencil(g)[1]
+        partials = toy_stencil(self.game, d, "g", self.g0.size)[0]
+        return lambda g, batch: np.array(partials(g))
 
     def grad_d_fn(self, g):
         grad = self.make_prox(None, g, None, 0.0, None)[0]  # one stencil per search
@@ -197,16 +197,22 @@ class _ToyOps:
     def make_prox(self, anchor, g, batch, lam, h):
         # the inner ascent reads the gradient alone, so it computes no value;
         # the value is the stencil's row 0
-        stencil = toy_stencil(self.game, g, "d", self.d0.size)
+        partials, value = toy_stencil(self.game, g, "d", self.d0.size)
         if lam <= 0:
-            return (lambda d: stencil(d)[1]), (lambda d: float(stencil(d)[0]))
+            return (lambda d: np.array(partials(d))), value
         coef = 2.0 * lam
+        anchor_coords = anchor.tolist()
 
-        def value(d):
+        def penalized_value(d):
             diff = d - anchor
-            return float(stencil(d)[0]) - lam * float((diff * diff).sum())
+            return value(d) - lam * float((diff * diff).sum())
 
-        return (lambda d: stencil(d)[1] - coef * (d - anchor)), value
+        def penalized_grad(d):
+            # the penalty coef * (d_j - anchor_j), in floats
+            return np.array([partial - coef * (d_j - anchor_j) for partial, d_j, anchor_j
+                             in zip(partials(d), d.tolist(), anchor_coords)])
+
+        return penalized_grad, penalized_value
 
 
 def _eval_latent(state, splits, rng: Rng):

@@ -7,10 +7,14 @@ sidecars and the report echo.
 
 ``config_from_pairs`` reads each key once, through ``_read``: the value is
 parsed, every number in it must be finite and inside the key's range, and a
-refusal reads ``KEY <rule>, got VALUE``.  Keys of a section the config does
-not use (``ring.*`` beside a Gaussian mixture, ``objective.clip`` beside a
-classic objective) are not read.  The generator's input width is
-``latent.dim``; an ``ExperimentConfig`` holds it as ``g_spec.input_dim``.
+refusal reads ``KEY <rule>, got VALUE`` (``got an empty value`` for an empty
+one).  The rules that span a whole list are checked right after its read: a
+mixture's weights must sum to 1, its means need one row of numbers per
+weight, and its variances the shape of its means.  Keys of a section the
+config does not use (``ring.*`` beside a Gaussian mixture,
+``objective.clip`` beside a classic objective) are not read.  The
+generator's input width is ``latent.dim``; an ``ExperimentConfig`` holds it
+as ``g_spec.input_dim``.
 """
 
 from __future__ import annotations
@@ -125,7 +129,7 @@ def _ints(s: str) -> tuple:
 
 
 def _rows(s: str) -> np.ndarray:
-    return np.array([_floats(part) for part in s.split(";") if part.strip()])
+    return np.array([_floats(part) for part in s.split(";") if part.strip()], ndmin=2)
 
 
 # what each parser reads, and the rules a key's numbers may have to pass
@@ -140,20 +144,42 @@ def _one_of(*choices):
     return f"must be one of {', '.join(choices)}", choices.__contains__
 
 
+def _refused(pairs: dict, key: str, words: str) -> ConfigError:
+    """``KEY words, got VALUE``, with an empty value named as one."""
+    text = pairs[key]
+    return ConfigError(f"{key} {words}, got {text if text.strip() else 'an empty value'}")
+
+
 def _read(pairs: dict, key: str, parse=float, rule=_FINITE):
     """``pairs[key]`` read by ``parse``.  Every entry of it must be finite (if
     a number) and pass ``rule``, a ``(words, test)`` pair; otherwise
     ``ConfigError`` says ``KEY words, got VALUE``, as it does for a value
     that ``parse`` cannot read."""
-    text = pairs[key]
     try:
-        value = parse(text)
+        value = parse(pairs[key])
     except ValueError:
-        raise ConfigError(f"{key} must be {_FORMS[parse]}, got {text}") from None
+        raise _refused(pairs, key, f"must be {_FORMS[parse]}") from None
     for words, test in (_FINITE, rule):
         if not all(map(test, np.ravel(value).tolist())):
-            raise ConfigError(f"{key} {words}, got {text}")
+            raise _refused(pairs, key, words)
     return value
+
+
+def _mixture(pairs: dict) -> GaussianMixture:
+    """The ``distribution.*`` mixture, each of GaussianMixture's rules checked
+    at the read of the key it refuses."""
+    weights = _read(pairs, "distribution.weights", _floats, _POSITIVE)
+    if abs(np.sum(weights) - 1.0) > 1e-9:
+        raise _refused(pairs, "distribution.weights", "must sum to 1")
+    means = _read(pairs, "distribution.means", _rows)
+    if len(means) != len(weights) or not means.size:
+        raise _refused(pairs, "distribution.means",
+                       f"must have one row of numbers per weight ({len(weights)})")
+    variances = _read(pairs, "distribution.variances", _rows, _POSITIVE)
+    if variances.shape != means.shape:
+        raise _refused(pairs, "distribution.variances", "must have the shape of "
+                       f"distribution.means, {means.shape[0]} rows of {means.shape[1]}")
+    return GaussianMixture(weights, means, variances)
 
 
 def config_from_pairs(pairs: dict) -> ExperimentConfig:
@@ -170,9 +196,7 @@ def config_from_pairs(pairs: dict) -> ExperimentConfig:
     merged.update(pairs)
 
     if _read(merged, "distribution.kind", str, _one_of("gmm", "ring")) == "gmm":
-        dist = GaussianMixture(_read(merged, "distribution.weights", _floats, _POSITIVE),
-                               _read(merged, "distribution.means", _rows),
-                               _read(merged, "distribution.variances", _rows, _POSITIVE))
+        dist = _mixture(merged)
     else:
         dist = ring_mixture(_read(merged, "ring.modes", int, _POSITIVE),
                             _read(merged, "ring.radius", rule=_POSITIVE),

@@ -7,10 +7,14 @@ The grid search (:func:`grid_dg`, :func:`grid_v_lambda`,
 :func:`grid_dg_lambda`, :func:`classify_equilibrium`) builds the Nd x Ng value
 table a block of g columns at a time, so no table spans both grids; it keeps
 one reduced value per grid point and reduces those once with ``np.min`` or
-``np.max``, as the whole table was reduced.  So ``game.value`` must be
-pointwise.  The quadrature (:func:`_grid_quadrature`) is numpy's own
-trapezoid arithmetic over blocks of grid rows, so no array spans its grid;
-importing this module loads no ``scipy.integrate``.
+``np.max``, as the whole table was reduced.  It passes ``game.value`` each
+player coordinate-first (a grid's transpose, broadcast against the other
+player's, or a fixed player's list of floats), so ``game.value`` must be
+pointwise.  The toy stencil (:func:`toy_stencil`) calls the same
+``game.value`` on lists of Python floats.  The quadrature
+(:func:`_grid_quadrature`) is numpy's own trapezoid arithmetic over blocks of
+grid rows, so no array spans its grid; importing this module loads no
+``scipy.integrate``.
 ``scipy.special`` stays for ``rel_entr``, whose log1p branch numpy's ``log``
 does not reproduce; it is imported by the functions that call it, so that
 importing the library loads no scipy at all.
@@ -22,7 +26,6 @@ function norm, so every penalized quantity here is computable by grid search.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -42,9 +45,15 @@ class HierarchyError(AssertionError):
 class ToyGame:
     """A two-player zero-sum game small enough for exhaustive search.
 
-    ``value(d, g)`` must broadcast over leading axes of ``d`` (..., d_dim)
-    and ``g`` (..., g_dim), and be pointwise: each entry depends on its own
-    ``d`` and ``g`` rows alone, since the grid oracles evaluate it in blocks.
+    ``value(d, g)`` reads each player coordinate-first: ``d[j]`` is the
+    discriminator's coordinate j and ``g[j]`` the generator's.  The
+    estimators pass lists of Python floats, so ``d[j]`` is a float; the grid
+    oracles pass arrays, or a list of floats for a fixed player, whose
+    ``d[j]`` has a leading shape that broadcasts against the other
+    player's.  ``value`` must be pointwise: each entry depends on its own
+    entries of the coordinates alone, since the grid oracles evaluate it in
+    blocks.  Written with ``+ - * /`` alone, one formula gives the same bits
+    on floats and on arrays.
     """
 
     name: str
@@ -80,20 +89,27 @@ class ToyGame:
         return np.minimum(np.maximum(g, lo), hi)
 
 
+# The shipped games are one-dimensional.  Each value ends in + 0.0, as the
+# numpy sum over one coordinate they were first written with did: a -0.0 value
+# comes back as +0.0, so every estimate and grid value keeps its bytes.
+
+
 def bilinear(bound: float = 1.0) -> ToyGame:
-    return ToyGame("bilinear", lambda d, g: (d * g).sum(axis=-1),
+    return ToyGame("bilinear", lambda d, g: d[0] * g[0] + 0.0,
                    ((-bound, bound),), ((-bound, bound),))
 
 
 def concave_quadratic(bound: float = 1.0, d_box=None) -> ToyGame:
+    if d_box is not None and len(d_box) != 1:
+        raise ValueError(f"concave_quadratic has one d axis, got {len(d_box)}")
     return ToyGame("concave_quadratic",
-                   lambda d, g: (2.0 * d * g - d * d).sum(axis=-1),
+                   lambda d, g: 2.0 * d[0] * g[0] - d[0] * d[0] + 0.0,
                    d_box if d_box is not None else ((-bound, bound),),
                    ((-bound, bound),))
 
 
 def saddle_shift(a: float, b: float, bound: float = 1.0) -> ToyGame:
-    return ToyGame("saddle_shift", lambda d, g: ((d - a) * (g - b)).sum(axis=-1),
+    return ToyGame("saddle_shift", lambda d, g: (d[0] - a) * (g[0] - b) + 0.0,
                    ((-bound, bound),), ((-bound, bound),))
 
 
@@ -175,12 +191,14 @@ def _penalty(lam) -> float:
 
 def _v_dw(game: ToyGame, dd, g) -> float:
     # max over the d grid of V(d, g)
-    return float(np.max(_grid_values(dd, lambda block: game.value(block, g[None, :]))))
+    g = g.tolist()
+    return float(np.max(_grid_values(dd, lambda block: game.value(block.T, g))))
 
 
 def _v_gw(game: ToyGame, gg, d) -> float:
     # min over the g grid of V(d, g)
-    return float(np.min(_grid_values(gg, lambda block: game.value(d[None, :], block))))
+    d = d.tolist()
+    return float(np.min(_grid_values(gg, lambda block: game.value(d, block.T))))
 
 
 def _v_gw_lambda(game: ToyGame, dd, gg, anchor, lambdas) -> list:
@@ -196,8 +214,9 @@ def _v_gw_lambda(game: ToyGame, dd, gg, anchor, lambdas) -> list:
     pen = np.sum((dd - anchor[None, :]) ** 2, axis=1)
     lam_pens = [lam * pen[:, None] for lam in lambdas]
     per_g = np.empty((len(lambdas), len(gg)))
+    d_rows = dd.T[:, :, None]
     for block in _blocks(len(gg), max(2, _BLOCK_POINTS // len(dd))):
-        vals = game.value(dd[:, None, :], gg[None, block, :])  # (Nd, block)
+        vals = game.value(d_rows, gg[block].T[:, None, :])  # (Nd, block)
         for row, lam_pen in zip(per_g, lam_pens):
             row[block] = np.max(vals - lam_pen, axis=0)
     return [float(np.min(row)) for row in per_g]
@@ -215,9 +234,10 @@ def grid_v_lambda(game: ToyGame, anchor_d, g, lam: float,
     """Penalized inner maximum: max over the d grid of V minus lam * ||d - anchor||^2."""
     anchor, g = _point(game, (anchor_d, g))
     lam = _penalty(lam)
+    g_coords = g.tolist()
 
     def penalized(dd):
-        return game.value(dd, g[None, :]) - lam * np.sum((dd - anchor[None, :]) ** 2, axis=1)
+        return game.value(dd.T, g_coords) - lam * np.sum((dd - anchor[None, :]) ** 2, axis=1)
 
     return float(np.max(_grid_values(_box_grid(game.d_box, grid.points_per_dim, "d"),
                                      penalized)))
@@ -426,39 +446,41 @@ _TOY_FD_H = 1e-6
 
 def toy_value(game: ToyGame, d, g) -> float:
     d, g = _point(game, (d, g))
-    return float(game.value(d[None, :], g[None, :])[0])
+    return float(game.value(d.tolist(), g.tolist()))
 
 
 def toy_stencil(game: ToyGame, fixed, wrt: str, n: int):
-    """x -> (V, central-difference gradient of V in x) for the ``n``-vector
-    player ``wrt`` ("d" or "g") against the ``fixed`` other player.
+    """``(partials, value)`` of V in the ``n``-vector player ``wrt`` ("d" or
+    "g") against the ``fixed`` other player: ``partials(x)`` is the
+    central-difference gradient at x, a list of n floats, and ``value(x)``
+    is V at x, a float.  ``x`` must be a float64 vector.
 
-    The offsets and the fixed row are built here, once per opponent; each call
-    runs one ``game.value`` over the point and its stencil rows stacked, as
-    :func:`proxgap.diffcore.network.stencil_rows` stacks them for networks.
-    ``x`` must be a float64 vector; V comes back as a numpy scalar.
+    Both run in float arithmetic on ``x.tolist()`` and keep the bytes of
+    the stacked stencil ``x + offsets`` (rows 0, +h e_j, -h e_j) that
+    :func:`proxgap.diffcore.network.stencil_rows` builds for networks: row 0
+    and the +h rows add +0.0 to the other coordinates, the -h rows add
+    -0.0, which leaves them as they are.  A gradient evaluates V on the 2n
+    shifted rows alone; only ``value`` evaluates row 0.
     """
-    fixed = np.asarray(fixed, dtype=np.float64).ravel()[None, :]
-    offsets = _stencil_offsets(n)
-    shape = offsets.shape[:1]
+    fixed = np.asarray(fixed, dtype=np.float64).ravel().tolist()
     value = game.value
-    at_d = wrt == "d"
-    scale = 2.0 * _TOY_FD_H
+    # at(row, fixed): V with the stencil's row as the ``wrt`` player
+    at = value if wrt == "d" else (lambda row, fixed: value(fixed, row))
+    h = _TOY_FD_H
+    scale = 2.0 * h
 
-    def value_and_grad(x):
-        rows = x + offsets
-        vals = value(rows, fixed) if at_d else value(fixed, rows)
-        if vals.shape != shape:  # a value that ignores x comes back as one row
-            vals = np.broadcast_to(vals, shape)
-        return vals[0], (vals[1:n + 1] - vals[n + 1:]) / scale
+    def partials(x):
+        down = x.tolist()  # x + -0.0 is x
+        up = [v + 0.0 for v in down]
+        grad = []
+        for j in range(n):
+            v = down[j]
+            up_row, down_row = up.copy(), down.copy()
+            up_row[j], down_row[j] = v + h, v - h
+            grad.append((at(up_row, fixed) - at(down_row, fixed)) / scale)
+        return grad
 
-    return value_and_grad
+    def value_at(x):
+        return float(at([v + 0.0 for v in x.tolist()], fixed))
 
-
-@functools.lru_cache(maxsize=16)
-def _stencil_offsets(n: int) -> np.ndarray:
-    # rows 0, +h e_j, -h e_j: x + row is exactly x + h or x - h in one coordinate
-    shift = _TOY_FD_H * np.eye(n)
-    offsets = np.vstack([np.zeros(n), shift, -shift])
-    offsets.setflags(write=False)
-    return offsets
+    return partials, value_at

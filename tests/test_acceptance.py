@@ -288,7 +288,7 @@ def test_criterion_10_sweep_shape(desk_sweep):
 def test_criterion_11_probe_correctness():
     t0 = time.monotonic()
     quad = ToyGame("saddle_probe",
-                   lambda d, g: 0.5 * np.sum(np.array([2.0, -1.0]) * g * g, axis=-1),
+                   lambda d, g: 0.5 * (2.0 * g[0] * g[0] + -1.0 * g[1] * g[1]),
                    ((-1.0, 1.0),), ((-5.0, 5.0), (-5.0, 5.0)))
     spectrum = hessian_spectrum_probe(
         ToyGameState(quad, np.array([0.0]), np.array([0.4, -0.3])),

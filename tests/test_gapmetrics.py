@@ -43,7 +43,6 @@ from proxgap.objectives import (
     _sobolev_sum,
 )
 from proxgap.oracles import (
-    _TOY_FD_H,
     GridSpec,
     ToyGame,
     bilinear,
@@ -55,7 +54,7 @@ from proxgap.oracles import (
 )
 
 from proxgap.probes import unilateral_deviation
-from toy_grads import toy_value_and_grad
+from toy_grads import stacked_toy_value_and_grad, toy_value_and_grad
 
 TOY_CFG = ProximalConfig(lam=0.1, prox_steps=20, prox_lr=0.5,
                          worst_iters=400, worst_lr=0.02, batch_size=1)
@@ -487,7 +486,8 @@ def test_gapmetrics_holds_only_the_searches_and_estimators():
     assert inspect.isgeneratorfunction(gapmetrics._prox_loop)
     assert inspect.isgeneratorfunction(gapmetrics._adam_search)
     # the toy stencil is built in two places only, and the toy penalty's
-    # value and gradient each take d - anchor once
+    # value and gradient each take d - anchor once, the gradient per
+    # coordinate in floats
     stencil_calls = []
     for top in tree.body:
         scopes = ([(f"{top.name}.{getattr(node, 'name', '')}", node) for node in top.body]
@@ -498,7 +498,7 @@ def test_gapmetrics_holds_only_the_searches_and_estimators():
     assert stencil_calls == ["_ToyOps.grad_g_fn", "_ToyOps.make_prox"]
     anchor_diffs = [node for node in ast.walk(tree) if isinstance(node, ast.BinOp)
                     and isinstance(node.op, ast.Sub) and isinstance(node.right, ast.Name)
-                    and node.right.id == "anchor"]
+                    and node.right.id in ("anchor", "anchor_j")]
     assert len(anchor_diffs) == 2
 
 
@@ -510,26 +510,13 @@ def test_gapmetrics_holds_only_the_searches_and_estimators():
 # their bytes.
 
 
-def _reference_toy_value_and_grad(game, d, g, wrt):
-    """The toy stencil as it was: offsets and the fixed row rebuilt per call."""
-    d = np.asarray(d, dtype=np.float64).ravel()
-    g = np.asarray(g, dtype=np.float64).ravel()
-    x = d if wrt == "d" else g
-    shift = _TOY_FD_H * np.eye(x.size)
-    rows = x + np.vstack([np.zeros(x.size), shift, -shift])
-    vals = game.value(rows, g[None, :]) if wrt == "d" else game.value(d[None, :], rows)
-    if vals.shape != rows.shape[:1]:
-        vals = np.broadcast_to(vals, rows.shape[:1])
-    return float(vals[0]), (vals[1:x.size + 1] - vals[x.size + 1:]) / (2.0 * _TOY_FD_H)
-
-
 def _reference_toy_step(game, anchor, g, lam):
     """The toy penalized step as it was: value and gradient on every step."""
     if lam <= 0:
-        return lambda d: _reference_toy_value_and_grad(game, d, g, "d")
+        return lambda d: stacked_toy_value_and_grad(game, d, g, "d")
 
     def value_and_grad(d):
-        value, grad = _reference_toy_value_and_grad(game, d, g, "d")
+        value, grad = stacked_toy_value_and_grad(game, d, g, "d")
         diff = d - anchor
         return value - lam * float((diff * diff).sum()), grad - 2.0 * lam * diff
 
@@ -550,11 +537,14 @@ def _reference_prox_iterates(step_fn, anchor, project, cfg):
 
 def _pin_games():
     yield from shipped_games()
-    yield concave_quadratic(d_box=((-1.0, 1.0), (-0.5, 2.0), (-2.0, 0.5)))
+    # the concave quadratic on a 3-D d box, each d coordinate against g's one
+    yield ToyGame("concave_quadratic_3d",
+                  lambda d, g: sum(2.0 * d_j * g[0] - d_j * d_j for d_j in d),
+                  ((-1.0, 1.0), (-0.5, 2.0), (-2.0, 0.5)), ((-1.0, 1.0),))
     # values that ignore one player come back as one row for that player's stencil
-    yield ToyGame("g_only", lambda d, g: np.sum(g * g, axis=-1), ((-1.0, 1.0),) * 2,
+    yield ToyGame("g_only", lambda d, g: g[0] * g[0], ((-1.0, 1.0),) * 2,
                   ((-1.0, 1.0),))
-    yield ToyGame("d_only", lambda d, g: np.sum(d * d - d, axis=-1), ((-1.0, 1.0),),
+    yield ToyGame("d_only", lambda d, g: d[0] * d[0] - d[0], ((-1.0, 1.0),),
                   ((-1.0, 1.0),) * 2)
 
 
@@ -579,12 +569,12 @@ def test_toy_inner_ascent_keeps_the_former_bytes(lam):
             ops = gapmetrics._ops_for(state, None, Rng(0))
             for wrt in "dg":
                 got = toy_value_and_grad(game, state.d, state.g, wrt)
-                want = _reference_toy_value_and_grad(game, state.d, state.g, wrt)
+                want = stacked_toy_value_and_grad(game, state.d, state.g, wrt)
                 assert [_hex(v) for v in got] == [_hex(v) for v in want], (game.name, wrt)
             search_grads = (ops.grad_d_fn(ops.g0)(ops.d0, None),
                             ops.grad_g_fn(ops.d0)(ops.g0, None))
             assert [_hex(v) for v in search_grads] == [
-                _hex(_reference_toy_value_and_grad(game, state.d, state.g, wrt)[1])
+                _hex(stacked_toy_value_and_grad(game, state.d, state.g, wrt)[1])
                 for wrt in "dg"], game.name
             grad, value = ops.make_prox(ops.d0, ops.g0, None, lam, None)
             want_step = _reference_toy_step(game, ops.d0, ops.g0, lam)
@@ -601,10 +591,10 @@ def test_toy_inner_ascent_keeps_the_former_bytes(lam):
             with pytest.MonkeyPatch.context() as mp:  # the former step and stencil
                 mp.setattr(gapmetrics._ToyOps, "grad_g_fn",
                            lambda ops, d: lambda g, batch:
-                           _reference_toy_value_and_grad(ops.game, d, g, "g")[1])
+                           stacked_toy_value_and_grad(ops.game, d, g, "g")[1])
                 mp.setattr(gapmetrics._ToyOps, "grad_d_fn",
                            lambda ops, g: lambda d, batch:
-                           _reference_toy_value_and_grad(ops.game, d, g, "d")[1])
+                           stacked_toy_value_and_grad(ops.game, d, g, "d")[1])
                 mp.setattr(gapmetrics._ToyOps, "make_prox",
                            lambda ops, anchor, g, batch, lam, h: (
                                lambda d: _reference_toy_step(ops.game, anchor, g, lam)(d)[1],
@@ -615,6 +605,55 @@ def test_toy_inner_ascent_keeps_the_former_bytes(lam):
                 [float(getattr(want, f)).hex() for f in fields], game.name
             assert got.cfg == want.cfg == cfg, game.name
     assert configs == 30
+
+
+# (game, point) -> float.hex of v_dw, v_gw_plain and v_gw_lambda at each of
+# _PINNED_LAMBDAS, as the stacked numpy stencil gave them
+_PINNED_POINTS = (([0.3], [-0.2]), ([-0.0], [0.0]), ([0.0], [-0.0]), ([-1.0], [1.0]))
+_PINNED_LAMBDAS = (0.0, 0.1, 1e6)
+_PINNED_REPORTS = {
+    ("bilinear", 0): ("0x1.99999773d834fp-4", "-0x1.333332a9cb1a1p-2",
+                      ("0x1.4b5f5543e8b8ep-12", "-0x1.31441900703afp-7", "-0x1.333320aff4842p-2")),
+    ("bilinear", 1): ("0x0.0p+0", "0x0.0p+0", ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0")),
+    ("bilinear", 2): ("0x0.0p+0", "0x0.0p+0", ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0")),
+    ("bilinear", 3): ("-0x1.99999aac9818ep-3", "-0x1.0000000000000p+0",
+                      ("0x1.99999aac9818ep-3", "-0x1.9822c9c712505p-4", "-0x1.fffff7e8fa563p-1")),
+    ("concave_quadratic", 0): ("0x1.3a4f98aa56cebp-5", "-0x1.6147adcfcc849p-1",
+                               ("0x1.aa09ba3476a11p-12", "-0x1.223438107dac5p-7",
+                                "-0x1.614773881bbb5p-1")),
+    ("concave_quadratic", 1): ("0x0.0p+0", "0x0.0p+0", ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0")),
+    ("concave_quadratic", 2): ("0x0.0p+0", "0x0.0p+0", ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0")),
+    ("concave_quadratic", 3): ("-0x1.12a04e8a020a4p-1", "-0x1.8000000000000p+1",
+                               ("0x1.64d020ab15476p-4", "-0x1.ea83d0f3ab2f8p-5",
+                                "-0x1.7fffdfa3eb31fp+1")),
+    ("saddle_shift", 0): ("0x1.1eb851eb851ebp-3", "0x0.0p+0",
+                          ("0x1.219669f7650e2p-15", "0x1.ffc1e98f00260p-11",
+                           "0x1.8854f0d87b5c4p-36")),
+    ("saddle_shift", 1): ("0x1.99999886bccb1p-3", "-0x1.70a3d680cc716p-2",
+                          ("0x1.a22e80e978bf7p-7", "-0x1.2ceb9940c011ep-7",
+                           "-0x1.70a3bd6875e8bp-2")),
+    ("saddle_shift", 2): ("0x1.99999886bccb1p-3", "-0x1.70a3d680cc716p-2",
+                          ("0x1.a22e80e978bf7p-7", "-0x1.2ceb9940c011ep-7",
+                           "-0x1.70a3bd6875e8bp-2")),
+    ("saddle_shift", 3): ("-0x1.666666ab31f34p-1", "-0x1.d1eb851eb851ep+0",
+                          ("0x1.ae147b6ac70bcp-2", "0x1.47ae1d12d7220p-6",
+                           "-0x1.d1eb7d311e4a2p+0")),
+}
+
+
+def test_toy_duality_gap_reports_keep_their_pinned_bytes():
+    # the float stencil's reports equal those of the stacked numpy stencil,
+    # signed zeros included: at the +-0 points a -0.0 value would show here
+    cfg = replace(TOY_CFG, worst_iters=40)
+    for game in shipped_games():
+        for i, (d, g) in enumerate(_PINNED_POINTS):
+            v_dw, v_gw_plain, v_gw_lambdas = _PINNED_REPORTS[game.name, i]
+            for lam, v_gw_lambda in zip(_PINNED_LAMBDAS, v_gw_lambdas):
+                report = duality_gap(ToyGameState(game, d, g), None, replace(cfg, lam=lam),
+                                     Rng(17 + i))
+                got = [float(x).hex() for x in (report.v_dw, report.v_gw_plain,
+                                                report.v_gw_lambda)]
+                assert got == [v_dw, v_gw_plain, v_gw_lambda], (game.name, i, lam)
 
 
 def test_toy_searches_build_one_stencil_per_search(monkeypatch):
@@ -881,7 +920,7 @@ def test_a_search_whose_gradient_overflows_adam_fails_by_name():
         next(steps)
     assert err.value.op == "adam"
     # and so do the estimators' searches on a game that steep
-    steep = ToyGameState(ToyGame("steep", lambda d, g: np.sum(1e300 * d * g, axis=-1),
+    steep = ToyGameState(ToyGame("steep", lambda d, g: 1e300 * d[0] * g[0],
                                  ((-1.0, 1.0),), ((-1.0, 1.0),)), [0.5], [0.5])
     for estimate in (estimate_v_dw, estimate_v_gw_lambda, estimate_v_gw_plain):
         with pytest.raises(NonFiniteError) as err:

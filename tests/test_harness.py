@@ -161,6 +161,12 @@ def test_latent_dim_is_the_generators_input_width():
     ("train.ratio = 0", "train.ratio must be nonzero, got 0"),
     ("prox.steps = 0", "prox.steps must be positive, got 0"),
     ("objective.kind = gan", "objective.kind must be one of classic, wgan_clip, fgan, got gan"),
+    ("distribution.weights = 0.3 0.3", "distribution.weights must sum to 1, got 0.3 0.3"),
+    ("distribution.means = 1 0",
+     "distribution.means must have one row of numbers per weight (2), got 1 0"),
+    ("distribution.variances = 1 1", "distribution.variances must have the shape of "
+     "distribution.means, 2 rows of 2, got 1 1"),
+    ("distribution.kind =", "distribution.kind must be one of gmm, ring, got an empty value"),
 ])
 def test_a_bad_value_is_refused_by_its_key_before_the_run_directory_is_made(tmp_path, capsys,
                                                                             text, message):
@@ -594,7 +600,7 @@ def test_load_checkpoint_names_what_a_sidecar_lacks(tiny_run, tmp_path, capsys, 
     (lambda sidecar: sidecar["config"].update({"bogus.key": "1"}), "'bogus.key'"),
     (lambda sidecar: sidecar["config"].update(seed="-1"), "seed must lie in [0, 2**64), got -1"),
     (lambda sidecar: sidecar["config"].update({"distribution.weights": "0.3 0.3"}),
-     "weights must be positive and sum to 1"),
+     "distribution.weights must sum to 1, got 0.3 0.3"),
 ], ids=["int_value", "null_value", "list_value", "list_config", "unknown_key", "seed_range",
         "weights_sum"])
 def test_load_checkpoint_takes_a_config_of_strings_only(tiny_run, tmp_path, capsys, tamper,

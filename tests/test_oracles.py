@@ -35,7 +35,7 @@ from proxgap.oracles import (
     _TOY_FD_H,
 )
 
-from toy_grads import toy_value_and_grad
+from toy_grads import stacked_toy_value_and_grad, toy_value_and_grad
 
 GRID = GridSpec(401)
 
@@ -49,11 +49,18 @@ def _random_point(game, rng):
 def _coupled_2d():
     """V = sum_j d_j^2 g_j + d_0 g_1 on [-1, 1]^2 x [-2, 2]^2."""
     return ToyGame("coupled_2d",
-                   lambda d, g: np.sum(d * d * g, axis=-1) + d[..., 0] * g[..., 1],
+                   lambda d, g: d[0] * d[0] * g[0] + d[1] * d[1] * g[1] + d[0] * g[1],
                    ((-1.0, 1.0),) * 2, ((-2.0, 2.0),) * 2)
 
 
 # -- plain duality gap ---------------------------------------------------
+
+
+def test_concave_quadratic_refuses_a_d_box_of_more_than_one_axis():
+    # its value reads d[0] alone, so a second d axis would be ignored
+    assert concave_quadratic(d_box=((-0.2, 0.2),)).d_box == ((-0.2, 0.2),)
+    with pytest.raises(ValueError, match="^concave_quadratic has one d axis, got 2"):
+        concave_quadratic(d_box=((-1.0, 1.0),) * 2)
 
 
 def test_bilinear_saddle_has_zero_gap():
@@ -219,12 +226,11 @@ def test_gap_lower_bounded_by_value_lift(game):
     rng = Rng(51)
     nodes_d = np.linspace(game.d_box[0][0], game.d_box[0][1], 201)
     nodes_g = np.linspace(game.g_box[0][0], game.g_box[0][1], 201)
-    v_dw_all = np.array([np.max(game.value(nodes_d[:, None], np.array([[g]])))
-                         for g in nodes_g])
+    v_dw_all = np.array([np.max(game.value(nodes_d[None, :], [g])) for g in nodes_g])
     for lam in (0.0, 0.1, 10.0):
         for _ in range(5):
             point = _random_point(game, rng)
-            div = float(np.max(game.value(nodes_d[:, None], point[1][None, :]))
+            div = float(np.max(game.value(nodes_d[None, :], point[1].tolist()))
                         - v_dw_all.min())
             gap = grid_dg_lambda(game, point, lam, GridSpec(201))
             assert gap >= div - 1e-9
@@ -248,15 +254,15 @@ def test_small_neighbourhood_bound():
                 for _ in range(4):
                     d0 = np.array([rng.uniform(*game.d_box[0], ())])
                     argmax_d = np.array([
-                        nodes_d[np.argmax(game.value(nodes_d[:, None], np.array([[g]])))]
+                        nodes_d[np.argmax(game.value(nodes_d[None, :], [g]))]
                         for g in nodes_g])
                     if np.max(np.abs(argmax_d - d0[0])) >= delta:
                         continue
                     g0 = np.array([rng.uniform(*game.g_box[0], ())])
                     v_dw_all = np.array([
-                        np.max(game.value(nodes_d[:, None], np.array([[g]])))
+                        np.max(game.value(nodes_d[None, :], [g]))
                         for g in nodes_g])
-                    div = np.max(game.value(nodes_d[:, None], g0[None, :])) - v_dw_all.min()
+                    div = np.max(game.value(nodes_d[None, :], g0.tolist())) - v_dw_all.min()
                     gap = grid_dg_lambda(game, (d0, g0), lam, GridSpec(201))
                     assert gap - div < eps + 1e-9
                     checked += 1
@@ -266,6 +272,8 @@ def test_small_neighbourhood_bound():
 # -- the grid search walks its grids in blocks, with the whole table's bytes --
 # The formulas below are the grid oracles as they were, each on the whole grid
 # and the whole (Nd, Ng) value table at once; they stay as the byte oracle.
+# Each passes the game coordinate-first arrays: a grid's transpose, and a
+# point as a column.
 
 
 def _whole_box_grid(box, n):
@@ -277,21 +285,21 @@ def _whole_box_grid(box, n):
 def _whole_table_dg(game, point, n):
     d0, g0 = (np.asarray(x, dtype=np.float64).ravel() for x in point)
     dd, gg = _whole_box_grid(game.d_box, n), _whole_box_grid(game.g_box, n)
-    return float(np.max(game.value(dd, g0[None, :]))) - float(np.min(game.value(d0[None, :], gg)))
+    return float(np.max(game.value(dd.T, g0[:, None]))) - float(np.min(game.value(d0[:, None], gg.T)))
 
 
 def _whole_table_v_lambda(game, anchor, g, lam, n):
     anchor, g = (np.asarray(x, dtype=np.float64).ravel() for x in (anchor, g))
     dd = _whole_box_grid(game.d_box, n)
     pen = np.sum((dd - anchor[None, :]) ** 2, axis=1)
-    return float(np.max(game.value(dd, g[None, :]) - lam * pen))
+    return float(np.max(game.value(dd.T, g[:, None]) - lam * pen))
 
 
 def _whole_table_dg_lambda(game, point, lam, n):
     d0, g0 = (np.asarray(x, dtype=np.float64).ravel() for x in point)
     dd, gg = _whole_box_grid(game.d_box, n), _whole_box_grid(game.g_box, n)
-    v_dw = float(np.max(game.value(dd, g0[None, :])))
-    vals = game.value(dd[:, None, :], gg[None, :, :])  # (Nd, Ng)
+    v_dw = float(np.max(game.value(dd.T, g0[:, None])))
+    vals = game.value(dd.T[:, :, None], gg.T[:, None, :])  # (Nd, Ng)
     pen = np.sum((dd - d0[None, :]) ** 2, axis=1)
     return v_dw - float(np.min(np.max(vals - lam * pen[:, None], axis=0)))
 
@@ -299,14 +307,14 @@ def _whole_table_dg_lambda(game, point, lam, n):
 def _singular():
     """V = d g / (d + g): nan at d = g = 0 and +-inf elsewhere on d = -g, both
     grid nodes of the symmetric box."""
-    return ToyGame("singular", lambda d, g: (d * g / (d + g)).sum(axis=-1),
+    return ToyGame("singular", lambda d, g: d[0] * g[0] / (d[0] + g[0]),
                    ((-1.0, 1.0),), ((-1.0, 1.0),))
 
 
 def _pole():
     """V = 2 d g - d^2 - 1 / (g - 0.5): -inf on the g = 0.5 column only, so
     every proximal gap off that column is +inf."""
-    return ToyGame("pole", lambda d, g: (2.0 * d * g - d * d - 1.0 / (g - 0.5)).sum(axis=-1),
+    return ToyGame("pole", lambda d, g: 2.0 * d[0] * g[0] - d[0] * d[0] - 1.0 / (g[0] - 0.5),
                    ((-1.0, 1.0),), ((-1.0, 1.0),))
 
 
@@ -314,7 +322,7 @@ def _signed_zeros():
     """V = +-0 by the sign of sin(37 d + 11 g): every max and min is a signed
     zero, and which one depends on the order of the reduction."""
     return ToyGame("signed_zeros",
-                   lambda d, g: np.copysign(0.0, np.sin(37.0 * d[..., 0] + 11.0 * g[..., 0])),
+                   lambda d, g: np.copysign(0.0, np.sin(37.0 * d[0] + 11.0 * g[0])),
                    ((-1.0, 1.0),), ((-1.0, 1.0),))
 
 
@@ -413,8 +421,8 @@ def test_classify_builds_each_table_once_for_its_whole_ladder(monkeypatch):
     calls = []
 
     def value(d, g):
-        calls.append(np.broadcast_shapes(d.shape[:-1], g.shape[:-1]))
-        return (2.0 * d * g - d * d).sum(axis=-1)
+        calls.append(np.broadcast_shapes(np.shape(d)[1:], np.shape(g)[1:]))
+        return 2.0 * d[0] * g[0] - d[0] * d[0]
 
     game = ToyGame("counted", value, ((-1.0, 1.0),), ((-1.0, 1.0),))
     classify_equilibrium(game, (np.array([0.005]), np.array([0.0])), LADDER, GRID, tol=1e-6)
@@ -944,11 +952,34 @@ def test_toy_stencil_matches_closed_form_and_the_loop(game):
 
 
 def test_toy_stencil_of_a_value_that_ignores_the_argument_is_zero():
-    game = ToyGame("g_only", lambda d, g: np.sum(g * g, axis=-1),
+    game = ToyGame("g_only", lambda d, g: g[0] * g[0] + g[1] * g[1],
                    ((-1.0, 1.0),) * 3, ((-1.0, 1.0),) * 2)
     value, grad = toy_value_and_grad(game, np.array([0.1, 0.2, 0.3]), np.array([0.5, -0.5]), "d")
     assert value == pytest.approx(0.5)
     assert np.array_equal(grad, np.zeros(3))
+
+
+# coordinates for the byte pin: signed zeros, and +-h, whose stencil rows
+# land on a zero
+_PIN_COORDS = (-0.0, 0.0, _TOY_FD_H, -_TOY_FD_H, 0.3, -1.0)
+
+
+def test_float_stencil_keeps_the_stacked_stencils_bytes():
+    # the float stencil against the stacked numpy one, its byte oracle, at
+    # every point of each game's dimensions drawn from _PIN_COORDS
+    zero_signs = set()
+    for game in shipped_games() + (_coupled_2d(), _signed_zeros()):
+        dims = game.d_dim + game.g_dim
+        for coords in np.array(np.meshgrid(*[_PIN_COORDS] * dims)).reshape(dims, -1).T:
+            d, g = coords[:game.d_dim], coords[game.d_dim:]
+            for wrt in "dg":
+                value, grad = toy_value_and_grad(game, d, g, wrt)
+                want_value, want_grad = stacked_toy_value_and_grad(game, d, g, wrt)
+                assert np.float64(value).tobytes() == np.float64(want_value).tobytes(), \
+                    (game.name, d, g, wrt)
+                assert grad.tobytes() == want_grad.tobytes(), (game.name, d, g, wrt)
+                zero_signs |= {np.signbit(v) for v in (value, *grad.tolist()) if v == 0.0}
+    assert zero_signs == {True, False}  # both signed zeros reached the comparison
 
 
 _CLIP_VALUES = (-0.0, 0.0, np.inf, -np.inf, np.nan, 0.5, -0.5, 1e308, -5e-324)
@@ -958,7 +989,7 @@ _CLIP_VALUES = (-0.0, 0.0, np.inf, -np.inf, np.nan, 0.5, -0.5, 1e308, -5e-324)
                                  ((-1.0, 1.0), (0.0, 3.0)), ((-np.inf, 0.5), (-0.5, np.inf))],
                          ids=["sym", "zero-lo", "zero-hi", "2d", "2d-open"])
 def test_toy_clip_carries_ndarray_clips_bytes(box):
-    game = ToyGame("clip", lambda d, g: (d * g).sum(axis=-1), box, box)
+    game = ToyGame("clip", lambda d, g: sum(dj * gj for dj, gj in zip(d, g)), box, box)
     lo, hi = np.array(box).T
     values = _CLIP_VALUES + tuple(lo) + tuple(hi)  # the bounds themselves too
     for combo in np.array(np.meshgrid(*[values] * len(box))).reshape(len(box), -1).T:

@@ -59,9 +59,9 @@ from toy_grads import toy_value_and_grad
 
 def _quadratic_game(diag):
     """d is irrelevant; the generator loss is 0.5 g' diag(a) g."""
-    a = np.asarray(diag, dtype=np.float64)
+    a = np.asarray(diag, dtype=np.float64).tolist()
     return ToyGame("quadratic_probe",
-                   lambda d, g: 0.5 * np.sum(a * g * g, axis=-1),
+                   lambda d, g: 0.5 * sum(a_j * g_j * g_j for a_j, g_j in zip(a, g)),
                    ((-1.0, 1.0),),
                    tuple((-5.0, 5.0) for _ in a))
 
@@ -238,22 +238,21 @@ def test_deviation_zero_eval_interval_single_point():
 def test_deviation_at_zero_eval_interval_takes_no_step(monkeypatch):
     # only the start is recorded, so no generator gradient is taken; the
     # trace keeps the former loop's bytes, which ran every step regardless.
-    # Toy gradients are counted as stencil calls of the game's value (rows
-    # beyond one), GAN gradients as value_and_grad_g calls.
+    # Toy gradients are counted as calls of the toy stencil's partials, GAN
+    # gradients as value_and_grad_g calls.
     from proxgap import gapmetrics
     calls = []
     real = gapmetrics.value_and_grad_g
     monkeypatch.setattr(gapmetrics, "value_and_grad_g",
                         lambda *a, **k: calls.append(1) or real(*a, **k))
-    base = bilinear()
+    real_stencil = gapmetrics.toy_stencil
 
-    def counting_value(d, g):
-        if max(d.shape[0], g.shape[0]) > 1:
-            calls.append(1)
-        return base.value(d, g)
+    def counting_stencil(*args):
+        partials, value = real_stencil(*args)
+        return (lambda x: calls.append(1) or partials(x)), value
 
-    counting = ToyGame("counting_bilinear", counting_value, base.d_box, base.g_box)
-    toy = ToyGameState(counting, np.array([0.8]), np.array([0.5]))
+    monkeypatch.setattr(gapmetrics, "toy_stencil", counting_stencil)
+    toy = ToyGameState(bilinear(), np.array([0.8]), np.array([0.5]))
     gan, splits = _gan_setup()
     for state, data, lr in ((toy, None, 0.05), (gan, splits, 1e-3)):
         trace = unilateral_deviation(state, data, steps=200, lr=lr, eval_every=0, rng=Rng(4))
@@ -352,7 +351,7 @@ def test_spectrum_sees_a_doubled_curvature():
 
 def test_spectrum_discriminator_sign_convention():
     # concave in d: eigenvalues negative -> consistent for the discriminator
-    game = ToyGame("concave_d", lambda d, g: np.sum(-d * d, axis=-1),
+    game = ToyGame("concave_d", lambda d, g: -d[0] * d[0],
                    ((-1.0, 1.0),), ((-1.0, 1.0),))
     state = ToyGameState(game, np.array([0.2]), np.array([0.0]))
     report = hessian_spectrum_probe(state, None, DISCRIMINATOR, k=1, rng=Rng(8))

@@ -44,6 +44,14 @@ def test_the_workflow_runs_the_roadmaps_tier1_command():
     assert f"run: {command}" in [line.strip() for line in workflow.splitlines()]
 
 
+def test_the_workflow_runs_the_benchmark_self_test_after_the_tier1_tests():
+    # the self-test only runs perfbench/selftest.py; its step follows the Tier-1 one
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    runs = [line.strip() for line in workflow.splitlines() if line.strip().startswith("run: ")]
+    tier1 = next(i for i, line in enumerate(runs) if "pytest" in line)
+    assert "run: python3 perfbench/selftest.py" in runs[tier1 + 1:]
+
+
 def test_kernel_timings_prints_one_line_per_activation_and_row_count():
     out = _run("kernel_timings.py", "--cycle", "1", "--passes", "1")
     assert out.count("\n") == 1
@@ -62,6 +70,11 @@ def test_kernel_timings_prints_one_line_per_activation_and_row_count():
         rows = int(key.split("/")[1])
         gated = 9 * rows * 64 if "leaky" in key else 0
         assert entry["workspace_bytes"] == 8 * rows * (65 + 32 + 1) + gated
+    # the toy block: microseconds per inner step, one entry per shipped game
+    assert sorted(report["toy"]) == ["bilinear", "concave_quadratic", "saddle_shift"]
+    for entry in report["toy"].values():
+        assert set(entry) == {"median_us", "best_us"}
+        assert 0 < entry["best_us"] <= entry["median_us"]
 
 
 def test_fingerprints_of_every_workload_operation_without_an_error():

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Micro-timings of the fused MLP kernel: forward, backward and the leaky-ReLU gate.
+"""Micro-timings of the fused MLP kernel (forward, backward and the leaky-ReLU
+gate) and of the toy games' inner step.
 
     python3 tools/kernel_timings.py [--cycle K] [--passes P]
 
@@ -12,10 +13,16 @@ and, beside it, the former gate (filled with the slope, then set to 1.0 by
 ``np.putmask``).  Each call takes the next input of the cycle, so neither a
 learned branch nor a cache warmed on one input flatters a variant.
 
+For each shipped toy game it times one 20-step penalized inner ascent at
+lambda 0.1 (``gapmetrics._prox_loop`` along ``_ToyOps.make_prox``'s
+gradient) from K distinct configurations, and reports it per inner step.
+
 It prints one JSON line: per activation, row count and timed call, the
 median and the best of P passes over the cycle, in microseconds per call,
 and beside them ``workspace_bytes``, the bytes of the buffers the
-workspace holds once its backward pass has run (``MlpWorkspace.nbytes``).
+workspace holds once its backward pass has run (``MlpWorkspace.nbytes``);
+under ``toy``, per game, the same median and best in microseconds per
+inner step.
 It imports numpy and the library in ``src/`` only, and runs with one BLAS
 thread.
 """
@@ -38,9 +45,12 @@ import numpy as np  # noqa: E402
 
 from proxgap.diffcore import MlpWorkspace, NetworkSpec, Rng, init_network  # noqa: E402
 from proxgap.diffcore.network import _leaky_gate, mlp_backward, mlp_forward  # noqa: E402
+from proxgap.gapmetrics import ProximalConfig, ToyGameState, _last, _ops_for, _prox_loop  # noqa: E402
+from proxgap.oracles import shipped_games  # noqa: E402
 
 ROWS = (128, 768, 3000)
 ACTIVATIONS = ("leaky_relu", "tanh")
+TOY_CFG = ProximalConfig(lam=0.1, prox_steps=20)
 
 
 def _former_gate(z, slope, mask, gate):
@@ -50,9 +60,10 @@ def _former_gate(z, slope, mask, gate):
     return gate
 
 
-def _time(call, cycle: int, passes: int, prepare=None) -> dict:
-    """Median and best microseconds per call over `passes` passes of the cycle;
-    `prepare(k)`, when given, runs untimed before each `call(k)`."""
+def _time(call, cycle: int, passes: int, prepare=None, units: int = 1) -> dict:
+    """Median and best microseconds per call, or per one of the `units` a call
+    does, over `passes` passes of the cycle; `prepare(k)`, when given, runs
+    untimed before each `call(k)`."""
     if prepare is not None:
         prepare(0)
     call(0)  # maps the buffers
@@ -65,7 +76,7 @@ def _time(call, cycle: int, passes: int, prepare=None) -> dict:
             start = time.perf_counter()
             call(k)
             total += time.perf_counter() - start
-        per_call.append(total / cycle * 1e6)
+        per_call.append(total / cycle / units * 1e6)
     return {"median_us": round(statistics.median(per_call), 2),
             "best_us": round(min(per_call), 2)}
 
@@ -105,6 +116,24 @@ def timings(cycle: int, passes: int) -> dict:
     return out
 
 
+def toy_timings(cycle: int, passes: int) -> dict:
+    """Per shipped game, microseconds per inner step of a TOY_CFG ascent, each
+    call from the next of `cycle` configurations drawn inside the boxes."""
+    out = {}
+    for game in shipped_games():
+        rng = Rng(len(game.name))
+        loops = []
+        for k in range(cycle):
+            d, g = ([rng.child(k, axis).uniform(lo, hi, ()) for axis, (lo, hi) in enumerate(box)]
+                    for box in (game.d_box, game.g_box))
+            ops = _ops_for(ToyGameState(game, d, g), None, None)
+            grad = ops.make_prox(ops.d0, ops.g0, None, TOY_CFG.lam, None)[0]
+            loops.append((grad, ops.d0, ops.project_d))
+        out[game.name] = _time(lambda k: _last(_prox_loop(*loops[k], TOY_CFG)), cycle, passes,
+                               units=TOY_CFG.prox_steps)
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--cycle", type=int, default=16, help="distinct inputs per cycle")
@@ -113,7 +142,8 @@ def main(argv=None) -> int:
     if args.cycle < 1 or args.passes < 1:
         parser.error("--cycle and --passes must be positive")
     print(json.dumps({"cycle": args.cycle, "passes": args.passes,
-                      "numpy": np.__version__, "timings": timings(args.cycle, args.passes)}))
+                      "numpy": np.__version__, "timings": timings(args.cycle, args.passes),
+                      "toy": toy_timings(args.cycle, args.passes)}))
     return 0
 
 
