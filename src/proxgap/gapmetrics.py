@@ -27,7 +27,7 @@ from .objectives import (
     penalized_step_fn,
     value_and_grad_g,
 )
-from .oracles import ToyGame, toy_stencil, toy_value
+from .oracles import ToyGame, toy_coords, toy_point, toy_stencil, toy_value
 
 # Step-size guard for the penalized inner ascent: plain gradient ascent on
 # V - lam * dist^2 is unstable once the step exceeds ~1/(curvature) ~ 1/(2*lam*S),
@@ -105,17 +105,19 @@ class GapReport:
 
 @dataclass(frozen=True)
 class ToyGameState:
-    """A toy-game configuration in the shape the estimators expect."""
+    """A toy-game configuration in the shape the estimators expect.  A player
+    that does not match the game's dimension, or is not finite, raises
+    ``ValueError`` naming the player and its value."""
 
     game: ToyGame
     d: np.ndarray
     g: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "d", np.asarray(self.d, dtype=np.float64).ravel())
-        object.__setattr__(self, "g", np.asarray(self.g, dtype=np.float64).ravel())
-        if self.d.size != self.game.d_dim or self.g.size != self.game.g_dim:
-            raise ValueError("configuration does not match the game's dimensions")
+        # float64 vectors of the game's dimensions, finite, as the grid oracles take them
+        d, g = toy_point(self.game, (self.d, self.g))
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "g", g)
 
 
 # -- internal game operations ----------------------------------------------
@@ -145,6 +147,10 @@ class _GanOps:
     def draw_batch(self, size):
         return draw_minibatch(self.splits.s_b, size, self.state.latent_dim, self.rng)
 
+    def ascend_d(self, theta_d, rate, grad):
+        """The inner ascent's projected step: an array, as every iterate is."""
+        return self.project_d(theta_d + rate * grad)
+
     def eval_value(self, theta_d, theta_g) -> float:
         held_out = self.state.with_params(ParamVector(theta_d), ParamVector(theta_g))
         return eval_objective(held_out, *self.eval_batch, self.buffers)
@@ -171,6 +177,11 @@ class _GanOps:
 
 
 class _ToyOps:
+    """A toy game's operations.  The Adam searches move float64 arrays, as on
+    GANs; the penalized inner ascent moves a list of floats, one per d
+    coordinate, through its gradient (``make_prox``) and its projected step
+    (``ascend_d``), after its first iterate, the projected anchor array."""
+
     def __init__(self, state: ToyGameState):
         self.game = state.game
         self.eval_latent = None
@@ -179,6 +190,7 @@ class _ToyOps:
         self.g0 = state.g.copy()
         self.project_d = state.game.clip_d
         self.project_g = state.game.clip_g
+        self.d_box = np.array(state.game.d_box, dtype=np.float64).tolist()
 
     def draw_batch(self, size):
         return None
@@ -192,14 +204,26 @@ class _ToyOps:
 
     def grad_d_fn(self, g):
         grad = self.make_prox(None, g, None, 0.0, None)[0]  # one stencil per search
-        return lambda d, batch: grad(d)
+        return lambda d, batch: np.array(grad(d))
+
+    def ascend_d(self, d, rate, grad):
+        """d + rate * grad clipped to the d box, per coordinate in floats, with
+        the bytes of ``ToyGame.clip_d``: a tie gives the bound, as numpy's
+        maximum and minimum give their second operand (Python's max and min
+        give their first, so max(-0.0, 0.0) is -0.0), and a nan stays nan."""
+        out = []
+        for v, s, (lo, hi) in zip(toy_coords(d), grad, self.d_box):
+            x = v + rate * s
+            x = lo if x <= lo else x
+            out.append(hi if x >= hi else x)
+        return out
 
     def make_prox(self, anchor, g, batch, lam, h):
         # the inner ascent reads the gradient alone, so it computes no value;
-        # the value is the stencil's row 0
+        # the value is the stencil's row 0.  The gradient is a list of floats.
         partials, value = toy_stencil(self.game, g, "d", self.d0.size)
         if lam <= 0:
-            return (lambda d: np.array(partials(d))), value
+            return partials, value
         coef = 2.0 * lam
         anchor_coords = anchor.tolist()
 
@@ -209,8 +233,8 @@ class _ToyOps:
 
         def penalized_grad(d):
             # the penalty coef * (d_j - anchor_j), in floats
-            return np.array([partial - coef * (d_j - anchor_j) for partial, d_j, anchor_j
-                             in zip(partials(d), d.tolist(), anchor_coords)])
+            return [partial - coef * (d_j - anchor_j) for partial, d_j, anchor_j
+                    in zip(partials(d), toy_coords(d), anchor_coords)]
 
         return penalized_grad, penalized_value
 
@@ -239,13 +263,14 @@ def _prox_step_size(prox_lr: float, lam: float) -> float:
     return min(prox_lr, 1.0 / (STEP_GUARD * lam))
 
 
-def _prox_loop(grad_fn, anchor, project, cfg: ProximalConfig):
+def _prox_loop(grad_fn, anchor, ops, cfg: ProximalConfig):
     """Penalized inner maximization from the array `anchor`: yields the
-    projected anchor, then each of `prox_steps` projected ascent iterates
-    along `grad_fn`, the penalized objective's gradient."""
-    theta = project(anchor)
+    projected anchor (``ops.project_d``), then each of `prox_steps` projected
+    ascent iterates, ``ops.ascend_d`` along `grad_fn`, the penalized
+    objective's gradient.  A GAN iterate is an array of the anchor's length;
+    a toy iterate after the projected anchor is a list of floats."""
+    theta = ops.project_d(anchor)
     lr = _prox_step_size(cfg.prox_lr, cfg.lam)
-    # GAN and toy iterates alike are plain arrays of the anchor's length
     yield theta
     for j in range(cfg.prox_steps):
         try:
@@ -253,7 +278,7 @@ def _prox_loop(grad_fn, anchor, project, cfg: ProximalConfig):
         except NonFiniteError as err:
             raise ProxDivergenceError(
                 f"penalized ascent diverged at inner step {j}: {err}") from err
-        theta = project(theta + lr * grad)
+        theta = ops.ascend_d(theta, lr, grad)
         yield theta
 
 
@@ -315,12 +340,12 @@ def estimate_v_gw_lambda(state, splits, cfg: ProximalConfig, rng: Rng,
 
     def descent_dir(g, batch):
         grad_fn = ops.make_prox(ops.d0, g, batch, cfg.lam, cfg.sobolev_h)[0]
-        d_star = _last(_prox_loop(grad_fn, ops.d0, ops.project_d, cfg))
+        d_star = _last(_prox_loop(grad_fn, ops.d0, ops, cfg))
         return ops.grad_g_fn(d_star)(g, batch)
 
     g = _worst_case(ops, ops.g0, descent_dir, ops.project_g, cfg)
     grad_fn, value_fn = ops.make_prox(ops.d0, g, ops.eval_batch, cfg.lam, cfg.sobolev_h)
-    return value_fn(_last(_prox_loop(grad_fn, ops.d0, ops.project_d, cfg)))
+    return value_fn(_last(_prox_loop(grad_fn, ops.d0, ops, cfg)))
 
 
 def estimate_v_gw_plain(state, splits, cfg: ProximalConfig, rng: Rng,

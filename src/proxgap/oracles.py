@@ -174,10 +174,15 @@ def _vector(x, size: int, what: str) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64).ravel()
     if x.size != size:
         raise ValueError(f"{what} has {x.size} entries, the game has dimension {size}")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{what} must be finite, got {x.tolist()}")
     return x
 
 
-def _point(game: ToyGame, point):
+def toy_point(game: ToyGame, point):
+    """The configuration ``point = (d, g)`` as two float64 vectors; ValueError
+    naming the player ("d" or "g") that does not match the game's dimension
+    or is not finite."""
     d, g = point
     return _vector(d, game.d_dim, "d"), _vector(g, game.g_dim, "g")
 
@@ -224,7 +229,7 @@ def _v_gw_lambda(game: ToyGame, dd, gg, anchor, lambdas) -> list:
 
 def grid_dg(game: ToyGame, point, grid: GridSpec = GridSpec()) -> float:
     """Plain duality gap at a configuration: grid max over d minus grid min over g."""
-    d0, g0 = _point(game, point)
+    d0, g0 = toy_point(game, point)
     dd, gg = _grids(game, grid)
     return _v_dw(game, dd, g0) - _v_gw(game, gg, d0)
 
@@ -232,7 +237,7 @@ def grid_dg(game: ToyGame, point, grid: GridSpec = GridSpec()) -> float:
 def grid_v_lambda(game: ToyGame, anchor_d, g, lam: float,
                   grid: GridSpec = GridSpec()) -> float:
     """Penalized inner maximum: max over the d grid of V minus lam * ||d - anchor||^2."""
-    anchor, g = _point(game, (anchor_d, g))
+    anchor, g = toy_point(game, (anchor_d, g))
     lam = _penalty(lam)
     g_coords = g.tolist()
 
@@ -246,7 +251,7 @@ def grid_v_lambda(game: ToyGame, anchor_d, g, lam: float,
 def grid_dg_lambda(game: ToyGame, point, lam: float,
                    grid: GridSpec = GridSpec()) -> float:
     """Proximal duality gap by exhaustive search, anchored at the point's d."""
-    d0, g0 = _point(game, point)
+    d0, g0 = toy_point(game, point)
     lam = _penalty(lam)
     dd, gg = _grids(game, grid)
     return _v_dw(game, dd, g0) - _v_gw_lambda(game, dd, gg, d0, [lam])[0]
@@ -271,7 +276,7 @@ def classify_equilibrium(game: ToyGame, point, lambda_list, grid: GridSpec,
     (zero gap at a larger lambda implies zero gap at every smaller one) is
     asserted; a violation raises :class:`HierarchyError`.
     """
-    d0, g0 = _point(game, point)
+    d0, g0 = toy_point(game, point)
     lambdas = [_penalty(x) for x in lambda_list]
     if lambdas != sorted(lambdas) or 0.0 not in lambdas:
         raise ValueError("lambda_list must be ascending and include 0")
@@ -445,17 +450,24 @@ _TOY_FD_H = 1e-6
 
 
 def toy_value(game: ToyGame, d, g) -> float:
-    d, g = _point(game, (d, g))
+    d, g = toy_point(game, (d, g))
     return float(game.value(d.tolist(), g.tolist()))
+
+
+def toy_coords(x) -> list:
+    """The coordinates of ``x``, a list of floats or a float64 vector, as a
+    list of floats: ``x`` itself when it is a list."""
+    return x if type(x) is list else x.tolist()
 
 
 def toy_stencil(game: ToyGame, fixed, wrt: str, n: int):
     """``(partials, value)`` of V in the ``n``-vector player ``wrt`` ("d" or
     "g") against the ``fixed`` other player: ``partials(x)`` is the
     central-difference gradient at x, a list of n floats, and ``value(x)``
-    is V at x, a float.  ``x`` must be a float64 vector.
+    is V at x, a float.  ``x`` is a list of n floats, as the toy inner
+    ascent's iterates are, or a float64 vector.
 
-    Both run in float arithmetic on ``x.tolist()`` and keep the bytes of
+    Both run in float arithmetic on ``toy_coords(x)`` and keep the bytes of
     the stacked stencil ``x + offsets`` (rows 0, +h e_j, -h e_j) that
     :func:`proxgap.diffcore.network.stencil_rows` builds for networks: row 0
     and the +h rows add +0.0 to the other coordinates, the -h rows add
@@ -470,7 +482,7 @@ def toy_stencil(game: ToyGame, fixed, wrt: str, n: int):
     scale = 2.0 * h
 
     def partials(x):
-        down = x.tolist()  # x + -0.0 is x
+        down = toy_coords(x)  # x + -0.0 is x; only copies are written
         up = [v + 0.0 for v in down]
         grad = []
         for j in range(n):
@@ -481,6 +493,6 @@ def toy_stencil(game: ToyGame, fixed, wrt: str, n: int):
         return grad
 
     def value_at(x):
-        return float(at([v + 0.0 for v in x.tolist()], fixed))
+        return float(at([v + 0.0 for v in toy_coords(x)], fixed))
 
     return partials, value_at

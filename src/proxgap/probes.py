@@ -144,9 +144,10 @@ def _agent_grad(state, splits, agent, rng: Rng):
 
     The generator's gradient is ``ops.grad_g_fn``.  The discriminator's is
     the gradient of ``ops.make_prox`` at lam = 0 (``objectives.penalized_step_fn``
-    for GANs), built once on the fixed [real; generated] rows; it checks no
-    clip box: theta_d +/- h v crosses the box edge a clipped critic sits on,
-    so the box is checked once, at the state.
+    for GANs), built once on the fixed [real; generated] rows and handed
+    on as an array (a toy's is a list of floats); it checks no clip box:
+    theta_d +/- h v crosses the box edge a clipped critic sits on, so the
+    box is checked once, at the state.
     """
     ops = _ops_for(state, splits, rng)
     batch = None
@@ -159,4 +160,5 @@ def _agent_grad(state, splits, agent, rng: Rng):
     if agent == GENERATOR:
         grad_g = ops.grad_g_fn(ops.d0)
         return (lambda g: grad_g(g, batch)), ops.g0
-    return ops.make_prox(ops.d0, ops.g0, batch, 0.0, None)[0], ops.d0
+    grad_d = ops.make_prox(ops.d0, ops.g0, batch, 0.0, None)[0]
+    return (lambda d: np.asarray(grad_d(d))), ops.d0

@@ -12,8 +12,10 @@ Tensor at all.  To name a failure of the objective or of the Sobolev term they
 replay only that term on leaf Tensors built from the kernel's outputs.
 """
 
+import functools
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -39,6 +41,7 @@ from proxgap.gapmetrics import (
     ProximalConfig,
     ToyGameState,
     estimate_v_dw,
+    _GanOps,
     _ops_for,
     _last,
     _prox_loop,
@@ -654,6 +657,14 @@ def test_value_and_grad_d_checks_the_box_after_the_generator():
 # -- the finite check and the op names -----------------------------------------
 
 
+def _gan_steps(project):
+    """A GAN's inner-ascent operations with the projection `project`: the
+    loop's anchor projection and ``_GanOps.ascend_d``'s projected step."""
+    ops = SimpleNamespace(project_d=project)
+    ops.ascend_d = functools.partial(_GanOps.ascend_d, ops)
+    return ops
+
+
 def _overflow_setup():
     state = _state(Classic(), "tanh", seed=9)
     rng = Rng(34)
@@ -704,7 +715,7 @@ def test_overflowing_weights_raise_prox_divergence_named_by_the_graph(lam):
     cfg = ProximalConfig(lam=lam, prox_steps=3)
     with pytest.raises(ProxDivergenceError, match="inner step 1") as err:
         _last(_prox_loop(lambda theta: step_fn(theta)[1], state.theta_d.values,
-                         lambda theta: next(landing), cfg))
+                         _gan_steps(lambda theta: next(landing)), cfg))
     assert isinstance(err.value.__cause__, NonFiniteError)
     assert err.value.__cause__.op == graph_err.value.op == "matmul"
     # the value alone names the forward's failure as the full step does
@@ -945,7 +956,8 @@ def test_fast_paths_name_failures_without_the_graph(monkeypatch):
     landing = iter([state.theta_d.values, huge.values])
     with pytest.raises(ProxDivergenceError, match="inner step 1") as err:
         _last(_prox_loop(lambda theta: step_fn(theta)[1], state.theta_d.values,
-                         lambda theta: next(landing), ProximalConfig(lam=0.1, prox_steps=3)))
+                         _gan_steps(lambda theta: next(landing)),
+                         ProximalConfig(lam=0.1, prox_steps=3)))
     assert err.value.__cause__.op == "matmul"
 
     kl = _kl_overflow_state()

@@ -1,6 +1,8 @@
 import ast
+import functools
 import inspect
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -154,12 +156,21 @@ def _small_classic_state(seed=7):
                     init_network(g_spec, rng.child(1)), Classic())
 
 
+def _gan_steps(project):
+    """A GAN's inner-ascent operations with the projection `project`: the
+    loop's anchor projection and ``_GanOps.ascend_d``'s projected step."""
+    ops = SimpleNamespace(project_d=project)
+    ops.ascend_d = functools.partial(gapmetrics._GanOps.ascend_d, ops)
+    return ops
+
+
 def _prox_opt(state, real, latent, cfg):
     """Inner ascent anchored at the state's discriminator: (final params, penalized value)."""
     step_fn = penalized_step_fn(state, state.theta_d, state.theta_g, real, latent,
                                 cfg.lam, cfg.sobolev_h)
     theta = _last(_prox_loop(lambda theta: step_fn(theta)[1], state.theta_d.values,
-                             lambda theta: enforce_constraint(state.objective, theta), cfg))
+                             _gan_steps(lambda theta: enforce_constraint(state.objective, theta)),
+                             cfg))
     return theta, step_fn(theta)[0]
 
 
@@ -217,7 +228,8 @@ def test_prox_loop_hands_the_step_only_iterates_inside_the_clip_box():
         seen.append(theta)
         return step_fn(theta)[1]
 
-    _last(_prox_loop(recording, anchor, lambda theta: enforce_constraint(wgan, theta), cfg))
+    _last(_prox_loop(recording, anchor, _gan_steps(lambda theta: enforce_constraint(wgan, theta)),
+                     cfg))
     assert np.max(np.abs(anchor)) > 0.01
     assert len(seen) == cfg.prox_steps
     assert max(np.max(np.abs(vals)) for vals in seen) <= 0.01
@@ -244,7 +256,7 @@ def test_gan_searches_move_plain_float64_arrays(monkeypatch):
         ops = gapmetrics._ops_for(state, splits, Rng(18))
         batch = ops.draw_batch(32)
         grad_fn = ops.make_prox(ops.d0, ops.g0, batch, cfg.lam, cfg.sobolev_h)[0]
-        seen += [("prox", d) for d in _prox_loop(grad_fn, ops.d0, ops.project_d, cfg)]
+        seen += [("prox", d) for d in _prox_loop(grad_fn, ops.d0, ops, cfg)]
         seen += [("adam", g) for g in gapmetrics._adam_search(
             ops.g0, ops.grad_g_fn(ops.d0), ops.project_g, lambda: batch, 0.01, 3)]
         unilateral_deviation(state, splits, steps=3, lr=0.01, eval_every=1, rng=Rng(19))
@@ -280,10 +292,13 @@ def test_prox_loop_yields_the_projected_anchor_and_every_projected_iterate():
     cfg = replace(TOY_CFG, prox_steps=7)
     lr = gapmetrics._prox_step_size(cfg.prox_lr, cfg.lam)
     anchor = np.array([1.6])  # outside the box: the first iterate is its projection
-    iterates = list(_prox_loop(lambda d: 0.25 - d, anchor, game.clip_d, cfg))
+    ops = gapmetrics._ops_for(ToyGameState(game, anchor, [0.0]), None, None)
+    iterates = list(_prox_loop(lambda d: [0.25 - v for v in np.asarray(d).tolist()],
+                               anchor, ops, cfg))
     assert len(iterates) == cfg.prox_steps + 1
     assert _hex(iterates[0]) == _hex(game.clip_d(anchor))
     for before, after in zip(iterates, iterates[1:]):
+        before = np.asarray(before)
         assert _hex(after) == _hex(game.clip_d(before + lr * (0.25 - before)))
 
 
@@ -296,10 +311,11 @@ def test_prox_loop_names_the_diverging_inner_step_when_consumed(j):
         calls.append(d)
         if len(calls) > j:
             raise NonFiniteError("exp")
-        return -d
+        return [-v for v in np.asarray(d).tolist()]
 
     cfg = replace(TOY_CFG, prox_steps=6)
-    loop = _prox_loop(diverging, np.array([0.5]), game.clip_d, cfg)
+    ops = gapmetrics._ops_for(ToyGameState(game, [0.5], [0.0]), None, None)
+    loop = _prox_loop(diverging, np.array([0.5]), ops, cfg)
     assert calls == []  # nothing runs until the iterates are read
     seen = []
     with pytest.raises(ProxDivergenceError, match=f"inner step {j}: ") as err:
@@ -459,7 +475,7 @@ def test_toy_step_at_zero_lambda_is_the_toy_gradient():
         ops = gapmetrics._ops_for(ToyGameState(game, d0, g), None, Rng(0))
         grad_fn, value_fn = ops.make_prox(d0, g, None, 0.0, None)
         for d in (d0, d0 - 0.25, d0 + 0.5):
-            value, grad = value_fn(d), grad_fn(d)
+            value, grad = value_fn(d), np.array(grad_fn(d))
             want_value, want_grad = toy_value_and_grad(game, d, g, "d")
             assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
             assert grad.tobytes() == want_grad.tobytes(), game.name
@@ -485,6 +501,14 @@ def test_gapmetrics_holds_only_the_searches_and_estimators():
                 for name in ("make_prox_step", "make_prox_grad") if hasattr(cls, name)]
     assert inspect.isgeneratorfunction(gapmetrics._prox_loop)
     assert inspect.isgeneratorfunction(gapmetrics._adam_search)
+    # the game operations own the inner ascent's projected step: the loop
+    # takes it from them and adds or scales nothing of its own
+    assert all("ascend_d" in vars(cls) for cls in ops_classes)
+    loop = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_prox_loop")
+    assert not [node for node in ast.walk(loop) if isinstance(node, ast.BinOp)]
+    assert [node.func.attr for node in ast.walk(loop) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)] == ["project_d", "ascend_d"]
     # the toy stencil is built in two places only, and the toy penalty's
     # value and gradient each take d - anchor once, the gradient per
     # coordinate in floats
@@ -583,9 +607,12 @@ def test_toy_inner_ascent_keeps_the_former_bytes(lam):
                 assert isinstance(got_value, float)
                 assert _hex(got_value) == _hex(want_value[0]), game.name
                 assert _hex(grad(d)) == _hex(want_value[1]), game.name
-            iterates = list(_prox_loop(grad, ops.d0, game.clip_d, cfg))
+            iterates = list(_prox_loop(grad, ops.d0, ops, cfg))
             want = _reference_prox_iterates(want_step, ops.d0, game.clip_d, cfg)
             assert [_hex(d) for d in iterates] == [_hex(d) for d in want], game.name
+            # after the projected anchor, an iterate is a list of Python floats
+            assert [[type(v) for v in d] for d in iterates[1:] if type(d) is list] == \
+                [[float] * game.d_dim] * cfg.prox_steps, game.name
             configs += 1
             got = duality_gap(state, None, cfg, Rng(configs))
             with pytest.MonkeyPatch.context() as mp:  # the former step and stencil

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -11,6 +12,7 @@ from scipy.special import rel_entr
 from proxgap import oracles as oracles_module
 from proxgap.diffcore import Rng
 from proxgap.distributions import GaussianMixture, density
+from proxgap.gapmetrics import ToyGameState, _ops_for
 from proxgap.objectives import FGAN_FAMILIES
 from proxgap.oracles import (
     LABEL_NASH,
@@ -492,6 +494,26 @@ def test_grid_oracles_refuse_a_point_of_another_dimension(point, which, monkeypa
              lambda: toy_value(game, *point)]
     for call in calls:
         with pytest.raises(ValueError, match=f"^{which} has"):
+            call()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("which", ["d", "g"])
+def test_toy_configurations_refuse_a_player_that_is_not_finite(which, value, monkeypatch):
+    # refused where it enters: an estimator would otherwise fail at its
+    # first Adam step (NonFiniteError('adam')) and a grid oracle return nan
+    _refuse_grids(monkeypatch)
+    game = bilinear()
+    bad = np.array([value])
+    point = (bad, _OK_G) if which == "d" else (_OK_D, bad)
+    calls = [lambda: ToyGameState(game, *point),
+             lambda: grid_dg(game, point, GRID),
+             lambda: grid_v_lambda(game, point[0], point[1], 0.1, GRID),
+             lambda: grid_dg_lambda(game, point, 0.1, GRID),
+             lambda: classify_equilibrium(game, point, LADDER, GRID, tol=1e-6),
+             lambda: toy_value(game, *point)]
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(f"{which} must be finite, got [{value}]")):
             call()
 
 
@@ -991,9 +1013,19 @@ _CLIP_VALUES = (-0.0, 0.0, np.inf, -np.inf, np.nan, 0.5, -0.5, 1e308, -5e-324)
 def test_toy_clip_carries_ndarray_clips_bytes(box):
     game = ToyGame("clip", lambda d, g: sum(dj * gj for dj, gj in zip(d, g)), box, box)
     lo, hi = np.array(box).T
+    # the toy inner ascent's float step at rate 1 along -0.0 is its clip
+    # alone, since v + -0.0 is v: from a list of floats, or from the
+    # projected anchor's array on the first step
+    ascend_d = _ops_for(ToyGameState(game, np.zeros(len(box)), np.zeros(len(box))),
+                        None, None).ascend_d
+    still = [-0.0] * len(box)
     values = _CLIP_VALUES + tuple(lo) + tuple(hi)  # the bounds themselves too
     for combo in np.array(np.meshgrid(*[values] * len(box))).reshape(len(box), -1).T:
         want = combo.clip(lo, hi).tobytes()
         assert game.clip_d(combo).tobytes() == want
         assert game.clip_g(combo).tobytes() == want
         assert game.clip_d(list(combo)).tobytes() == want
+        for start in (combo.tolist(), combo):
+            step = ascend_d(start, 1.0, still)
+            assert [type(v) for v in step] == [float] * len(box)
+            assert np.array(step).tobytes() == want, (combo, box)

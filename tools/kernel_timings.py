@@ -15,7 +15,8 @@ learned branch nor a cache warmed on one input flatters a variant.
 
 For each shipped toy game it times one 20-step penalized inner ascent at
 lambda 0.1 (``gapmetrics._prox_loop`` along ``_ToyOps.make_prox``'s
-gradient) from K distinct configurations, and reports it per inner step.
+gradient, each step ``_ToyOps.ascend_d`` in floats) from K distinct
+configurations, and reports it per inner step.
 
 It prints one JSON line: per activation, row count and timed call, the
 median and the best of P passes over the cycle, in microseconds per call,
@@ -128,7 +129,7 @@ def toy_timings(cycle: int, passes: int) -> dict:
                     for box in (game.d_box, game.g_box))
             ops = _ops_for(ToyGameState(game, d, g), None, None)
             grad = ops.make_prox(ops.d0, ops.g0, None, TOY_CFG.lam, None)[0]
-            loops.append((grad, ops.d0, ops.project_d))
+            loops.append((grad, ops.d0, ops))
         out[game.name] = _time(lambda k: _last(_prox_loop(*loops[k], TOY_CFG)), cycle, passes,
                                units=TOY_CFG.prox_steps)
     return out
