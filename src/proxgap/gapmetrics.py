@@ -52,20 +52,21 @@ class ProxDivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class ProximalConfig:
-    """Budgets and rates for gap estimation (lam=0.1, 20 inner steps by default).
-    A refused value raises ``ValueError`` naming its field and the value."""
+    """The penalty weight, the budgets and the rates of gap estimation (lam=0.1,
+    20 inner steps by default).  The Sobolev distance's stencil step is the
+    constant ``objectives.SOBOLEV_H``.  A refused value raises ``ValueError``
+    naming its field and the value."""
 
     lam: float = 0.1
     prox_steps: int = 20
     prox_lr: float = 0.05
     worst_iters: int = 40
     worst_lr: float = 5e-3
-    sobolev_h: float = 1e-3
     batch_size: int = 128
 
     def __post_init__(self):
         for name, sign in (("lam", "nonnegative"), ("prox_lr", "positive"),
-                           ("worst_lr", "positive"), ("sobolev_h", "positive")):
+                           ("worst_lr", "positive")):
             value = getattr(self, name)
             if not np.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
@@ -163,13 +164,12 @@ class _GanOps:
 
     def grad_d_fn(self, theta_g):
         # the penalized step at lam = 0, built on each batch
-        return lambda theta_d, batch: self.make_prox(
-            theta_d, theta_g, batch, 0.0, None)[0](theta_d)
+        return lambda theta_d, batch: self.make_prox(theta_d, theta_g, batch, 0.0)[0](theta_d)
 
-    # make_prox(...) -> (gradient, value) of V - lam * dist^2(., anchor) on one
-    # batch, as functions of the discriminator
-    def make_prox(self, anchor, theta_g, batch, lam, h):
-        step_fn = penalized_step_fn(self.state, anchor, theta_g, *batch, lam, h, self.buffers)
+    # make_prox(anchor, g, batch, lam) -> (gradient, value) of V - lam *
+    # dist^2(., anchor) on one batch, as functions of the discriminator
+    def make_prox(self, anchor, theta_g, batch, lam):
+        step_fn = penalized_step_fn(self.state, anchor, theta_g, *batch, lam, buffers=self.buffers)
         # the gradient keeps the value: its finiteness check names a diverged
         # step's op; the value alone stops before the backward pass
         return ((lambda theta_d: step_fn(theta_d)[1]),
@@ -203,7 +203,7 @@ class _ToyOps:
         return lambda g, batch: np.array(partials(g))
 
     def grad_d_fn(self, g):
-        grad = self.make_prox(None, g, None, 0.0, None)[0]  # one stencil per search
+        grad = self.make_prox(None, g, None, 0.0)[0]  # one stencil per search
         return lambda d, batch: np.array(grad(d))
 
     def ascend_d(self, d, rate, grad):
@@ -218,9 +218,10 @@ class _ToyOps:
             out.append(hi if x >= hi else x)
         return out
 
-    def make_prox(self, anchor, g, batch, lam, h):
-        # the inner ascent reads the gradient alone, so it computes no value;
-        # the value is the stencil's row 0.  The gradient is a list of floats.
+    def make_prox(self, anchor, g, batch, lam):
+        # as on GANs, with the squared parameter distance as dist^2.  The inner
+        # ascent reads the gradient alone, so it computes no value; the value
+        # is the stencil's row 0.  The gradient is a list of floats.
         partials, value = toy_stencil(self.game, g, "d", self.d0.size)
         if lam <= 0:
             return partials, value
@@ -339,12 +340,12 @@ def estimate_v_gw_lambda(state, splits, cfg: ProximalConfig, rng: Rng,
     ops = _ops_for(state, splits, rng, eval_latent)
 
     def descent_dir(g, batch):
-        grad_fn = ops.make_prox(ops.d0, g, batch, cfg.lam, cfg.sobolev_h)[0]
+        grad_fn = ops.make_prox(ops.d0, g, batch, cfg.lam)[0]
         d_star = _last(_prox_loop(grad_fn, ops.d0, ops, cfg))
         return ops.grad_g_fn(d_star)(g, batch)
 
     g = _worst_case(ops, ops.g0, descent_dir, ops.project_g, cfg)
-    grad_fn, value_fn = ops.make_prox(ops.d0, g, ops.eval_batch, cfg.lam, cfg.sobolev_h)
+    grad_fn, value_fn = ops.make_prox(ops.d0, g, ops.eval_batch, cfg.lam)
     return value_fn(_last(_prox_loop(grad_fn, ops.d0, ops, cfg)))
 
 

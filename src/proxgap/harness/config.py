@@ -14,7 +14,9 @@ weight, and its variances the shape of its means.  Keys of a section the
 config does not use (``ring.*`` beside a Gaussian mixture,
 ``objective.clip`` beside a classic objective) are not read.  The
 generator's input width is ``latent.dim``; an ``ExperimentConfig`` holds it
-as ``g_spec.input_dim``.
+as ``g_spec.input_dim``.  The Sobolev stencil-step key accepts 1e-3
+alone, the constant ``objectives.SOBOLEV_H``: it stays a key so that the
+configs and checkpoint sidecars that set it still read.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from ..diffcore import NetworkSpec
 from ..diffcore.network import _ACTIVATIONS
 from ..distributions import GaussianMixture, ring_mixture
 from ..gapmetrics import ProximalConfig
-from ..objectives import FGAN_FAMILIES, Classic, FGan, ObjectiveKind, WassersteinClip
+from ..objectives import FGAN_FAMILIES, SOBOLEV_H, Classic, FGan, ObjectiveKind, WassersteinClip
 
 DEFAULTS = {
     "seed": "7",
@@ -233,13 +235,13 @@ def config_from_pairs(pairs: dict) -> ExperimentConfig:
                           f"got {interval}")
     merged["train.checkpoint_every"] = str(interval)
 
+    _read(merged, "prox.sobolev_h", rule=("must be 1e-3", SOBOLEV_H.__eq__))
     prox = ProximalConfig(
         lam=_read(merged, "prox.lambda", rule=_NONNEGATIVE),
         prox_steps=_read(merged, "prox.steps", int, _POSITIVE),
         prox_lr=_read(merged, "prox.lr", rule=_POSITIVE),
         worst_iters=_read(merged, "prox.worst_iters", int, _NONNEGATIVE),
         worst_lr=_read(merged, "prox.worst_lr", rule=_POSITIVE),
-        sobolev_h=_read(merged, "prox.sobolev_h", rule=_POSITIVE),
         batch_size=_read(merged, "prox.batch", int, _POSITIVE),
     )
 

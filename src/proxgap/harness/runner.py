@@ -184,8 +184,7 @@ def train(cfg: ExperimentConfig) -> Path:
             buffers = GanBuffers(state)
             scores, gap = score_checkpoint(state, splits, cfg, step)
             wall = (time.monotonic() - t_start) * 1000.0
-            writer.writerow([step] + [f"{x:.12g}" for x in (disc.loss, gen.loss, *scores)]
-                            + [f"{wall:.3f}"])
+            writer.writerow(_cells((step, disc.loss, gen.loss, *scores, f"{wall:.3f}")))
             fh.flush()
             ckpt = Checkpoint(cfg, state, disc.adam, gen.adam, step, train_rng.state, gap)
             checkpoints.append(str(save_checkpoint(run_dir / f"checkpoint_{step:06d}", ckpt)))
@@ -443,14 +442,8 @@ def lambda_sweep_cmd(checkpoint_path, lambdas, out_csv=None) -> Path:
     rows = lambda_sweep(ckpt.state, splits, lambdas, ckpt.cfg.prox, rng, ckpt.gap)
     out = Path(out_csv) if out_csv else Path(checkpoint_path).with_name(
         Path(checkpoint_path).stem + "_lambda_sweep.csv")
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda", "v_dw", "v_gw_lambda", "dg_lambda", "dg_plain"])
-        for lam, report in rows:
-            writer.writerow([f"{lam:.12g}", f"{report.v_dw:.12g}",
-                             f"{report.v_gw_lambda:.12g}",
-                             f"{report.dg_lambda:.12g}", f"{report.dg_plain:.12g}"])
-    return out
+    return _write_table(out, ("lambda", "v_dw", "v_gw_lambda", "dg_lambda", "dg_plain"),
+                        [(lam, r.v_dw, r.v_gw_lambda, r.dg_lambda, r.dg_plain) for lam, r in rows])
 
 
 def ratio_sweep_cmd(cfg: ExperimentConfig, ratios, out_dir) -> Path:
@@ -475,13 +468,8 @@ def ratio_sweep_cmd(cfg: ExperimentConfig, ratios, out_dir) -> Path:
             rows.append((n, last.dg_lambda, last.hist_jsd, status))
         except (NonFiniteError, ProxDivergenceError, ValueError, OSError) as err:
             rows.append((n, float("nan"), float("nan"), f"failed: {err}"))
-    out = out_dir / "ratio_sweep.csv"
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "dg_lambda", "hist_jsd", "status"])
-        for n, dg_lam, hist, status in rows:
-            writer.writerow([n, f"{dg_lam:.12g}", f"{hist:.12g}", status])
-    return out
+    return _write_table(out_dir / "ratio_sweep.csv", ("n", "dg_lambda", "hist_jsd", "status"),
+                        rows)
 
 
 def probe_cmd(checkpoint_path, kind: str, out=None, k: int = 5, steps: int = 200,
@@ -506,14 +494,23 @@ def probe_cmd(checkpoint_path, kind: str, out=None, k: int = 5, steps: int = 200
         trace = unilateral_deviation(ckpt.state, splits, steps, lr, eval_every, rng,
                                      bins=ckpt.cfg.jsd_bins)
         out = Path(out) if out else base.with_name(base.stem + "_deviation.csv")
-        with open(out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "value", "divergence"])
-            for p in trace.points:
-                writer.writerow([p.step, f"{p.value:.12g}",
-                                 "" if p.divergence is None else f"{p.divergence:.12g}"])
-        return out
+        return _write_table(out, ("step", "value", "divergence"), trace.points)
     raise ValueError(f"unknown probe kind {kind!r}; expected 'deviation' or 'spectrum'")
+
+
+def _cells(row) -> list:
+    """A CSV row's cells: a float as ``.12g``, None as an empty cell, any other
+    value as csv writes it."""
+    return ["" if x is None else f"{x:.12g}" if isinstance(x, float) else x for x in row]
+
+
+def _write_table(path: Path, header, rows) -> Path:
+    """Write a one-shot CSV table at ``path``: ``header``, then ``rows`` as ``_cells``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(map(_cells, rows))
+    return path
 
 
 # -- metrics and correlation --------------------------------------------------

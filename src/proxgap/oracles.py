@@ -31,6 +31,8 @@ from typing import Callable
 
 import numpy as np
 
+from .diffcore import NonFiniteError
+
 LABEL_NASH = "nash"
 LABEL_PROXIMAL_ONLY = "proximal_only"
 LABEL_STACKELBERG_ONLY = "stackelberg_only"
@@ -449,9 +451,19 @@ def _as_points(x) -> np.ndarray:
 _TOY_FD_H = 1e-6
 
 
+def _named_value(value, d, g):
+    """``value(d, g)``, where float arithmetic raises ZeroDivisionError or
+    OverflowError (numpy would give inf or nan), ``NonFiniteError("value")``."""
+    try:
+        return value(d, g)
+    except (ZeroDivisionError, OverflowError) as err:
+        raise NonFiniteError("value") from err
+
+
 def toy_value(game: ToyGame, d, g) -> float:
+    """V at (d, g) in float arithmetic, a raising value named as in ``_named_value``."""
     d, g = toy_point(game, (d, g))
-    return float(game.value(d.tolist(), g.tolist()))
+    return float(_named_value(game.value, d.tolist(), g.tolist()))
 
 
 def toy_coords(x) -> list:
@@ -472,7 +484,9 @@ def toy_stencil(game: ToyGame, fixed, wrt: str, n: int):
     :func:`proxgap.diffcore.network.stencil_rows` builds for networks: row 0
     and the +h rows add +0.0 to the other coordinates, the -h rows add
     -0.0, which leaves them as they are.  A gradient evaluates V on the 2n
-    shifted rows alone; only ``value`` evaluates row 0.
+    shifted rows alone; only ``value`` evaluates row 0.  Where float
+    arithmetic raises (ZeroDivisionError, OverflowError), both raise
+    ``NonFiniteError("value")``, as a non-finite network value is named.
     """
     fixed = np.asarray(fixed, dtype=np.float64).ravel().tolist()
     value = game.value
@@ -485,14 +499,17 @@ def toy_stencil(game: ToyGame, fixed, wrt: str, n: int):
         down = toy_coords(x)  # x + -0.0 is x; only copies are written
         up = [v + 0.0 for v in down]
         grad = []
-        for j in range(n):
-            v = down[j]
-            up_row, down_row = up.copy(), down.copy()
-            up_row[j], down_row[j] = v + h, v - h
-            grad.append((at(up_row, fixed) - at(down_row, fixed)) / scale)
+        try:  # one try per stencil, not per coordinate: this is the toy hot path
+            for j in range(n):
+                v = down[j]
+                up_row, down_row = up.copy(), down.copy()
+                up_row[j], down_row[j] = v + h, v - h
+                grad.append((at(up_row, fixed) - at(down_row, fixed)) / scale)
+        except (ZeroDivisionError, OverflowError) as err:
+            raise NonFiniteError("value") from err
         return grad
 
     def value_at(x):
-        return float(at([v + 0.0 for v in toy_coords(x)], fixed))
+        return float(_named_value(at, [v + 0.0 for v in toy_coords(x)], fixed))
 
     return partials, value_at

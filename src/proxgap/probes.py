@@ -160,5 +160,5 @@ def _agent_grad(state, splits, agent, rng: Rng):
     if agent == GENERATOR:
         grad_g = ops.grad_g_fn(ops.d0)
         return (lambda g: grad_g(g, batch)), ops.g0
-    grad_d = ops.make_prox(ops.d0, ops.g0, batch, 0.0, None)[0]
+    grad_d = ops.make_prox(ops.d0, ops.g0, batch, 0.0)[0]
     return (lambda d: np.asarray(grad_d(d))), ops.d0

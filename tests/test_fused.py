@@ -523,7 +523,7 @@ def test_prox_step_matches_graph_objective_minus_sobolev_graph(name, objective, 
     # evaluate away from the anchor so the penalty and its gradient are nonzero
     theta = enforce_constraint(objective,
                                state.theta_d.values + 0.01 * rng.normal(len(state.theta_d)))
-    step_fn = penalized_step_fn(state, state.theta_d, state.theta_g, real, latent, lam, h)
+    step_fn = penalized_step_fn(state, state.theta_d, state.theta_g, real, latent, lam)
     value, grad = step_fn(theta)
 
     fake = forward(state.g_spec, state.theta_g, latent)
@@ -549,7 +549,7 @@ def test_a_value_only_step_keeps_the_values_bytes_without_a_backward_pass(monkey
     state = _state(objective, "leaky_relu", seed=3 + len(name))
     rng = Rng(36)
     real, latent = rng.normal((40, 2)), rng.normal((40, 3))
-    step_fn = penalized_step_fn(state, state.theta_d, state.theta_g, real, latent, lam, 1e-3)
+    step_fn = penalized_step_fn(state, state.theta_d, state.theta_g, real, latent, lam)
     thetas = [enforce_constraint(
         objective, state.theta_d.values + 0.01 * rng.child(k).normal(len(state.theta_d)))
         for k in range(3)]
@@ -709,7 +709,7 @@ def test_overflowing_weights_raise_prox_divergence_named_by_the_graph(lam):
     with pytest.raises(NonFiniteError) as graph_err:
         grad_params(lambda t: value_graph(state, t, state.theta_g, real, latent), huge)
 
-    step_fn = penalized_step_fn(state, state.theta_d, state.theta_g, real, latent, lam, 1e-3)
+    step_fn = penalized_step_fn(state, state.theta_d, state.theta_g, real, latent, lam)
     # the first projection keeps the anchor, the second lands on the huge weights
     landing = iter([state.theta_d.values, huge.values])
     cfg = ProximalConfig(lam=lam, prox_steps=3)
@@ -722,6 +722,16 @@ def test_overflowing_weights_raise_prox_divergence_named_by_the_graph(lam):
     with pytest.raises(NonFiniteError) as err:
         step_fn(huge, backward=False)
     assert err.value.op == "matmul"
+
+
+def test_a_stencil_step_passed_to_the_penalized_step_is_refused():
+    # the step is objectives.SOBOLEV_H and buffers is keyword-only, so a stale
+    # positional step (or a None) cannot bind to the buffers
+    state = _state(Classic(), "tanh", seed=5)
+    real, latent = Rng(37).normal((8, 2)), Rng(38).normal((8, 3))
+    for step in (1e-3, None):
+        with pytest.raises(TypeError):
+            penalized_step_fn(state, state.theta_d, state.theta_g, real, latent, 0.1, step)
 
 
 def _kl_overflow_state():
@@ -745,8 +755,7 @@ def test_nonfinite_objective_value_is_named_by_the_graph():
         eval_objective(state, real, latent)
     assert err.value.op == "exp"
     for lam in (0.0, 0.1):
-        step_fn = penalized_step_fn(state, state.theta_d, state.theta_g, real, latent, lam,
-                                    1e-3)
+        step_fn = penalized_step_fn(state, state.theta_d, state.theta_g, real, latent, lam)
         for backward in (True, False):
             with pytest.raises(NonFiniteError) as err:
                 step_fn(state.theta_d, backward=backward)
@@ -833,7 +842,7 @@ def test_a_nonfinite_gradient_past_a_finite_forward_is_named_backward():
             fused(state, theta_d, theta_g, real, latent)
         assert err.value.op == "backward"
     # a value-only step stops before the backward pass, so it names nothing
-    step_fn = penalized_step_fn(state, theta_d, theta_g, real, latent, 0.0, None)
+    step_fn = penalized_step_fn(state, theta_d, theta_g, real, latent, 0.0)
     assert np.isfinite(step_fn(theta_d, backward=False)[0])
 
 
@@ -844,7 +853,7 @@ def _sobolev_overflow_case():
     state = GanState(spec, NetworkSpec(1, (), 1), ParamVector([0.0, 0.0]),
                      ParamVector([1.0, 0.0]), WassersteinClip(1e306))
     real, latent = np.linspace(-1.0, 1.0, 8)[:, None], np.linspace(0.0, 1.0, 8)[:, None]
-    step_fn = penalized_step_fn(state, state.theta_d, state.theta_g, real, latent, 0.1, 1e-3)
+    step_fn = penalized_step_fn(state, state.theta_d, state.theta_g, real, latent, 0.1)
     return state, real, latent, step_fn, ParamVector([1e305, 0.0])
 
 
@@ -916,7 +925,7 @@ def _forbid_graph_oracles(monkeypatch):
 def _fast_paths(state, real, latent, theta_d):
     """Every call that used to replay through the graph, at discriminator theta_d,
     as name -> thunk; the prox step is anchored at the state's discriminator."""
-    step_fn = penalized_step_fn(state, state.theta_d, state.theta_g, real, latent, 0.1, 1e-3)
+    step_fn = penalized_step_fn(state, state.theta_d, state.theta_g, real, latent, 0.1)
     theta_g = state.theta_g
     return {
         "forward": lambda: forward(state.d_spec, theta_d, real),
@@ -952,7 +961,7 @@ def test_fast_paths_name_failures_without_the_graph(monkeypatch):
         with pytest.raises(NonFiniteError) as err:
             call()
         assert err.value.op == "matmul", name
-    step_fn = penalized_step_fn(state, state.theta_d, state.theta_g, real, latent, 0.1, 1e-3)
+    step_fn = penalized_step_fn(state, state.theta_d, state.theta_g, real, latent, 0.1)
     landing = iter([state.theta_d.values, huge.values])
     with pytest.raises(ProxDivergenceError, match="inner step 1") as err:
         _last(_prox_loop(lambda theta: step_fn(theta)[1], state.theta_d.values,
@@ -1041,7 +1050,7 @@ def test_reused_workspace_matches_fresh_allocation_bit_for_bit(activation, objec
     state = _state(objective, activation, seed=n)
     rng = Rng(35)
     real, latent = rng.normal((n, 2)), rng.normal((n, 3))
-    step_fn = penalized_step_fn(state, state.theta_d, state.theta_g, real, latent, 0.1, 1e-3)
+    step_fn = penalized_step_fn(state, state.theta_d, state.theta_g, real, latent, 0.1)
     rows = rng.normal((3 * n, 2))
     weights = rng.normal((3 * n, 1))
     work = MlpWorkspace(state.d_spec)
@@ -1049,7 +1058,7 @@ def test_reused_workspace_matches_fresh_allocation_bit_for_bit(activation, objec
         # the step function's own workspace against a fresh step function
         value, grad = step_fn(theta)
         fresh_value, fresh_grad = penalized_step_fn(state, state.theta_d, state.theta_g,
-                                                    real, latent, 0.1, 1e-3)(theta)
+                                                    real, latent, 0.1)(theta)
         assert value == fresh_value
         np.testing.assert_array_equal(grad, fresh_grad)
         # and the kernel on a workspace against the kernel with fresh buffers
@@ -1089,7 +1098,7 @@ def test_returned_gradients_survive_later_steps():
     state = _state(Classic(), "leaky_relu", seed=12)
     rng = Rng(36)
     real, latent = rng.normal((30, 2)), rng.normal((30, 3))
-    step_fn = penalized_step_fn(state, state.theta_d, state.theta_g, real, latent, 0.1, 1e-3)
+    step_fn = penalized_step_fn(state, state.theta_d, state.theta_g, real, latent, 0.1)
     thetas = list(_thetas(state, rng, 4))
     value, grad = step_fn(thetas[0])
     kept = grad.copy()
@@ -1110,7 +1119,7 @@ def test_repeated_eval_steps_allocate_less_than_one_activation_array():
     state = GanState(d_spec, g_spec, init_network(d_spec, rng.child(0)),
                      init_network(g_spec, rng.child(1)), Classic())
     real, latent = rng.normal((500, 2)), rng.normal((500, 4))
-    step_fn = penalized_step_fn(state, state.theta_d, state.theta_g, real, latent, 0.1, 1e-3)
+    step_fn = penalized_step_fn(state, state.theta_d, state.theta_g, real, latent, 0.1)
     step_fn(state.theta_d)  # the first backward pass makes the work buffers
     tracemalloc.start()
     try:
@@ -1125,7 +1134,7 @@ def test_repeated_eval_steps_allocate_less_than_one_activation_array():
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_overflow_on_a_reused_workspace_is_named_and_leaves_it_usable():
     state, real, latent, huge = _overflow_setup()
-    step_fn = penalized_step_fn(state, state.theta_d, state.theta_g, real, latent, 0.1, 1e-3)
+    step_fn = penalized_step_fn(state, state.theta_d, state.theta_g, real, latent, 0.1)
     value, grad = step_fn(state.theta_d)
     with pytest.raises(NonFiniteError) as err:
         step_fn(huge)

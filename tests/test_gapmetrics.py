@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from proxgap import gapmetrics, objectives, probes
 from proxgap.diffcore import (
@@ -166,8 +166,7 @@ def _gan_steps(project):
 
 def _prox_opt(state, real, latent, cfg):
     """Inner ascent anchored at the state's discriminator: (final params, penalized value)."""
-    step_fn = penalized_step_fn(state, state.theta_d, state.theta_g, real, latent,
-                                cfg.lam, cfg.sobolev_h)
+    step_fn = penalized_step_fn(state, state.theta_d, state.theta_g, real, latent, cfg.lam)
     theta = _last(_prox_loop(lambda theta: step_fn(theta)[1], state.theta_d.values,
                              _gan_steps(lambda theta: enforce_constraint(state.objective, theta)),
                              cfg))
@@ -220,8 +219,7 @@ def test_prox_loop_hands_the_step_only_iterates_inside_the_clip_box():
                      init_network(g_spec, rng.child(1)), wgan)
     real, latent = rng.normal((32, 2)), rng.normal((32, 2))
     cfg = ProximalConfig(lam=0.1, prox_steps=25, prox_lr=0.5)
-    step_fn = penalized_step_fn(state, anchor, state.theta_g, real, latent,
-                                cfg.lam, cfg.sobolev_h)
+    step_fn = penalized_step_fn(state, anchor, state.theta_g, real, latent, cfg.lam)
     seen = []
 
     def recording(theta):
@@ -255,7 +253,7 @@ def test_gan_searches_move_plain_float64_arrays(monkeypatch):
     for state in _classic_and_clipped_states():
         ops = gapmetrics._ops_for(state, splits, Rng(18))
         batch = ops.draw_batch(32)
-        grad_fn = ops.make_prox(ops.d0, ops.g0, batch, cfg.lam, cfg.sobolev_h)[0]
+        grad_fn = ops.make_prox(ops.d0, ops.g0, batch, cfg.lam)[0]
         seen += [("prox", d) for d in _prox_loop(grad_fn, ops.d0, ops, cfg)]
         seen += [("adam", g) for g in gapmetrics._adam_search(
             ops.g0, ops.grad_g_fn(ops.d0), ops.project_g, lambda: batch, 0.01, 3)]
@@ -325,6 +323,25 @@ def test_prox_loop_names_the_diverging_inner_step_when_consumed(j):
     assert err.value.__cause__.op == "exp"
 
 
+def test_a_toy_value_that_raises_is_named_value():
+    # Python floats raise where numpy gives inf or nan; the estimators name the
+    # value as they name a network's op, and the inner ascent names its step
+    singular = ToyGame("singular", lambda d, g: d[0] * g[0] / (d[0] + g[0]),
+                       ((-1.0, 1.0),), ((-1.0, 1.0),))
+    cfg = ProximalConfig(worst_iters=40, batch_size=1)
+    with pytest.raises(NonFiniteError) as err:
+        duality_gap(ToyGameState(singular, [0.5], [-0.5]), None, cfg, Rng(1))
+    assert err.value.op == "value" and isinstance(err.value.__cause__, ZeroDivisionError)
+    pole = 0.5 + 1e-6  # the stencil's +h row at d = 0.5
+    at_pole = ToyGame("pole", lambda d, g: 1.0 / (d[0] - pole) + d[0] * g[0],
+                      ((-1.0, 1.0),), ((-1.0, 1.0),))
+    with pytest.raises(ProxDivergenceError, match="inner step 0: ") as err:
+        estimate_v_gw_lambda(ToyGameState(at_pole, [0.5], [0.2]), None, cfg, Rng(1))
+    assert isinstance(err.value.__cause__, NonFiniteError)
+    assert err.value.__cause__.op == "value"
+    assert isinstance(err.value.__cause__.__cause__, ZeroDivisionError)
+
+
 def _classic_and_clipped_states():
     wgan = WassersteinClip(0.01)
     rng = Rng(31)
@@ -345,8 +362,8 @@ def test_gan_make_prox_gives_the_penalized_steps_bytes(lam):
         g = state.theta_g.values + 0.1
         moved = ops.project_d(state.theta_d.values * 1.5 + 0.003)
         for batch in (ops.eval_batch, ops.draw_batch(32)):
-            grad_fn, value_fn = ops.make_prox(state.theta_d, g, batch, lam, 1e-3)
-            step_fn = penalized_step_fn(state, state.theta_d, g, *batch, lam, 1e-3)
+            grad_fn, value_fn = ops.make_prox(state.theta_d, g, batch, lam)
+            step_fn = penalized_step_fn(state, state.theta_d, g, *batch, lam)
             for theta in (state.theta_d, moved):
                 value, grad = step_fn(theta)
                 assert _hex(value_fn(theta)) == _hex(value), state.objective
@@ -364,9 +381,9 @@ def test_v_gw_lambda_builds_each_penalized_step_once(monkeypatch):
     on_eval = []
     build = gapmetrics.penalized_step_fn
 
-    def counting(state, anchor, theta_g, real, latent, lam, h, buffers=None):
+    def counting(state, anchor, theta_g, real, latent, lam, *, buffers=None):
         on_eval.append(real is splits.s_c)
-        return build(state, anchor, theta_g, real, latent, lam, h, buffers)
+        return build(state, anchor, theta_g, real, latent, lam, buffers=buffers)
 
     monkeypatch.setattr(gapmetrics, "penalized_step_fn", counting)
     assert _hex(estimate_v_gw_lambda(state, splits, cfg, Rng(35))) == _hex(want)
@@ -473,7 +490,7 @@ def test_toy_step_at_zero_lambda_is_the_toy_gradient():
         d0 = np.array([rng.uniform(lo, hi) for lo, hi in game.d_box])
         g = np.array([rng.uniform(lo, hi) for lo, hi in game.g_box])
         ops = gapmetrics._ops_for(ToyGameState(game, d0, g), None, Rng(0))
-        grad_fn, value_fn = ops.make_prox(d0, g, None, 0.0, None)
+        grad_fn, value_fn = ops.make_prox(d0, g, None, 0.0)
         for d in (d0, d0 - 0.25, d0 + 0.5):
             value, grad = value_fn(d), np.array(grad_fn(d))
             want_value, want_grad = toy_value_and_grad(game, d, g, "d")
@@ -600,7 +617,7 @@ def test_toy_inner_ascent_keeps_the_former_bytes(lam):
             assert [_hex(v) for v in search_grads] == [
                 _hex(stacked_toy_value_and_grad(game, state.d, state.g, wrt)[1])
                 for wrt in "dg"], game.name
-            grad, value = ops.make_prox(ops.d0, ops.g0, None, lam, None)
+            grad, value = ops.make_prox(ops.d0, ops.g0, None, lam)
             want_step = _reference_toy_step(game, ops.d0, ops.g0, lam)
             for d in (game.clip_d(ops.d0), ops.d0, ops.d0 - 0.3, ops.d0 + 0.7):
                 got_value, want_value = value(d), want_step(d)
@@ -623,7 +640,7 @@ def test_toy_inner_ascent_keeps_the_former_bytes(lam):
                            lambda ops, g: lambda d, batch:
                            stacked_toy_value_and_grad(ops.game, d, g, "d")[1])
                 mp.setattr(gapmetrics._ToyOps, "make_prox",
-                           lambda ops, anchor, g, batch, lam, h: (
+                           lambda ops, anchor, g, batch, lam: (
                                lambda d: _reference_toy_step(ops.game, anchor, g, lam)(d)[1],
                                lambda d: _reference_toy_step(ops.game, anchor, g, lam)(d)[0]))
                 want = duality_gap(state, None, cfg, Rng(configs))
@@ -917,11 +934,11 @@ def test_a_known_report_gives_the_rows_of_a_recomputation():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("prox_lr", 0.1), ("worst_lr", 0.05), ("sobolev_h", 1e-2), ("batch_size", 16),
+    ("prox_lr", 0.1), ("worst_lr", 0.05), ("batch_size", 16),
 ])
 def test_a_known_report_of_another_budget_is_refused(field, value):
     # a report's identity is its whole config but lam, and its stream: one
-    # estimated under another rate, stencil step or batch is not reused
+    # estimated under another rate or batch is not reused
     toy = ToyGameState(bilinear(), np.array([0.4]), np.array([-0.3]))
     gan, splits, gan_cfg = _small_gan_setup()
     for state, data, cfg in ((toy, None, replace(TOY_CFG, worst_iters=20)), (gan, splits, gan_cfg)):
@@ -1010,9 +1027,10 @@ def test_config_validation():
                                   ("batch_size", 0, "batch_size must be at least 1, got 0"),
                                   ("lam", -0.1, "lam must be nonnegative, got -0.1"),
                                   ("prox_lr", 0.0, "prox_lr must be positive, got 0.0"),
-                                  ("worst_lr", -1.0, "worst_lr must be positive, got -1.0"),
-                                  ("sobolev_h", 0.0, "sobolev_h must be positive, got 0.0"),
-                                  ("sobolev_h", np.inf, "sobolev_h must be finite, got inf")):
+                                  ("worst_lr", -1.0, "worst_lr must be positive, got -1.0")):
         with pytest.raises(ValueError) as info:
             ProximalConfig(**{field: value})
         assert str(info.value) == message
+    # the penalty weight, the budgets and the rates; the stencil step is a constant
+    assert [f.name for f in fields(ProximalConfig)] == [
+        "lam", "prox_steps", "prox_lr", "worst_iters", "worst_lr", "batch_size"]

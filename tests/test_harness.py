@@ -128,7 +128,7 @@ def test_config_rejects_nonfinite_and_out_of_range_floats(text, key):
         config_from_text(text)
 
 
-@pytest.mark.parametrize("field", ["lam", "prox_lr", "worst_lr", "sobolev_h"])
+@pytest.mark.parametrize("field", ["lam", "prox_lr", "worst_lr"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_proximal_config_rejects_nonfinite_values(field, value):
     with pytest.raises(ValueError, match="finite"):
@@ -144,6 +144,15 @@ def test_config_ring_distribution():
 def test_latent_dim_is_the_generators_input_width():
     cfg = config_from_text("latent.dim = 3")
     assert cfg.g_spec.input_dim == 3 and cfg.pairs["latent.dim"] == "3"
+
+
+@pytest.mark.parametrize("text", ["1e-3", "0.001", "1.0e-3"])
+def test_the_stencil_step_key_reads_its_one_value_in_any_spelling(text):
+    # the key is kept for the configs and sidecars that set it, its text as written
+    cfg = config_from_text(f"prox.sobolev_h = {text}")
+    assert cfg.pairs["prox.sobolev_h"] == text
+    assert cfg.prox == config_from_text("").prox == ProximalConfig(
+        lam=0.1, prox_steps=20, prox_lr=0.05, worst_iters=40, worst_lr=5e-3, batch_size=128)
 
 
 @pytest.mark.parametrize("text,message", [
@@ -167,6 +176,7 @@ def test_latent_dim_is_the_generators_input_width():
     ("distribution.variances = 1 1", "distribution.variances must have the shape of "
      "distribution.means, 2 rows of 2, got 1 1"),
     ("distribution.kind =", "distribution.kind must be one of gmm, ring, got an empty value"),
+    ("prox.sobolev_h = 1e-2", "prox.sobolev_h must be 1e-3, got 1e-2"),
 ])
 def test_a_bad_value_is_refused_by_its_key_before_the_run_directory_is_made(tmp_path, capsys,
                                                                             text, message):
@@ -338,8 +348,8 @@ def _record_kernel_buffers(monkeypatch):
 
     build, grad_g = objectives.penalized_step_fn, objectives.value_and_grad_g
 
-    def building_step(*args):
-        step, me = owned_by(build)(*args)
+    def building_step(*args, **kwargs):
+        step, me = owned_by(build)(*args, **kwargs)
 
         def calling(*call_args, **kwargs):
             outer, owner[0] = owner[0], me

@@ -10,7 +10,7 @@ import pytest
 from scipy.special import rel_entr
 
 from proxgap import oracles as oracles_module
-from proxgap.diffcore import Rng
+from proxgap.diffcore import NonFiniteError, Rng
 from proxgap.distributions import GaussianMixture, density
 from proxgap.gapmetrics import ToyGameState, _ops_for
 from proxgap.objectives import FGAN_FAMILIES
@@ -32,6 +32,7 @@ from proxgap.oracles import (
     numeric_jsd,
     saddle_shift,
     shipped_games,
+    toy_stencil,
     toy_value,
     wasserstein1_1d,
     _TOY_FD_H,
@@ -979,6 +980,23 @@ def test_toy_stencil_of_a_value_that_ignores_the_argument_is_zero():
     value, grad = toy_value_and_grad(game, np.array([0.1, 0.2, 0.3]), np.array([0.5, -0.5]), "d")
     assert value == pytest.approx(0.5)
     assert np.array_equal(grad, np.zeros(3))
+
+
+def test_a_toy_value_that_raises_in_floats_is_named_value():
+    # Python floats raise where numpy gives inf or nan: toy_value, the
+    # stencil's value and its partials in either player name the op "value"
+    p = 0.5 + _TOY_FD_H  # the +h row at d = 0.5
+    pole = ToyGame("pole", lambda d, g: 1.0 / (d[0] - p) + g[0], ((-1.0, 1.0),), ((-1.0, 1.0),))
+    huge = ToyGame("huge", lambda d, g: (d[0] * 1e300) ** 2 + g[0],
+                   ((-1.0, 1.0),), ((-1.0, 1.0),))
+    for game, fault in ((pole, ZeroDivisionError), (huge, OverflowError)):
+        for call in (lambda: toy_value(game, [p], [0.0]),
+                     lambda: toy_stencil(game, [0.0], "d", 1)[1]([p]),
+                     lambda: toy_stencil(game, [0.0], "d", 1)[0]([0.5]),
+                     lambda: toy_stencil(game, [p], "g", 1)[0]([0.0])):
+            with pytest.raises(NonFiniteError) as err:
+                call()
+            assert err.value.op == "value" and isinstance(err.value.__cause__, fault)
 
 
 # coordinates for the byte pin: signed zeros, and +-h, whose stencil rows

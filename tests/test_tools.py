@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -34,6 +35,16 @@ def test_src_lines_total_is_the_sum_of_its_modules():
     assert "proxgap/harness/cli.py" in loaded and "proxgap/diffcore/network.py" in loaded
     assert set(loaded) < set(counts) and "proxgap/diffcore/engine.py" not in loaded
     assert runtime == sum(counts[name] for name in loaded) < total
+
+
+def test_src_lines_leaves_no_bytecode_in_the_tree_it_counts(tmp_path):
+    # its import of the command-line interface writes no __pycache__ into
+    # the checkout it counts, which may be one about to be timed
+    shutil.copytree(ROOT / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    counts = json.loads(_run("src_lines.py", str(tmp_path)))
+    assert 0 < counts["runtime"] < counts["total"]
+    assert not list((tmp_path / "src").rglob("__pycache__"))
 
 
 def test_the_workflow_runs_the_roadmaps_tier1_command():

@@ -128,7 +128,7 @@ def toy_timings(cycle: int, passes: int) -> dict:
             d, g = ([rng.child(k, axis).uniform(lo, hi, ()) for axis, (lo, hi) in enumerate(box)]
                     for box in (game.d_box, game.g_box))
             ops = _ops_for(ToyGameState(game, d, g), None, None)
-            grad = ops.make_prox(ops.d0, ops.g0, None, TOY_CFG.lam, None)[0]
+            grad = ops.make_prox(ops.d0, ops.g0, None, TOY_CFG.lam)[0]
             loops.append((grad, ops.d0, ops))
         out[game.name] = _time(lambda k: _last(_prox_loop(*loops[k], TOY_CFG)), cycle, passes,
                                units=TOY_CFG.prox_steps)

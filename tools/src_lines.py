@@ -6,11 +6,11 @@
 It prints one JSON object mapping each module's path (relative to
 ``ROOT/src``) to its code lines, with their sum under ``"total"``, the sum
 over the modules that a fresh ``import proxgap.harness.cli`` loads (found by
-importing it in a subprocess) under ``"runtime"``, and the physical line
-count under ``"physical"``.  A code line holds a token other
-than a comment, a line break or indentation, and is not part of a docstring
-(the string that opens a module, class or function body).  ``ROOT`` defaults
-to the checkout this script lives in.
+importing it in a subprocess that writes no ``__pycache__``) under
+``"runtime"``, and the physical line count under ``"physical"``.  A code
+line holds a token other than a comment, a line break or indentation, and is
+not part of a docstring (the string that opens a module, class or function
+body).  ``ROOT`` defaults to the checkout this script lives in.
 """
 
 import argparse
@@ -68,8 +68,9 @@ def runtime_modules(src: Path) -> list:
             "print('\\n'.join(m.__file__ for m in list(sys.modules.values())\n"
             "                 if getattr(m, '__file__', None)))\n")
     src = src.resolve()
-    done = subprocess.run([sys.executable, "-I", "-c", code, str(src)], capture_output=True,
-                          text=True, check=True)
+    # -B: the import writes no __pycache__ into the checkout it counts
+    done = subprocess.run([sys.executable, "-I", "-B", "-c", code, str(src)],
+                          capture_output=True, text=True, check=True)
     files = (Path(line).resolve() for line in done.stdout.splitlines())
     return sorted(path.relative_to(src).as_posix() for path in files
                   if path.is_relative_to(src))
