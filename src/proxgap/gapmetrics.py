@@ -177,10 +177,13 @@ class _GanOps:
 
 
 class _ToyOps:
-    """A toy game's operations.  The Adam searches move float64 arrays, as on
-    GANs; the penalized inner ascent moves a list of floats, one per d
-    coordinate, through its gradient (``make_prox``) and its projected step
-    (``ascend_d``), after its first iterate, the projected anchor array."""
+    """A toy game's operations, in Python floats: every search moves a list
+    of floats, one per coordinate, after its start.  The projections
+    (``project_d``, ``project_g``) and the inner ascent's projected step
+    (``ascend_d``) share one clip, ``_clip``; the gradients (``grad_g_fn``,
+    ``grad_d_fn`` and ``make_prox``'s) are the stencil's lists of floats, and
+    ``adam_step`` takes a list gradient per coordinate.  ``d0`` and ``g0``
+    stay float64 arrays, as a state's players are."""
 
     def __init__(self, state: ToyGameState):
         self.game = state.game
@@ -188,9 +191,14 @@ class _ToyOps:
         self.eval_batch = None
         self.d0 = state.d.copy()
         self.g0 = state.g.copy()
-        self.project_d = state.game.clip_d
-        self.project_g = state.game.clip_g
-        self.d_box = np.array(state.game.d_box, dtype=np.float64).tolist()
+        self.d_box, self.g_box = (np.array(box, dtype=np.float64).tolist()
+                                  for box in (state.game.d_box, state.game.g_box))
+
+    def project_d(self, d):
+        return [_clip(x, lo, hi) for x, (lo, hi) in zip(toy_coords(d), self.d_box)]
+
+    def project_g(self, g):
+        return [_clip(x, lo, hi) for x, (lo, hi) in zip(toy_coords(g), self.g_box)]
 
     def draw_batch(self, size):
         return None
@@ -200,23 +208,16 @@ class _ToyOps:
 
     def grad_g_fn(self, d):
         partials = toy_stencil(self.game, d, "g", self.g0.size)[0]
-        return lambda g, batch: np.array(partials(g))
+        return lambda g, batch: partials(g)
 
     def grad_d_fn(self, g):
         grad = self.make_prox(None, g, None, 0.0)[0]  # one stencil per search
-        return lambda d, batch: np.array(grad(d))
+        return lambda d, batch: grad(d)
 
     def ascend_d(self, d, rate, grad):
-        """d + rate * grad clipped to the d box, per coordinate in floats, with
-        the bytes of ``ToyGame.clip_d``: a tie gives the bound, as numpy's
-        maximum and minimum give their second operand (Python's max and min
-        give their first, so max(-0.0, 0.0) is -0.0), and a nan stays nan."""
-        out = []
-        for v, s, (lo, hi) in zip(toy_coords(d), grad, self.d_box):
-            x = v + rate * s
-            x = lo if x <= lo else x
-            out.append(hi if x >= hi else x)
-        return out
+        """d + rate * grad clipped to the d box, per coordinate in floats."""
+        return [_clip(v + rate * s, lo, hi)
+                for v, s, (lo, hi) in zip(toy_coords(d), grad, self.d_box)]
 
     def make_prox(self, anchor, g, batch, lam):
         # as on GANs, with the squared parameter distance as dist^2.  The inner
@@ -238,6 +239,15 @@ class _ToyOps:
                     in zip(partials(d), toy_coords(d), anchor_coords)]
 
         return penalized_grad, penalized_value
+
+
+def _clip(x: float, lo: float, hi: float) -> float:
+    """The toy coordinate x clipped to [lo, hi] in floats, with the bytes of
+    ``ToyGame.clip_d`` and ``clip_g``: a tie gives the bound, as numpy's
+    maximum and minimum give their second operand (Python's max and min give
+    their first, so max(-0.0, 0.0) is -0.0), and a nan stays nan."""
+    x = lo if x <= lo else x
+    return hi if x >= hi else x
 
 
 def _eval_latent(state, splits, rng: Rng):
@@ -269,7 +279,7 @@ def _prox_loop(grad_fn, anchor, ops, cfg: ProximalConfig):
     projected anchor (``ops.project_d``), then each of `prox_steps` projected
     ascent iterates, ``ops.ascend_d`` along `grad_fn`, the penalized
     objective's gradient.  A GAN iterate is an array of the anchor's length;
-    a toy iterate after the projected anchor is a list of floats."""
+    a toy iterate, the projected anchor too, is a list of floats."""
     theta = ops.project_d(anchor)
     lr = _prox_step_size(cfg.prox_lr, cfg.lam)
     yield theta
@@ -284,9 +294,12 @@ def _prox_loop(grad_fn, anchor, ops, cfg: ProximalConfig):
 
 
 def _adam_search(start, descent_dir, project, draw_batch, lr: float, iters: int):
-    """The one Adam search from the array `start`: yields it, then each of
-    `iters` projected Adam iterates, fresh arrays, each step along
-    `descent_dir(params, draw_batch())`."""
+    """The one Adam search, for GANs and toys, from `start`: yields it, then
+    each of `iters` projected Adam iterates, each step along
+    `descent_dir(params, draw_batch())`.  A GAN's direction is an array and
+    its iterates fresh arrays; a toy's direction is a list of floats, so
+    ``adam_step`` runs per coordinate and every iterate after the start is a
+    list of floats, whether the start is an array or a list."""
     params = start
     adam = adam_init(len(start), lr)
     yield params
@@ -323,7 +336,13 @@ def estimate_v_dw(state, splits, cfg: ProximalConfig, rng: Rng, eval_latent=None
     ops = _ops_for(state, splits, rng, eval_latent)
     start = ops.project_d(ops.d0)
     grad_d = ops.grad_d_fn(ops.g0)
-    d = _worst_case(ops, start, lambda d, batch: -grad_d(d, batch), ops.project_d, cfg)
+
+    def descent_dir(d, batch):
+        # a toy's gradient is a list of floats, negated per coordinate
+        grad = grad_d(d, batch)
+        return [-s for s in grad] if type(grad) is list else -grad
+
+    d = _worst_case(ops, start, descent_dir, ops.project_d, cfg)
     return max(ops.eval_value(d, ops.g0), ops.eval_value(start, ops.g0))
 
 

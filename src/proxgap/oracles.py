@@ -81,7 +81,8 @@ class ToyGame:
         return len(self.g_box)
 
     # minimum(maximum(...)) is ndarray.clip on a configuration vector, bit for
-    # bit, without clip's Python-level argument handling
+    # bit, without clip's Python-level argument handling; the estimators'
+    # toy searches clip in floats with these bytes (gapmetrics._clip)
     def clip_d(self, d):
         lo, hi = self._d_bounds
         return np.minimum(np.maximum(d, lo), hi)
@@ -476,10 +477,10 @@ def toy_stencil(game: ToyGame, fixed, wrt: str, n: int):
     """``(partials, value)`` of V in the ``n``-vector player ``wrt`` ("d" or
     "g") against the ``fixed`` other player: ``partials(x)`` is the
     central-difference gradient at x, a list of n floats, and ``value(x)``
-    is V at x, a float.  ``x`` is a list of n floats, as the toy inner
-    ascent's iterates are, or a float64 vector.
+    is V at x, a float.  ``x`` and ``fixed`` are lists of floats, as the
+    toy searches' iterates are, or float64 vectors, read by ``toy_coords``.
 
-    Both run in float arithmetic on ``toy_coords(x)`` and keep the bytes of
+    Both run in float arithmetic and keep the bytes of
     the stacked stencil ``x + offsets`` (rows 0, +h e_j, -h e_j) that
     :func:`proxgap.diffcore.network.stencil_rows` builds for networks: row 0
     and the +h rows add +0.0 to the other coordinates, the -h rows add
@@ -488,7 +489,7 @@ def toy_stencil(game: ToyGame, fixed, wrt: str, n: int):
     arithmetic raises (ZeroDivisionError, OverflowError), both raise
     ``NonFiniteError("value")``, as a non-finite network value is named.
     """
-    fixed = np.asarray(fixed, dtype=np.float64).ravel().tolist()
+    fixed = toy_coords(fixed)
     value = game.value
     # at(row, fixed): V with the stencil's row as the ``wrt`` player
     at = value if wrt == "d" else (lambda row, fixed: value(fixed, row))

@@ -15,10 +15,12 @@ from proxgap.diffcore import (
     input_grad_batch,
     top_k_eigenvalues,
 )
-from proxgap.diffcore import optim
+from proxgap.diffcore import NonFiniteError, optim
 from proxgap.diffcore.engine import grad_params
 from proxgap.diffcore.network import ParamVector, forward_graph
+from proxgap.gapmetrics import ToyGameState, _ops_for
 from proxgap.objectives import GanState, WassersteinClip, enforce_constraint
+from proxgap.oracles import ToyGame
 
 
 # -- NetworkSpec / init ------------------------------------------------
@@ -260,26 +262,83 @@ def _textbook_adam(theta, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     return theta, m, v
 
 
-@pytest.mark.parametrize("kind", ["array", "read_only"])
+@pytest.mark.parametrize("kind", ["array", "read_only", "list"])
 def test_adam_step_carries_the_textbook_formulas_bytes(kind, monkeypatch):
     gen = np.random.default_rng(7)
     theta0 = gen.normal(0.0, 1.0, 5)
     grads = gen.normal(0.0, 1.0, (200, 5)) * 10.0 ** gen.integers(-6, 4, (200, 5))
-    # a search starts from a state's read-only values, which no step writes
-    params = ParamVector(theta0).values if kind == "read_only" else theta0.copy()
+    # a search starts from a state's read-only values, which no step writes;
+    # a toy search's iterates and gradients are lists of floats
+    params = {"array": theta0.copy, "read_only": lambda: ParamVector(theta0).values,
+              "list": theta0.tolist}[kind]()
     start = params
     state = adam_init(5, lr=0.01, beta1=0.8, beta2=0.99)
     checks = []
     monkeypatch.setattr(AdamState, "__post_init__", lambda self: checks.append(self))
     for grad in grads:
-        params, state = adam_step(params, grad, state)
-        assert type(params) is np.ndarray and params.flags.writeable
-    assert start.tobytes() == theta0.tobytes()
+        if kind == "list":
+            params, state = adam_step(params, grad.tolist(), state)
+            assert [type(x) for x in params + state.m + state.v] == [float] * 15
+        else:
+            params, state = adam_step(params, grad, state)
+            assert type(params) is np.ndarray and params.flags.writeable
+    assert np.asarray(start).tobytes() == theta0.tobytes()
     want, m, v = _textbook_adam(theta0, grads, 0.01, 0.8, 0.99)
-    assert params.tobytes() == want.tobytes()
-    assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
+    assert np.asarray(params).tobytes() == want.tobytes()
+    assert np.asarray(state.m).tobytes() == m.tobytes()
+    assert np.asarray(state.v).tobytes() == v.tobytes()
     assert (state.t, state.lr, state.beta1, state.beta2, optim.EPS) == (200, 0.01, 0.8, 0.99, 1e-8)
     assert checks == []  # a state adam_step derives is not checked again
+
+
+def test_adam_step_on_floats_gives_the_array_paths_bytes_step_by_step():
+    # a toy search's step, adam_step per coordinate and the float clip, against
+    # the array step and ToyGame.clip_d on the equal float64 arrays, over 1000
+    # sequences: zero and signed-zero gradients and starts, gradients from
+    # 1e-9 to 1e6, steps that land on a box bound
+    gen = np.random.default_rng(31)
+    boxes = ((-1.0, 1.0), (0.0, 0.5), (-2.0, -0.0), (-0.25, 3.0))
+    pool = (0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 3.0)
+    landed = zero_grads = 0
+    for seq in range(1000):
+        dim = int(gen.integers(1, 4))
+        box = tuple(boxes[i] for i in gen.integers(0, len(boxes), dim))
+        game = ToyGame("adam", lambda d, g: d[0] * g[0], box, box)
+        project = _ops_for(ToyGameState(game, np.zeros(dim), np.zeros(dim)), None, None).project_d
+        lr = float(gen.choice([1e-3, 0.05, 0.5, 2.0]))
+        betas = [(0.9, 0.999), (0.8, 0.99), (0.0, 0.5)][seq % 3]
+        start = np.array([pool[i] if gen.random() < 0.5 else gen.uniform(-3.0, 3.0)
+                          for i in gen.integers(0, len(pool), dim)])
+        # a search starts from an array or from a list, and adam_init's zeros
+        arrays, floats = start, (start if seq % 2 else start.tolist())
+        state_a = state_f = adam_init(dim, lr, *betas)
+        for _ in range(int(gen.integers(1, 13))):
+            grad = (gen.normal(0.0, 1.0, dim) * 10.0 ** gen.integers(-9, 7, dim)).tolist()
+            for j in np.flatnonzero(gen.random(dim) < 0.2):
+                grad[j] = float(gen.choice([0.0, -0.0]))
+            zero_grads += grad.count(0.0)
+            arrays, state_a = adam_step(arrays, np.array(grad), state_a)
+            floats, state_f = adam_step(floats, grad, state_f)
+            assert [type(x) for x in floats + state_f.m + state_f.v] == [float] * (3 * dim)
+            assert np.array(floats).tobytes() == arrays.tobytes(), seq
+            assert np.array(state_f.m).tobytes() == state_a.m.tobytes(), seq
+            assert np.array(state_f.v).tobytes() == state_a.v.tobytes(), seq
+            arrays, floats = game.clip_d(arrays), project(floats)
+            assert np.array(floats).tobytes() == arrays.tobytes(), seq
+            landed += sum(x in (lo, hi) for x, (lo, hi) in zip(floats, box))
+    assert landed > 1000 and zero_grads > 1000
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, 1e200, -1e200, np.inf])
+@pytest.mark.parametrize("path", ["array", "list"])
+def test_adam_step_names_a_gradient_whose_square_is_not_finite(path, bad):
+    grad = [0.5, bad, -0.0]
+    state = adam_init(3, lr=0.1)
+    params, grad = (np.zeros(3), np.array(grad)) if path == "array" else ([0.0] * 3, grad)
+    with pytest.raises(NonFiniteError) as err:
+        adam_step(params, grad, state)
+    assert err.value.op == "adam"
 
 
 @pytest.mark.parametrize("fields, match", [

@@ -18,6 +18,7 @@ from proxgap.diffcore import (
     init_network,
     input_grad_batch,
 )
+from proxgap.diffcore import optim
 from proxgap.diffcore.engine import Tensor
 from proxgap.diffcore.network import input_grad_columns
 from proxgap.distributions import GaussianMixture, make_splits
@@ -267,6 +268,51 @@ def test_gan_searches_move_plain_float64_arrays(monkeypatch):
                 assert type(params) is np.ndarray and params.dtype == np.float64, kind
                 assert params.shape == (size,), kind
         seen.clear()
+
+
+def test_toy_searches_move_lists_of_floats_and_build_no_array(monkeypatch):
+    # after its start, every iterate of the estimators' and the deviation
+    # probe's toy searches is a list of Python floats, as the inner ascent's
+    # is: no step clips with ToyGame.clip_d or clip_g or takes adam_step's
+    # array path
+    def refuse(game, x):
+        raise AssertionError(f"a toy search clipped the array {x!r}")
+
+    monkeypatch.setattr(ToyGame, "clip_d", refuse)
+    monkeypatch.setattr(ToyGame, "clip_g", refuse)
+    update, updates = optim._update, []
+
+    def floats_only(param, *args):
+        updates.append(type(param))
+        return update(param, *args)
+
+    monkeypatch.setattr(optim, "_update", floats_only)
+    searches = []
+    adam_search = gapmetrics._adam_search
+
+    def recording(*args):
+        searches.append([])
+        for params in adam_search(*args):
+            searches[-1].append(params)
+            yield params
+
+    monkeypatch.setattr(gapmetrics, "_adam_search", recording)
+    monkeypatch.setattr(probes, "_adam_search", recording)
+    cfg = replace(TOY_CFG, prox_steps=3, worst_iters=5)
+    for game in _pin_games():
+        state = ToyGameState(game, [0.3] * game.d_dim, [-0.2] * game.g_dim)
+        duality_gap(state, None, cfg, Rng(4))
+        unilateral_deviation(state, None, steps=4, lr=0.1, eval_every=1, rng=Rng(5))
+        # v_dw, v_gw_lambda, v_gw_plain, then the deviation probe
+        for (kind, size, count), iterates in zip(
+                (("v_dw", game.d_dim, 6), ("v_gw_lambda", game.g_dim, 6),
+                 ("v_gw_plain", game.g_dim, 6), ("deviation", game.g_dim, 5)), searches,
+                strict=True):
+            assert len(iterates) == count, (game.name, kind)
+            assert [[type(v) for v in params] for params in iterates[1:]] == \
+                [[float] * size] * (count - 1), (game.name, kind)
+        searches.clear()
+    assert updates and set(updates) == {float}
 
 
 def test_adam_search_yields_the_start_and_every_projected_iterate():
@@ -537,6 +583,12 @@ def test_gapmetrics_holds_only_the_searches_and_estimators():
                           if isinstance(node, ast.Call)
                           and getattr(node.func, "id", None) == "toy_stencil"]
     assert stencil_calls == ["_ToyOps.grad_g_fn", "_ToyOps.make_prox"]
+    # and one float clip, shared by the toy projections and the inner step
+    toy_ops = next(node for node in tree.body
+                   if isinstance(node, ast.ClassDef) and node.name == "_ToyOps")
+    assert sorted(method.name for method in toy_ops.body for node in ast.walk(method)
+                  if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_clip") \
+        == ["ascend_d", "project_d", "project_g"]
     anchor_diffs = [node for node in ast.walk(tree) if isinstance(node, ast.BinOp)
                     and isinstance(node.op, ast.Sub) and isinstance(node.right, ast.Name)
                     and node.right.id in ("anchor", "anchor_j")]

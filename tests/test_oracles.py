@@ -182,10 +182,14 @@ def test_classify_concave_origin_stable_across_resolutions():
     assert labels == {LABEL_NASH}
 
 
-def test_classify_intermediate_labels_on_quadratic_axis():
+def test_classify_tolerance_artifact_labels_on_quadratic_axis():
     # along g = 0 the leader is already optimal: the plain gap is 2|d| + d^2
-    # while the penalized gap is exactly lam * d^2, so small anchors melt at
-    # small lam (proximal_only) and larger ones only at lam = 0
+    # while the penalized gap is exactly lam * d^2.  The label proximal_only
+    # at d = 0.005 is a tolerance artifact, not a proximal equilibrium: its
+    # exact lam = 0.01 gap, lam * d^2 = 2.5e-7, is positive and falls below
+    # tol = 1e-6 only because the tolerance is coarse.  The larger anchor's
+    # gap, lam * 0.25 >= 0.0025 on the ladder, stays above tol at every
+    # lam > 0, so it qualifies at lam = 0 alone
     game = concave_quadratic()
     near = classify_equilibrium(game, (np.array([0.005]), np.array([0.0])),
                                 LADDER, GRID, tol=1e-6)
@@ -1031,19 +1035,20 @@ _CLIP_VALUES = (-0.0, 0.0, np.inf, -np.inf, np.nan, 0.5, -0.5, 1e308, -5e-324)
 def test_toy_clip_carries_ndarray_clips_bytes(box):
     game = ToyGame("clip", lambda d, g: sum(dj * gj for dj, gj in zip(d, g)), box, box)
     lo, hi = np.array(box).T
-    # the toy inner ascent's float step at rate 1 along -0.0 is its clip
-    # alone, since v + -0.0 is v: from a list of floats, or from the
-    # projected anchor's array on the first step
-    ascend_d = _ops_for(ToyGameState(game, np.zeros(len(box)), np.zeros(len(box))),
-                        None, None).ascend_d
+    # the toy searches' one float clip: the projections, and the inner
+    # ascent's float step at rate 1 along -0.0, its clip alone since v + -0.0
+    # is v; each from a list of floats, or from an array (a search's start)
+    ops = _ops_for(ToyGameState(game, np.zeros(len(box)), np.zeros(len(box))), None, None)
     still = [-0.0] * len(box)
+    float_clips = (ops.project_d, ops.project_g, lambda x: ops.ascend_d(x, 1.0, still))
     values = _CLIP_VALUES + tuple(lo) + tuple(hi)  # the bounds themselves too
     for combo in np.array(np.meshgrid(*[values] * len(box))).reshape(len(box), -1).T:
         want = combo.clip(lo, hi).tobytes()
         assert game.clip_d(combo).tobytes() == want
         assert game.clip_g(combo).tobytes() == want
         assert game.clip_d(list(combo)).tobytes() == want
-        for start in (combo.tolist(), combo):
-            step = ascend_d(start, 1.0, still)
-            assert [type(v) for v in step] == [float] * len(box)
-            assert np.array(step).tobytes() == want, (combo, box)
+        for clip in float_clips:
+            for start in (combo.tolist(), combo):
+                step = clip(start)
+                assert [type(v) for v in step] == [float] * len(box)
+                assert np.array(step).tobytes() == want, (combo, box)

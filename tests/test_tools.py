@@ -81,11 +81,14 @@ def test_kernel_timings_prints_one_line_per_activation_and_row_count():
         rows = int(key.split("/")[1])
         gated = 9 * rows * 64 if "leaky" in key else 0
         assert entry["workspace_bytes"] == 8 * rows * (65 + 32 + 1) + gated
-    # the toy block: microseconds per inner step, one entry per shipped game
+    # the toy block: microseconds per inner step and per Adam search step,
+    # one entry per shipped game
     assert sorted(report["toy"]) == ["bilinear", "concave_quadratic", "saddle_shift"]
     for entry in report["toy"].values():
-        assert set(entry) == {"median_us", "best_us"}
-        assert 0 < entry["best_us"] <= entry["median_us"]
+        assert set(entry) == {"inner_step", "search_step"}
+        for timing in entry.values():
+            assert set(timing) == {"median_us", "best_us"}
+            assert 0 < timing["best_us"] <= timing["median_us"]
 
 
 def test_fingerprints_of_every_workload_operation_without_an_error():

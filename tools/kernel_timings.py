@@ -13,17 +13,20 @@ and, beside it, the former gate (filled with the slope, then set to 1.0 by
 ``np.putmask``).  Each call takes the next input of the cycle, so neither a
 learned branch nor a cache warmed on one input flatters a variant.
 
-For each shipped toy game it times one 20-step penalized inner ascent at
-lambda 0.1 (``gapmetrics._prox_loop`` along ``_ToyOps.make_prox``'s
-gradient, each step ``_ToyOps.ascend_d`` in floats) from K distinct
-configurations, and reports it per inner step.
+For each shipped toy game it times, from K distinct configurations, one
+20-step penalized inner ascent at lambda 0.1 (``gapmetrics._prox_loop``
+along ``_ToyOps.make_prox``'s gradient, each step ``_ToyOps.ascend_d`` in
+floats), reported per inner step, and one 40-step Adam search of the
+generator (``gapmetrics._adam_search`` along ``_ToyOps.grad_g_fn``, each
+step ``adam_step`` and ``_ToyOps.project_g`` in floats), reported per
+search step.
 
 It prints one JSON line: per activation, row count and timed call, the
 median and the best of P passes over the cycle, in microseconds per call,
 and beside them ``workspace_bytes``, the bytes of the buffers the
 workspace holds once its backward pass has run (``MlpWorkspace.nbytes``);
 under ``toy``, per game, the same median and best in microseconds per
-inner step.
+inner step (``inner_step``) and per search step (``search_step``).
 It imports numpy and the library in ``src/`` only, and runs with one BLAS
 thread.
 """
@@ -46,7 +49,14 @@ import numpy as np  # noqa: E402
 
 from proxgap.diffcore import MlpWorkspace, NetworkSpec, Rng, init_network  # noqa: E402
 from proxgap.diffcore.network import _leaky_gate, mlp_backward, mlp_forward  # noqa: E402
-from proxgap.gapmetrics import ProximalConfig, ToyGameState, _last, _ops_for, _prox_loop  # noqa: E402
+from proxgap.gapmetrics import (  # noqa: E402
+    ProximalConfig,
+    ToyGameState,
+    _adam_search,
+    _last,
+    _ops_for,
+    _prox_loop,
+)
 from proxgap.oracles import shipped_games  # noqa: E402
 
 ROWS = (128, 768, 3000)
@@ -118,20 +128,27 @@ def timings(cycle: int, passes: int) -> dict:
 
 
 def toy_timings(cycle: int, passes: int) -> dict:
-    """Per shipped game, microseconds per inner step of a TOY_CFG ascent, each
-    call from the next of `cycle` configurations drawn inside the boxes."""
+    """Per shipped game, microseconds per inner step of a TOY_CFG ascent and
+    per step of a TOY_CFG generator search, each call from the next of
+    `cycle` configurations drawn inside the boxes."""
     out = {}
     for game in shipped_games():
         rng = Rng(len(game.name))
-        loops = []
+        loops, searches = [], []
         for k in range(cycle):
             d, g = ([rng.child(k, axis).uniform(lo, hi, ()) for axis, (lo, hi) in enumerate(box)]
                     for box in (game.d_box, game.g_box))
             ops = _ops_for(ToyGameState(game, d, g), None, None)
             grad = ops.make_prox(ops.d0, ops.g0, None, TOY_CFG.lam)[0]
             loops.append((grad, ops.d0, ops))
-        out[game.name] = _time(lambda k: _last(_prox_loop(*loops[k], TOY_CFG)), cycle, passes,
-                               units=TOY_CFG.prox_steps)
+            # a toy search draws no batch
+            searches.append((ops.g0, ops.grad_g_fn(ops.d0), ops.project_g, lambda: None,
+                             TOY_CFG.worst_lr, TOY_CFG.worst_iters))
+        out[game.name] = {
+            "inner_step": _time(lambda k: _last(_prox_loop(*loops[k], TOY_CFG)), cycle, passes,
+                                units=TOY_CFG.prox_steps),
+            "search_step": _time(lambda k: _last(_adam_search(*searches[k])), cycle, passes,
+                                 units=TOY_CFG.worst_iters)}
     return out
 
 
