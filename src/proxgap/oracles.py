@@ -4,13 +4,15 @@ quadrature divergences, and equilibrium classification.
 The grid search and the quadrature walk their grids in blocks of about
 ``_BLOCK_POINTS`` points, and both keep the bytes of the whole-grid formulas.
 The grid search (:func:`grid_dg`, :func:`grid_v_lambda`,
-:func:`grid_dg_lambda`, :func:`classify_equilibrium`) builds the Nd x Ng value
-table a block of g columns at a time, so no table spans both grids; it keeps
-one reduced value per grid point and reduces those once with ``np.min`` or
-``np.max``, as the whole table was reduced.  It passes ``game.value`` each
-player coordinate-first (a grid's transpose, broadcast against the other
-player's, or a fixed player's list of floats), so ``game.value`` must be
-pointwise.  The toy stencil (:func:`toy_stencil`) calls the same
+:func:`grid_dg_lambda`, :func:`classify_equilibrium`) is one walk,
+:func:`_min_max`, the min over a g grid of the max over a d grid; a fixed
+player is a one-row grid.  It builds the Nd x Ng value table a block of g
+columns at a time, so no table spans both grids, takes each column's max over
+d and reduces those once with ``np.min``, as the whole table was reduced.  It
+passes ``game.value`` arrays only, each player coordinate-first (a grid's
+transpose, broadcast against the other player's), so ``game.value`` must be
+pointwise, and the grid values follow numpy's inf and nan rules where float
+arithmetic would raise.  The toy stencil (:func:`toy_stencil`) calls the same
 ``game.value`` on lists of Python floats.  The quadrature
 (:func:`_grid_quadrature`) is numpy's own trapezoid arithmetic over blocks of
 grid rows, so no array spans its grid; importing this module loads no
@@ -50,12 +52,13 @@ class ToyGame:
     ``value(d, g)`` reads each player coordinate-first: ``d[j]`` is the
     discriminator's coordinate j and ``g[j]`` the generator's.  The
     estimators pass lists of Python floats, so ``d[j]`` is a float; the grid
-    oracles pass arrays, or a list of floats for a fixed player, whose
-    ``d[j]`` has a leading shape that broadcasts against the other
-    player's.  ``value`` must be pointwise: each entry depends on its own
-    entries of the coordinates alone, since the grid oracles evaluate it in
-    blocks.  Written with ``+ - * /`` alone, one formula gives the same bits
-    on floats and on arrays.
+    oracles pass arrays only, a fixed player as a one-row grid, so ``d[j]``
+    has a leading shape that broadcasts against the other player's.
+    ``value`` must be pointwise: each entry depends on its own entries of
+    the coordinates alone, since the grid oracles evaluate it in blocks.
+    Written with ``+ - * /`` alone, one formula gives the same bits on
+    floats and on arrays.  Each box needs at least one axis (ValueError
+    naming the box).
     """
 
     name: str
@@ -64,7 +67,9 @@ class ToyGame:
     g_box: tuple
 
     def __post_init__(self):
-        for box in (self.d_box, self.g_box):
+        for what, box in (("d_box", self.d_box), ("g_box", self.g_box)):
+            if len(box) == 0:
+                raise ValueError(f"{what} needs at least one axis")
             for lo, hi in box:
                 if not hi > lo:
                     raise ValueError("boxes must be non-degenerate")
@@ -159,18 +164,10 @@ def _grids(game: ToyGame, grid: GridSpec):
 
 def _blocks(total: int, width: int):
     """Slices of ``range(total)`` in consecutive blocks of ``width``; the last
-    block takes the rest, two to ``width + 1`` entries, so none is a lone one."""
+    block takes the rest, two to ``width + 1`` entries, so none is a lone one
+    unless ``total`` is 1."""
     for start in range(0, max(total - 1, 1), width):
         yield slice(start, start + width if start + width < total - 1 else total)
-
-
-def _grid_values(points, fn) -> np.ndarray:
-    """``fn(points)``, one value per point, evaluated over blocks of
-    ``_BLOCK_POINTS`` points."""
-    out = np.empty(len(points))
-    for block in _blocks(len(points), _BLOCK_POINTS):
-        out[block] = fn(points[block])
-    return out
 
 
 def _vector(x, size: int, what: str) -> np.ndarray:
@@ -197,30 +194,22 @@ def _penalty(lam) -> float:
     return lam
 
 
-def _v_dw(game: ToyGame, dd, g) -> float:
-    # max over the d grid of V(d, g)
-    g = g.tolist()
-    return float(np.max(_grid_values(dd, lambda block: game.value(block.T, g))))
-
-
-def _v_gw(game: ToyGame, gg, d) -> float:
-    # min over the g grid of V(d, g)
-    d = d.tolist()
-    return float(np.min(_grid_values(gg, lambda block: game.value(d, block.T))))
-
-
-def _v_gw_lambda(game: ToyGame, dd, gg, anchor, lambdas) -> list:
-    """min over the g grid of the penalized inner max over the d grid, per lambda.
+def _min_max(game: ToyGame, dd, gg, anchor=None, lambdas=(0.0,)) -> list:
+    """Per lambda, the min over the rows of the g grid ``gg`` of the max over
+    the rows of the d grid ``dd`` of V - lambda * ||d - anchor||^2, or of V
+    itself when no anchor is given.  A fixed player is a one-row grid.
 
     The g grid is walked in blocks of about ``_BLOCK_POINTS`` table entries;
     each block's (Nd, block) value table is built once and reduced over d for
     every lambda.  A column's max over d runs down the rows in the whole
-    table's order, and no block is a single column (numpy reduces that one in
-    another order), so the per-g maxima keep the whole table's bytes, signed
-    zeros and nan included; each lambda's are then reduced once with np.min.
+    table's order: no block of a g grid of two or more rows is a lone column
+    (numpy reduces that one as a 1-D array), and a one-row g grid's one block
+    is its whole (Nd, 1) table, reduced as the 1-D table of V at that g is.
+    So the per-g maxima keep the whole table's bytes, signed zeros, inf and
+    nan included; each lambda's are then reduced once with np.min.
     """
-    pen = np.sum((dd - anchor[None, :]) ** 2, axis=1)
-    lam_pens = [lam * pen[:, None] for lam in lambdas]
+    pen = 0.0 if anchor is None else np.sum((dd - anchor[None, :]) ** 2, axis=1)[:, None]
+    lam_pens = [lam * pen for lam in lambdas]
     per_g = np.empty((len(lambdas), len(gg)))
     d_rows = dd.T[:, :, None]
     for block in _blocks(len(gg), max(2, _BLOCK_POINTS // len(dd))):
@@ -234,7 +223,7 @@ def grid_dg(game: ToyGame, point, grid: GridSpec = GridSpec()) -> float:
     """Plain duality gap at a configuration: grid max over d minus grid min over g."""
     d0, g0 = toy_point(game, point)
     dd, gg = _grids(game, grid)
-    return _v_dw(game, dd, g0) - _v_gw(game, gg, d0)
+    return _min_max(game, dd, g0[None, :])[0] - _min_max(game, d0[None, :], gg)[0]
 
 
 def grid_v_lambda(game: ToyGame, anchor_d, g, lam: float,
@@ -242,13 +231,8 @@ def grid_v_lambda(game: ToyGame, anchor_d, g, lam: float,
     """Penalized inner maximum: max over the d grid of V minus lam * ||d - anchor||^2."""
     anchor, g = toy_point(game, (anchor_d, g))
     lam = _penalty(lam)
-    g_coords = g.tolist()
-
-    def penalized(dd):
-        return game.value(dd.T, g_coords) - lam * np.sum((dd - anchor[None, :]) ** 2, axis=1)
-
-    return float(np.max(_grid_values(_box_grid(game.d_box, grid.points_per_dim, "d"),
-                                     penalized)))
+    dd = _box_grid(game.d_box, grid.points_per_dim, "d")
+    return _min_max(game, dd, g[None, :], anchor, [lam])[0]
 
 
 def grid_dg_lambda(game: ToyGame, point, lam: float,
@@ -257,7 +241,7 @@ def grid_dg_lambda(game: ToyGame, point, lam: float,
     d0, g0 = toy_point(game, point)
     lam = _penalty(lam)
     dd, gg = _grids(game, grid)
-    return _v_dw(game, dd, g0) - _v_gw_lambda(game, dd, gg, d0, [lam])[0]
+    return _min_max(game, dd, g0[None, :])[0] - _min_max(game, dd, gg, d0, [lam])[0]
 
 
 @dataclass(frozen=True)
@@ -286,9 +270,9 @@ def classify_equilibrium(game: ToyGame, point, lambda_list, grid: GridSpec,
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     dd, gg = _grids(game, grid)
-    v_dw = _v_dw(game, dd, g0)
-    dg = v_dw - _v_gw(game, gg, d0)
-    gaps = [(lam, v_dw - v) for lam, v in zip(lambdas, _v_gw_lambda(game, dd, gg, d0, lambdas))]
+    v_dw = _min_max(game, dd, g0[None, :])[0]
+    dg = v_dw - _min_max(game, d0[None, :], gg)[0]
+    gaps = [(lam, v_dw - v) for lam, v in zip(lambdas, _min_max(game, dd, gg, d0, lambdas))]
     qualifies = [val < tol for _, val in gaps]
     for i in range(len(gaps) - 1):
         if not qualifies[i] and any(qualifies[i + 1:]):

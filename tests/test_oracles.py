@@ -333,13 +333,33 @@ def _signed_zeros():
                    ((-1.0, 1.0),), ((-1.0, 1.0),))
 
 
+def _huge_box():
+    """V = (d / 1e160) (g / 1e160) on [-1e160, 1e160]^2: finite values, but a
+    squared distance ||d - anchor||^2 overflows to inf, and 0 * inf is nan."""
+    return ToyGame("huge_box", lambda d, g: (d[0] / 1e160) * (g[0] / 1e160),
+                   ((-1e160, 1e160),), ((-1e160, 1e160),))
+
+
+def _d_pole():
+    """V = d g + 1 / (d - 0.5): +inf on the d = 0.5 row only."""
+    return ToyGame("d_pole", lambda d, g: d[0] * g[0] + 1.0 / (d[0] - 0.5),
+                   ((-1.0, 1.0),), ((-1.0, 1.0),))
+
+
+def _on_poles():
+    # (game, point) with the fixed player on a pole: in float arithmetic its
+    # value raises ZeroDivisionError, on arrays it is numpy's inf
+    return [(_pole(), (np.array([0.3]), np.array([0.5]))),
+            (_d_pole(), (np.array([0.5]), np.array([0.3])))]
+
+
 def _grid_cases():
     # (game, grid points per axis, configurations): random points, grid nodes
     # (signed zeros on the bilinear axes) and the corners
     rng = np.random.default_rng(2405)
     for game, n in ([(g, 401) for g in shipped_games()] + [(g, 41) for g in shipped_games()]
                     + [(_coupled_2d(), 21), (_singular(), 41), (_pole(), 41),
-                       (_signed_zeros(), 41), (_signed_zeros(), 401)]):
+                       (_signed_zeros(), 41), (_signed_zeros(), 401), (_huge_box(), 41)]):
         nodes = [np.linspace(lo, hi, n) for lo, hi in game.d_box + game.g_box]
         points = [_random_point(game, rng) for _ in range(3)]
         for _ in range(3):
@@ -349,6 +369,8 @@ def _grid_cases():
         points.append((np.array([hi for _, hi in game.d_box]),
                        np.array([lo for lo, _ in game.g_box])))
         yield game, n, points
+    for game, point in _on_poles():
+        yield game, 41, [point]
 
 
 # _BLOCK_POINTS per case: the shipped size, then sizes that give every table a
@@ -386,6 +408,16 @@ def test_the_byte_cases_reach_signed_zeros_non_finite_values_and_ragged_blocks()
         assert np.isnan(_whole_table_dg(_singular(), saddle, 41))
         assert _whole_table_dg_lambda(_pole(), (np.array([0.3]), np.array([0.2])), 0.1, 41) \
             == np.inf
+        # an unpenalized max never sees the penalty, a lambda = 0 one does
+        huge = (np.zeros(1), np.zeros(1))
+        assert np.isfinite(_whole_table_dg(_huge_box(), huge, 41))
+        assert np.isnan(_whole_table_dg_lambda(_huge_box(), huge, 0.0, 41))
+    reached = {(game.name, tuple(point[0]), tuple(point[1]))
+               for game, _, points in _grid_cases() for point in points}
+    for game, (d, g) in _on_poles():  # a fixed player on a pole, d's and g's
+        assert (game.name, tuple(d), tuple(g)) in reached
+        with pytest.raises(ZeroDivisionError):
+            game.value(d.tolist(), g.tolist())
     lasts, widths = set(), set()
     for block in _BLOCK_SIZES:
         for game, n, _ in _grid_cases():
@@ -395,6 +427,24 @@ def test_the_byte_cases_reach_signed_zeros_non_finite_values_and_ragged_blocks()
             widths.add(width)
     assert {"short", "long"} <= lasts  # ragged last blocks, one of them a lone point merged
     assert 2 in widths and len(widths) > 4
+
+
+def test_a_fixed_player_on_a_pole_gives_the_whole_tables_inf_or_nan():
+    # the oracles pass a fixed player as a one-row grid, so where its float
+    # value would raise they follow numpy, as the whole table does
+    grid = GridSpec(41)
+    with np.errstate(all="ignore"):
+        for game, point in _on_poles():
+            out = classify_equilibrium(game, point, LADDER, grid, tol=1e-6)
+            assert _bits(out.dg) == _bits(_whole_table_dg(game, point, 41))
+            assert [lam for lam, _ in out.dg_by_lambda] == LADDER
+            for lam, gap in out.dg_by_lambda:
+                assert _bits(gap) == _bits(_whole_table_dg_lambda(game, point, lam, 41))
+            assert out.label == LABEL_NONE
+        game, point = _on_poles()[0]
+        got = (grid_dg(game, point, grid), grid_dg_lambda(game, point, 0.1, grid),
+               grid_v_lambda(game, point[0], point[1], 0.1, grid))
+    assert np.isnan(got[0]) and np.isnan(got[1]) and got[2] == -np.inf
 
 
 def _blocks_walked(call, monkeypatch):
@@ -417,7 +467,7 @@ def test_grid_dg_lambda_walks_g_in_tables_of_about_the_block_size(monkeypatch):
     point = (np.array([0.3]), np.array([-0.2]))
     walked = _blocks_walked(lambda: grid_dg_lambda(game, point, 0.1, GRID), monkeypatch)
     width = oracles_module._BLOCK_POINTS // 401
-    assert walked[0] == 401  # the v_dw walk over d: one block
+    assert walked[0] == 1  # the v_dw walk: one block, its one g row
     tables = walked[1:]
     assert tables == [width] * (len(tables) - 1) + [401 - width * (len(tables) - 1)]
     assert 2 <= tables[-1] <= width + 1
@@ -433,9 +483,12 @@ def test_classify_builds_each_table_once_for_its_whole_ladder(monkeypatch):
 
     game = ToyGame("counted", value, ((-1.0, 1.0),), ((-1.0, 1.0),))
     classify_equilibrium(game, (np.array([0.005]), np.array([0.0])), LADDER, GRID, tol=1e-6)
-    tables = [shape for shape in calls if len(shape) == 2]
+    # v_dw over d and v_gw over g, once each, each a one-row grid's table
+    assert [shape for shape in calls if 1 in shape] == [(401, 1), (1, 401)]
+    tables = [shape for shape in calls if 1 not in shape]
     assert sum(shape[1] for shape in tables) == 401  # every g column once, for 7 lambdas
-    assert len(calls) - len(tables) == 2  # v_dw over d and v_gw over g, once each
+    assert {shape[0] for shape in tables} == {401}
+    assert len(calls) - len(tables) == 2
 
 
 @pytest.mark.parametrize("game,n", [(g, 401) for g in shipped_games()]
@@ -569,6 +622,15 @@ def test_grid_oracles_refuse_a_box_with_a_bound_that_is_not_finite(which, d_box,
                                              f"that is not finite"):
             call()
     assert game.clip_d(np.full(game.d_dim, 2.0)).shape == (game.d_dim,)
+
+
+@pytest.mark.parametrize("which", ["d_box", "g_box"])
+def test_toy_game_refuses_a_box_with_no_axis(which):
+    # as the quadrature refuses an empty grid_box: a grid of no axes cannot
+    # be built, and a player of no coordinates has no gap
+    boxes = {"d_box": ((-1.0, 1.0),), "g_box": ((-1.0, 1.0),), which: ()}
+    with pytest.raises(ValueError, match=f"^{which} needs at least one axis$"):
+        ToyGame("no_axis", lambda d, g: 0.0, **boxes)
 
 
 @pytest.mark.parametrize("count", [11.5, 11.0, "11", None])

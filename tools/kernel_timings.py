@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Micro-timings of the fused MLP kernel (forward, backward and the leaky-ReLU
-gate) and of the toy games' inner step.
+gate), of the toy games' inner step and search step, and of their grid
+oracles.
 
     python3 tools/kernel_timings.py [--cycle K] [--passes P]
 
@@ -19,14 +20,16 @@ along ``_ToyOps.make_prox``'s gradient, each step ``_ToyOps.ascend_d`` in
 floats), reported per inner step, and one 40-step Adam search of the
 generator (``gapmetrics._adam_search`` along ``_ToyOps.grad_g_fn``, each
 step ``adam_step`` and ``_ToyOps.project_g`` in floats), reported per
-search step.
+search step; and, at the same configurations, one ``grid_dg`` and one
+``grid_dg_lambda`` at lambda 0.1 on 401 points per axis, reported per call.
 
 It prints one JSON line: per activation, row count and timed call, the
 median and the best of P passes over the cycle, in microseconds per call,
 and beside them ``workspace_bytes``, the bytes of the buffers the
 workspace holds once its backward pass has run (``MlpWorkspace.nbytes``);
 under ``toy``, per game, the same median and best in microseconds per
-inner step (``inner_step``) and per search step (``search_step``).
+inner step (``inner_step``) and per search step (``search_step``), and per
+call of ``grid_dg`` and ``grid_dg_lambda``.
 It imports numpy and the library in ``src/`` only, and runs with one BLAS
 thread.
 """
@@ -57,11 +60,12 @@ from proxgap.gapmetrics import (  # noqa: E402
     _ops_for,
     _prox_loop,
 )
-from proxgap.oracles import shipped_games  # noqa: E402
+from proxgap.oracles import GridSpec, grid_dg, grid_dg_lambda, shipped_games  # noqa: E402
 
 ROWS = (128, 768, 3000)
 ACTIVATIONS = ("leaky_relu", "tanh")
 TOY_CFG = ProximalConfig(lam=0.1, prox_steps=20)
+TOY_GRID = GridSpec(401)
 
 
 def _former_gate(z, slope, mask, gate):
@@ -128,16 +132,18 @@ def timings(cycle: int, passes: int) -> dict:
 
 
 def toy_timings(cycle: int, passes: int) -> dict:
-    """Per shipped game, microseconds per inner step of a TOY_CFG ascent and
-    per step of a TOY_CFG generator search, each call from the next of
-    `cycle` configurations drawn inside the boxes."""
+    """Per shipped game, microseconds per inner step of a TOY_CFG ascent, per
+    step of a TOY_CFG generator search, and per TOY_GRID call of the grid
+    oracles, each call from the next of `cycle` configurations drawn inside
+    the boxes."""
     out = {}
     for game in shipped_games():
         rng = Rng(len(game.name))
-        loops, searches = [], []
+        loops, searches, points = [], [], []
         for k in range(cycle):
             d, g = ([rng.child(k, axis).uniform(lo, hi, ()) for axis, (lo, hi) in enumerate(box)]
                     for box in (game.d_box, game.g_box))
+            points.append((d, g))
             ops = _ops_for(ToyGameState(game, d, g), None, None)
             grad = ops.make_prox(ops.d0, ops.g0, None, TOY_CFG.lam)[0]
             loops.append((grad, ops.d0, ops))
@@ -148,7 +154,10 @@ def toy_timings(cycle: int, passes: int) -> dict:
             "inner_step": _time(lambda k: _last(_prox_loop(*loops[k], TOY_CFG)), cycle, passes,
                                 units=TOY_CFG.prox_steps),
             "search_step": _time(lambda k: _last(_adam_search(*searches[k])), cycle, passes,
-                                 units=TOY_CFG.worst_iters)}
+                                 units=TOY_CFG.worst_iters),
+            "grid_dg": _time(lambda k: grid_dg(game, points[k], TOY_GRID), cycle, passes),
+            "grid_dg_lambda": _time(lambda k: grid_dg_lambda(game, points[k], TOY_CFG.lam,
+                                                             TOY_GRID), cycle, passes)}
     return out
 
 
