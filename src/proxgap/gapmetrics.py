@@ -27,7 +27,7 @@ from .objectives import (
     penalized_step_fn,
     value_and_grad_g,
 )
-from .oracles import ToyGame, toy_coords, toy_point, toy_stencil, toy_value
+from .oracles import ToyGame, clip_coord, toy_coords, toy_point, toy_stencil, toy_value
 
 # Step-size guard for the penalized inner ascent: plain gradient ascent on
 # V - lam * dist^2 is unstable once the step exceeds ~1/(curvature) ~ 1/(2*lam*S),
@@ -46,8 +46,19 @@ _GW_LAMBDA_TAG = 2
 _GW_PLAIN_TAG = 3
 
 
-class ProxDivergenceError(RuntimeError):
-    """The penalized inner ascent produced a non-finite objective."""
+class ProxDivergenceError(NonFiniteError):
+    """The penalized inner ascent produced a non-finite objective: ``op`` names
+    the op that failed and ``step`` the inner step it failed at."""
+
+    def __init__(self, op: str, step: int):
+        super().__init__(op)
+        self.step = step
+
+    def __str__(self):
+        return f"penalized ascent diverged at inner step {self.step}: {super().__str__()}"
+
+    def __reduce__(self):  # pickles as it was raised, so a worker process can send it
+        return type(self), (self.op, self.step)
 
 
 @dataclass(frozen=True)
@@ -106,16 +117,17 @@ class GapReport:
 
 @dataclass(frozen=True)
 class ToyGameState:
-    """A toy-game configuration in the shape the estimators expect.  A player
-    that does not match the game's dimension, or is not finite, raises
-    ``ValueError`` naming the player and its value."""
+    """A toy-game configuration in the shape the estimators expect: read-only
+    float64 copies of both players, so the caller's arrays never alias them.
+    A player that does not match the game's dimension, or is not finite,
+    raises ``ValueError`` naming the player and its value."""
 
     game: ToyGame
     d: np.ndarray
     g: np.ndarray
 
     def __post_init__(self):
-        # float64 vectors of the game's dimensions, finite, as the grid oracles take them
+        # read-only float64 copies of the game's dimensions, finite, as the grid oracles take them
         d, g = toy_point(self.game, (self.d, self.g))
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "g", g)
@@ -156,15 +168,16 @@ class _GanOps:
         held_out = self.state.with_params(ParamVector(theta_d), ParamVector(theta_g))
         return eval_objective(held_out, *self.eval_batch, self.buffers)
 
-    # grad_g_fn(theta_d) and grad_d_fn(theta_g): (params, batch) -> dV/dparams
-    # against the fixed opponent, built once per search
+    # grad_g_fn(theta_d): (theta_g, batch) -> dV/dtheta_g, and
+    # descent_d_fn(theta_g): (theta_d, batch) -> -dV/dtheta_d, against the
+    # fixed opponent, built once per search
     def grad_g_fn(self, theta_d):
         return lambda theta_g, batch: value_and_grad_g(
             self.state, theta_d, theta_g, *batch, self.buffers)[1]
 
-    def grad_d_fn(self, theta_g):
+    def descent_d_fn(self, theta_g):
         # the penalized step at lam = 0, built on each batch
-        return lambda theta_d, batch: self.make_prox(theta_d, theta_g, batch, 0.0)[0](theta_d)
+        return lambda theta_d, batch: -self.make_prox(theta_d, theta_g, batch, 0.0)[0](theta_d)
 
     # make_prox(anchor, g, batch, lam) -> (gradient, value) of V - lam *
     # dist^2(., anchor) on one batch, as functions of the discriminator
@@ -178,27 +191,20 @@ class _GanOps:
 
 class _ToyOps:
     """A toy game's operations, in Python floats: every search moves a list
-    of floats, one per coordinate, after its start.  The projections
-    (``project_d``, ``project_g``) and the inner ascent's projected step
-    (``ascend_d``) share one clip, ``_clip``; the gradients (``grad_g_fn``,
-    ``grad_d_fn`` and ``make_prox``'s) are the stencil's lists of floats, and
+    of floats, one per coordinate, after its start.  The projections are the
+    game's own ``clip_d`` and ``clip_g``, and the inner ascent's projected
+    step (``ascend_d``) clips with the same :func:`~proxgap.oracles.clip_coord`
+    against ``game.d_box``; the gradients (``grad_g_fn``, ``descent_d_fn``
+    and ``make_prox``'s) are the stencil's lists of floats, and
     ``adam_step`` takes a list gradient per coordinate.  ``d0`` and ``g0``
-    stay float64 arrays, as a state's players are."""
+    are the state's read-only float64 players."""
 
     def __init__(self, state: ToyGameState):
         self.game = state.game
         self.eval_latent = None
         self.eval_batch = None
-        self.d0 = state.d.copy()
-        self.g0 = state.g.copy()
-        self.d_box, self.g_box = (np.array(box, dtype=np.float64).tolist()
-                                  for box in (state.game.d_box, state.game.g_box))
-
-    def project_d(self, d):
-        return [_clip(x, lo, hi) for x, (lo, hi) in zip(toy_coords(d), self.d_box)]
-
-    def project_g(self, g):
-        return [_clip(x, lo, hi) for x, (lo, hi) in zip(toy_coords(g), self.g_box)]
+        self.d0, self.g0 = state.d, state.g
+        self.project_d, self.project_g = state.game.clip_d, state.game.clip_g
 
     def draw_batch(self, size):
         return None
@@ -210,14 +216,14 @@ class _ToyOps:
         partials = toy_stencil(self.game, d, "g", self.g0.size)[0]
         return lambda g, batch: partials(g)
 
-    def grad_d_fn(self, g):
+    def descent_d_fn(self, g):
         grad = self.make_prox(None, g, None, 0.0)[0]  # one stencil per search
-        return lambda d, batch: grad(d)
+        return lambda d, batch: [-s for s in grad(d)]
 
     def ascend_d(self, d, rate, grad):
         """d + rate * grad clipped to the d box, per coordinate in floats."""
-        return [_clip(v + rate * s, lo, hi)
-                for v, s, (lo, hi) in zip(toy_coords(d), grad, self.d_box)]
+        return [clip_coord(v + rate * s, lo, hi)
+                for v, s, (lo, hi) in zip(toy_coords(d), grad, self.game.d_box)]
 
     def make_prox(self, anchor, g, batch, lam):
         # as on GANs, with the squared parameter distance as dist^2.  The inner
@@ -239,15 +245,6 @@ class _ToyOps:
                     in zip(partials(d), toy_coords(d), anchor_coords)]
 
         return penalized_grad, penalized_value
-
-
-def _clip(x: float, lo: float, hi: float) -> float:
-    """The toy coordinate x clipped to [lo, hi] in floats, with the bytes of
-    ``ToyGame.clip_d`` and ``clip_g``: a tie gives the bound, as numpy's
-    maximum and minimum give their second operand (Python's max and min give
-    their first, so max(-0.0, 0.0) is -0.0), and a nan stays nan."""
-    x = lo if x <= lo else x
-    return hi if x >= hi else x
 
 
 def _eval_latent(state, splits, rng: Rng):
@@ -287,8 +284,7 @@ def _prox_loop(grad_fn, anchor, ops, cfg: ProximalConfig):
         try:
             grad = grad_fn(theta)
         except NonFiniteError as err:
-            raise ProxDivergenceError(
-                f"penalized ascent diverged at inner step {j}: {err}") from err
+            raise ProxDivergenceError(err.op, j) from err
         theta = ops.ascend_d(theta, lr, grad)
         yield theta
 
@@ -335,14 +331,7 @@ def estimate_v_dw(state, splits, cfg: ProximalConfig, rng: Rng, eval_latent=None
     """
     ops = _ops_for(state, splits, rng, eval_latent)
     start = ops.project_d(ops.d0)
-    grad_d = ops.grad_d_fn(ops.g0)
-
-    def descent_dir(d, batch):
-        # a toy's gradient is a list of floats, negated per coordinate
-        grad = grad_d(d, batch)
-        return [-s for s in grad] if type(grad) is list else -grad
-
-    d = _worst_case(ops, start, descent_dir, ops.project_d, cfg)
+    d = _worst_case(ops, start, ops.descent_d_fn(ops.g0), ops.project_d, cfg)
     return max(ops.eval_value(d, ops.g0), ops.eval_value(start, ops.g0))
 
 

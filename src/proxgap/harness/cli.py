@@ -7,7 +7,6 @@ import json
 import sys
 
 from ..diffcore import NonFiniteError
-from ..gapmetrics import ProxDivergenceError
 from .config import ConfigError, load_config, with_overrides
 from .runner import (
     correlate,
@@ -171,7 +170,7 @@ def main(argv=None) -> int:
     except (ConfigError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (NonFiniteError, ProxDivergenceError) as err:  # names the inner step and op
+    except NonFiniteError as err:  # names the op, and a diverged inner ascent its step
         print(f"error: {err}", file=sys.stderr)
         return 1
     return 0

@@ -20,13 +20,7 @@ from .. import __version__
 from ..diffcore import NonFiniteError, ParamVector, Rng, adam_init, adam_step, forward, init_network
 from ..diffcore.optim import AdamState
 from ..distributions import draw_minibatch, make_splits
-from ..gapmetrics import (
-    ESTIMATE_REVISION,
-    GapReport,
-    ProxDivergenceError,
-    duality_gap,
-    lambda_sweep,
-)
+from ..gapmetrics import ESTIMATE_REVISION, GapReport, duality_gap, lambda_sweep
 from ..objectives import (
     GanBuffers,
     enforce_constraint,
@@ -119,7 +113,7 @@ def score_checkpoint(state: GanState, splits, cfg: ExperimentConfig, step: int):
     try:
         report = duality_gap(state, splits, cfg.prox, _stream(cfg, _TAG_GAP, step))
         gaps = report.dg_plain, report.dg_lambda
-    except (NonFiniteError, ProxDivergenceError):
+    except NonFiniteError:
         report, gaps = None, (float("nan"), float("nan"))
     fake = forward(cfg.g_spec, state.theta_g, _eval_latent(cfg, splits))
     return (*gaps, hist_jsd(splits.s_c, fake, cfg.jsd_bins)), report
@@ -466,7 +460,7 @@ def ratio_sweep_cmd(cfg: ExperimentConfig, ratios, out_dir) -> Path:
                 failed_at = json.load(fh)["failed_at_step"]
             status = "ok" if failed_at is None else f"failed at step {failed_at}"
             rows.append((n, last.dg_lambda, last.hist_jsd, status))
-        except (NonFiniteError, ProxDivergenceError, ValueError, OSError) as err:
+        except (NonFiniteError, ValueError, OSError) as err:
             rows.append((n, float("nan"), float("nan"), f"failed: {err}"))
     return _write_table(out_dir / "ratio_sweep.csv", ("n", "dg_lambda", "hist_jsd", "status"),
                         rows)

@@ -293,7 +293,7 @@ def test_adam_step_carries_the_textbook_formulas_bytes(kind, monkeypatch):
 
 def test_adam_step_on_floats_gives_the_array_paths_bytes_step_by_step():
     # a toy search's step, adam_step per coordinate and the float clip, against
-    # the array step and ToyGame.clip_d on the equal float64 arrays, over 1000
+    # the array step and ndarray.clip on the equal float64 arrays, over 1000
     # sequences: zero and signed-zero gradients and starts, gradients from
     # 1e-9 to 1e6, steps that land on a box bound
     gen = np.random.default_rng(31)
@@ -323,7 +323,7 @@ def test_adam_step_on_floats_gives_the_array_paths_bytes_step_by_step():
             assert np.array(floats).tobytes() == arrays.tobytes(), seq
             assert np.array(state_f.m).tobytes() == state_a.m.tobytes(), seq
             assert np.array(state_f.v).tobytes() == state_a.v.tobytes(), seq
-            arrays, floats = game.clip_d(arrays), project(floats)
+            arrays, floats = arrays.clip(*np.array(box).T), project(floats)
             assert np.array(floats).tobytes() == arrays.tobytes(), seq
             landed += sum(x in (lo, hi) for x, (lo, hi) in zip(floats, box))
     assert landed > 1000 and zero_grads > 1000

@@ -1,6 +1,7 @@
 import ast
 import functools
 import inspect
+import pickle
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from dataclasses import fields, replace
 
-from proxgap import gapmetrics, objectives, probes
+from proxgap import gapmetrics, objectives, oracles, probes
 from proxgap.diffcore import (
     MlpWorkspace,
     NetworkSpec,
@@ -273,13 +274,21 @@ def test_gan_searches_move_plain_float64_arrays(monkeypatch):
 def test_toy_searches_move_lists_of_floats_and_build_no_array(monkeypatch):
     # after its start, every iterate of the estimators' and the deviation
     # probe's toy searches is a list of Python floats, as the inner ascent's
-    # is: no step clips with ToyGame.clip_d or clip_g or takes adam_step's
-    # array path
-    def refuse(game, x):
-        raise AssertionError(f"a toy search clipped the array {x!r}")
+    # is: every projection is the game's float clip, which gives a list of
+    # floats, and no step clips with numpy or takes adam_step's array path
+    clipped = []
+    for name in ("clip_d", "clip_g"):
+        def recording_clip(game, x, clip=getattr(ToyGame, name)):
+            clipped.append([type(v) for v in clip(game, x)])
+            return clip(game, x)
 
-    monkeypatch.setattr(ToyGame, "clip_d", refuse)
-    monkeypatch.setattr(ToyGame, "clip_g", refuse)
+        monkeypatch.setattr(ToyGame, name, recording_clip)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"a toy search clipped with numpy: {args!r}")
+
+    for name in ("clip", "minimum", "maximum"):
+        monkeypatch.setattr(np, name, refuse)
     update, updates = optim._update, []
 
     def floats_only(param, *args):
@@ -313,6 +322,7 @@ def test_toy_searches_move_lists_of_floats_and_build_no_array(monkeypatch):
                 [[float] * size] * (count - 1), (game.name, kind)
         searches.clear()
     assert updates and set(updates) == {float}
+    assert clipped and all(set(types) == {float} for types in clipped)
 
 
 def test_adam_search_yields_the_start_and_every_projected_iterate():
@@ -325,10 +335,10 @@ def test_adam_search_yields_the_start_and_every_projected_iterate():
 
     start = np.array([0.9])
     iterates = list(gapmetrics._adam_search(
-        start, lambda g, batch: -np.ones(1), game.clip_g, draw_batch, 0.5, 6))
+        start, lambda g, batch: [-1.0], game.clip_g, draw_batch, 0.5, 6))
     assert len(iterates) == 7 and iterates[0] is start and len(draws) == 6
-    assert all(game.clip_g(g) == g for g in iterates)
-    assert iterates[-1] == 1.0 and iterates[1] == 1.0  # clipped on the first step
+    assert all(game.clip_g(g) == list(g) for g in iterates)
+    assert iterates[-1] == [1.0] and iterates[1] == [1.0]  # clipped on the first step
 
 
 def test_prox_loop_yields_the_projected_anchor_and_every_projected_iterate():
@@ -340,10 +350,10 @@ def test_prox_loop_yields_the_projected_anchor_and_every_projected_iterate():
     iterates = list(_prox_loop(lambda d: [0.25 - v for v in np.asarray(d).tolist()],
                                anchor, ops, cfg))
     assert len(iterates) == cfg.prox_steps + 1
-    assert _hex(iterates[0]) == _hex(game.clip_d(anchor))
+    assert _hex(iterates[0]) == _hex(_array_clip(anchor, game.d_box))
     for before, after in zip(iterates, iterates[1:]):
         before = np.asarray(before)
-        assert _hex(after) == _hex(game.clip_d(before + lr * (0.25 - before)))
+        assert _hex(after) == _hex(_array_clip(before + lr * (0.25 - before), game.d_box))
 
 
 @pytest.mark.parametrize("j", [0, 3])
@@ -367,6 +377,51 @@ def test_prox_loop_names_the_diverging_inner_step_when_consumed(j):
             seen.append(d)
     assert len(seen) == j + 1 and len(calls) == j + 1
     assert err.value.__cause__.op == "exp"
+
+
+@pytest.mark.parametrize("j", [0, 3, 6])
+def test_a_diverged_inner_ascent_is_a_non_finite_error_naming_its_op_and_step(j):
+    # V = d g raises from d = t on, as at a pole; t lies half a stencil step
+    # above inner iterate j, so step j's +h row is the first to reach it
+    def pole_game(t):
+        return ToyGame("pole", lambda d, g: d[0] * g[0] / float(d[0] < t),
+                       ((-1.0, 1.0),), ((-1.0, 1.0),))
+
+    cfg = replace(TOY_CFG, prox_steps=8, worst_iters=3)
+    ops = gapmetrics._ops_for(ToyGameState(pole_game(np.inf), [0.0], [0.5]), None, None)
+    iterates = list(_prox_loop(ops.make_prox(ops.d0, ops.g0, None, cfg.lam)[0],
+                               ops.d0, ops, cfg))
+    t = iterates[j][0] + oracles._TOY_FD_H / 2
+    with pytest.raises(ProxDivergenceError) as err:
+        estimate_v_gw_lambda(ToyGameState(pole_game(t), [0.0], [0.5]), None, cfg, Rng(1))
+    # one exception family: the runner and the CLI catch NonFiniteError alone
+    assert isinstance(err.value, NonFiniteError)
+    assert (err.value.op, err.value.step) == ("value", j)
+    assert str(err.value) == (f"penalized ascent diverged at inner step {j}: "
+                              f"non-finite values produced by op 'value'")
+    assert isinstance(err.value.__cause__.__cause__, ZeroDivisionError)
+    again = pickle.loads(pickle.dumps(err.value))
+    assert (type(again), again.op, again.step, str(again)) == (
+        ProxDivergenceError, "value", j, str(err.value))
+
+
+def test_a_toy_state_holds_read_only_copies_of_its_players():
+    # as ParamVector, DataSplits and GaussianMixture hold theirs: the caller's
+    # arrays stay the caller's, and a checked player cannot turn non-finite
+    d, g = np.array([0.3]), np.array([-0.2])
+    state = ToyGameState(concave_quadratic(), d, g)
+    d[0], g[0] = 0.9, 0.9
+    assert (state.d.tolist(), state.g.tolist()) == ([0.3], [-0.2])
+    for player in (state.d, state.g):
+        with pytest.raises(ValueError, match="read-only"):
+            player[0] = np.nan
+    assert np.isfinite(state.d).all() and np.isfinite(state.g).all()
+    # the estimators' players are the state's own
+    ops = gapmetrics._ops_for(state, None, None)
+    assert ops.d0 is state.d and ops.g0 is state.g
+    # and the grid oracles read the same copies of a configuration
+    for player in oracles.toy_point(concave_quadratic(), (d, g)):
+        assert not player.flags.writeable and not np.shares_memory(player, d)
 
 
 def test_a_toy_value_that_raises_is_named_value():
@@ -572,23 +627,32 @@ def test_gapmetrics_holds_only_the_searches_and_estimators():
     assert not [node for node in ast.walk(loop) if isinstance(node, ast.BinOp)]
     assert [node.func.attr for node in ast.walk(loop) if isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)] == ["project_d", "ascend_d"]
-    # the toy stencil is built in two places only, and the toy penalty's
-    # value and gradient each take d - anchor once, the gradient per
-    # coordinate in floats
-    stencil_calls = []
-    for top in tree.body:
-        scopes = ([(f"{top.name}.{getattr(node, 'name', '')}", node) for node in top.body]
-                  if isinstance(top, ast.ClassDef) else [(getattr(top, "name", ""), top)])
-        stencil_calls += [owner for owner, scope in scopes for node in ast.walk(scope)
-                          if isinstance(node, ast.Call)
-                          and getattr(node.func, "id", None) == "toy_stencil"]
-    assert stencil_calls == ["_ToyOps.grad_g_fn", "_ToyOps.make_prox"]
-    # and one float clip, shared by the toy projections and the inner step
-    toy_ops = next(node for node in tree.body
-                   if isinstance(node, ast.ClassDef) and node.name == "_ToyOps")
-    assert sorted(method.name for method in toy_ops.body for node in ast.walk(method)
-                  if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_clip") \
-        == ["ascend_d", "project_d", "project_g"]
+    # the toy stencil is built in two places only
+    def callers(module_tree, callee):
+        owners = []
+        for top in module_tree.body:
+            scopes = ([(f"{top.name}.{getattr(node, 'name', '')}", node) for node in top.body]
+                      if isinstance(top, ast.ClassDef) else [(getattr(top, "name", ""), top)])
+            owners += [owner for owner, scope in scopes for node in ast.walk(scope)
+                       if isinstance(node, ast.Call) and getattr(node.func, "id", None) == callee]
+        return owners
+
+    assert callers(tree, "toy_stencil") == ["_ToyOps.grad_g_fn", "_ToyOps.make_prox"]
+    # and one float clip, oracles.clip_coord: the toy projections are the
+    # game's clip_d and clip_g, which apply it per coordinate, and the inner
+    # step applies it in its own comprehension; gapmetrics has no clip of its
+    # own, and no estimator asks whether a player is a list
+    assert callers(tree, "clip_coord") == ["_ToyOps.ascend_d"]
+    assert callers(ast.parse(inspect.getsource(oracles)), "clip_coord") == [
+        "ToyGame.clip_d", "ToyGame.clip_g"]
+    ops = gapmetrics._ops_for(ToyGameState(bilinear(), [0.0], [0.0]), None, None)
+    assert (ops.project_d, ops.project_g) == (ops.game.clip_d, ops.game.clip_g)
+    assert not [node.name for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and "clip" in node.name]
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                and isinstance(node.left, ast.Call) and getattr(node.left.func, "id", None) == "type"]
+    # the toy penalty's value and gradient each take d - anchor once, the
+    # gradient per coordinate in floats
     anchor_diffs = [node for node in ast.walk(tree) if isinstance(node, ast.BinOp)
                     and isinstance(node.op, ast.Sub) and isinstance(node.right, ast.Name)
                     and node.right.id in ("anchor", "anchor_j")]
@@ -645,6 +709,12 @@ def _hex(x):
     return np.asarray(x, dtype=np.float64).tobytes().hex()
 
 
+def _array_clip(x, box):
+    """The former array projection onto ``box``: ``ndarray.clip``, whose bytes
+    the toy float clip keeps."""
+    return np.asarray(x, dtype=np.float64).clip(*np.array(box).T)
+
+
 @pytest.mark.parametrize("lam", [0.0, 0.1, 1e6])
 def test_toy_inner_ascent_keeps_the_former_bytes(lam):
     # 6 games x 5 configurations, whose anchors may lie outside the box; at
@@ -664,20 +734,21 @@ def test_toy_inner_ascent_keeps_the_former_bytes(lam):
                 got = toy_value_and_grad(game, state.d, state.g, wrt)
                 want = stacked_toy_value_and_grad(game, state.d, state.g, wrt)
                 assert [_hex(v) for v in got] == [_hex(v) for v in want], (game.name, wrt)
-            search_grads = (ops.grad_d_fn(ops.g0)(ops.d0, None),
-                            ops.grad_g_fn(ops.d0)(ops.g0, None))
-            assert [_hex(v) for v in search_grads] == [
-                _hex(stacked_toy_value_and_grad(game, state.d, state.g, wrt)[1])
-                for wrt in "dg"], game.name
+            search_dirs = (ops.descent_d_fn(ops.g0)(ops.d0, None),
+                           ops.grad_g_fn(ops.d0)(ops.g0, None))
+            assert [_hex(v) for v in search_dirs] == [
+                _hex(sign * stacked_toy_value_and_grad(game, state.d, state.g, wrt)[1])
+                for sign, wrt in ((-1.0, "d"), (1.0, "g"))], game.name
             grad, value = ops.make_prox(ops.d0, ops.g0, None, lam)
             want_step = _reference_toy_step(game, ops.d0, ops.g0, lam)
-            for d in (game.clip_d(ops.d0), ops.d0, ops.d0 - 0.3, ops.d0 + 0.7):
+            for d in (_array_clip(ops.d0, game.d_box), ops.d0, ops.d0 - 0.3, ops.d0 + 0.7):
                 got_value, want_value = value(d), want_step(d)
                 assert isinstance(got_value, float)
                 assert _hex(got_value) == _hex(want_value[0]), game.name
                 assert _hex(grad(d)) == _hex(want_value[1]), game.name
             iterates = list(_prox_loop(grad, ops.d0, ops, cfg))
-            want = _reference_prox_iterates(want_step, ops.d0, game.clip_d, cfg)
+            want = _reference_prox_iterates(want_step, ops.d0,
+                                            lambda d: _array_clip(d, game.d_box), cfg)
             assert [_hex(d) for d in iterates] == [_hex(d) for d in want], game.name
             # after the projected anchor, an iterate is a list of Python floats
             assert [[type(v) for v in d] for d in iterates[1:] if type(d) is list] == \
@@ -688,9 +759,9 @@ def test_toy_inner_ascent_keeps_the_former_bytes(lam):
                 mp.setattr(gapmetrics._ToyOps, "grad_g_fn",
                            lambda ops, d: lambda g, batch:
                            stacked_toy_value_and_grad(ops.game, d, g, "g")[1])
-                mp.setattr(gapmetrics._ToyOps, "grad_d_fn",
+                mp.setattr(gapmetrics._ToyOps, "descent_d_fn",
                            lambda ops, g: lambda d, batch:
-                           stacked_toy_value_and_grad(ops.game, d, g, "d")[1])
+                           -stacked_toy_value_and_grad(ops.game, d, g, "d")[1])
                 mp.setattr(gapmetrics._ToyOps, "make_prox",
                            lambda ops, anchor, g, batch, lam: (
                                lambda d: _reference_toy_step(ops.game, anchor, g, lam)(d)[1],

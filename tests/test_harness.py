@@ -868,7 +868,7 @@ def test_a_missing_or_stale_gap_block_is_recomputed(tiny_run, tmp_path, monkeypa
 
 def test_a_failed_estimate_leaves_no_gap_block(tmp_path, monkeypatch):
     def failing(*args, **kwargs):
-        raise gapmetrics.ProxDivergenceError("diverged")
+        raise gapmetrics.ProxDivergenceError("value", 0)
 
     monkeypatch.setattr(runner, "duality_gap", failing)
     run_dir = train(tiny_cfg(tmp_path / "run", **{"train.steps": 0,

@@ -59,13 +59,6 @@ def _coupled_2d():
 # -- plain duality gap ---------------------------------------------------
 
 
-def test_concave_quadratic_refuses_a_d_box_of_more_than_one_axis():
-    # its value reads d[0] alone, so a second d axis would be ignored
-    assert concave_quadratic(d_box=((-0.2, 0.2),)).d_box == ((-0.2, 0.2),)
-    with pytest.raises(ValueError, match="^concave_quadratic has one d axis, got 2"):
-        concave_quadratic(d_box=((-1.0, 1.0),) * 2)
-
-
 def test_bilinear_saddle_has_zero_gap():
     assert grid_dg(bilinear(), (np.array([0.0]), np.array([0.0])), GRID) < 1e-6
 
@@ -248,8 +241,9 @@ def test_small_neighbourhood_bound():
     # delta = sqrt(eps/lam) of the anchor obey: DG^lam - DIV < eps, with DIV
     # the lift of V_dw over its floor
     rng = Rng(41)
-    games = [concave_quadratic(),
-             concave_quadratic(d_box=((-0.2, 0.2),))]  # narrow box keeps d* close
+    games = [concave_quadratic(),  # and on a narrow d box, which keeps d* close
+             ToyGame("concave_quadratic", concave_quadratic().value, ((-0.2, 0.2),),
+                     ((-1.0, 1.0),))]
     checked = 0
     for eps in (0.01, 0.1):
         for lam in (1e-3, 0.01, 0.1, 1.0, 10.0):
@@ -621,7 +615,7 @@ def test_grid_oracles_refuse_a_box_with_a_bound_that_is_not_finite(which, d_box,
         with pytest.raises(ValueError, match=f"^the {which} box's axis {axis} has a bound "
                                              f"that is not finite"):
             call()
-    assert game.clip_d(np.full(game.d_dim, 2.0)).shape == (game.d_dim,)
+    assert len(game.clip_d(np.full(game.d_dim, 2.0))) == game.d_dim
 
 
 @pytest.mark.parametrize("which", ["d_box", "g_box"])
@@ -1097,18 +1091,18 @@ _CLIP_VALUES = (-0.0, 0.0, np.inf, -np.inf, np.nan, 0.5, -0.5, 1e308, -5e-324)
 def test_toy_clip_carries_ndarray_clips_bytes(box):
     game = ToyGame("clip", lambda d, g: sum(dj * gj for dj, gj in zip(d, g)), box, box)
     lo, hi = np.array(box).T
-    # the toy searches' one float clip: the projections, and the inner
+    # the one toy clip, oracles.clip_coord per coordinate: the game's clip_d
+    # and clip_g, which are the toy searches' projections, and the inner
     # ascent's float step at rate 1 along -0.0, its clip alone since v + -0.0
     # is v; each from a list of floats, or from an array (a search's start)
     ops = _ops_for(ToyGameState(game, np.zeros(len(box)), np.zeros(len(box))), None, None)
+    assert (ops.project_d, ops.project_g) == (game.clip_d, game.clip_g)
+    assert game.d_box == game.g_box == tuple(zip(lo.tolist(), hi.tolist()))
     still = [-0.0] * len(box)
-    float_clips = (ops.project_d, ops.project_g, lambda x: ops.ascend_d(x, 1.0, still))
+    float_clips = (game.clip_d, game.clip_g, lambda x: ops.ascend_d(x, 1.0, still))
     values = _CLIP_VALUES + tuple(lo) + tuple(hi)  # the bounds themselves too
     for combo in np.array(np.meshgrid(*[values] * len(box))).reshape(len(box), -1).T:
         want = combo.clip(lo, hi).tobytes()
-        assert game.clip_d(combo).tobytes() == want
-        assert game.clip_g(combo).tobytes() == want
-        assert game.clip_d(list(combo)).tobytes() == want
         for clip in float_clips:
             for start in (combo.tolist(), combo):
                 step = clip(start)

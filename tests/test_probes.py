@@ -139,7 +139,7 @@ def _reference_deviation(state, splits, steps, lr, eval_every, rng, bins=16):
             grad = toy_value_and_grad(state.game, state.d, g, "g")[1]
         g, adam = adam_step(g, grad, adam)
         if not is_gan:
-            g = state.game.clip_g(g)
+            g = g.clip(*np.array(state.game.g_box).T)
         if eval_every > 0 and (step % eval_every == 0 or step == steps):
             points.append(TracePoint(step, *eval_point(g)))
     return DeviationTrace(tuple(points))

@@ -93,7 +93,7 @@ def test_kernel_timings_prints_one_line_per_activation_and_row_count():
 
 def test_fingerprints_of_every_workload_operation_without_an_error():
     prints = json.loads(_run("fingerprints.py", str(ROOT), "5"))
-    assert len(prints) == 27
+    assert len(prints) == 28
     assert {key.split("/")[0] for key in prints} == {"desk_session", "critic_train",
-                                                    "toy_oracles"}
+                                                    "toy_oracles", "toy_sweep"}
     assert not [key for key, value in prints.items() if value.startswith("error")]
